@@ -607,9 +607,7 @@ let bench_obs () =
               [ Openflow.Action.Output 1 ] ))
   in
   let screen tracer =
-    ignore
-      (Legosdn.Detector.check_byzantine ~tracer ~engine:screen_engine
-         ~invariants:Invariants.Checker.default screen_net mods)
+    ignore (Legosdn.Atomic_update.screen ~tracer ~checker:screen_engine mods)
   in
   let prim = Obs.Tracer.create ~capacity:4096 ~now:(fun () -> 0.) () in
   let hist = Obs.Histogram.create () in

@@ -438,18 +438,21 @@ let bugstats () =
 
 let nversion_exp () =
   section "E11" "software diversity: majority voting masks a byzantine version";
+  (* Every version answers to the panel's name, "router". *)
+  let healthy = App_sig.app (module Apps.Router) in
   let byzantine_router =
     Apps.Faulty.wrap
       ~bug:
         (Apps.Bug_model.make
            (Apps.Bug_model.On_kind Event.K_packet_in)
            Apps.Bug_model.Byzantine_blackhole)
-      (App_sig.app (Apps.Router.variant "router_team_b"))
+      (App_sig.app (Apps.Router.variant "router"))
   in
-  let run label apps =
+  let run label ?nversion ?nv_variants apps =
     let clock = Clock.create () in
     let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-    let rt = Runtime.create ~config:(config_with (Recovery_policy.uniform Recovery_policy.Absolute)) net apps in
+    let absolute = config_with (Recovery_policy.uniform Recovery_policy.Absolute) in
+    let rt = Runtime.create ~config:{ absolute with nversion } ?nv_variants net apps in
     Runtime.step rt;
     for i = 1 to 12 do
       Clock.advance_by clock 0.05;
@@ -460,20 +463,28 @@ let nversion_exp () =
       Runtime.step rt
     done;
     let m = Runtime.metrics rt in
-    row "  %-28s| byzantine blocked: %2d | connectivity: %3.0f%%\n" label
+    row "  %-28s| byzantine blocked: %2d | outvoted: %2d | connectivity: %3.0f%%\n"
+      label
       (Metrics.byzantine_blocked m)
+      (Metrics.nv_outvoted m)
       (100. *. Net.connectivity net)
   in
-  let module Voted =
-    Legosdn.Nversion.Make3
-      (Apps.Router)
-      ((val byzantine_router : App_sig.INTENT_APP))
-      ((val Apps.Router.variant ~prefer_high_ports:true "router_team_c"))
-  in
   run "byzantine router alone" [ byzantine_router ];
-  run "3-version voted bundle" [ App_sig.app (module Voted) ];
+  (* The same version seated between two healthy, independently built
+     ones, each in its own sandbox; adaptation off, so every event is
+     voted. *)
+  run "3-version voted panel"
+    ~nversion:{ Legosdn.Voter.default_config with nv_adaptive = false }
+    ~nv_variants:(fun _ ->
+      Some
+        [
+          (healthy, true);
+          (byzantine_router, false);
+          (App_sig.app (Apps.Router.variant ~prefer_high_ports:true "router"), true);
+        ])
+    [ healthy ];
   row "\n  Reading: alone, every poisoned output must be caught by the\n";
-  row "  invariant checker; inside the bundle the two healthy versions\n";
+  row "  invariant checker; in the panel the two healthy versions\n";
   row "  out-vote it and nothing bad even reaches the checker.\n"
 
 (* ------------------------------------------------------------------ *)
@@ -714,6 +725,7 @@ let atomic_exp () =
   let net = Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 3) in
   ignore (Net.poll net);
   let engine = Legosdn.Netlog.engine (Legosdn.Netlog.create net) in
+  let checker = Invariants.Incremental.create net in
   let mac h = Openflow.Types.mac_of_host h in
   let good =
     [
@@ -735,10 +747,10 @@ let atomic_exp () =
       (fun acc sid -> acc + Flow_table.size (Net.switch net sid).Sw.table)
       0 [ 1; 2; 3 ]
   in
-  let o1 = Legosdn.Atomic_update.apply ~net ~engine ~app:"operator" bad in
+  let o1 = Legosdn.Atomic_update.apply ~checker ~engine ~app:"operator" bad in
   row "  3-rule update incl. black-holing rule : %s (rules installed: %d)\n"
     (Legosdn.Atomic_update.describe o1) (count_rules ());
-  let o2 = Legosdn.Atomic_update.apply ~net ~engine ~app:"operator" good in
+  let o2 = Legosdn.Atomic_update.apply ~checker ~engine ~app:"operator" good in
   row "  2-rule clean path update              : %s (rules installed: %d)\n"
     (Legosdn.Atomic_update.describe o2) (count_rules ())
 

@@ -1,10 +1,10 @@
 module App_sig = Controller.App_sig
 (* Software and data diversity (§3.4): three independently built versions
-   of the routing application run side by side; LegoSDN feeds them the
-   same events and uses the majority output. One version is byzantine (it
-   emits a rule forwarding everything into an unwired port); the two
-   healthy versions out-vote it, so the poisoned rule never even reaches
-   the invariant checker.
+   of the routing application run side by side, each in its own sandbox;
+   LegoSDN feeds them the same events and commits only the majority
+   output. One version is byzantine (it emits a rule forwarding everything
+   into an unwired port); the two healthy versions out-vote it, so the
+   poisoned rule never even reaches the invariant checker.
 
    Run with: dune exec examples/diverse_voting.exe *)
 
@@ -13,13 +13,14 @@ module Event = Controller.Event
 module Runtime = Legosdn.Runtime
 module Metrics = Legosdn.Metrics
 
+(* Every version answers to the panel's name, "router". *)
 let byzantine_router () =
   Apps.Faulty.wrap
     ~bug:
       (Apps.Bug_model.make
          (Apps.Bug_model.On_kind Event.K_packet_in)
          Apps.Bug_model.Byzantine_blackhole)
-    (Controller.App_sig.app (Apps.Router.variant "router_team_b"))
+    (App_sig.app (Apps.Router.variant "router"))
 
 let drive net step =
   List.iter
@@ -48,23 +49,31 @@ let () =
   drive net (fun () -> Runtime.step rt);
   report "byzantine version alone:" rt net;
 
-  (* The voted bundle: same byzantine version, sandwiched between two
-     healthy independently-built versions. *)
-  let module Voted =
-    Legosdn.Nversion.Make3
-      (Apps.Router)
-      ((val byzantine_router () : Controller.App_sig.INTENT_APP))
-      ((val Apps.Router.variant ~prefer_high_ports:true "router_team_c"))
+  (* The voting panel: the same byzantine version, seated between two
+     healthy independently-built versions. The [bool] marks a version
+     whose state a majority snapshot may be restored into. *)
+  let config =
+    {
+      Runtime.default_config with
+      Runtime.nversion =
+        Some { Legosdn.Voter.default_config with nv_adaptive = false };
+    }
+  in
+  let healthy = App_sig.app (module Apps.Router) in
+  let nv_variants _ =
+    Some
+      [
+        (healthy, true);
+        (byzantine_router (), false);
+        (App_sig.app (Apps.Router.variant ~prefer_high_ports:true "router"), true);
+      ]
   in
   let net = Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 3) in
-  let rt = Runtime.create net [ Controller.App_sig.app (module Voted) ] in
+  let rt = Runtime.create ~config ~nv_variants net [ healthy ] in
   Runtime.step rt;
   drive net (fun () -> Runtime.step rt);
-  report "3-version voted bundle:" rt net;
+  report "3-version voting panel:" rt net;
   Printf.printf
-    "\nThe bundle's divergence log lines (visible to the operator):\n";
-  (* Divergences surface as Log commands; show how often the bundle had to
-     out-vote its byzantine member by re-running one event verbosely. *)
-  Printf.printf
-    "  every packet-in: 'outvoted a divergent version' — the byzantine\n";
-  Printf.printf "  output lost 2-to-1 and was discarded before commit.\n"
+    "\nThe byzantine output lost %d election(s) 2-to-1 and was discarded\n\
+     before commit.\n"
+    (Metrics.nv_outvoted (Runtime.metrics rt))

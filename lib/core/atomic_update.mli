@@ -1,41 +1,83 @@
-(** Atomic network updates (§3.4, after Katta et al. [19]).
+(** Screened atomic updates (§3.4, after Katta et al. [19]).
 
-    A policy that spans multiple devices must be installed with
-    all-or-nothing semantics, without requiring support from the
-    application developer. This module wraps a batch of flow-mods in a
-    transaction, verifies the post-state against network invariants before
-    sealing it, and rolls everything back if any switch rejects an update
-    or an invariant breaks — resolving exactly the ambiguity the paper
-    describes ("when an application crashes after installing a few rules,
-    it is not clear whether the few rules issued were part of a larger
-    set"). *)
+    The one route from a command set to the network: an app delivery, a
+    panel's elected output, an intent install and an operator update are
+    all screened, then applied in one transaction, so their effects are
+    all-or-nothing — resolving the ambiguity the paper describes ("when an
+    application crashes after installing a few rules, it is not clear
+    whether the few rules issued were part of a larger set").
+
+    The screens run before the first switch is touched: resource limits
+    (only given a {!budget}), then invariants on the flow-mods alone
+    (none, no checker call and no [Detection] span), then unreachable
+    switches. *)
 
 open Openflow
+open Controller
 
-type failure =
-  | Switch_rejected of Types.switch_id * string
-      (** A switch answered one of the updates with an error. *)
+type refusal =
+  | Over_limits of Resources.breach list
   | Invariant_broken of Invariants.Checker.violation list
-      (** The fully-applied update violates a network invariant. *)
+      (** New violations only: damage already in the network is not
+          pinned on the update. *)
+  | Unreachable of Types.switch_id
+  | Switch_rejected of Types.switch_id * string
+      (** A switch answered with an error (only under [Reject_errors]). *)
 
-type outcome = Committed | Rolled_back of failure
+type outcome = Committed | Rolled_back of refusal
+
+type budget = { limits : Resources.limits; state_bytes : unit -> int }
+(** [state_bytes] is forced only when [limits] caps the state size. *)
+
+val screen :
+  ?tracer:Obs.Tracer.t ->
+  ?budget:budget ->
+  ?invariants:Invariants.Checker.invariant list ->
+  ?unreachable:(Types.switch_id -> bool) ->
+  checker:Invariants.Incremental.t ->
+  Command.t list ->
+  refusal option
+(** The screens alone, committing nothing. [invariants] defaults to
+    {!Invariants.Checker.default}; by default every switch is reachable. *)
+
+(** Which transaction the commands go into; this decides what a refusal
+    leaves in the NetLog journal. *)
+type txn =
+  | Opened of Txn_engine.txn
+      (** Opened by the caller before the commands existed (an app
+          delivery). A refusal aborts it: one aborted, empty entry. *)
+  | Deferred of Txn_engine.t
+      (** Opened only once the screens pass: a refusal leaves no entry. *)
+
+type replies =
+  | Route of (Types.switch_id -> Message.t list -> unit)
+      (** Hand each command's replies over; an error never aborts. *)
+  | Reject_errors  (** The first error reply aborts the whole update. *)
+
+val commit :
+  ?tracer:Obs.Tracer.t ->
+  ?budget:budget ->
+  ?invariants:Invariants.Checker.invariant list ->
+  ?unreachable:(Types.switch_id -> bool) ->
+  checker:Invariants.Incremental.t ->
+  replies:replies ->
+  app:string ->
+  txn ->
+  Command.t list ->
+  outcome
+(** {!screen}, then apply and commit. On [Rolled_back] nothing is live:
+    the network is byte-identical to before. [tracer] records a [Txn_commit]
+    span after the screen's [Detection] span. *)
 
 val apply :
   ?tracer:Obs.Tracer.t ->
   ?invariants:Invariants.Checker.invariant list ->
-  ?checker:Invariants.Incremental.t ->
-  net:Netsim.Net.t ->
+  checker:Invariants.Incremental.t ->
   engine:Txn_engine.t ->
   app:string ->
   (Types.switch_id * Message.flow_mod) list ->
   outcome
-(** Apply the batch atomically: on [Committed] every flow-mod is live; on
-    [Rolled_back] none is (the network is byte-identical to before).
-    Invariants are checked on the applied state just before commit
-    (default: {!Invariants.Checker.default}); with [checker] the screening
-    runs through the incremental engine's caches instead of a fresh full
-    snapshot, with the same verdict. [tracer] records the screening as a
-    [Detection] span and the transactional phase as a [Txn_commit] span
-    (with a nested [Txn_rollback] from the engine when it aborts). *)
+(** An operator update: {!commit} with [Reject_errors] into a [Deferred]
+    transaction. *)
 
 val describe : outcome -> string

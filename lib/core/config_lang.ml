@@ -354,7 +354,6 @@ let parse text =
                   (fun threshold -> Quarantine.create ~threshold ())
                   b.quarantine_threshold;
               intent = b.intent;
-              batched_checkpoints = false;
             };
         }
 

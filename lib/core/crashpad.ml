@@ -13,12 +13,6 @@ type config = {
          policy-derived candidate rule-set tried first under an Equivalence
          compromise — installed only if it provably preserves the declared
          forwarding relation and the configured invariants. *)
-  batched_checkpoints : bool;
-      (* The batch engine checkpoints every sandbox at batch entry and
-         journals within the batch; the per-event prepare here is then
-         redundant work, not a correctness requirement (recovery replays
-         the intra-batch journal under the same frozen context the events
-         were first delivered with). *)
 }
 
 let default_config =
@@ -29,13 +23,11 @@ let default_config =
     limits = Resources.unlimited;
     quarantine = None;
     intent = true;
-    batched_checkpoints = false;
   }
 
 type deps = {
   engine : Txn_engine.t;
-  incremental : Invariants.Incremental.t option;
-  net : Netsim.Net.t;
+  incremental : Invariants.Incremental.t;
   context : unit -> App_sig.context;
   links_of : Types.switch_id -> Event.link list;
   metrics : Metrics.t;
@@ -44,6 +36,12 @@ type deps = {
   enqueue_reply : string -> Event.t -> unit;
   unreachable : Types.switch_id -> bool;
   tracer : Obs.Tracer.t;
+  batched_checkpoints : bool;
+      (* The batch engine checkpoints every sandbox at batch entry and
+         journals within the batch; the per-event prepare here is then
+         redundant work, not a correctness requirement (recovery replays
+         the intra-batch journal under the same frozen context the events
+         were first delivered with). *)
 }
 
 let file_ticket deps sandbox ~event ~diagnosis ~resolution ~rolled_back =
@@ -77,20 +75,14 @@ let route_replies deps sandbox sid replies =
       | _ -> ())
     replies
 
-let switch_of_command = function
-  | Command.Flow (sid, _) | Command.Packet (sid, _) | Command.Port (sid, _)
-  | Command.Stats (sid, _) ->
-      Some sid
-  | Command.Log _ -> None
-
 (* ---------------- declarative intent ---------------- *)
 
 (* Recompile the app's declared policy against the current network view and
    diff it against what the network holds. The candidate diff is installed
    only after two independent checks: the compiled tables must agree with
    the policy's denotation on a probe set covering every rule (forwarding
-   relation preserved), and the flow-mods must not introduce an invariant
-   violation (incremental engine when available). *)
+   relation preserved), and the flow-mods must pass the invariant screen
+   of the one commit path. *)
 let sync_intent config deps sandbox =
   if not config.intent then `No_intent
   else
@@ -125,29 +117,16 @@ let sync_intent config deps sandbox =
               if not (Policy.agrees ~ports ~switches pol tables ~probes) then
                 `Rejected
               else
-                let violations =
-                  match deps.incremental with
-                  | Some engine ->
-                      Invariants.Incremental.check_flow_mods
-                        ~invariants:config.invariants engine mods
-                  | None ->
-                      Invariants.Checker.check_flow_mods
-                        ~invariants:config.invariants
-                        (Invariants.Snapshot.of_net deps.net)
-                        mods
-                in
-                match violations with
-                | _ :: _ -> `Rejected
-                | [] ->
-                    let txn =
-                      deps.engine.Txn_engine.begin_txn
-                        ~app:(Sandbox.name sandbox)
-                    in
-                    List.iter
-                      (fun (sid, fm) ->
-                        ignore (txn.Txn_engine.apply (Command.Flow (sid, fm))))
-                      mods;
-                    txn.Txn_engine.commit ();
+                match
+                  Atomic_update.commit ~tracer:deps.tracer
+                    ~invariants:config.invariants ~checker:deps.incremental
+                    ~replies:(Atomic_update.Route (fun _ _ -> ()))
+                    ~app:(Sandbox.name sandbox)
+                    (Atomic_update.Deferred deps.engine)
+                    (List.map (fun (sid, fm) -> Command.Flow (sid, fm)) mods)
+                with
+                | Atomic_update.Rolled_back _ -> `Rejected
+                | Atomic_update.Committed ->
                     Sandbox.set_intent_tables sandbox tables;
                     `Installed (List.length mods)))
 
@@ -159,117 +138,104 @@ let reconcile_intent config deps sandbox =
   | `Rejected -> Metrics.incr_policy_rejected deps.metrics
   | `Noop | `No_intent -> ()
 
+let recover config deps ~app failure boxes =
+  count_failure deps failure;
+  Metrics.add_app_downtime deps.metrics ~app
+    (Detector.detection_delay config.timing failure);
+  List.iter
+    (fun box ->
+      let r = Sandbox.recover ~tracer:deps.tracer box (deps.context ()) in
+      Metrics.incr_replayed deps.metrics r.Sandbox.replayed;
+      Metrics.incr_dropped_in_replay deps.metrics r.Sandbox.dropped_in_replay)
+    boxes
+
+let deliver deps box event =
+  let attrs =
+    if Obs.Tracer.enabled deps.tracer then [ ("app", Sandbox.name box) ] else []
+  in
+  Detector.of_verdict
+    (Obs.Tracer.with_span deps.tracer ~attrs Obs.Span.App_handle (fun () ->
+         Sandbox.deliver box (deps.context ()) event))
+
+let commit_output config deps ~txn ~event ~revert ~contain owner commands =
+  let budget =
+    {
+      Atomic_update.limits = config.limits;
+      state_bytes = (fun () -> Sandbox.state_size owner);
+    }
+  in
+  match
+    Atomic_update.commit ~tracer:deps.tracer ~budget
+      ~invariants:config.invariants ~unreachable:deps.unreachable
+      ~checker:deps.incremental
+      ~replies:(Atomic_update.Route (route_replies deps owner))
+      ~app:(Sandbox.name owner) (Atomic_update.Opened txn) commands
+  with
+  | Atomic_update.Committed -> `Committed
+  | Atomic_update.Rolled_back refusal -> (
+      List.iter Sandbox.revert_last revert;
+      let failed failure =
+        count_failure deps failure;
+        `Failed failure
+      in
+      match refusal with
+      | Atomic_update.Over_limits breaches ->
+          Metrics.incr_resource_breach deps.metrics;
+          file_ticket deps owner ~event
+            ~diagnosis:
+              (String.concat "; " (List.map Resources.describe breaches))
+            ~resolution:Ticket.Blocked ~rolled_back:0;
+          (* Contain the rogue app: restart it with fresh state. *)
+          List.iter
+            (fun box ->
+              Sandbox.reboot box;
+              Sandbox.checkpoint_now box)
+            contain;
+          `Contained
+      | Atomic_update.Invariant_broken violations ->
+          failed (Detector.Byzantine violations)
+      | Atomic_update.Unreachable switch -> failed (Detector.Unreachable { switch })
+      | Atomic_update.Switch_rejected _ ->
+          (* [Route] replies never reject. *)
+          assert false)
+
 (* Deliver one event inside a fresh transaction. Returns [Ok ()] on commit,
    [Error (failure, rolled_back)] after an abort. The sandbox state has
    already been repaired (restore + replay) when [Error] is returned. *)
 let attempt config deps sandbox event : (unit, Detector.failure * int) result =
-  if not config.batched_checkpoints then Sandbox.prepare ~tracer:deps.tracer sandbox;
+  if not deps.batched_checkpoints then
+    Sandbox.prepare ~tracer:deps.tracer sandbox;
   let txn = deps.engine.Txn_engine.begin_txn ~app:(Sandbox.name sandbox) in
-  let fail_and_recover failure ~partial =
-    let attrs =
-      if Obs.Tracer.enabled deps.tracer then
-        [ ("phase", "replay"); ("failure", failure_kind failure) ]
-      else []
-    in
-    Obs.Tracer.with_span deps.tracer ~attrs Obs.Span.Recovery (fun () ->
-        (* Partial output escaped before the crash: it reached the network,
-           so it must be in the transaction to be rolled back with it. *)
-        List.iter (fun cmd -> ignore (txn.Txn_engine.apply cmd)) partial;
-        let rolled_back = List.length (txn.Txn_engine.issued ()) in
-        txn.Txn_engine.abort ();
-        count_failure deps failure;
-        Metrics.add_app_downtime deps.metrics ~app:(Sandbox.name sandbox)
-          (Detector.detection_delay config.timing failure);
-        let recovery = Sandbox.recover ~tracer:deps.tracer sandbox (deps.context ()) in
-        Metrics.incr_replayed deps.metrics recovery.Sandbox.replayed;
-        Metrics.incr_dropped_in_replay deps.metrics
-          recovery.Sandbox.dropped_in_replay;
-        Error (failure, rolled_back))
-  in
-  let verdict =
-    let attrs =
-      if Obs.Tracer.enabled deps.tracer then
-        [ ("app", Sandbox.name sandbox) ]
-      else []
-    in
-    Obs.Tracer.with_span deps.tracer ~attrs Obs.Span.App_handle (fun () ->
-        Sandbox.deliver sandbox (deps.context ()) event)
-  in
-  match verdict with
-  | Sandbox.Done commands -> (
-      (* Screen before commit: resource limits, then byzantine output. *)
-      let breaches =
-        Resources.check config.limits
-          ~state_bytes:(fun () -> Sandbox.state_size sandbox)
-          ~commands_emitted:(List.length commands)
+  match deliver deps sandbox event with
+  | Ok commands -> (
+      match
+        commit_output config deps ~txn ~event ~revert:[ sandbox ]
+          ~contain:[ sandbox ] sandbox commands
+      with
+      | `Committed ->
+          Sandbox.confirm sandbox event;
+          reconcile_intent config deps sandbox;
+          Ok ()
+      | `Contained -> Ok ()
+      | `Failed failure -> Error (failure, 0))
+  | Error failure ->
+      let attrs =
+        if Obs.Tracer.enabled deps.tracer then
+          [ ("phase", "replay"); ("failure", failure_kind failure) ]
+        else []
       in
-      if breaches <> [] then begin
-        txn.Txn_engine.abort ();
-        Sandbox.revert_last sandbox;
-        Metrics.incr_resource_breach deps.metrics;
-        file_ticket deps sandbox ~event
-          ~diagnosis:
-            (String.concat "; " (List.map Resources.describe breaches))
-          ~resolution:Ticket.Blocked ~rolled_back:0;
-        (* Contain the rogue app: restart it with fresh state. *)
-        Sandbox.reboot sandbox;
-        Sandbox.checkpoint_now sandbox;
-        Ok ()
-      end
-      else
-        match
-          Detector.check_byzantine ~tracer:deps.tracer
-            ?engine:deps.incremental ~invariants:config.invariants deps.net
-            commands
-        with
-        | Some failure ->
-            txn.Txn_engine.abort ();
-            Sandbox.revert_last sandbox;
-            count_failure deps failure;
-            Error (failure, 0)
-        | None ->
-        (* Screen for dead control channels: a transaction that would touch
-           a switch the reliable layer has given up on must abort before
-           anything reaches the network, or it can never fully commit. *)
-        match
-          List.find_map
-            (fun cmd ->
-              match switch_of_command cmd with
-              | Some sid when deps.unreachable sid -> Some sid
-              | Some _ | None -> None)
-            commands
-        with
-        | Some sid ->
-            let failure = Detector.Unreachable { switch = sid } in
-            txn.Txn_engine.abort ();
-            Sandbox.revert_last sandbox;
-            count_failure deps failure;
-            Error (failure, 0)
-        | None ->
-            let attrs =
-              if Obs.Tracer.enabled deps.tracer then
-                [
-                  ("app", Sandbox.name sandbox);
-                  ("commands", string_of_int (List.length commands));
-                ]
-              else []
-            in
-            Obs.Tracer.with_span deps.tracer ~attrs Obs.Span.Txn_commit
-              (fun () ->
-                List.iter
-                  (fun cmd ->
-                    let replies = txn.Txn_engine.apply cmd in
-                    match switch_of_command cmd with
-                    | Some sid -> route_replies deps sandbox sid replies
-                    | None -> ())
-                  commands;
-                txn.Txn_engine.commit ());
-            Sandbox.confirm sandbox event;
-            reconcile_intent config deps sandbox;
-            Ok ())
-  | Sandbox.Crashed { partial; detail } ->
-      fail_and_recover (Detector.Fail_stop { detail; partial }) ~partial
-  | Sandbox.Hung -> fail_and_recover Detector.Hang ~partial:[]
+      Obs.Tracer.with_span deps.tracer ~attrs Obs.Span.Recovery (fun () ->
+          (* Partial output escaped before the crash: it reached the
+             network, so it must be in the transaction to be rolled back
+             with it. *)
+          (match failure with
+          | Detector.Fail_stop { partial; _ } ->
+              List.iter (fun cmd -> ignore (txn.Txn_engine.apply cmd)) partial
+          | _ -> ());
+          let rolled_back = List.length (txn.Txn_engine.issued ()) in
+          txn.Txn_engine.abort ();
+          recover config deps ~app:(Sandbox.name sandbox) failure [ sandbox ];
+          Error (failure, rolled_back))
 
 (* Try the equivalence alternatives in order; an alternative succeeds when
    every event in its sequence commits. No second-level transformation: a
@@ -371,6 +337,10 @@ let note_quarantine config deps sandbox event =
       | `Quarantined -> Metrics.incr_quarantined deps.metrics
       | `Recorded -> ())
 
+let resolve config deps sandbox event failure ~rolled_back =
+  note_quarantine config deps sandbox event;
+  apply_policy config deps sandbox event failure ~rolled_back
+
 let dispatch config deps sandbox event =
   if
     Sandbox.alive sandbox
@@ -380,5 +350,4 @@ let dispatch config deps sandbox event =
     match attempt config deps sandbox event with
     | Ok () -> ()
     | Error (failure, rolled_back) ->
-        note_quarantine config deps sandbox event;
-        apply_policy config deps sandbox event failure ~rolled_back
+        resolve config deps sandbox event failure ~rolled_back

@@ -35,10 +35,6 @@ type config = {
           flow-mod diff instead of replaying transformed events. A
           candidate failing either check is counted as rejected and the
           hand-coded event transformations are tried next. *)
-  batched_checkpoints : bool;
-      (** Skip the per-event {!Sandbox.prepare}: the caller checkpoints
-          every sandbox at batch entry instead (the sharded dispatch
-          engine's amortization). Default [false]. *)
 }
 
 val default_config : config
@@ -48,11 +44,9 @@ val default_config : config
 (** What Crash-Pad needs from its host runtime. *)
 type deps = {
   engine : Txn_engine.t;
-  incremental : Invariants.Incremental.t option;
-      (** When set, byzantine screening runs through this incremental
-          checker instead of snapshotting the whole network per
-          transaction. Verdicts are identical; only the work is smaller. *)
-  net : Netsim.Net.t;
+  incremental : Invariants.Incremental.t;
+      (** The runtime's incremental invariant checker: every commit's
+          flow-mods are screened through it ({!Atomic_update.screen}). *)
   context : unit -> App_sig.context;
   links_of : Types.switch_id -> Event.link list;
   metrics : Metrics.t;
@@ -68,6 +62,10 @@ type deps = {
   tracer : Obs.Tracer.t;
       (** Records per-stage spans (app delivery, detection, commit,
           recovery). Pass {!Obs.Tracer.noop} to disable. *)
+  batched_checkpoints : bool;
+      (** Skip the per-event {!Sandbox.prepare}: the caller checkpoints
+          every sandbox at batch entry instead (the sharded dispatch
+          engine's amortization). *)
 }
 
 val dispatch : config -> deps -> Sandbox.t -> Event.t -> unit
@@ -76,40 +74,48 @@ val dispatch : config -> deps -> Sandbox.t -> Event.t -> unit
 
 (** {1 Pipeline pieces}
 
-    Exposed for the N-version {!Voter}, which runs the same
-    screen/commit/recover discipline over a panel of variant sandboxes
-    and reuses these rather than re-implementing them. *)
+    Shared with the N-version {!Voter}, so a panel's elected output goes
+    through exactly the screened commit, recovery and containment a solo
+    app's output does. *)
 
 val attempt : config -> deps -> Sandbox.t -> Event.t ->
   (unit, Detector.failure * int) result
 (** Deliver one event inside a fresh transaction: prepare (unless
-    [batched_checkpoints]), begin, deliver, screen, commit, confirm,
+    [batched_checkpoints]), begin, deliver, {!commit_output}, confirm,
     reconcile intent. [Error (failure, rolled_back)] means the transaction
     aborted and the sandbox state has already been repaired. *)
 
-val apply_policy :
+val deliver :
+  deps -> Sandbox.t -> Event.t -> (Command.t list, Detector.failure) result
+(** Deliver one event under an [App_handle] span. *)
+
+val commit_output :
+  config -> deps -> txn:Txn_engine.txn -> event:Event.t ->
+  revert:Sandbox.t list -> contain:Sandbox.t list -> Sandbox.t ->
+  Command.t list -> [ `Committed | `Contained | `Failed of Detector.failure ]
+(** {!Atomic_update.commit} of the owner's output into [txn], opened
+    before the delivery: limits sized by the owner's state, then
+    invariants, then unreachable switches. Stats and flow-removed replies
+    go back to the owner. On a refusal [txn] aborts and [revert] drops the
+    delivery; a resource breach files a [Blocked] ticket and restarts
+    [contain] with fresh state ([`Contained]); any other refusal is
+    counted ([`Failed]). *)
+
+val recover :
+  config -> deps -> app:string -> Detector.failure -> Sandbox.t list -> unit
+(** Count the failure, charge its detection delay to [app], and restore
+    and replay each sandbox from its checkpoint. *)
+
+val resolve :
   config -> deps -> Sandbox.t -> Event.t -> Detector.failure ->
   rolled_back:int -> unit
-(** Apply the operator's compromise policy to a failed delivery and file
-    the problem ticket (exactly one per call). *)
+(** Note the failure for quarantine, apply the operator's compromise
+    policy and file the problem ticket (exactly one per call). *)
 
 val quarantine_blocked : config -> deps -> Sandbox.t -> Event.t -> bool
 (** Is this delivery suppressed by the quarantine store? Counts the
     suppression when it is. *)
 
-val note_quarantine : config -> deps -> Sandbox.t -> Event.t -> unit
-(** Record a failure against the (app, event) signature. *)
-
-val count_failure : deps -> Detector.failure -> unit
-
 val reconcile_intent : config -> deps -> Sandbox.t -> unit
 (** After a healthy commit: recompile the app's declared policy and install
     the verified diff so hardware tracks intent continuously. *)
-
-val route_replies :
-  deps -> Sandbox.t -> Types.switch_id -> Openflow.Message.t list -> unit
-(** Convert synchronous replies (statistics, flow-removed) produced while
-    applying commands into events queued back to the issuing app. *)
-
-val switch_of_command : Command.t -> Types.switch_id option
-(** The switch a command touches; [None] for [Log]. *)

@@ -1,6 +1,5 @@
 open Controller
 module Checker = Invariants.Checker
-module Snapshot = Invariants.Snapshot
 
 type failure =
   | Fail_stop of { detail : string; partial : Command.t list }
@@ -24,36 +23,9 @@ let detection_delay timing = function
   | Unreachable _ -> timing.rpc_timeout
 
 let of_verdict = function
-  | Sandbox.Done _ -> None
-  | Sandbox.Crashed { partial; detail } -> Some (Fail_stop { detail; partial })
-  | Sandbox.Hung -> Some Hang
-
-let flow_mods_of commands =
-  List.filter_map
-    (function Command.Flow (sid, fm) -> Some (sid, fm) | _ -> None)
-    commands
-
-let check_byzantine ?(tracer = Obs.Tracer.noop) ?engine ~invariants net
-    commands =
-  match flow_mods_of commands with
-  | [] -> None
-  | mods ->
-      let attrs =
-        if Obs.Tracer.enabled tracer then
-          [ ("mods", string_of_int (List.length mods)) ]
-        else []
-      in
-      Obs.Tracer.with_span tracer ~attrs Obs.Span.Detection (fun () ->
-          let violations =
-            match engine with
-            | Some eng ->
-                Invariants.Incremental.check_flow_mods ~invariants eng mods
-            | None ->
-                Checker.check_flow_mods ~invariants (Snapshot.of_net net) mods
-          in
-          match violations with
-          | [] -> None
-          | violations -> Some (Byzantine violations))
+  | Sandbox.Done commands -> Ok commands
+  | Sandbox.Crashed { partial; detail } -> Error (Fail_stop { detail; partial })
+  | Sandbox.Hung -> Error Hang
 
 let describe = function
   | Fail_stop { detail; partial } ->

@@ -3,7 +3,7 @@
     Fail-stop failures surface as sandbox verdicts (the proxy's RPC fails);
     hangs surface as heart-beat loss; byzantine failures are found by
     running the application's proposed flow-mods through the network
-    invariant checker before they are committed. *)
+    invariant checker before they are committed ({!Atomic_update.screen}). *)
 
 open Controller
 
@@ -32,22 +32,7 @@ val detection_delay : timing -> failure -> float
     [rpc_timeout] for fail-stop, [interval * misses] for hangs, 0 for
     byzantine failures (caught synchronously at commit). *)
 
-val of_verdict : Sandbox.verdict -> failure option
-(** [None] for a successful verdict. *)
-
-val check_byzantine :
-  ?tracer:Obs.Tracer.t ->
-  ?engine:Invariants.Incremental.t ->
-  invariants:Invariants.Checker.invariant list ->
-  Netsim.Net.t ->
-  Command.t list ->
-  failure option
-(** Would committing these commands introduce an invariant violation?
-    Evaluated on a snapshot; the live network is untouched. With [engine]
-    the snapshot and per-pair traces are served incrementally from the
-    engine's caches (this is the Crash-Pad hot path — one call per
-    transaction); without it a full snapshot is taken and checked. The
-    verdict is the same either way. [tracer] records the screening as a
-    [Detection] span. *)
+val of_verdict : Sandbox.verdict -> (Command.t list, failure) result
+(** The commands of a successful delivery, or the failure it showed. *)
 
 val describe : failure -> string

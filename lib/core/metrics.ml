@@ -46,6 +46,18 @@ type t = {
   n_ckpt_deduped : counter;
   n_ckpt_written : counter;
   n_cc_evictions : counter;
+  n_policy_compromises : counter;
+  n_policy_rejected : counter;
+  n_policy_reconciles : counter;
+  n_nv_events : counter;
+  n_nv_masked : counter;
+  n_nv_outvoted : counter;
+  n_nv_variant_crashes : counter;
+  n_nv_no_majority : counter;
+  n_nv_resyncs : counter;
+  n_nv_resync_bytes : counter;
+  n_nv_sheds : counter;
+  n_nv_grows : counter;
   (* Pre-registered gauge: the incremental checker's resident trace-cache
      bytes, updated from the runtime's eviction observer. *)
   g_inv_cache_bytes : gauge;
@@ -100,6 +112,19 @@ let create () =
       n_ckpt_deduped = { c_name = "ckpt-bytes-deduped"; c_value = 0 };
       n_ckpt_written = { c_name = "ckpt-bytes-written"; c_value = 0 };
       n_cc_evictions = { c_name = "counter-cache-evictions"; c_value = 0 };
+      n_policy_compromises = { c_name = "policy_compromises"; c_value = 0 };
+      n_policy_rejected = { c_name = "policy_rejected"; c_value = 0 };
+      n_policy_reconciles = { c_name = "policy_reconciles"; c_value = 0 };
+      n_nv_events = { c_name = "nversion_events"; c_value = 0 };
+      n_nv_masked = { c_name = "nversion_masked"; c_value = 0 };
+      n_nv_outvoted = { c_name = "nversion_outvoted"; c_value = 0 };
+      n_nv_variant_crashes =
+        { c_name = "nversion_variant_crashes"; c_value = 0 };
+      n_nv_no_majority = { c_name = "nversion_no_majority"; c_value = 0 };
+      n_nv_resyncs = { c_name = "nversion_resyncs"; c_value = 0 };
+      n_nv_resync_bytes = { c_name = "nversion_resync_bytes"; c_value = 0 };
+      n_nv_sheds = { c_name = "nversion_sheds"; c_value = 0 };
+      n_nv_grows = { c_name = "nversion_grows"; c_value = 0 };
       g_inv_cache_bytes =
         { g_name = "inv-trace-cache-bytes"; g_value = 0. };
       outages = Hashtbl.create 8;
@@ -116,7 +141,10 @@ let create () =
       t.n_inv_recaptures; t.n_inv_memoized; t.n_inv_evictions;
       t.n_ckpts; t.n_ckpt_restores;
       t.n_ckpt_hits; t.n_ckpt_misses; t.n_ckpt_deduped; t.n_ckpt_written;
-      t.n_cc_evictions;
+      t.n_cc_evictions; t.n_policy_compromises; t.n_policy_rejected;
+      t.n_policy_reconciles; t.n_nv_events; t.n_nv_masked; t.n_nv_outvoted;
+      t.n_nv_variant_crashes; t.n_nv_no_majority; t.n_nv_resyncs;
+      t.n_nv_resync_bytes; t.n_nv_sheds; t.n_nv_grows;
     ];
   register t t.g_inv_cache_bytes.g_name (Gauge t.g_inv_cache_bytes);
   t
@@ -199,35 +227,30 @@ let incr_resyncs t = incr t.n_resyncs
 let incr_resynced_rules t n = add t.n_resynced_rules n
 let incr_unreachable t = incr t.n_unreachable
 
-(* Intent (declarative policy) counters live in the registry only: they
-   postdate the flat record and nothing needs the extra field. *)
-let incr_policy_compromise t = incr (counter t "policy_compromises")
-let incr_policy_rejected t = incr (counter t "policy_rejected")
-let incr_policy_reconcile t = incr (counter t "policy_reconciles")
-let policy_compromises t = value (counter t "policy_compromises")
-let policy_rejected t = value (counter t "policy_rejected")
-let policy_reconciles t = value (counter t "policy_reconciles")
-(* N-version voter counters: registry-only, like the intent counters —
-   they postdate the flat record, and divergence diagnostics are typed
-   metrics now instead of Command.Log strings in the winning output. *)
-let incr_nv_events t = incr (counter t "nversion_events")
-let incr_nv_masked t = incr (counter t "nversion_masked")
-let incr_nv_outvoted t = incr (counter t "nversion_outvoted")
-let incr_nv_variant_crashes t = incr (counter t "nversion_variant_crashes")
-let incr_nv_no_majority t = incr (counter t "nversion_no_majority")
-let incr_nv_resyncs t = incr (counter t "nversion_resyncs")
-let add_nv_resync_bytes t n = add (counter t "nversion_resync_bytes") n
-let incr_nv_sheds t = incr (counter t "nversion_sheds")
-let incr_nv_grows t = incr (counter t "nversion_grows")
-let nv_events t = value (counter t "nversion_events")
-let nv_masked t = value (counter t "nversion_masked")
-let nv_outvoted t = value (counter t "nversion_outvoted")
-let nv_variant_crashes t = value (counter t "nversion_variant_crashes")
-let nv_no_majority t = value (counter t "nversion_no_majority")
-let nv_resyncs t = value (counter t "nversion_resyncs")
-let nv_resync_bytes t = value (counter t "nversion_resync_bytes")
-let nv_sheds t = value (counter t "nversion_sheds")
-let nv_grows t = value (counter t "nversion_grows")
+let incr_policy_compromise t = incr t.n_policy_compromises
+let incr_policy_rejected t = incr t.n_policy_rejected
+let incr_policy_reconcile t = incr t.n_policy_reconciles
+let policy_compromises t = value t.n_policy_compromises
+let policy_rejected t = value t.n_policy_rejected
+let policy_reconciles t = value t.n_policy_reconciles
+let incr_nv_events t = incr t.n_nv_events
+let incr_nv_masked t = incr t.n_nv_masked
+let incr_nv_outvoted t = incr t.n_nv_outvoted
+let incr_nv_variant_crashes t = incr t.n_nv_variant_crashes
+let incr_nv_no_majority t = incr t.n_nv_no_majority
+let incr_nv_resyncs t = incr t.n_nv_resyncs
+let add_nv_resync_bytes t n = add t.n_nv_resync_bytes n
+let incr_nv_sheds t = incr t.n_nv_sheds
+let incr_nv_grows t = incr t.n_nv_grows
+let nv_events t = value t.n_nv_events
+let nv_masked t = value t.n_nv_masked
+let nv_outvoted t = value t.n_nv_outvoted
+let nv_variant_crashes t = value t.n_nv_variant_crashes
+let nv_no_majority t = value t.n_nv_no_majority
+let nv_resyncs t = value t.n_nv_resyncs
+let nv_resync_bytes t = value t.n_nv_resync_bytes
+let nv_sheds t = value t.n_nv_sheds
+let nv_grows t = value t.n_nv_grows
 let incr_inv_trace_hit t = incr t.n_inv_hits
 let incr_inv_trace_miss t = incr t.n_inv_misses
 let incr_inv_invalidation t = incr t.n_inv_invalidations

@@ -96,10 +96,8 @@ val policy_reconciles : t -> int
 
 (** {2 N-version voter counters}
 
-    Registry-backed, like the intent counters. These replace the
-    [Command.Log] string diagnostics the old in-process functors appended
-    to winning outputs: divergence is now observable as typed metrics (and
-    [Vote]/[Outvoted] spans), never as extra commands. *)
+    Divergence is observable as typed metrics (and [Vote]/[Outvoted]
+    spans), never as extra commands in the winning output. *)
 
 val incr_nv_events : t -> unit
 (** An event delivered through a full voting panel. *)

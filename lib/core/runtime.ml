@@ -221,23 +221,16 @@ let create ?(config = default_config) ?xid_base ?controller_id
   let units =
     match config.nversion with
     | Some vcfg when vcfg.Voter.nv_replicas > 1 ->
+        let checkpoint_every = config.checkpoint_every in
         List.map
           (fun m ->
-            let specs =
-              let default () =
-                List.init vcfg.Voter.nv_replicas (fun _ -> (m, true))
-              in
-              match nv_variants with
-              | None -> default ()
-              | Some hook -> (
-                  let module M = (val m : App_sig.INTENT_APP) in
-                  match hook M.name with
-                  | Some specs -> specs
-                  | None -> default ())
-            in
+            let module M = (val m : App_sig.INTENT_APP) in
             Panel
-              (Voter.create ~config:vcfg ~make_ckpt
-                 ~checkpoint_every:config.checkpoint_every specs))
+              (match Option.bind nv_variants (fun hook -> hook M.name) with
+              | Some specs ->
+                  Voter.create ~config:vcfg ~make_ckpt ~checkpoint_every specs
+              | None ->
+                  Voter.replicate ~config:vcfg ~make_ckpt ~checkpoint_every m))
           modules
     | Some _ | None ->
         List.map
@@ -335,11 +328,10 @@ let links_of t sid =
   Services.live_links (ctx_services t)
   |> List.filter (fun (l : Event.link) -> l.src_switch = sid)
 
-let deps t : Crashpad.deps =
+let deps ?(batched_checkpoints = false) t : Crashpad.deps =
   {
     engine = t.engine;
-    incremental = Some t.incremental_checker;
-    net = t.network;
+    incremental = t.incremental_checker;
     context = (fun () -> Services.context (ctx_services t));
     links_of = (fun sid -> links_of t sid);
     metrics = t.metrics_store;
@@ -353,26 +345,27 @@ let deps t : Crashpad.deps =
         | Some rel -> Reliable.is_degraded rel sid
         | None -> false);
     tracer = !(t.tracer_cell);
+    batched_checkpoints;
   }
 
-let rec drain_replies ?cfg t =
-  let cfg = match cfg with Some c -> c | None -> t.cfg.crashpad in
+let dispatch_unit t deps event = function
+  | Solo box -> Crashpad.dispatch t.cfg.crashpad deps box event
+  | Panel v -> Voter.dispatch t.cfg.crashpad deps v event
+
+let rec drain_replies t deps =
   match t.reply_backlog with
   | [] -> ()
   | (app, ev) :: rest ->
       t.reply_backlog <- rest;
-      (match unit_for t app with
-      | Some (Solo box) -> Crashpad.dispatch cfg (deps t) box ev
-      | Some (Panel v) -> Voter.dispatch cfg (deps t) v ev
-      | None -> ());
-      drain_replies ~cfg t
+      Option.iter (dispatch_unit t deps ev) (unit_for t app);
+      drain_replies t deps
 
 (* The per-event delivery pipeline, shared verbatim by both engines:
    everything inside the [Event_root] span is what "dispatch one event"
    means. The engines differ only in what surrounds it — per-event
    barrier chases and checkpoints (sequential) versus per-batch ones
    (sharded). *)
-let dispatch_with t cfg deps event =
+let dispatch_with t deps event =
   t.n_events <- t.n_events + 1;
   let tracer = !(t.tracer_cell) in
   let attrs =
@@ -383,14 +376,10 @@ let dispatch_with t cfg deps event =
   Obs.Tracer.with_span tracer ~attrs Obs.Span.Event_root (fun () ->
       Obs.Hub.emit t.obs_hub (Obs.Hub.Dispatched event);
       Metrics.incr_events t.metrics_store;
-      List.iter
-        (function
-          | Solo box -> Crashpad.dispatch cfg deps box event
-          | Panel v -> Voter.dispatch cfg deps v event)
-        t.units;
-      drain_replies ~cfg t)
+      List.iter (dispatch_unit t deps event) t.units;
+      drain_replies t deps)
 
-let dispatch_event t event = dispatch_with t t.cfg.crashpad (deps t) event
+let dispatch_event t event = dispatch_with t (deps t) event
 
 (* Checkpoints may be amortized to one per batch only when the cadence is
    deterministic per event (Every 1): then the sequential engine's journal
@@ -424,14 +413,10 @@ let dispatch_batch t batch =
         else []
       in
       Obs.Tracer.with_span tracer ~attrs Obs.Span.Batch_root (fun () ->
-          let cfg =
-            if batch_amortizes_checkpoints t then begin
-              List.iter (fun box -> Sandbox.prepare ~tracer box) t.boxes;
-              { t.cfg.crashpad with Crashpad.batched_checkpoints = true }
-            end
-            else t.cfg.crashpad
-          in
-          let deps = deps t in
+          let batched_checkpoints = batch_amortizes_checkpoints t in
+          if batched_checkpoints then
+            List.iter (fun box -> Sandbox.prepare ~tracer box) t.boxes;
+          let deps = deps ~batched_checkpoints t in
           let rec runs = function
             | [] -> ()
             | (shard, ev) :: rest ->
@@ -451,7 +436,7 @@ let dispatch_batch t batch =
                   else []
                 in
                 Obs.Tracer.with_span tracer ~attrs Obs.Span.Shard_dispatch
-                  (fun () -> List.iter (dispatch_with t cfg deps) same);
+                  (fun () -> List.iter (dispatch_with t deps) same);
                 runs rest
           in
           runs batch);

@@ -143,54 +143,11 @@ let ship (deps : Crashpad.deps) t ~donor recipients =
     t.last_ship <- Some manifest
   end
 
-let failure_of_verdict = function
-  | Sandbox.Crashed { partial; detail } -> Detector.Fail_stop { detail; partial }
-  | Sandbox.Hung -> Detector.Hang
-  | Sandbox.Done _ -> invalid_arg "Voter.failure_of_verdict: Done"
-
-(* Every subscribed variant died on the event: the panel could not mask,
-   so the bundle fails exactly once — one counted failure, one downtime
-   charge, one compromise, one ticket — and every variant is repaired. *)
-let bundle_failure (cfg : Crashpad.config) (deps : Crashpad.deps) t event
-    results txn =
-  let failure =
-    match results with
-    | (_, verdict) :: _ -> failure_of_verdict verdict
-    | [] -> Detector.Hang (* unreachable: the gate checked a live primary *)
-  in
-  txn.Txn_engine.abort ();
-  let attrs =
-    if Obs.Tracer.enabled deps.tracer then
-      [ ("phase", "replay"); ("app", t.vname) ]
-    else []
-  in
-  Obs.Tracer.with_span deps.tracer ~attrs Obs.Span.Recovery (fun () ->
-      Crashpad.count_failure deps failure;
-      Metrics.add_app_downtime deps.metrics ~app:t.vname
-        (Detector.detection_delay cfg.timing failure);
-      List.iter
-        (fun (v, _) ->
-          let r = Sandbox.recover ~tracer:deps.tracer v.box (deps.context ()) in
-          Metrics.incr_replayed deps.metrics r.Sandbox.replayed;
-          Metrics.incr_dropped_in_replay deps.metrics r.Sandbox.dropped_in_replay)
-        results);
-  Crashpad.note_quarantine cfg deps (primary t) event;
-  Crashpad.apply_policy cfg deps (primary t) event failure ~rolled_back:0;
-  t.quiet <- 0;
-  (* Re-converge the family on whatever state the compromise left the
-     primary in. *)
-  ship deps t ~donor:(primary_variant t) (List.tl t.variants)
-
-(* The majority output failed Crash-Pad's screening (byzantine or aimed at
-   an unreachable switch): the vote could not mask it, so treat it as a
-   solo failure of the bundle. *)
-let majority_failure (cfg : Crashpad.config) (deps : Crashpad.deps) t event
-    ballots txn failure =
-  txn.Txn_engine.abort ();
-  List.iter (fun b -> Sandbox.revert_last b.voter.box) ballots;
-  Crashpad.count_failure deps failure;
-  Crashpad.note_quarantine cfg deps (primary t) event;
-  Crashpad.apply_policy cfg deps (primary t) event failure ~rolled_back:0;
+(* The panel could not mask the failure, so the bundle fails once, as a
+   solo app would — one compromise, one ticket — and the family
+   re-converges on whatever state the compromise left the primary in. *)
+let bundle_failed cfg deps t event failure =
+  Crashpad.resolve cfg deps (primary t) event failure ~rolled_back:0;
   t.quiet <- 0;
   ship deps t ~donor:(primary_variant t) (List.tl t.variants)
 
@@ -204,7 +161,7 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
         && Sandbox.subscribes_to v.box (Event.kind_of event))
       t.variants
   in
-  if not cfg.batched_checkpoints then
+  if not deps.batched_checkpoints then
     List.iter (fun v -> Sandbox.prepare ~tracer v.box) live;
   let attrs =
     if Obs.Tracer.enabled tracer then
@@ -217,133 +174,84 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
      network before the vote. *)
   let txn = deps.engine.Txn_engine.begin_txn ~app:t.vname in
   let results =
-    List.map
-      (fun v ->
-        let attrs =
-          if Obs.Tracer.enabled tracer then [ ("app", t.vname) ] else []
-        in
-        let verdict =
-          Obs.Tracer.with_span tracer ~attrs Obs.Span.App_handle (fun () ->
-              Sandbox.deliver v.box (deps.context ()) event)
-        in
-        (v, verdict))
-      live
+    List.map (fun v -> (v, Crashpad.deliver deps v.box event)) live
   in
   let ballots =
     List.filter_map
       (function
-        | v, Sandbox.Done cmds -> Some { voter = v; commands = cmds }
-        | _, (Sandbox.Crashed _ | Sandbox.Hung) -> None)
+        | v, Ok commands -> Some { voter = v; commands } | _, Error _ -> None)
       results
   in
   let casualties =
-    List.filter
-      (fun (_, verdict) ->
-        match verdict with Sandbox.Done _ -> false | _ -> true)
+    List.filter_map
+      (function v, Error failure -> Some (v, failure) | _, Ok _ -> None)
       results
   in
   match elect ballots with
-  | None -> bundle_failure cfg deps t event results txn
+  | None ->
+      (* Every subscribed variant died on the event: one counted failure,
+         one downtime charge, and every variant is repaired. *)
+      let failure =
+        match casualties with
+        | (_, failure) :: _ -> failure
+        | [] -> Detector.Hang (* unreachable: the gate checked a live primary *)
+      in
+      txn.Txn_engine.abort ();
+      let attrs =
+        if Obs.Tracer.enabled tracer then
+          [ ("phase", "replay"); ("app", t.vname) ]
+        else []
+      in
+      Obs.Tracer.with_span tracer ~attrs Obs.Span.Recovery (fun () ->
+          Crashpad.recover cfg deps ~app:t.vname failure
+            (List.map (fun (v, _) -> v.box) casualties));
+      bundle_failed cfg deps t event failure
   | Some e -> (
       if not e.majority then Metrics.incr_nv_no_majority deps.metrics;
       let winner = List.hd e.winners in
-      let wbox = winner.voter.box in
-      let commands = winner.commands in
-      (* Screen the elected output exactly as Crash-Pad screens a solo
-         app: resource limits, byzantine check, unreachable switches. *)
-      let breaches =
-        Resources.check cfg.limits
-          ~state_bytes:(fun () -> Sandbox.state_size wbox)
-          ~commands_emitted:(List.length commands)
-      in
-      if breaches <> [] then begin
-        txn.Txn_engine.abort ();
-        List.iter (fun b -> Sandbox.revert_last b.voter.box) ballots;
-        Metrics.incr_resource_breach deps.metrics;
-        ignore
-          (Ticket.file deps.tickets ~now:(deps.now ()) ~app:t.vname ~event
-             ~diagnosis:
-               (String.concat "; " (List.map Resources.describe breaches))
-             ~resolution:Ticket.Blocked ~rolled_back_ops:0 ());
-        (* The majority breached together: contain the family. *)
-        List.iter
-          (fun v ->
-            Sandbox.reboot v.box;
-            Sandbox.checkpoint_now v.box)
-          live;
-        t.quiet <- 0
-      end
-      else
-        match
-          Detector.check_byzantine ~tracer ?engine:deps.incremental
-            ~invariants:cfg.invariants deps.net commands
-        with
-        | Some failure -> majority_failure cfg deps t event ballots txn failure
-        | None -> (
-            match
-              List.find_map
-                (fun cmd ->
-                  match Crashpad.switch_of_command cmd with
-                  | Some sid when deps.unreachable sid -> Some sid
-                  | Some _ | None -> None)
-                commands
-            with
-            | Some sid ->
-                majority_failure cfg deps t event ballots txn
-                  (Detector.Unreachable { switch = sid })
-            | None ->
-                let attrs =
-                  if Obs.Tracer.enabled tracer then
-                    [
-                      ("app", t.vname);
-                      ("commands", string_of_int (List.length commands));
-                    ]
-                  else []
-                in
-                Obs.Tracer.with_span tracer ~attrs Obs.Span.Txn_commit
-                  (fun () ->
-                    List.iter
-                      (fun cmd ->
-                        let replies = txn.Txn_engine.apply cmd in
-                        match Crashpad.switch_of_command cmd with
-                        | Some sid -> Crashpad.route_replies deps wbox sid replies
-                        | None -> ())
-                      commands;
-                    txn.Txn_engine.commit ());
-                List.iter (fun b -> Sandbox.confirm b.voter.box event) e.winners;
-                Crashpad.reconcile_intent cfg deps wbox;
-                (* Out-voted variants: output discarded, state reverted,
-                   then rebuilt from the majority snapshot. *)
-                List.iter
-                  (fun b ->
-                    Sandbox.revert_last b.voter.box;
-                    Metrics.incr_nv_outvoted deps.metrics;
-                    Obs.Tracer.instant tracer
-                      ~attrs:[ ("app", t.vname) ]
-                      Obs.Span.Outvoted)
-                  e.losers;
-                if e.losers <> [] then Metrics.incr_nv_masked deps.metrics;
-                List.iter
-                  (fun (v, _) ->
-                    Metrics.incr_nv_variant_crashes deps.metrics;
-                    ignore
-                      (Sandbox.recover ~tracer v.box (deps.context ())))
-                  casualties;
-                ship deps t ~donor:winner.voter
-                  (List.map (fun b -> b.voter) e.losers
-                  @ List.map fst casualties);
-                if e.losers = [] && casualties = [] && e.majority then begin
-                  t.quiet <- t.quiet + 1;
-                  if
-                    t.vcfg.nv_adaptive
-                    && t.quiet >= t.vcfg.nv_shed_after
-                    && List.length t.variants > 1
-                  then begin
-                    t.panel <- false;
-                    Metrics.incr_nv_sheds deps.metrics
-                  end
-                end
-                else t.quiet <- 0))
+      (* The elected output goes through exactly the screened commit a
+         solo app's output does. *)
+      match
+        Crashpad.commit_output cfg deps ~txn ~event
+          ~revert:(List.map (fun b -> b.voter.box) ballots)
+          ~contain:(List.map (fun v -> v.box) live)
+          winner.voter.box winner.commands
+      with
+      | `Contained -> t.quiet <- 0
+      | `Failed failure -> bundle_failed cfg deps t event failure
+      | `Committed ->
+          List.iter (fun b -> Sandbox.confirm b.voter.box event) e.winners;
+          Crashpad.reconcile_intent cfg deps winner.voter.box;
+          (* Out-voted variants: output discarded, state reverted, then
+             rebuilt from the majority snapshot. *)
+          List.iter
+            (fun b ->
+              Sandbox.revert_last b.voter.box;
+              Metrics.incr_nv_outvoted deps.metrics;
+              Obs.Tracer.instant tracer
+                ~attrs:[ ("app", t.vname) ]
+                Obs.Span.Outvoted)
+            e.losers;
+          if e.losers <> [] then Metrics.incr_nv_masked deps.metrics;
+          List.iter
+            (fun (v, _) ->
+              Metrics.incr_nv_variant_crashes deps.metrics;
+              ignore (Sandbox.recover ~tracer v.box (deps.context ())))
+            casualties;
+          ship deps t ~donor:winner.voter
+            (List.map (fun b -> b.voter) e.losers @ List.map fst casualties);
+          if e.losers = [] && casualties = [] && e.majority then begin
+            t.quiet <- t.quiet + 1;
+            if
+              t.vcfg.nv_adaptive
+              && t.quiet >= t.vcfg.nv_shed_after
+              && List.length t.variants > 1
+            then begin
+              t.panel <- false;
+              Metrics.incr_nv_sheds deps.metrics
+            end
+          end
+          else t.quiet <- 0)
 
 (* Shed mode: the primary runs alone under ordinary Crash-Pad dispatch.
    Any failure re-spins the full panel, re-synchronised from whatever
@@ -352,8 +260,7 @@ let shed_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
   match Crashpad.attempt cfg deps (primary t) event with
   | Ok () -> ()
   | Error (failure, rolled_back) ->
-      Crashpad.note_quarantine cfg deps (primary t) event;
-      Crashpad.apply_policy cfg deps (primary t) event failure ~rolled_back;
+      Crashpad.resolve cfg deps (primary t) event failure ~rolled_back;
       if t.vcfg.nv_adaptive && List.length t.variants > 1 then begin
         t.panel <- true;
         t.quiet <- 0;

@@ -1,13 +1,12 @@
 (** Sandboxed N-version voting (§3.4 + MORPH).
 
-    The in-process {!Nversion} functors vote inside one application: a
-    byzantine variant is out-voted, but a crashing variant takes the whole
-    bundle down with it and every variant shares one sandbox, one
-    checkpoint stream and one address space. This module moves the vote
-    into the runtime: each variant runs in its {e own} {!Sandbox} with its
-    own (delta) checkpoint store, every delivery's emitted command set is
-    held in a NetLog transaction until the election, and only the majority
-    command set is committed to the network. A disagreeing or crashed
+    The vote runs in the runtime, not inside one application: each
+    variant runs in its {e own} {!Sandbox} with its own (delta)
+    checkpoint store, so a crashing variant cannot take the others down.
+    Every delivery's emitted command set is held in a NetLog transaction
+    until the election, and only the majority command set is committed
+    to the network, through the same screened commit as a solo app's
+    output ({!Crashpad.commit_output}). A disagreeing or crashed
     replica is repaired from the majority's snapshot, shipped through a
     content-addressed {!Checkpoint.Chunk_store} manifest exactly like a
     standby's state transfer.
@@ -21,7 +20,7 @@ open Controller
 
 (** {1 Elections}
 
-    The pure voting rule, shared with the {!Nversion} functor adapters. *)
+    The pure voting rule. *)
 
 val canonical : Command.t list -> Command.t list
 (** The vote key: only network-effecting commands. [Log] commands carry
@@ -100,12 +99,14 @@ val panel_active : t -> bool
 val dispatch : Crashpad.config -> Crashpad.deps -> t -> Event.t -> unit
 (** Deliver one event through the panel. Never raises on variant failure.
 
-    Panel mode: deliver to every live variant (outputs held), elect, screen
-    the winning command set exactly as Crash-Pad screens a solo app
-    (resource limits, byzantine check, unreachable switches), commit it in
-    one transaction, confirm the agreeing variants, revert and re-sync the
-    out-voted ones. The bundle fails — one counted failure, one compromise,
-    one ticket — only when {e every} subscribed variant dies on the event.
+    Panel mode: deliver to every live variant (outputs held), elect, then
+    screen and commit the winning command set through
+    {!Crashpad.commit_output}, exactly as a solo app's output (resource
+    limits, invariants, unreachable switches); confirm the agreeing
+    variants, revert and re-sync the out-voted ones. The bundle fails —
+    one counted failure, one compromise, one ticket — when {e every}
+    subscribed variant dies on the event, or when the elected output
+    fails the screen.
 
     Shed mode: solo Crash-Pad dispatch of the primary; a failure re-spins
     the panel when adaptive. *)

@@ -278,7 +278,6 @@ let config_gen =
             quarantine =
               Option.map (fun t -> Quarantine.create ~threshold:t ()) quarantine;
             intent;
-            batched_checkpoints = false;
           };
       })
 

@@ -86,6 +86,7 @@ let test_atomic_update_on_delay_buffer () =
   let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
   ignore (Net.poll net);
   let engine = Legosdn.Delay_buffer.engine (Legosdn.Delay_buffer.create net) in
+  let checker = Invariants.Incremental.create net in
   let mac h = Openflow.Types.mac_of_host h in
   let good =
     [
@@ -97,7 +98,7 @@ let test_atomic_update_on_delay_buffer () =
             [ Openflow.Action.Output 100 ]);
     ]
   in
-  (match Legosdn.Atomic_update.apply ~net ~engine ~app:"op" good with
+  (match Legosdn.Atomic_update.apply ~checker ~engine ~app:"op" good with
   | Legosdn.Atomic_update.Committed -> ()
   | other ->
       Alcotest.failf "buffered commit failed: %s"
@@ -110,7 +111,7 @@ let test_atomic_update_on_delay_buffer () =
           [ Openflow.Action.Output 88 ])
     :: good
   in
-  match Legosdn.Atomic_update.apply ~net ~engine ~app:"op" bad with
+  match Legosdn.Atomic_update.apply ~checker ~engine ~app:"op" bad with
   | Legosdn.Atomic_update.Rolled_back (Legosdn.Atomic_update.Invariant_broken _) ->
       T_util.checki "nothing new installed" 0
         (Flow_table.size (Net.switch net 3).Sw.table)

@@ -1,5 +1,4 @@
 open Openflow
-module Nversion = Legosdn.Nversion
 module Clone_runner = Legosdn.Clone_runner
 module Sts = Legosdn.Sts
 module Event = Controller.Event
@@ -18,31 +17,6 @@ let packet_in ?(sid = 1) src dst =
 
 let ctx = T_util.null_context
 
-(* Tiny deterministic voters for the diversity tests. *)
-let voter name out : (module App_sig.APP) =
-  (module struct
-    type state = int
-
-    let name = name
-    let subscriptions = [ Event.K_packet_in ]
-    let init () = 0
-
-    let handle _ st = function
-      | Event.Packet_in (sid, _) ->
-          (st + 1, [ Command.install sid (Ofp_match.make ~tp_dst:80 ()) [ Action.Output out ] ])
-      | _ -> (st, [])
-  end)
-
-let crasher name : (module App_sig.APP) =
-  (module struct
-    type state = int
-
-    let name = name
-    let subscriptions = [ Event.K_packet_in ]
-    let init () = 0
-    let handle _ _ _ : int * Command.t list = failwith (name ^ " dies")
-  end)
-
 let run_app (module A : App_sig.APP) events =
   let _final_state, commands =
     List.fold_left
@@ -53,56 +27,6 @@ let run_app (module A : App_sig.APP) events =
       events
   in
   commands
-
-let flows_only cmds =
-  List.filter (function Command.Flow _ -> true | _ -> false) cmds
-
-let test_majority_outvotes_divergent () =
-  let module V =
-    (val (module Nversion.Make3
-                   ((val voter "v1" 2)) ((val voter "v2" 2)) ((val voter "v3" 9))
-           : App_sig.APP))
-  in
-  let cmds = run_app (module V) [ packet_in 1 2 ] in
-  match flows_only cmds with
-  | [ Command.Flow (_, fm) ] ->
-      Alcotest.(check (list int)) "majority output (port 2) wins" [ 2 ]
-        (Action.outputs fm.Message.actions)
-  | _ -> Alcotest.fail "one voted flow command expected"
-
-let test_crashed_version_loses_vote () =
-  let module V =
-    (val (module Nversion.Make3
-                   ((val voter "v1" 2)) ((val crasher "v2")) ((val voter "v3" 2))
-           : App_sig.APP))
-  in
-  let cmds = run_app (module V) [ packet_in 1 2 ] in
-  T_util.checkb "bundle survives one crash" true (flows_only cmds <> []);
-  T_util.checkb "crash was logged" true
-    (List.exists (function Command.Log _ -> true | _ -> false) cmds)
-
-let test_all_versions_crashing_escapes () =
-  let module V =
-    (val (module Nversion.Make3
-                   ((val crasher "v1")) ((val crasher "v2")) ((val crasher "v3"))
-           : App_sig.APP))
-  in
-  T_util.checkb "bundle crash escapes to Crash-Pad" true
-    (try
-       ignore (V.handle ctx (V.init ()) (packet_in 1 2));
-       false
-     with _ -> true)
-
-let test_two_version_divergence_flagged () =
-  let module V =
-    (val (module Nversion.Make2 ((val voter "v1" 2)) ((val voter "v2" 3))
-           : App_sig.APP))
-  in
-  let cmds = run_app (module V) [ packet_in 1 2 ] in
-  T_util.checkb "divergence logged" true
-    (List.exists
-       (function Command.Log s -> s = "nversion(v1|v2): versions diverged" | _ -> false)
-       cmds)
 
 (* Clone runner: a seeded probabilistic crasher. Distinct instances draw
    distinct coins, so the clone usually survives the primary's crash. *)
@@ -265,10 +189,6 @@ let prop_minimal_is_1_minimal =
 
 let suite =
   [
-    Alcotest.test_case "majority outvotes divergent" `Quick test_majority_outvotes_divergent;
-    Alcotest.test_case "crashed version loses vote" `Quick test_crashed_version_loses_vote;
-    Alcotest.test_case "all versions crashing escapes" `Quick test_all_versions_crashing_escapes;
-    Alcotest.test_case "2-version divergence flagged" `Quick test_two_version_divergence_flagged;
     Alcotest.test_case "clone masks nondeterministic bug" `Quick
       test_clone_masks_nondeterministic_crash;
     Alcotest.test_case "clone switchover logged" `Quick test_clone_switchover_logged;

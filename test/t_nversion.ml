@@ -1,10 +1,10 @@
 (* The N-version voting layer: election rules (canonical vote keys,
-   first-arrival tie-break), the Nversion functor seed fixes (Dead vs
-   Abstained, state really unchanged on crash), the runtime-level
-   sandboxed panel (byzantine output masked before it reaches the
-   network, MORPH-style adaptive shed/grow), and the differential
-   property: a panel of three identical healthy variants is
-   observationally equivalent to the solo app. *)
+   first-arrival tie-break), the runtime-level sandboxed panel (byzantine
+   output masked before it reaches the network, a crashing variant
+   masked, a bundle that fails only when the vote cannot mask, MORPH-style
+   adaptive shed/grow), and the differential property: a panel of three
+   identical healthy variants is observationally equivalent to the solo
+   app. *)
 
 open Openflow
 module App_sig = Controller.App_sig
@@ -12,8 +12,9 @@ module Event = Controller.Event
 module Command = Controller.Command
 module Runtime = Legosdn.Runtime
 module Voter = Legosdn.Voter
-module Nversion = Legosdn.Nversion
 module Metrics = Legosdn.Metrics
+module Bug_model = Apps.Bug_model
+module Recovery_policy = Legosdn.Recovery_policy
 module Runner = Check.Runner
 module Spec = Check.Spec
 module SGen = Check.Gen
@@ -32,13 +33,8 @@ let packet_in ?(sid = 1) src dst =
         pi_packet = T_util.tcp_packet src dst;
       } )
 
-let ctx = T_util.null_context
-
 let flow sid out =
   Command.install sid (Ofp_match.make ~tp_dst:80 ()) [ Action.Output out ]
-
-let flows_only cmds =
-  List.filter (function Command.Flow _ -> true | _ -> false) cmds
 
 (* ------------------------------------------------------------------ *)
 (* Election rules *)
@@ -103,141 +99,20 @@ let test_majority_wins () =
   T_util.checkb "majority" true e.Voter.majority
 
 (* ------------------------------------------------------------------ *)
-(* The Nversion functor: seed fixes *)
-
-let voter name out : (module App_sig.APP) =
-  (module struct
-    type state = int
-
-    let name = name
-    let subscriptions = [ Event.K_packet_in ]
-    let init () = 0
-
-    let handle _ st = function
-      | Event.Packet_in (sid, _) -> (st + 1, [ flow sid out ])
-      | _ -> (st, [])
-  end)
-
-let crasher name : (module App_sig.APP) =
-  (module struct
-    type state = int
-
-    let name = name
-    let subscriptions = [ Event.K_packet_in ]
-    let init () = 0
-    let handle _ _ _ : int * Command.t list = failwith (name ^ " dies")
-  end)
-
-(* Subscribed to nothing the test sends: a healthy non-voter. *)
-let bystander name : (module App_sig.APP) =
-  (module struct
-    type state = int
-
-    let name = name
-    let subscriptions = [ Event.K_switch_up ]
-    let init () = 0
-    let handle _ st _ = (st, [])
-  end)
-
-(* One crash among variants that merely did not subscribe must NOT kill
-   the bundle: the non-subscribers are healthy. The seed raised here. *)
-let test_dead_plus_abstained_survives () =
-  let module V =
-    (val (module Nversion.Make3
-                   ((val crasher "v1")) ((val bystander "v1"))
-                   ((val bystander "v1"))
-           : App_sig.APP))
-  in
-  match V.handle ctx (V.init ()) (packet_in 1 2) with
-  | _, cmds -> T_util.checkb "no commands, no crash" true (flows_only cmds = [])
-  | exception _ ->
-      Alcotest.fail "bundle crashed while healthy variants existed"
-
-(* Mutable (hashtable-backed) state must really be unchanged when a
-   version dies mid-handler: without the snapshot/restore in [run], the
-   partial mutation leaks, and on the next event the poisoned version
-   outvotes the healthy one by arriving first. *)
-module Mut = struct
-  type state = (string, int) Hashtbl.t
-
-  let name = "v1"
-  let subscriptions = [ Event.K_packet_in ]
-  let init () = Hashtbl.create 4
-
-  let handle _ st = function
-    | Event.Packet_in (sid, _) ->
-        if Hashtbl.mem st "poison" then (st, [ flow sid 9 ])
-        else begin
-          Hashtbl.add st "poison" 1;
-          failwith "mut dies"
-        end
-    | _ -> (st, [])
-end
-
-let test_dead_state_really_unchanged () =
-  let module V =
-    (val (module Nversion.Make2 (Mut) ((val voter "v1" 2))) : App_sig.APP)
-  in
-  let st = ref (V.init ()) in
-  let all = ref [] in
-  for _ = 1 to 2 do
-    let st', cmds = V.handle ctx !st (packet_in 1 2) in
-    st := st';
-    all := !all @ cmds
-  done;
-  List.iter
-    (function
-      | Command.Flow (_, fm) ->
-          Alcotest.(check (list int)) "healthy output on every event" [ 2 ]
-            (Action.outputs fm.Message.actions)
-      | _ -> ())
-    !all;
-  T_util.checkb "no divergence: the crash never leaked state" false
-    (List.exists
-       (function
-         | Command.Log s -> s = "nversion(v1|v2): versions diverged"
-         | _ -> false)
-       !all)
-
-(* Log-only divergence through the functor: no spurious outvoting. *)
-let test_functor_ignores_log_divergence () =
-  let chatty name out : (module App_sig.APP) =
-    (module struct
-      type state = int
-
-      let name = name
-      let subscriptions = [ Event.K_packet_in ]
-      let init () = 0
-
-      let handle _ st = function
-        | Event.Packet_in (sid, _) ->
-            (st + 1, [ Command.Log "debug"; flow sid out ])
-        | _ -> (st, [])
-    end)
-  in
-  let module V =
-    (val (module Nversion.Make2 ((val voter "v1" 2)) ((val chatty "v2" 2)))
-       : App_sig.APP)
-  in
-  let _, cmds = V.handle ctx (V.init ()) (packet_in 1 2) in
-  T_util.checkb "no divergence logged for log-only difference" false
-    (List.exists
-       (function
-         | Command.Log s -> s = "nversion(v1|v2): versions diverged"
-         | _ -> false)
-       cmds)
-
-(* ------------------------------------------------------------------ *)
 (* The runtime-level sandboxed panel *)
 
 let byz_bug =
-  Apps.Bug_model.make
-    (Apps.Bug_model.On_kind Event.K_packet_in)
-    Apps.Bug_model.Byzantine_blackhole
+  Bug_model.make (Bug_model.On_kind Event.K_packet_in) Bug_model.Byzantine_blackhole
 
-let panel_config ?(adaptive = false) ?(shed_after = 8) n =
+let panel_config ?(adaptive = false) ?(shed_after = 8)
+    ?(policy = Recovery_policy.Equivalence) n =
   {
     Runtime.default_config with
+    Runtime.crashpad =
+      {
+        Runtime.default_config.Runtime.crashpad with
+        Legosdn.Crashpad.policy = Recovery_policy.uniform policy;
+      };
     Runtime.nversion =
       Some
         {
@@ -258,20 +133,31 @@ let inject_pairs net clock rt n =
     Runtime.step rt
   done
 
+let hub = App_sig.app (module Apps.Hub)
+let on_packet_in = Bug_model.make (Bug_model.On_kind Event.K_packet_in)
+
+(* A linear-3 runtime whose one app runs as a panel of these variants
+   (primary first), stepped once so every switch is connected. *)
+let panel ?(config = panel_config 3) variants =
+  let clock = Clock.create () in
+  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
+  let rt =
+    Runtime.create ~config
+      ~nv_variants:(fun _ -> Some variants)
+      net [ fst (List.hd variants) ]
+  in
+  Runtime.step rt;
+  (clock, net, rt)
+
+let entries net sid =
+  Netsim.Flow_table.entries (Net.switch net sid).Netsim.Sw.table
+
 (* A seated byzantine variant is outvoted on every packet-in, its
    blackhole rule never reaches a switch, and no failure is counted —
    masking is silent, not a Crash-Pad resolution. *)
 let test_byzantine_variant_masked () =
-  let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-  let base = App_sig.app (module Apps.Hub) in
-  let byz = Apps.Faulty.wrap ~bug:byz_bug base in
-  let nv_variants name =
-    if name = "hub" then Some [ (base, true); (base, true); (byz, false) ]
-    else None
-  in
-  let rt = Runtime.create ~config:(panel_config 3) ~nv_variants net [ base ] in
-  Runtime.step rt;
+  let byz = Apps.Faulty.wrap ~bug:byz_bug hub in
+  let clock, net, rt = panel [ (hub, true); (hub, true); (byz, false) ] in
   inject_pairs net clock rt 6;
   let m = Runtime.metrics rt in
   T_util.checkb "panel voted" true (Metrics.nv_events m >= 6);
@@ -287,28 +173,14 @@ let test_byzantine_variant_masked () =
         (fun (e : Netsim.Flow_entry.t) ->
           T_util.checkb "no byzantine rule reached the network" true
             (e.Netsim.Flow_entry.priority <> 65000))
-        (Netsim.Flow_table.entries (Net.switch net sid).Netsim.Sw.table))
+        (entries net sid))
     (Topology.switches (Net.topology net))
 
 (* A crashing variant is a casualty, not a bundle failure: the healthy
    majority commits, the casualty is recovered and re-synced. *)
 let test_variant_crash_is_masked () =
-  let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-  let base = App_sig.app (module Apps.Hub) in
-  let crash =
-    Apps.Faulty.wrap
-      ~bug:(Apps.Bug_model.make
-              (Apps.Bug_model.On_kind Event.K_packet_in)
-              Apps.Bug_model.Crash)
-      base
-  in
-  let nv_variants name =
-    if name = "hub" then Some [ (base, true); (base, true); (crash, false) ]
-    else None
-  in
-  let rt = Runtime.create ~config:(panel_config 3) ~nv_variants net [ base ] in
-  Runtime.step rt;
+  let crash = Apps.Faulty.wrap ~bug:(on_packet_in Bug_model.Crash) hub in
+  let clock, net, rt = panel [ (hub, true); (hub, true); (crash, false) ] in
   inject_pairs net clock rt 4;
   let m = Runtime.metrics rt in
   T_util.checkb "variant crashes recorded" true
@@ -317,32 +189,92 @@ let test_variant_crash_is_masked () =
   T_util.checkb "hub still forwarded traffic" true
     ((Net.stats net).Net.delivered > 0)
 
+(* Every variant dies on the event: the vote cannot mask, so the bundle
+   fails exactly once — one counted crash, one ticket — and every variant
+   is restored from its checkpoint. *)
+let test_every_variant_crashes () =
+  let crash = Apps.Faulty.wrap ~bug:(on_packet_in Bug_model.Crash) hub in
+  let clock, net, rt =
+    panel ~config:(panel_config ~policy:Recovery_policy.Absolute 3)
+      [ (crash, true); (crash, true); (crash, true) ]
+  in
+  let tracer = Obs.Tracer.create ~capacity:4096 ~now:(fun () -> 0.) () in
+  Runtime.set_tracer rt tracer;
+  inject_pairs net clock rt 1;
+  let m = Runtime.metrics rt in
+  T_util.checki "one counted crash" 1 (Metrics.crashes m);
+  T_util.checki "one ticket" 1 (List.length (Runtime.tickets rt));
+  T_util.checki "no crash was masked" 0 (Metrics.nv_variant_crashes m);
+  T_util.checki "every variant recovered" 3
+    (List.length
+       (List.filter
+          (fun (s : Obs.Span.t) -> s.Obs.Span.kind = Obs.Span.Ckpt_restore)
+          (Obs.Tracer.spans tracer)))
+
+(* Routes h1's traffic at its own priority: two of these disagree, yet
+   neither output is harmful. *)
+let route_to_h1 priority =
+  App_sig.app
+    (module struct
+      type state = unit
+
+      let name = "router"
+      let subscriptions = [ Event.K_packet_in ]
+      let init () = ()
+
+      let handle _ () = function
+        | Event.Packet_in (sid, _) ->
+            let h1 = Ofp_match.make ~dl_dst:(Types.mac_of_host 1) () in
+            ((), [ Command.install ~priority sid h1 [ Action.Output 100 ] ])
+        | _ -> ((), [])
+    end : App_sig.APP)
+
+(* A 1-1 split has no majority: it is counted, and the first-arrived
+   (primary) output commits. *)
+let test_two_variant_split () =
+  let _, net, rt =
+    panel ~config:(panel_config 2)
+      [ (route_to_h1 10, true); (route_to_h1 20, false) ]
+  in
+  Runtime.dispatch_event rt (packet_in 1 2);
+  T_util.checki "no majority counted" 1
+    (Metrics.nv_no_majority (Runtime.metrics rt));
+  Alcotest.(check (list int)) "the first-arrival rule landed" [ 10 ]
+    (List.map (fun (e : Netsim.Flow_entry.t) -> e.priority) (entries net 1))
+
+(* The majority agrees on a looping rule: the vote cannot mask it, so the
+   invariant screen refuses the elected output — one byzantine failure,
+   one ticket, and no rule reaches a switch. *)
+let test_majority_loop_blocked () =
+  let loop = Apps.Faulty.wrap ~bug:(on_packet_in Bug_model.Byzantine_loop) hub in
+  let clock, net, rt =
+    panel ~config:(panel_config ~policy:Recovery_policy.Absolute 3)
+      [ (loop, true); (loop, true); (hub, false) ]
+  in
+  inject_pairs net clock rt 1;
+  let m = Runtime.metrics rt in
+  T_util.checki "one byzantine failure" 1 (Metrics.byzantine_blocked m);
+  T_util.checki "one ticket" 1 (List.length (Runtime.tickets rt));
+  T_util.checkb "no rule landed" true
+    (List.for_all
+       (fun sid -> entries net sid = [])
+       (Topology.switches (Net.topology net)))
+
 (* MORPH: a clean panel sheds to the primary; a failure in shed mode
    re-spins the full panel. *)
 let test_adaptive_shed_and_grow () =
-  let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-  let base = App_sig.app (module Apps.Hub) in
   (* Healthy for the first three packet-ins, then crashes once: the
      panel sheds after two clean votes, so the 4th packet-in crashes the
      primary while it runs alone. *)
   let flaky =
     Apps.Faulty.wrap
-      ~bug:(Apps.Bug_model.make
-              (Apps.Bug_model.On_nth_of_kind (Event.K_packet_in, 4))
-              Apps.Bug_model.Crash)
-      base
+      ~bug:(Bug_model.make (Bug_model.On_nth_of_kind (Event.K_packet_in, 4)) Bug_model.Crash)
+      hub
   in
-  let nv_variants name =
-    if name = "hub" then Some [ (flaky, false); (base, true); (base, true) ]
-    else None
+  let clock, net, rt =
+    panel ~config:(panel_config ~adaptive:true ~shed_after:2 3)
+      [ (flaky, false); (hub, true); (hub, true) ]
   in
-  let rt =
-    Runtime.create
-      ~config:(panel_config ~adaptive:true ~shed_after:2 3)
-      ~nv_variants net [ base ]
-  in
-  Runtime.step rt;
   (match Runtime.voters rt with
   | [ v ] -> T_util.checkb "panel starts full" true (Voter.panel_active v)
   | _ -> Alcotest.fail "expected exactly one panel");
@@ -432,16 +364,15 @@ let suite =
     Alcotest.test_case "log-only divergence is unanimous" `Quick
       test_log_only_divergence_is_unanimous;
     Alcotest.test_case "majority wins" `Quick test_majority_wins;
-    Alcotest.test_case "dead + abstained survives" `Quick
-      test_dead_plus_abstained_survives;
-    Alcotest.test_case "dead state really unchanged" `Quick
-      test_dead_state_really_unchanged;
-    Alcotest.test_case "functor ignores log divergence" `Quick
-      test_functor_ignores_log_divergence;
     Alcotest.test_case "byzantine variant masked" `Quick
       test_byzantine_variant_masked;
     Alcotest.test_case "variant crash is masked" `Quick
       test_variant_crash_is_masked;
+    Alcotest.test_case "every variant crashes" `Quick
+      test_every_variant_crashes;
+    Alcotest.test_case "2-variant split" `Quick test_two_variant_split;
+    Alcotest.test_case "majority looping rule blocked" `Quick
+      test_majority_loop_blocked;
     Alcotest.test_case "adaptive shed and grow" `Quick
       test_adaptive_shed_and_grow;
     QCheck_alcotest.to_alcotest prop_panel_differential;

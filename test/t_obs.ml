@@ -281,6 +281,29 @@ let test_metrics_pp_format_unchanged () =
      let rec scan i = i + k <= n && (String.sub s i k = re || scan (i + 1)) in
      scan 0)
 
+(* Reading a metric never registers one: the summary line and every flat
+   reader go through handles created with the registry. *)
+let test_metrics_reads_register_nothing () =
+  let m = Metrics.create () in
+  let before = Metrics.names m in
+  ignore (Format.asprintf "%a" Metrics.pp m);
+  List.iter
+    (fun read -> ignore (read m))
+    Metrics.
+      [
+        events; crashes; hangs; byzantine_blocked; ignored; transformed;
+        disabled; replayed; dropped_in_replay; resource_breaches; quarantined;
+        suppressed; retransmits; barrier_acks; resyncs; resynced_rules;
+        unreachable; policy_compromises; policy_rejected; policy_reconciles;
+        nv_events; nv_masked; nv_outvoted; nv_variant_crashes; nv_no_majority;
+        nv_resyncs; nv_resync_bytes; nv_sheds; nv_grows; inv_trace_hits;
+        inv_trace_misses; inv_invalidations; inv_recaptures;
+        inv_memoized_checks; inv_evictions; inv_cache_bytes; checkpoints;
+        ckpt_restores; ckpt_chunk_hits; ckpt_chunk_misses; ckpt_bytes_deduped;
+        ckpt_bytes_written; counter_cache_evictions;
+      ];
+  Alcotest.(check (list string)) "names unchanged" before (Metrics.names m)
+
 (* ---------------- histogram quantile bounds (qcheck) ---------------- *)
 
 let prop_quantile_bounds =
@@ -319,5 +342,7 @@ let suite =
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "metrics pp format unchanged" `Quick
       test_metrics_pp_format_unchanged;
+    Alcotest.test_case "metric reads register nothing" `Quick
+      test_metrics_reads_register_nothing;
     QCheck_alcotest.to_alcotest prop_quantile_bounds;
   ]
