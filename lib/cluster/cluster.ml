@@ -351,13 +351,16 @@ let takeover_pass t ~now:at =
 (* The leader's I/O duty: poll the shared network, append each event to
    the log, replicate, and dispatch what committed. Polling re-checks
    after each batch (dispatch provokes replies), bounded by the same
-   storm budget the single-controller step uses. *)
+   storm budget the single-controller step uses. A replication round can
+   reveal a higher term and step the node down, so the role is checked
+   again before every poll: a follower must not append. *)
 let storm_guard_events = 2048
 
 let leader_io t ~now:at =
+  let leads node = node.alive && Raft.role node.raft = Raft.Leader in
   Array.iter
     (fun node ->
-      if node.alive && Raft.role node.raft = Raft.Leader then
+      if leads node then
         match node.runtime with
         | None -> ()
         | Some rt ->
@@ -366,7 +369,7 @@ let leader_io t ~now:at =
             | None -> ());
             let budget = ref storm_guard_events in
             let rec go () =
-              if node.alive && !budget > 0 then
+              if leads node && !budget > 0 then
                 match Runtime.poll_events rt with
                 | [] -> ()
                 | events ->

@@ -49,21 +49,30 @@ let host_pairs topo =
         hosts)
     hosts
 
+type scope = {
+  pairs : (Topology.host * Topology.host) list;
+  listed : Topology.host -> Topology.host -> bool;
+  switches : Types.switch_id list;
+}
+
 (* The per-pair probing logic is parameterized on the trace function so a
    caching layer (Incremental) can serve memoized probes: every invariant
    below is a pure function of the probe and the per-switch rule lists, so
    any trace provider that agrees with [Snapshot.trace] yields identical
-   violations in identical order. *)
-let check_one ~trace snap acc = function
+   violations in identical order. The scope narrows which pairs and
+   switches are visited without reordering them. *)
+let check_one ~trace ~scope snap acc = function
   | Loop_freedom ->
       List.fold_left
         (fun acc (src, dst) ->
           let probe = trace src dst in
           if probe.Snapshot.looped then
-            Forwarding_loop { src; dst; path = probe.Snapshot.path } :: acc
+            let path =
+              List.map (fun (sid, port, _) -> (sid, port)) probe.Snapshot.path
+            in
+            Forwarding_loop { src; dst; path } :: acc
           else acc)
-        acc
-        (host_pairs (Snapshot.topology snap))
+        acc (Lazy.force scope).pairs
   | Black_hole_freedom ->
       List.fold_left
         (fun acc (src, dst) ->
@@ -71,14 +80,16 @@ let check_one ~trace snap acc = function
           match probe.Snapshot.blackholed_at with
           | [] -> acc
           | at -> Black_hole { src; dst; at } :: acc)
-        acc
-        (host_pairs (Snapshot.topology snap))
+        acc (Lazy.force scope).pairs
   | Pairwise_reachability pairs ->
+      let listed = (Lazy.force scope).listed in
       List.fold_left
         (fun acc (src, dst) ->
-          let probe = trace src dst in
-          if List.mem dst probe.Snapshot.reached then acc
-          else Unreachable { src; dst } :: acc)
+          if not (listed src dst) then acc
+          else
+            let probe = trace src dst in
+            if List.mem dst probe.Snapshot.reached then acc
+            else Unreachable { src; dst } :: acc)
         acc pairs
   | No_drop_all ->
       List.fold_left
@@ -92,32 +103,52 @@ let check_one ~trace snap acc = function
               then Drop_all_rule { sw = sid; priority = e.priority } :: acc
               else acc)
             acc (Snapshot.entries snap sid))
-        acc
-        (Topology.switches (Snapshot.topology snap))
+        acc (Lazy.force scope).switches
   | Waypoint { pairs; via } ->
+      let listed = (Lazy.force scope).listed in
       List.fold_left
         (fun acc (src, dst) ->
-          let probe = trace src dst in
-          if
-            List.mem dst probe.Snapshot.reached
-            && not (List.exists (fun (sid, _) -> sid = via) probe.Snapshot.path)
-          then Waypoint_bypassed { src; dst; waypoint = via } :: acc
-          else acc)
+          if not (listed src dst) then acc
+          else
+            let probe = trace src dst in
+            if
+              List.mem dst probe.Snapshot.reached
+              && not
+                   (List.exists
+                      (fun (sid, _, _) -> sid = via)
+                      probe.Snapshot.path)
+            then Waypoint_bypassed { src; dst; waypoint = via } :: acc
+            else acc)
         acc pairs
   | Isolation { group_a; group_b } ->
+      let listed = (Lazy.force scope).listed in
       let breach src dst acc =
-        let probe = trace src dst in
-        if List.mem dst probe.Snapshot.reached then
-          Isolation_breached { src; dst } :: acc
-        else acc
+        if not (listed src dst) then acc
+        else
+          let probe = trace src dst in
+          if List.mem dst probe.Snapshot.reached then
+            Isolation_breached { src; dst } :: acc
+          else acc
       in
       List.fold_left
         (fun acc a ->
           List.fold_left (fun acc b -> breach a b (breach b a acc)) acc group_b)
         acc group_a
 
-let check_with ?(invariants = default) ~trace snap =
-  List.rev (List.fold_left (check_one ~trace snap) [] invariants)
+let check_with ?(invariants = default) ?scope ~trace snap =
+  let scope =
+    match scope with
+    | Some s -> Lazy.from_val s
+    | None ->
+        lazy
+          (let topo = Snapshot.topology snap in
+           {
+             pairs = host_pairs topo;
+             listed = (fun _ _ -> true);
+             switches = Topology.switches topo;
+           })
+  in
+  List.rev (List.fold_left (check_one ~trace ~scope snap) [] invariants)
 
 (* The full checker memoizes traces within one call: several invariants
    probe the same (src, dst) pair, and one canonical packet per pair means

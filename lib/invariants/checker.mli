@@ -66,13 +66,32 @@ val canonical_packet :
     packet per ordered pair. Any cache of traces must key on the same
     packet the checker probes with. *)
 
+val host_pairs :
+  Netsim.Topology.t -> (Netsim.Topology.host * Netsim.Topology.host) list
+(** Every ordered pair of distinct hosts, ascending by (src, dst): the
+    pairs {!Loop_freedom} and {!Black_hole_freedom} probe, in the order
+    they probe them. *)
+
 val check : ?invariants:invariant list -> Snapshot.t -> violation list
 (** Violations in the snapshot, probing every ordered host pair with
     {!canonical_packet}. Traces are memoized within one call, so several
     invariants probing the same pair cost one trace. *)
 
+(** The part of the network a check looks at. *)
+type scope = {
+  pairs : (Netsim.Topology.host * Netsim.Topology.host) list;
+      (** Replaces {!host_pairs} for {!Loop_freedom} and
+          {!Black_hole_freedom}; keep it in that order (ascending). *)
+  listed : Netsim.Topology.host -> Netsim.Topology.host -> bool;
+      (** Which of the pairs named by {!Pairwise_reachability},
+          {!Waypoint} and {!Isolation} are probed. *)
+  switches : Types.switch_id list;
+      (** The switches {!No_drop_all} scans, ascending. *)
+}
+
 val check_with :
   ?invariants:invariant list ->
+  ?scope:scope ->
   trace:(Netsim.Topology.host -> Netsim.Topology.host -> Snapshot.probe) ->
   Snapshot.t ->
   violation list
@@ -81,7 +100,9 @@ val check_with :
     {!check} whenever [trace src dst] agrees with
     [Snapshot.trace snap src (canonical_packet src dst)] — this is how the
     incremental engine substitutes cached probes without changing
-    results. *)
+    results. With [scope] (default: every host pair, every listed pair,
+    every switch), the result is the subsequence of that list whose pairs
+    and switches the scope keeps. *)
 
 val diff_new : before:violation list -> violation list -> violation list
 (** The violations of the second list that are new relative to [before],

@@ -9,8 +9,10 @@
     - each switch carries a monotonic {!Netsim.Sw.version}; the engine
       re-captures (and re-shares everything else of) a switch only when its
       version moved or a flow-entry timeout may have fired;
-    - each cached trace records the switches it visited; it is reused
-      verbatim while none of them was re-captured.
+    - each resident trace line is indexed under the switches it visited
+      and its source host's attachment switch; re-capturing a switch drops
+      every line indexed under it at once, and the dropped pairs become
+      pending until they are traced again.
 
     Results are exactly those of the full {!Checker.check} on a fresh
     snapshot — the equivalence is exercised property-style in the test
@@ -23,10 +25,11 @@ type t
 (** Cache activity, exposed so the host (Runtime metrics, benches, tests)
     can count without this library depending on them. *)
 type event =
-  | Trace_hit  (** A cached trace was reused. *)
-  | Trace_miss  (** A pair was traced from scratch (no valid cache line). *)
+  | Trace_hit  (** A resident trace line was used. *)
+  | Trace_miss  (** A pair was traced, on the snapshot or an overlay. *)
   | Trace_invalidated
-      (** A cached trace existed but a visited switch had changed. *)
+      (** A resident line was dropped because a switch it depends on was
+          re-captured. *)
   | Switch_recaptured of Types.switch_id
       (** A switch's state was re-frozen into the persistent snapshot. *)
   | Check_memoized
@@ -40,7 +43,7 @@ type event =
 type stats = {
   hits : int;
   misses : int;
-  invalidations : int;  (** A subset of [misses]. *)
+  invalidations : int;  (** Lines dropped by a re-capture. *)
   recaptures : int;
   memoized_checks : int;
   evictions : int;  (** Lines dropped by the byte budget (LRU order). *)
@@ -56,24 +59,40 @@ val create :
     pushes the cache over budget, least-recently-used lines are evicted
     until it fits again; the newest line is never evicted, so one
     oversized trace parks rather than thrashes. Eviction never changes
-    results — an evicted pair is simply re-traced on next use — so the
-    incremental-vs-full equivalence holds under any budget. *)
+    results — an evicted pair becomes pending and is re-traced on next
+    use — so the incremental-vs-full equivalence holds under any budget. *)
 
 val check : ?invariants:Checker.invariant list -> t -> Checker.violation list
 (** Equal to [Checker.check ~invariants (Snapshot.of_net net)] at the
-    network's current instant, reusing every trace whose visited switches
-    are unchanged since the previous call. *)
+    network's current instant, reusing every resident line and tracing
+    the rest. When no switch was re-captured since the previous call with
+    the same invariants, the previous result is returned whole. *)
 
 val check_flow_mods :
   ?invariants:Checker.invariant list ->
   t ->
   (Types.switch_id * Message.flow_mod) list ->
   Checker.violation list
-(** Equal to [Checker.check_flow_mods] on a fresh snapshot. The "before"
-    pass reads (and warms) the persistent cache; the "after" pass overlays
-    the hypothetical mods and re-traces only pairs whose cached trace
-    visited a modified switch. Hypothetical results never enter the
-    persistent cache. *)
+(** Equal to [Checker.check_flow_mods] on a fresh snapshot, at a cost in
+    proportion to what the mods touch rather than to the fabric.
+
+    A flow-mod on switch [s] can change the lookup of a header arriving on
+    a port at [s] only if its pattern matches that header and port. So a
+    pair's trace can differ under the mods only if some hop of it, at a
+    modified switch, carries a header a mod on that switch matches; every
+    other pair has the same violations before and after, which the
+    differential cancels. The screen:
+
+    - refreshes (re-capturing the dirty switches: O(rules) each);
+    - traces the pending pairs on the snapshot (on the first screen, when
+      the invariants probe every host pair, every pair never traced);
+    - tests the resident lines indexed under a modified switch, O(hops ×
+      mods) each, keeping the pairs some mod matches;
+    - evaluates the invariants for those pairs only, on the snapshot
+      (resident probes) and on an overlay with the mods (one trace each),
+      and [No_drop_all] on the modified switches only.
+
+    Hypothetical results never enter the persistent cache. *)
 
 val refresh : t -> unit
 (** Bring the persistent snapshot up to date with the network without

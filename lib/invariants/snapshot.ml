@@ -151,7 +151,7 @@ type probe = {
   punted_at : Types.switch_id list;
   blackholed_at : Types.switch_id list;
   looped : bool;
-  path : (Types.switch_id * Types.port_no) list;
+  path : (Types.switch_id * Types.port_no * Packet.t) list;
 }
 
 let lookup t sid ~in_port pkt =
@@ -160,7 +160,7 @@ let lookup t sid ~in_port pkt =
   | Some s ->
       List.find_opt
         (fun (e : Flow_entry.t) ->
-          Flow_entry.expiry_reason e ~now:t.frozen_at = None
+          Flow_entry.live e ~now:t.frozen_at
           && Flow_entry.matches e ~in_port pkt)
         s.rules
 
@@ -192,8 +192,8 @@ let trace t h pkt =
   let path = ref [] in
   let seen = Hashtbl.create 32 in
   let rec visit sid in_port pkt hops =
-    path := (sid, in_port) :: !path;
     let key = (sid, in_port, pkt) in
+    path := key :: !path;
     if Hashtbl.mem seen key || hops >= hop_limit then looped := true
     else begin
       Hashtbl.replace seen key ();

@@ -39,7 +39,12 @@ type probe = {
   punted_at : Types.switch_id list;
   blackholed_at : Types.switch_id list;
   looped : bool;
-  path : (Types.switch_id * Types.port_no) list;
+  path : (Types.switch_id * Types.port_no * Packet.t) list;
+      (** Every hop in visit order: the switch, the port the packet
+          arrived on, and its header on arrival (after any upstream
+          rewrite). The switch's lookup for exactly that header and port
+          decides the hop, which is what lets the incremental engine tell
+          whether a flow-mod can change the trace. *)
 }
 
 val trace : t -> Netsim.Topology.host -> Packet.t -> probe

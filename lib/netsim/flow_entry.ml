@@ -63,6 +63,11 @@ let expiry_reason e ~now =
   then Some Message.Removed_idle
   else None
 
+let live e ~now =
+  not
+    ((e.hard_timeout > 0 && now -. e.installed_at >= float e.hard_timeout)
+    || (e.idle_timeout > 0 && now -. e.last_used >= float e.idle_timeout))
+
 let duration e ~now = int_of_float (now -. e.installed_at)
 
 let to_flow_stat ~now e : Message.flow_stat =

@@ -42,6 +42,10 @@ val expiry_reason : t -> now:float -> Message.flow_removed_reason option
 (** [Some Removed_hard]/[Some Removed_idle] when the entry has timed out at
     [now], [None] while it is still live. Hard timeout wins ties. *)
 
+val live : t -> now:float -> bool
+(** [expiry_reason e ~now = None] without a polymorphic compare: the
+    per-rule test of every lookup. *)
+
 val duration : t -> now:float -> int
 (** Whole seconds since installation. *)
 

@@ -201,7 +201,7 @@ let delete t ~strict ?out_port pattern ~priority =
   removed
 
 let lookup t ~now ~in_port pkt =
-  let live (e : Flow_entry.t) = Flow_entry.expiry_reason e ~now = None in
+  let live e = Flow_entry.live e ~now in
   (* The only fully-specified pattern a packet can match is its own exact
      header, so one hash probe per bucket replaces the scan for the common
      learning-switch/router rules. *)

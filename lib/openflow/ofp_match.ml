@@ -96,14 +96,24 @@ let hash64 m =
 
 let hash m = Int64.to_int (hash64 m) land max_int
 
-let field_ok pattern value =
+(* Every field is an [int] (or [int option] for the VLAN), so the compares
+   below are specialised by hand: the polymorphic [=] on an option would go
+   through [caml_equal] on every field of every rule a lookup scans. *)
+let field_ok (pattern : int option) (value : int) =
   match pattern with None -> true | Some v -> v = value
+
+let vlan_ok (pattern : int option option) (value : int option) =
+  match (pattern, value) with
+  | None, _ -> true
+  | Some None, None -> true
+  | Some (Some v), Some v' -> v = v'
+  | Some _, _ -> false
 
 let matches m ~in_port (p : Packet.t) =
   field_ok m.in_port in_port
   && field_ok m.dl_src p.dl_src
   && field_ok m.dl_dst p.dl_dst
-  && field_ok m.dl_vlan p.dl_vlan
+  && vlan_ok m.dl_vlan p.dl_vlan
   && field_ok m.dl_type p.dl_type
   && field_ok m.nw_src p.nw_src
   && field_ok m.nw_dst p.nw_dst
@@ -155,10 +165,35 @@ let wildcard_count m =
   + w m.nw_src + w m.nw_dst + w m.nw_proto + w m.nw_tos + w m.tp_src
   + w m.tp_dst
 
+let field_eq (a : int option) (b : int option) =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x = y
+  | _ -> false
+
+let vlan_eq (a : int option option) (b : int option option) =
+  match (a, b) with
+  | None, None | Some None, Some None -> true
+  | Some (Some x), Some (Some y) -> x = y
+  | _ -> false
+
 (* Interned patterns make the pointer-equality fast path hit on the hot
-   subsume/lookup loops; the structural fallback keeps un-interned values
+   subsume/lookup loops; the field-wise fallback keeps un-interned values
    (codec output, probe keys) fully interoperable. *)
-let equal a b = a == b || a = b
+let equal a b =
+  a == b
+  || field_eq a.in_port b.in_port
+     && field_eq a.dl_src b.dl_src
+     && field_eq a.dl_dst b.dl_dst
+     && vlan_eq a.dl_vlan b.dl_vlan
+     && field_eq a.dl_type b.dl_type
+     && field_eq a.nw_src b.nw_src
+     && field_eq a.nw_dst b.nw_dst
+     && field_eq a.nw_proto b.nw_proto
+     && field_eq a.nw_tos b.nw_tos
+     && field_eq a.tp_src b.tp_src
+     && field_eq a.tp_dst b.tp_dst
+
 let compare = Stdlib.compare
 
 let pp fmt m =
@@ -287,7 +322,7 @@ let decode r =
 module Pool = Weak.Make (struct
   type nonrec t = t
 
-  let equal a b = a == b || a = b
+  let equal = equal
   let hash = hash
 end)
 

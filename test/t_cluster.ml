@@ -132,6 +132,58 @@ let take n l = List.filteri (fun i _ -> i < n) l
    (a) every replica's committed prefix is a prefix of the leader's log,
    and (b) replaying the leader's committed log from scratch reproduces
    the leader's live sandbox state — so any quorum member can continue. *)
+let replay_matches_leader
+    (seed, loss, duplicate, delay, lo, hi, kill_after, pairs) =
+  let clock = Clock.create () in
+  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
+  let peer_channel = { Channel.perfect with Channel.loss; duplicate; delay } in
+  let c =
+    Cluster.create ~config:(config ~lo ~hi ()) ~peer_channel ~seed net apps
+  in
+  List.iteri
+    (fun i (src, dst) ->
+      (match kill_after with
+      | Some k when i = k -> Cluster.arm_kill c
+      | _ -> ());
+      Clock.advance_by clock 0.5;
+      Net.tick net;
+      Net.inject net src (T_util.tcp_packet src dst);
+      Cluster.tick c)
+    pairs;
+  for _ = 1 to 4 do
+    Clock.advance_by clock 0.5;
+    Net.tick net;
+    Cluster.tick c
+  done;
+  match Cluster.leader c with
+  | None -> true (* lossy enough that no quorum formed: nothing to check *)
+  | Some leader ->
+      let leader_log = Cluster.node_log c leader in
+      let commit = Cluster.node_commit c leader in
+      (* (a) committed prefixes never diverge. *)
+      for i = 0 to Cluster.nodes c - 1 do
+        if Cluster.node_alive c i then begin
+          let k = min (Cluster.node_commit c i) commit in
+          if take k (Cluster.node_log c i) <> take k leader_log then
+            QCheck2.Test.fail_reportf
+              "node %d committed prefix (%d entries) diverges from leader %d"
+              i k leader
+        end
+      done;
+      (* (b) state is a pure function of the committed log. *)
+      let replayed = replay_log net (take commit leader_log) in
+      let rt =
+        match Cluster.leader_runtime c with
+        | Some rt -> rt
+        | None -> QCheck2.Test.fail_reportf "leader %d has no runtime" leader
+      in
+      List.for_all
+        (fun (name, bytes) ->
+          match Runtime.sandbox rt name with
+          | Some box -> Sandbox.snapshot_bytes box = bytes
+          | None -> false)
+        replayed
+
 let prop_replay_equals_leader_state =
   let gen =
     QCheck2.Gen.(
@@ -150,62 +202,32 @@ let prop_replay_equals_leader_state =
       in
       return (seed, loss, duplicate, delay, lo, lo +. hi_extra, kill_after, pairs))
   in
+  let print (seed, loss, duplicate, delay, lo, hi, kill_after, pairs) =
+    Printf.sprintf
+      "seed=%d loss=%g duplicate=%g delay=%s lo=%g hi=%g kill_after=%s \
+       pairs=[%s]"
+      seed loss duplicate
+      (match delay with
+      | Channel.No_delay -> "none"
+      | Channel.Fixed d -> Printf.sprintf "fixed %g" d
+      | Channel.Uniform (a, b) -> Printf.sprintf "uniform %g %g" a b)
+      lo hi
+      (match kill_after with Some k -> string_of_int k | None -> "none")
+      (String.concat "; "
+         (List.map (fun (s, d) -> Printf.sprintf "%d,%d" s d) pairs))
+  in
   QCheck2.Test.make ~name:"committed-log replay reproduces leader state"
-    ~count:60 gen
-    (fun (seed, loss, duplicate, delay, lo, hi, kill_after, pairs) ->
-      let clock = Clock.create () in
-      let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-      let peer_channel =
-        { Channel.perfect with Channel.loss; duplicate; delay }
-      in
-      let c =
-        Cluster.create
-          ~config:(config ~lo ~hi ())
-          ~peer_channel ~seed net apps
-      in
-      List.iteri
-        (fun i (src, dst) ->
-          (match kill_after with
-          | Some k when i = k -> Cluster.arm_kill c
-          | _ -> ());
-          Clock.advance_by clock 0.5;
-          Net.tick net;
-          Net.inject net src (T_util.tcp_packet src dst);
-          Cluster.tick c)
-        pairs;
-      for _ = 1 to 4 do
-        Clock.advance_by clock 0.5;
-        Net.tick net;
-        Cluster.tick c
-      done;
-      match Cluster.leader c with
-      | None -> true (* lossy enough that no quorum formed: nothing to check *)
-      | Some leader ->
-          let leader_log = Cluster.node_log c leader in
-          let commit = Cluster.node_commit c leader in
-          (* (a) committed prefixes never diverge. *)
-          for i = 0 to Cluster.nodes c - 1 do
-            if Cluster.node_alive c i then begin
-              let k = min (Cluster.node_commit c i) commit in
-              if take k (Cluster.node_log c i) <> take k leader_log then
-                QCheck2.Test.fail_reportf
-                  "node %d committed prefix (%d entries) diverges from leader %d"
-                  i k leader
-            end
-          done;
-          (* (b) state is a pure function of the committed log. *)
-          let replayed = replay_log net (take commit leader_log) in
-          let rt =
-            match Cluster.leader_runtime c with
-            | Some rt -> rt
-            | None -> QCheck2.Test.fail_reportf "leader %d has no runtime" leader
-          in
-          List.for_all
-            (fun (name, bytes) ->
-              match Runtime.sandbox rt name with
-              | Some box -> Sandbox.snapshot_bytes box = bytes
-              | None -> false)
-            replayed)
+    ~count:60 ~print gen replay_matches_leader
+
+(* A shrunk instance of the property above: under 30% peer loss a leader's
+   own heartbeat round reveals a higher term mid-poll, so it steps down
+   inside its I/O loop — which then must not append to the log of what is
+   now a follower. *)
+let test_leader_steps_down_mid_poll () =
+  T_util.checkb "replay matches leader after a mid-poll step-down" true
+    (replay_matches_leader
+       (2305, 0.3, 0., Channel.No_delay, 0.05, 0.15, None,
+        [ (1, 1); (1, 1); (1, 1) ]))
 
 let suite =
   [
@@ -215,4 +237,6 @@ let suite =
     Alcotest.test_case "state transfers keep followers warm" `Quick
       test_followers_keep_sandboxes_warm;
     QCheck_alcotest.to_alcotest prop_replay_equals_leader_state;
+    Alcotest.test_case "leader steps down mid-poll" `Quick
+      test_leader_steps_down_mid_poll;
   ]

@@ -18,7 +18,11 @@ let mac = Types.mac_of_host
 
 (* Small vocabularies keep collisions (same rule re-added, deletes that
    actually hit, rules shadowing each other) frequent. Port 77 is unwired
-   on every generated topology, so black holes appear regularly. *)
+   on every generated topology, so black holes appear regularly. The
+   rewriting actions make a hop's header differ from the canonical probe
+   (which is untagged, with TCP destination port 80), and the patterns on
+   port 443 and on the VLAN match only such rewritten headers — or, for
+   the explicitly untagged one, only headers no rewrite has tagged. *)
 let patterns =
   [|
     Ofp_match.any;
@@ -27,17 +31,33 @@ let patterns =
     Ofp_match.make ~dl_dst:(mac 3) ();
     Ofp_match.make ~tp_dst:80 ();
     Ofp_match.make ~dl_dst:(mac 2) ~tp_dst:80 ();
+    Ofp_match.make ~tp_dst:443 ();
+    Ofp_match.make ~dl_vlan:(Some 5) ();
+    Ofp_match.make ~dl_vlan:None ();
+  |]
+
+let rewrite_sets =
+  [|
+    [ Action.Set_dl_dst (mac 3); Action.Output 1 ];
+    [ Action.Set_tp_dst 443; Action.Output 2 ];
+    [ Action.Set_vlan 5; Action.Output 1 ];
+    [ Action.Strip_vlan; Action.Output 2 ];
+    [ Action.Set_vlan 5; Action.Output Types.port_flood ];
   |]
 
 let action_sets =
-  [|
-    [ Action.Output 1 ];
-    [ Action.Output 2 ];
-    [ Action.Output 100 ];
-    [ Action.Output 77 ];
-    [];
-    [ Action.Output Types.port_flood ];
-  |]
+  Array.append
+    [|
+      [ Action.Output 1 ];
+      [ Action.Output 2 ];
+      [ Action.Output 100 ];
+      [ Action.Output 77 ];
+      [];
+      [ Action.Output Types.port_flood ];
+    |]
+    rewrite_sets
+
+let pick a = QCheck2.Gen.int_bound (Array.length a - 1)
 
 let priorities = [| 10; Message.default_priority; 65000 |]
 let timeouts = [| 0; 1; 3 |]
@@ -47,7 +67,7 @@ type op =
   | Fault of Net.fault
   | Advance of float
 
-let gen_install =
+let gen_install_of actions =
   QCheck2.Gen.(
     map
       (fun (sid, (p, a), (prio, (idle, hard))) ->
@@ -55,17 +75,19 @@ let gen_install =
           ( sid,
             Message.flow_add
               ~idle_timeout:timeouts.(idle) ~hard_timeout:timeouts.(hard)
-              ~priority:priorities.(prio) patterns.(p) action_sets.(a) ))
+              ~priority:priorities.(prio) patterns.(p) actions.(a) ))
       (triple (int_range 1 3)
-         (pair (int_bound 5) (int_bound 5))
-         (pair (int_bound 2) (pair (int_bound 2) (int_bound 2)))))
+         (pair (pick patterns) (pick actions))
+         (pair (pick priorities) (pair (pick timeouts) (pick timeouts)))))
+
+let gen_install = gen_install_of action_sets
 
 let gen_delete =
   QCheck2.Gen.(
     map
       (fun (sid, p, strict) ->
         Flow (sid, Message.flow_delete ~strict patterns.(p)))
-      (triple (int_range 1 3) (int_bound 5) bool))
+      (triple (int_range 1 3) (pick patterns) bool))
 
 let gen_op =
   QCheck2.Gen.(
@@ -93,13 +115,16 @@ let apply_op net clock = function
   | Advance d -> Clock.advance_by clock d
 
 (* Invariants chosen to exercise every probe consumer: pair traces (loops,
-   black holes, reachability, isolation) and rule scans (drop-all). *)
+   black holes, reachability, isolation) and rule scans (drop-all). The
+   reachability list also names a pair with a host the topology lacks and
+   a host paired with itself: neither is a host pair, so neither may leak
+   into the loop and black-hole checks. *)
 let invs =
   [
     Checker.Loop_freedom;
     Checker.Black_hole_freedom;
     Checker.No_drop_all;
-    Checker.Pairwise_reachability [ (1, 3); (3, 1) ];
+    Checker.Pairwise_reachability [ (1, 3); (3, 1); (1, 9); (2, 2) ];
     Checker.Isolation { group_a = [ 1 ]; group_b = [ 3 ] };
   ]
 
@@ -155,14 +180,16 @@ let prop_check_equiv_under_eviction =
         ops
       && (Incremental.stats eng).Incremental.evictions = !observed)
 
-let gen_mod =
+let gen_mod_of install =
   QCheck2.Gen.(
     map
       (fun (sid, op) ->
         match op with
         | Flow (_, fm) -> (sid, fm)
         | _ -> assert false)
-      (pair (int_range 1 3) (frequency [ (3, gen_install); (1, gen_delete) ])))
+      (pair (int_range 1 3) (frequency [ (3, install); (1, gen_delete) ])))
+
+let gen_mod = gen_mod_of gen_install
 
 let prop_flow_mods_equiv =
   QCheck2.Test.make
@@ -181,6 +208,54 @@ let prop_flow_mods_equiv =
       ignore (Incremental.check ~invariants:invs eng);
       Incremental.check_flow_mods ~invariants:invs eng mods
       = Checker.check_flow_mods ~invariants:invs (Snapshot.of_net net) mods)
+
+(* Several screens against one persistent engine, each after a few live
+   changes, every one compared with the full differential on a fresh
+   snapshot. There is no warm-up check: the first screen starts cold, and
+   later ones find the lines that the live changes dropped pending. *)
+let gen_rounds mod_gen =
+  QCheck2.Gen.(
+    pair bool
+      (list_size (int_range 1 5)
+         (pair
+            (list_size (int_range 0 4) gen_op)
+            (list_size (int_range 1 3) mod_gen))))
+
+let screens_agree eng net clock rounds =
+  List.for_all
+    (fun (ops, mods) ->
+      List.iter (apply_op net clock) ops;
+      Incremental.check_flow_mods ~invariants:invs eng mods
+      = Checker.check_flow_mods ~invariants:invs (Snapshot.of_net net) mods)
+    rounds
+
+(* The screen skips a pair only when no mod matches the header its trace
+   carries at a modified switch. Mods that rewrite headers make that
+   header differ from the canonical probe downstream of the rewrite. *)
+let prop_flow_mods_equiv_rewrites =
+  QCheck2.Test.make
+    ~name:"rewrite screens = full differential" ~count:300
+    (gen_rounds (gen_mod_of (gen_install_of rewrite_sets)))
+    (fun (ring, rounds) ->
+      let clock, net = make_net ring in
+      screens_agree (Incremental.create net) net clock rounds)
+
+(* A budget small enough to thrash evicts lines in the middle of a screen:
+   an evicted pair becomes pending and the screen keeps its probe. *)
+let prop_flow_mods_equiv_under_budget =
+  QCheck2.Test.make
+    ~name:"2 KiB budget screens = full differential" ~count:250
+    (gen_rounds gen_mod)
+    (fun (ring, rounds) ->
+      let clock, net = make_net ring in
+      let observed = ref 0 in
+      let observer = function
+        | Incremental.Trace_evicted _ -> incr observed
+        | _ -> ()
+      in
+      let eng = Incremental.create ~observer ~trace_cache_budget:2048 net in
+      screens_agree eng net clock rounds
+      && (Incremental.stats eng).Incremental.evictions = !observed)
 
 (* -- unit tests ---------------------------------------------------------- *)
 
@@ -314,6 +389,50 @@ let test_hypothetical_mods_do_not_pollute () =
             | _ -> false)
           (Incremental.check ~invariants:invs eng)))
 
+(* The screen re-traces only pairs whose trace a mod can change. A
+   microflow rule — exact match on a TCP source port no probe uses —
+   matches no probe's header, so nothing is re-traced; a rule on the same
+   switch that matches the probes towards h3 re-traces exactly the pairs
+   whose trace reaches that switch towards h3. *)
+let test_screen_retraces_matched_pairs () =
+  let _, net = make_net false in
+  let to_h3 = Ofp_match.make ~dl_dst:(mac 3) () in
+  install net 1 to_h3 [ Action.Output 1 ];
+  install net 2 to_h3 [ Action.Output 2 ];
+  install net 3 to_h3 [ Action.Output 100 ];
+  let eng = Incremental.create net in
+  check_agrees "warmed" eng net;
+  let screen mods =
+    let before = Incremental.stats eng in
+    T_util.checkb "screen = full differential" true
+      (Incremental.check_flow_mods ~invariants:invs eng mods
+      = Checker.check_flow_mods ~invariants:invs (Snapshot.of_net net) mods);
+    let after = Incremental.stats eng in
+    after.Incremental.misses - before.Incremental.misses
+  in
+  let microflow =
+    Ofp_match.exact ~in_port:1
+      (Packet.tcp ~src_host:1 ~dst_host:3 ~sport:40000 ())
+  in
+  T_util.checki "exact install re-traces nothing" 0
+    (screen [ (2, Message.flow_add ~priority:100 microflow [ Action.Output 2 ]) ]);
+  let through_s2_to_h3 =
+    List.filter
+      (fun (src, dst) ->
+        dst = 3
+        && List.exists
+             (fun (sid, _, _) -> sid = 2)
+             (Snapshot.trace (Incremental.snapshot eng) src
+                (Checker.canonical_packet src dst))
+               .Snapshot.path)
+      (Checker.host_pairs (Net.topology net))
+  in
+  T_util.checki "two pairs reach s2 towards h3" 2 (List.length through_s2_to_h3);
+  T_util.checki "overlapping install re-traces exactly those pairs"
+    (List.length through_s2_to_h3)
+    (screen
+       [ (2, Message.flow_add ~priority:100 to_h3 [ Action.Output 77 ]) ])
+
 (* Partition, degrade, heal: the reliable layer replays shadow intent into
    the rebooted switch (PR "Reliable resync"); the runtime's engine must
    track every one of those writes and agree with a fresh full check at
@@ -351,6 +470,10 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_check_equiv;
     QCheck_alcotest.to_alcotest prop_flow_mods_equiv;
+    QCheck_alcotest.to_alcotest prop_flow_mods_equiv_rewrites;
+    QCheck_alcotest.to_alcotest prop_flow_mods_equiv_under_budget;
+    Alcotest.test_case "screen re-traces only matched pairs" `Quick
+      test_screen_retraces_matched_pairs;
     Alcotest.test_case "warm cache reuses traces" `Quick test_warm_cache_hits;
     Alcotest.test_case "switch reboot invalidates" `Quick
       test_switch_reboot_invalidates;

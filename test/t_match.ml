@@ -117,6 +117,79 @@ let test_intern_sharing () =
     (Ofp_match.intern c == c);
   Ofp_match.set_interning was
 
+(* [matches] and [equal] compare fields at [int] (and [int option] for the
+   VLAN) by hand; they must agree with the definitions by polymorphic
+   compare below. Matches are drawn around the packet — each field wildcarded,
+   equal to the packet's or one off — so both outcomes are frequent, and
+   the VLAN takes all three states: wildcard, explicitly untagged
+   ([Some None]) and tagged. *)
+let poly_matches (m : Ofp_match.t) ~in_port (p : Packet.t) =
+  let ok pat v = match pat with None -> true | Some x -> x = v in
+  ok m.in_port in_port && ok m.dl_src p.dl_src && ok m.dl_dst p.dl_dst
+  && ok m.dl_vlan p.dl_vlan && ok m.dl_type p.dl_type
+  && ok m.nw_src p.nw_src && ok m.nw_dst p.nw_dst
+  && ok m.nw_proto p.nw_proto && ok m.nw_tos p.nw_tos
+  && ok m.tp_src p.tp_src && ok m.tp_dst p.tp_dst
+
+let gen_near_packet =
+  QCheck2.Gen.(
+    let* p = T_util.Gen.packet and* in_port = int_range 1 8 in
+    let near v = oneofl [ None; Some v; Some (v + 1) ] in
+    let* m_in_port = near in_port
+    and* dl_src = near p.dl_src
+    and* dl_dst = near p.dl_dst
+    and* dl_vlan = oneofl [ None; Some None; Some (Some 5); Some p.dl_vlan ]
+    and* dl_type = near p.dl_type
+    and* nw_src = near p.nw_src
+    and* nw_dst = near p.nw_dst
+    and* nw_proto = near p.nw_proto
+    and* nw_tos = near p.nw_tos
+    and* tp_src = near p.tp_src
+    and* tp_dst = near p.tp_dst in
+    let m =
+      {
+        Ofp_match.in_port = m_in_port;
+        dl_src;
+        dl_dst;
+        dl_vlan;
+        dl_type;
+        nw_src;
+        nw_dst;
+        nw_proto;
+        nw_tos;
+        tp_src;
+        tp_dst;
+      }
+    in
+    (* A fresh copy (so [==] fails) with at most one field redrawn. *)
+    let* field = int_bound 11 and* alt = near 7
+    and* vlan_alt = oneofl [ None; Some None; Some (Some 7) ] in
+    let m' =
+      match field with
+      | 0 -> { m with in_port = alt }
+      | 1 -> { m with dl_src = alt }
+      | 2 -> { m with dl_dst = alt }
+      | 3 -> { m with dl_vlan = vlan_alt }
+      | 4 -> { m with dl_type = alt }
+      | 5 -> { m with nw_src = alt }
+      | 6 -> { m with nw_dst = alt }
+      | 7 -> { m with nw_proto = alt }
+      | 8 -> { m with nw_tos = alt }
+      | 9 -> { m with tp_src = alt }
+      | 10 -> { m with tp_dst = alt }
+      | _ -> { m with in_port = m.in_port }
+    in
+    return (m, m', p, in_port))
+
+let prop_specialised_compares =
+  QCheck2.Test.make
+    ~name:"specialised equal and matches agree with polymorphic compare"
+    ~count:1000 gen_near_packet (fun (m, m', p, in_port) ->
+      Ofp_match.matches m ~in_port p = poly_matches m ~in_port p
+      && Ofp_match.matches m' ~in_port p = poly_matches m' ~in_port p
+      && Ofp_match.equal m m' = (m = m')
+      && Ofp_match.equal m' m = (m' = m))
+
 let prop_overlap_symmetric =
   QCheck2.Test.make ~name:"overlap is symmetric" ~count:300
     QCheck2.Gen.(pair T_util.Gen.ofp_match T_util.Gen.ofp_match)
@@ -137,5 +210,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_exact_matches_self;
     QCheck_alcotest.to_alcotest prop_overlap_symmetric;
     QCheck_alcotest.to_alcotest prop_intern_behavioral;
+    QCheck_alcotest.to_alcotest prop_specialised_compares;
     Alcotest.test_case "intern shares and toggles" `Quick test_intern_sharing;
   ]
