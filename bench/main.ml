@@ -829,7 +829,7 @@ let bench_dispatch () =
      match-storage saving (budget: >= 4x).
    - bounded trace cache: a trace-driven learning-switch campaign on a
      k=4 fat-tree with a deliberately tiny [trace_cache_budget], sampling
-     the inv-trace-cache-bytes gauge after every step. Evictions > 0 and
+     the checker's resident cache bytes after every step. Evictions > 0 and
      peak <= budget show the cache holds memory flat under load.
    - trace-driven flood throughput at k = 4 / 8 / 16: the ARP-responder
      harness of E25 (gratuitous warm-up, no data-plane amplification),
@@ -917,13 +917,14 @@ let bounded_cache_campaign () =
       Net.tick net;
       Net.inject net i.Workload.Traffic.src i.Workload.Traffic.packet;
       Runtime.step rt;
-      peak := max !peak (Legosdn.Metrics.inv_cache_bytes m))
+      peak :=
+        max !peak (Invariants.Incremental.cache_bytes (Runtime.incremental rt)))
     injections;
   [
     ("scale-trace-cache-budget-bytes", float_of_int budget);
     ("scale-trace-cache-peak-bytes", float_of_int !peak);
     ( "scale-trace-cache-evictions",
-      float_of_int (Legosdn.Metrics.inv_evictions m) );
+      float_of_int Legosdn.Metrics.(get m inv_evictions) );
   ]
 
 let scale_world k =
@@ -1175,7 +1176,8 @@ let bench_nversion () =
   nversion_stats :=
     [
       ( "nversion-sheds-before-measure",
-        float_of_int (Legosdn.Metrics.nv_sheds (Runtime.metrics shed_rt)) );
+        float_of_int
+          Legosdn.Metrics.(get (Runtime.metrics shed_rt) nv_sheds) );
     ];
   [
     Test.make ~name:"event-solo-hub-linear-4" (Staged.stage drive_solo);

@@ -248,8 +248,8 @@ let ckpt_k () =
       row "  %-4d| %-12d| %-16d| %-10d| %-9d| %d\n" k
         (Legosdn.Checkpoint.snapshots_taken store)
         (Legosdn.Checkpoint.bytes_written store)
-        (Metrics.crashes m) (Metrics.replayed m)
-        (Metrics.dropped_in_replay m))
+        Metrics.(get m crashes) Metrics.(get m replayed)
+        Metrics.(get m dropped_in_replay))
     [ 1; 2; 5; 10; 25 ]
 
 (* ------------------------------------------------------------------ *)
@@ -465,8 +465,8 @@ let nversion_exp () =
     let m = Runtime.metrics rt in
     row "  %-28s| byzantine blocked: %2d | outvoted: %2d | connectivity: %3.0f%%\n"
       label
-      (Metrics.byzantine_blocked m)
-      (Metrics.nv_outvoted m)
+      Metrics.(get m byzantine)
+      Metrics.(get m nv_outvoted)
       (100. *. Net.connectivity net)
   in
   run "byzantine router alone" [ byzantine_router ];
@@ -643,7 +643,8 @@ let limits_exp () =
       Runtime.dispatch_event rt (packet_in_event (1 + (i mod 2)) 2)
     done;
     let box = Option.get (Runtime.sandbox rt "learning_switch") in
-    (Sandbox.state_size box, Metrics.resource_breaches (Runtime.metrics rt))
+    ( Sandbox.state_size box,
+      Metrics.(get (Runtime.metrics rt) resource_breaches) )
   in
   let unlimited_size, _ = run None in
   let limited_size, breaches = run (Some 100_000) in
@@ -712,10 +713,11 @@ let quarantine_exp () =
   row "  %-26s| %-22s| %s\n" "configuration" "crash/recover cycles"
     "deliveries suppressed";
   row "  %s\n" (String.make 70 '-');
-  row "  %-26s| %-22d| %d\n" "no quarantine" (Metrics.crashes without)
-    (Metrics.suppressed without);
-  row "  %-26s| %-22d| %d\n" "quarantine (threshold 2)" (Metrics.crashes with_q)
-    (Metrics.suppressed with_q);
+  row "  %-26s| %-22d| %d\n" "no quarantine" Metrics.(get without crashes)
+    Metrics.(get without suppressed);
+  row "  %-26s| %-22d| %d\n" "quarantine (threshold 2)"
+    Metrics.(get with_q crashes)
+    Metrics.(get with_q suppressed);
   row "\n  Ten deliveries of the same poisoned event: without quarantine\n";
   row "  every one costs a full crash+rollback+restore cycle; with it the\n";
   row "  signature is blacklisted after two failures.\n"
@@ -935,8 +937,8 @@ let channel_exp () =
     let m = Runtime.metrics rt in
     ( blackholed,
       Net.reachable net 1 3,
-      Metrics.resyncs m,
-      Metrics.resynced_rules m )
+      Metrics.(get m resyncs),
+      Metrics.(get m resynced_rules) )
   in
   row "\n  mid-path switch reboot (hosts 1..3, switch 2 restarts empty):\n";
   row "  %-9s| %-18s| %-18s| %-8s| %s\n" "reliable" "blackhole on boot"

@@ -35,7 +35,7 @@ let report label rt net =
   Printf.printf
     "%-26s byzantine outputs blocked by checker: %2d | connectivity: %3.0f%%\n"
     label
-    (Metrics.byzantine_blocked m)
+    Metrics.(get m byzantine)
     (100. *. Net.connectivity net)
 
 let () =
@@ -76,4 +76,4 @@ let () =
   Printf.printf
     "\nThe byzantine output lost %d election(s) 2-to-1 and was discarded\n\
      before commit.\n"
-    (Metrics.nv_outvoted (Runtime.metrics rt))
+    Metrics.(get (Runtime.metrics rt) nv_outvoted)

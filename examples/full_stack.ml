@@ -76,9 +76,9 @@ let () =
 
   Printf.printf "\nafter one poisoned flow, a link failure and a switch reboot:\n";
   let m = Runtime.metrics rt in
-  Printf.printf "  crashes absorbed      : %d\n" (Metrics.crashes m);
-  Printf.printf "  events ignored        : %d\n" (Metrics.ignored m);
-  Printf.printf "  events transformed    : %d\n" (Metrics.transformed m);
+  Printf.printf "  crashes absorbed      : %d\n" Metrics.(get m crashes);
+  Printf.printf "  events ignored        : %d\n" Metrics.(get m ignored);
+  Printf.printf "  events transformed    : %d\n" Metrics.(get m transformed);
   Printf.printf "  tickets filed         : %d\n" (List.length (Runtime.tickets rt));
   Printf.printf "  storm events shed     : %d (spanning tree at work)\n"
     (Runtime.events_shed rt);

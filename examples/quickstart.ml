@@ -72,9 +72,9 @@ let () =
   let m = Runtime.metrics lego in
   Printf.printf
     "legosdn: recovered %d crash(es); %d event(s) transformed, %d ignored\n"
-    (Legosdn.Metrics.crashes m)
-    (Legosdn.Metrics.transformed m)
-    (Legosdn.Metrics.ignored m);
+    Legosdn.Metrics.(get m crashes)
+    Legosdn.Metrics.(get m transformed)
+    Legosdn.Metrics.(get m ignored);
   Printf.printf "\nProblem tickets filed for the developer:\n";
   List.iter
     (fun t -> Format.printf "%a@." Legosdn.Ticket.pp t)

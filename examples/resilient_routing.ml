@@ -63,8 +63,8 @@ let () =
   let m = Runtime.metrics lego in
   Printf.printf
     "legosdn: link failed; router crash transformed (%d transformation(s), %d crash(es) absorbed)\n"
-    (Legosdn.Metrics.transformed m)
-    (Legosdn.Metrics.crashes m);
+    Legosdn.Metrics.(get m transformed)
+    Legosdn.Metrics.(get m crashes);
   (* Traffic re-triggers routing around the surviving arc of the ring. *)
   drive net (fun () -> Runtime.step lego) [ (1, 3); (3, 1); (1, 3) ];
   Printf.printf "legosdn: h1->h3 reachable after re-routing: %b\n"

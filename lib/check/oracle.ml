@@ -135,12 +135,13 @@ let metrics =
     check =
       (fun ctx ->
         let m = Runtime.metrics ctx.rt in
+        let get = Metrics.get m in
         let failures =
-          Metrics.crashes m + Metrics.hangs m + Metrics.byzantine_blocked m
-          + Metrics.unreachable m
+          get Metrics.crashes + get Metrics.hangs + get Metrics.byzantine
+          + get Metrics.unreachable
         in
         let resolutions =
-          Metrics.ignored m + Metrics.transformed m + Metrics.disabled m
+          get Metrics.ignored + get Metrics.transformed + get Metrics.disabled
         in
         let max_detection = 0.5 (* > heartbeat_interval * heartbeat_misses *) in
         let bad_app =
@@ -150,7 +151,7 @@ let metrics =
               let down = Metrics.app_downtime m ~app ~until:ctx.elapsed in
               let bound =
                 ctx.elapsed
-                +. (float (Metrics.crashes m + Metrics.hangs m)
+                +. (float (get Metrics.crashes + get Metrics.hangs)
                    *. max_detection)
                 +. 1e-9
               in
@@ -172,7 +173,7 @@ let metrics =
                 failures
             else
               let tickets = List.length (Runtime.tickets ctx.rt) in
-              let expected = resolutions + Metrics.resource_breaches m in
+              let expected = resolutions + get Metrics.resource_breaches in
               if tickets <> expected then
                 failf "%d tickets filed but %d resolutions+breaches" tickets
                   expected
@@ -247,9 +248,9 @@ let nversion_masking =
     check =
       (fun ctx ->
         let m = Runtime.metrics ctx.rt in
-        let events = Metrics.nv_events m in
-        let masked = Metrics.nv_masked m in
-        let outvoted = Metrics.nv_outvoted m in
+        let events = Metrics.get m Metrics.nv_events in
+        let masked = Metrics.get m Metrics.nv_masked in
+        let outvoted = Metrics.get m Metrics.nv_outvoted in
         if ctx.spec.Spec.nversion <= 1 then
           if events + masked + outvoted > 0 then
             failf "panel counters moved on a solo spec (events=%d)" events

@@ -535,8 +535,8 @@ let rec run ?(oracles = Oracle.all) ?trace_buffer
             (match Runtime.netlog rt with
             | Some nl -> Legosdn.Netlog.journal nl
             | None -> []);
-          f_events = Legosdn.Metrics.events m;
-          f_crashes = Legosdn.Metrics.crashes m;
+          f_events = Legosdn.Metrics.(get m events);
+          f_crashes = Legosdn.Metrics.(get m crashes);
           f_committed =
             (match Runtime.netlog rt with
             | Some nl -> Legosdn.Netlog.committed nl
@@ -545,7 +545,7 @@ let rec run ?(oracles = Oracle.all) ?trace_buffer
             (match Runtime.netlog rt with
             | Some nl -> Legosdn.Netlog.aborted nl
             | None -> 0);
-          f_policy_compromises = Legosdn.Metrics.policy_compromises m;
+          f_policy_compromises = Legosdn.Metrics.(get m policy_compromises);
         }
   in
   {

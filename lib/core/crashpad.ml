@@ -49,11 +49,13 @@ let file_ticket deps sandbox ~event ~diagnosis ~resolution ~rolled_back =
     (Ticket.file deps.tickets ~now:(deps.now ()) ~app:(Sandbox.name sandbox)
        ~event ~diagnosis ~resolution ~rolled_back_ops:rolled_back ())
 
-let count_failure deps = function
-  | Detector.Fail_stop _ -> Metrics.incr_crash deps.metrics
-  | Detector.Hang -> Metrics.incr_hang deps.metrics
-  | Detector.Byzantine _ -> Metrics.incr_byzantine deps.metrics
-  | Detector.Unreachable _ -> Metrics.incr_unreachable deps.metrics
+let count_failure deps failure =
+  Metrics.bump deps.metrics
+    (match failure with
+    | Detector.Fail_stop _ -> Metrics.crashes
+    | Detector.Hang -> Metrics.hangs
+    | Detector.Byzantine _ -> Metrics.byzantine
+    | Detector.Unreachable _ -> Metrics.unreachable)
 
 let failure_kind = function
   | Detector.Fail_stop _ -> "fail-stop"
@@ -134,8 +136,8 @@ let sync_intent config deps sandbox =
    push the (verified) diff out so hardware tracks intent continuously. *)
 let reconcile_intent config deps sandbox =
   match sync_intent config deps sandbox with
-  | `Installed _ -> Metrics.incr_policy_reconcile deps.metrics
-  | `Rejected -> Metrics.incr_policy_rejected deps.metrics
+  | `Installed _ -> Metrics.bump deps.metrics Metrics.policy_reconciles
+  | `Rejected -> Metrics.bump deps.metrics Metrics.policy_rejected
   | `Noop | `No_intent -> ()
 
 let recover config deps ~app failure boxes =
@@ -145,8 +147,9 @@ let recover config deps ~app failure boxes =
   List.iter
     (fun box ->
       let r = Sandbox.recover ~tracer:deps.tracer box (deps.context ()) in
-      Metrics.incr_replayed deps.metrics r.Sandbox.replayed;
-      Metrics.incr_dropped_in_replay deps.metrics r.Sandbox.dropped_in_replay)
+      Metrics.bump_by deps.metrics Metrics.replayed r.Sandbox.replayed;
+      Metrics.bump_by deps.metrics Metrics.dropped_in_replay
+        r.Sandbox.dropped_in_replay)
     boxes
 
 let deliver deps box event =
@@ -180,7 +183,7 @@ let commit_output config deps ~txn ~event ~revert ~contain owner commands =
       in
       match refusal with
       | Atomic_update.Over_limits breaches ->
-          Metrics.incr_resource_breach deps.metrics;
+          Metrics.bump deps.metrics Metrics.resource_breaches;
           file_ticket deps owner ~event
             ~diagnosis:
               (String.concat "; " (List.map Resources.describe breaches))
@@ -278,13 +281,13 @@ let apply_policy config deps sandbox event failure ~rolled_back =
   match compromise with
   | Recovery_policy.No_compromise ->
       Sandbox.disable sandbox;
-      Metrics.incr_disabled deps.metrics;
+      Metrics.bump deps.metrics Metrics.disabled;
       Metrics.mark_app_down_from deps.metrics ~app:(Sandbox.name sandbox)
         (deps.now ());
       file_ticket deps sandbox ~event ~diagnosis ~resolution:Ticket.Disabled
         ~rolled_back
   | Recovery_policy.Absolute ->
-      Metrics.incr_ignored deps.metrics;
+      Metrics.bump deps.metrics Metrics.ignored;
       file_ticket deps sandbox ~event ~diagnosis ~resolution:Ticket.Ignored
         ~rolled_back
   | Recovery_policy.Equivalence -> (
@@ -294,8 +297,8 @@ let apply_policy config deps sandbox event failure ~rolled_back =
          replaying anything through the faulty code path. *)
       match sync_intent config deps sandbox with
       | `Installed n ->
-          Metrics.incr_policy_compromise deps.metrics;
-          Metrics.incr_transformed deps.metrics;
+          Metrics.bump deps.metrics Metrics.policy_compromises;
+          Metrics.bump deps.metrics Metrics.transformed;
           file_ticket deps sandbox ~event ~diagnosis
             ~resolution:
               (Ticket.Transformed
@@ -303,21 +306,22 @@ let apply_policy config deps sandbox event failure ~rolled_back =
                     (Sandbox.name sandbox) n))
             ~rolled_back
       | (`Rejected | `Noop | `No_intent) as r -> (
-          if r = `Rejected then Metrics.incr_policy_rejected deps.metrics;
+          if r = `Rejected then
+            Metrics.bump deps.metrics Metrics.policy_rejected;
           (* Fall back to hand-coded event transformations. *)
           let alternatives =
             Transform.equivalents ~links_of:deps.links_of event
           in
           match try_alternatives config deps sandbox alternatives with
           | Some alternative ->
-              Metrics.incr_transformed deps.metrics;
+              Metrics.bump deps.metrics Metrics.transformed;
               file_ticket deps sandbox ~event ~diagnosis
                 ~resolution:
                   (Ticket.Transformed (Transform.describe alternative))
                 ~rolled_back
           | None ->
               (* No equivalent worked: fall back to ignoring the event. *)
-              Metrics.incr_ignored deps.metrics;
+              Metrics.bump deps.metrics Metrics.ignored;
               file_ticket deps sandbox ~event ~diagnosis
                 ~resolution:Ticket.Ignored ~rolled_back))
 
@@ -326,7 +330,7 @@ let quarantine_blocked config deps sandbox event =
   | None -> false
   | Some q ->
       let hit = Quarantine.blocked q ~app:(Sandbox.name sandbox) event in
-      if hit then Metrics.incr_suppressed deps.metrics;
+      if hit then Metrics.bump deps.metrics Metrics.suppressed;
       hit
 
 let note_quarantine config deps sandbox event =
@@ -334,7 +338,7 @@ let note_quarantine config deps sandbox event =
   | None -> ()
   | Some q -> (
       match Quarantine.note_failure q ~app:(Sandbox.name sandbox) event with
-      | `Quarantined -> Metrics.incr_quarantined deps.metrics
+      | `Quarantined -> Metrics.bump deps.metrics Metrics.quarantined
       | `Recorded -> ())
 
 let resolve config deps sandbox event failure ~rolled_back =

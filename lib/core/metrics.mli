@@ -1,234 +1,179 @@
 (** Availability and recovery accounting for the LegoSDN runtime.
 
-    Virtual-time bookkeeping: how long was the controller up, how long was
-    each application usable, how many failures were subverted and by which
-    compromise. The availability experiment (E7) reads these.
-
-    Internally this is a typed metric {e registry}: named counters, gauges
-    and latency histograms, created on demand and enumerable for export.
-    The original flat-counter API ({!incr_crash}, {!crashes}, …) survives
-    as a compat view over pre-registered counters, so existing callers and
-    the CLI output are unchanged; new instrumentation should obtain a
-    handle once ({!counter}, {!gauge}, {!histogram}) and bump it on the
-    hot path with no hashing. *)
+    Two kinds of bookkeeping. {e Counters}: each is a {!stat} declared once
+    below with its meaning; the runtime bumps it with {!bump} or {!bump_by}
+    and readers take it with {!get}, each one array slot with no hashing
+    and no allocation. {!all} enumerates them. {e Downtime}: how long each
+    application was unusable in virtual time, which the availability
+    experiment (E7) reads. *)
 
 type t
 
 val create : unit -> t
 
-(** {1 The registry} *)
+(** {1 Counters} *)
 
-type counter
-(** A monotone integer. *)
+type stat
+(** One counter. Every [t] holds all of them, starting at 0. *)
 
-type gauge
-(** A last-write-wins float. *)
+val bump : t -> stat -> unit
+val bump_by : t -> stat -> int -> unit
+val get : t -> stat -> int
 
-type metric =
-  | Counter of counter
-  | Gauge of gauge
-  | Histogram of Obs.Histogram.t
+val all : stat list
+(** Every counter, in declaration order. *)
 
-val counter : t -> string -> counter
-(** Find-or-register. Raises [Invalid_argument] if [name] is already
-    registered as a different metric type. *)
+val events : stat
+(** Events dispatched through the runtime's delivery pipeline. *)
 
-val gauge : t -> string -> gauge
-val histogram : t -> string -> Obs.Histogram.t
+val crashes : stat
+(** Fail-stop application failures. *)
 
-val attach_histogram : t -> string -> Obs.Histogram.t -> unit
-(** Register an externally owned histogram (e.g. a tracer's per-span-kind
-    latency histogram) under [name], replacing any previous histogram of
-    that name. Raises [Invalid_argument] on a name held by a counter or
-    gauge. *)
+val hangs : stat
+(** Application hangs (heart-beat loss). *)
 
-val incr : counter -> unit
-val add : counter -> int -> unit
-val value : counter -> int
-val counter_name : counter -> string
+val byzantine : stat
+(** Outputs refused because they broke a network invariant. *)
 
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-val gauge_name : gauge -> string
+val ignored : stat
+(** Failures resolved by dropping the event (Absolute compromise). *)
 
-val find : t -> string -> metric option
-val names : t -> string list
-(** In registration order. *)
+val transformed : stat
+(** Failures resolved by an equivalent event sequence or a policy
+    recompile (Equivalence compromise). *)
 
-val pp_registry : Format.formatter -> t -> unit
-(** Every registered metric, one per line, in registration order. *)
+val disabled : stat
+(** Applications shut down by the No-Compromise policy. *)
 
-(** {1 Legacy counters — compat view} *)
+val replayed : stat
+(** Journal events re-applied after restoring a checkpoint. *)
 
-val incr_events : t -> unit
-val incr_crash : t -> unit
-val incr_hang : t -> unit
-val incr_byzantine : t -> unit
-val incr_ignored : t -> unit
-val incr_transformed : t -> unit
-val incr_disabled : t -> unit
-val incr_replayed : t -> int -> unit
-val incr_dropped_in_replay : t -> int -> unit
-val incr_resource_breach : t -> unit
-val incr_quarantined : t -> unit
-val incr_suppressed : t -> unit
-val incr_retransmits : t -> unit
-val incr_barrier_acks : t -> unit
-val incr_resyncs : t -> unit
-val incr_resynced_rules : t -> int -> unit
-val incr_unreachable : t -> unit
+val dropped_in_replay : stat
+(** Journal events that failed again while being replayed. *)
 
-val incr_policy_compromise : t -> unit
-(** An Equivalence compromise satisfied by recompiling the app's declared
+val resource_breaches : stat
+(** Transactions refused for exceeding the app's resource limits. *)
+
+val quarantined : stat
+(** Event signatures blacklisted after repeated failures (§5). *)
+
+val suppressed : stat
+(** Deliveries filtered out because their signature is quarantined. *)
+
+val retransmits : stat
+(** State-altering messages re-sent after a missing barrier ack. *)
+
+val barrier_acks : stat
+(** Barrier replies confirming delivery of a state-altering message. *)
+
+val resyncs : stat
+(** Reconnected switches whose tables were rebuilt from intended state. *)
+
+val resynced_rules : stat
+(** Rules replayed across all resynchronizations. *)
+
+val unreachable : stat
+(** Transactions refused because a target switch is unreachable. *)
+
+val inv_hits : stat
+(** Cached traces the incremental invariant checker reused. *)
+
+val inv_misses : stat
+(** Pairs the incremental checker had to trace from scratch. *)
+
+val inv_invalidations : stat
+(** Cached traces discarded because a visited switch changed. *)
+
+val inv_recaptures : stat
+(** Switch states re-frozen into the incremental checker's snapshot. *)
+
+val inv_memoized : stat
+(** Whole checks answered from the previous result (nothing changed). *)
+
+val inv_evictions : stat
+(** Cached traces dropped to enforce the trace-cache byte budget. *)
+
+val checkpoints : stat
+(** Application checkpoints taken (full or delta). *)
+
+val ckpt_restores : stat
+(** Snapshots materialized from the chunk store for a restore. *)
+
+val ckpt_chunk_hits : stat
+(** Chunks a delta checkpoint found already stored (deduplicated). *)
+
+val ckpt_chunk_misses : stat
+(** Chunks a delta checkpoint had to write. *)
+
+val ckpt_bytes_deduped : stat
+(** Snapshot bytes not written thanks to chunk reuse. *)
+
+val ckpt_bytes_written : stat
+(** Bytes checkpoints actually wrote (chunk data + manifest overhead). *)
+
+val counter_cache_evictions : stat
+(** Banked rule identities dropped by the counter-cache LRU bound. *)
+
+val policy_compromises : stat
+(** Equivalence compromises satisfied by recompiling the app's declared
     policy and installing the verified flow-mod diff. *)
 
-val incr_policy_rejected : t -> unit
-(** A policy-derived candidate rule-set refused: it would have changed the
-    forwarding relation or violated a network invariant. *)
+val policy_rejected : stat
+(** Policy-derived candidate rule-sets refused: they would have changed
+    the forwarding relation or violated a network invariant. *)
 
-val incr_policy_reconcile : t -> unit
+val policy_reconciles : stat
 (** Declared intent re-synchronised to the network after a healthy
     delivery changed the compiled tables. *)
 
-val policy_compromises : t -> int
-val policy_rejected : t -> int
-val policy_reconciles : t -> int
-
 (** {2 N-version voter counters}
 
-    Divergence is observable as typed metrics (and [Vote]/[Outvoted]
-    spans), never as extra commands in the winning output. *)
+    Divergence is observable as counters (and [Vote]/[Outvoted] spans),
+    never as extra commands in the winning output. *)
 
-val incr_nv_events : t -> unit
-(** An event delivered through a full voting panel. *)
+val nv_events : stat
+(** Events delivered through a full voting panel. *)
 
-val incr_nv_masked : t -> unit
-(** An election in which at least one live variant's divergent output was
+val nv_masked : stat
+(** Elections in which at least one live variant's divergent output was
     discarded — a byzantine output masked before reaching the network. *)
 
-val incr_nv_outvoted : t -> unit
-(** One variant's output lost an election (per variant, per event). *)
+val nv_outvoted : stat
+(** Variant outputs that lost an election (per variant, per event). *)
 
-val incr_nv_variant_crashes : t -> unit
-(** A variant crashed or hung on an event while the panel stayed live. *)
+val nv_variant_crashes : stat
+(** Variants that crashed or hung on an event while the panel stayed
+    live. *)
 
-val incr_nv_no_majority : t -> unit
-(** An election with no strict majority; the first-arrival output won. *)
+val nv_no_majority : stat
+(** Elections with no strict majority; the first-arrival output won. *)
 
-val incr_nv_resyncs : t -> unit
-(** A replica rebuilt from the majority snapshot (chunk-store shipped). *)
+val nv_resyncs : stat
+(** Replicas rebuilt from the majority snapshot (chunk-store shipped). *)
 
-val add_nv_resync_bytes : t -> int -> unit
+val nv_resync_bytes : stat
 (** Logical snapshot bytes shipped across all replica re-syncs. *)
 
-val incr_nv_sheds : t -> unit
-(** Adaptive voter shed the panel down to a single active variant. *)
+val nv_sheds : stat
+(** Times the adaptive voter shed the panel to a single active variant. *)
 
-val incr_nv_grows : t -> unit
-(** Adaptive voter re-spun the full panel after a failure. *)
+val nv_grows : stat
+(** Times the adaptive voter re-spun the full panel after a failure. *)
 
-val nv_events : t -> int
-val nv_masked : t -> int
-val nv_outvoted : t -> int
-val nv_variant_crashes : t -> int
-val nv_no_majority : t -> int
-val nv_resyncs : t -> int
-val nv_resync_bytes : t -> int
-val nv_sheds : t -> int
-val nv_grows : t -> int
+(** {2 By name}
 
-val incr_inv_trace_hit : t -> unit
-val incr_inv_trace_miss : t -> unit
-val incr_inv_invalidation : t -> unit
-val incr_inv_recapture : t -> unit
-val incr_inv_memoized : t -> unit
-val incr_inv_eviction : t -> unit
+    For tools that read counters by their names, such as the end-to-end
+    benchmark. *)
 
-val set_inv_cache_bytes : t -> int -> unit
-(** Update the [inv-trace-cache-bytes] gauge: the incremental checker's
-    resident trace-cache footprint after an eviction. *)
+type counter
 
-val incr_checkpoint : t -> unit
-val incr_ckpt_restore : t -> unit
-val add_ckpt_chunk_hits : t -> int -> unit
-val add_ckpt_chunk_misses : t -> int -> unit
-val add_ckpt_bytes_deduped : t -> int -> unit
-val add_ckpt_bytes_written : t -> int -> unit
-val incr_counter_cache_eviction : t -> unit
+type metric = Counter of counter
 
-val events : t -> int
-val crashes : t -> int
-val hangs : t -> int
-val byzantine_blocked : t -> int
-val ignored : t -> int
-val transformed : t -> int
-val disabled : t -> int
-val replayed : t -> int
-val dropped_in_replay : t -> int
-val resource_breaches : t -> int
+val find : t -> string -> metric option
+val names : t -> string list
+(** Every counter's name, in declaration order. *)
 
-val quarantined : t -> int
-(** Event signatures blacklisted after repeated failures (§5). *)
-
-val suppressed : t -> int
-(** Deliveries filtered out because their signature is quarantined. *)
-
-val retransmits : t -> int
-(** State-altering messages re-sent after a missing barrier ack. *)
-
-val barrier_acks : t -> int
-(** Barrier replies confirming delivery of a state-altering message. *)
-
-val resyncs : t -> int
-(** Reconnected switches whose tables were rebuilt from intended state. *)
-
-val resynced_rules : t -> int
-(** Rules replayed across all resynchronizations. *)
-
-val unreachable : t -> int
-(** Switches declared unreachable after the retry budget ran out. *)
-
-val inv_trace_hits : t -> int
-(** Cached traces the incremental invariant checker reused. *)
-
-val inv_trace_misses : t -> int
-(** Pairs the incremental checker had to trace from scratch. *)
-
-val inv_invalidations : t -> int
-(** Cached traces discarded because a visited switch changed. *)
-
-val inv_recaptures : t -> int
-(** Switch states re-frozen into the incremental checker's snapshot. *)
-
-val inv_memoized_checks : t -> int
-(** Whole checks answered from the previous result (nothing changed). *)
-
-val inv_evictions : t -> int
-(** Cached traces dropped to enforce the trace-cache byte budget. *)
-
-val inv_cache_bytes : t -> int
-(** Last value of the [inv-trace-cache-bytes] gauge. *)
-
-val checkpoints : t -> int
-(** Application checkpoints taken (full or delta). *)
-
-val ckpt_restores : t -> int
-(** Snapshots materialized from the chunk store for a restore. *)
-
-val ckpt_chunk_hits : t -> int
-(** Chunks a delta checkpoint found already stored (deduplicated). *)
-
-val ckpt_chunk_misses : t -> int
-(** Chunks a delta checkpoint had to write. *)
-
-val ckpt_bytes_deduped : t -> int
-(** Snapshot bytes not written thanks to chunk reuse. *)
-
-val ckpt_bytes_written : t -> int
-(** Bytes checkpoints actually wrote (chunk data + manifest overhead). *)
-
-val counter_cache_evictions : t -> int
-(** Banked rule identities dropped by the counter-cache LRU bound. *)
+val value : counter -> int
 
 (** {1 Per-app downtime} *)
 
@@ -246,5 +191,5 @@ val availability : t -> app:string -> until:float -> float
 (** [1 - downtime/until]; 1.0 for an app never charged. *)
 
 val pp : Format.formatter -> t -> unit
-(** The historical summary line — format unchanged across the registry
-    redesign (scripts and the fuzzer's metrics oracle parse it). *)
+(** The summary line the CLI prints with [--verbose]; its format is kept
+    stable for scripts. *)

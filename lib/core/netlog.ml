@@ -65,7 +65,7 @@ let create ?transport ?(xid_base = 1) ?metrics network =
       Counter_cache.create
         ~on_evict:
           (match metrics with
-          | Some m -> fun () -> Metrics.incr_counter_cache_eviction m
+          | Some m -> fun () -> Metrics.bump m Metrics.counter_cache_evictions
           | None -> fun () -> ())
         ();
     next_xid = xid_base;

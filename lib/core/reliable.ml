@@ -44,7 +44,7 @@ type t = {
   net : Net.t;
   from : int option;  (* controller identity for master/slave role checks *)
   cfg : config;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   notify : Obs.Hub.delivery -> unit;
   shadows : (Types.switch_id, Flow_table.t) Hashtbl.t;
   states : (Types.switch_id, health) Hashtbl.t;
@@ -53,15 +53,11 @@ type t = {
   mutable queue : pending list;  (* unordered; scanned on tick *)
   mutable batch : batch option;
   mutable next_barrier_xid : Types.xid;
-  mutable n_retransmits : int;
-  mutable n_acks : int;
-  mutable n_resyncs : int;
-  mutable n_resynced_rules : int;
   mutable n_degraded : int;
 }
 
-let create ?(config = default_config) ?controller_id ?metrics
-    ?(notify = fun _ -> ()) net =
+let create ?(config = default_config) ?controller_id
+    ?(metrics = Metrics.create ()) ?(notify = fun _ -> ()) net =
   {
     net;
     from = controller_id;
@@ -74,10 +70,6 @@ let create ?(config = default_config) ?controller_id ?metrics
     queue = [];
     batch = None;
     next_barrier_xid = barrier_xid_base;
-    n_retransmits = 0;
-    n_acks = 0;
-    n_resyncs = 0;
-    n_resynced_rules = 0;
     n_degraded = 0;
   }
 
@@ -90,13 +82,11 @@ let health t sid =
 let is_degraded t sid = health t sid = Degraded
 let pending_count t = List.length t.queue
 let shadow t sid = Hashtbl.find_opt t.shadows sid
-let retransmits t = t.n_retransmits
-let acks t = t.n_acks
-let resyncs t = t.n_resyncs
-let resynced_rules t = t.n_resynced_rules
+let retransmits t = Metrics.get t.metrics Metrics.retransmits
+let acks t = Metrics.get t.metrics Metrics.barrier_acks
+let resyncs t = Metrics.get t.metrics Metrics.resyncs
+let resynced_rules t = Metrics.get t.metrics Metrics.resynced_rules
 let degraded_count t = t.n_degraded
-
-let with_metrics t f = match t.metrics with Some m -> f m | None -> ()
 
 let fresh_barrier_xid t =
   let x = t.next_barrier_xid in
@@ -162,8 +152,7 @@ let ack_drain : (t -> Types.switch_id -> unit) ref = ref (fun _ _ -> ())
 
 let ack t p =
   t.queue <- List.filter (fun q -> q != p) t.queue;
-  t.n_acks <- t.n_acks + 1;
-  with_metrics t Metrics.incr_barrier_acks;
+  Metrics.bump t.metrics Metrics.barrier_acks;
   t.notify (Obs.Hub.Acked { sw = p.p_sid; xid = p.p_msg.Message.xid });
   (* Ack-clocked drain: the ack that frees this switch's head-of-line
      slot immediately transmits its next held-back message, so a burst
@@ -238,8 +227,7 @@ let send t sid (msg : Message.t) =
       | Some _ | None -> (
           let barrier_xid, acked = barrier_probe t sid in
           if acked && delivered t sid msg then begin
-            t.n_acks <- t.n_acks + 1;
-            with_metrics t Metrics.incr_barrier_acks;
+            Metrics.bump t.metrics Metrics.barrier_acks;
             t.notify (Obs.Hub.Acked { sw = sid; xid = msg.Message.xid })
           end
           else enqueue t sid msg ~sent:true barrier_xid));
@@ -271,8 +259,7 @@ let end_batch t =
           List.iter
             (fun (msg : Message.t) ->
               if acked && delivered t sid msg then begin
-                t.n_acks <- t.n_acks + 1;
-                with_metrics t Metrics.incr_barrier_acks;
+                Metrics.bump t.metrics Metrics.barrier_acks;
                 t.notify (Obs.Hub.Acked { sw = sid; xid = msg.Message.xid })
               end
               else
@@ -291,7 +278,6 @@ let degrade t sid =
     Hashtbl.replace t.states sid Degraded;
     Hashtbl.replace t.probe_at sid (now t +. probe_interval t);
     t.n_degraded <- t.n_degraded + 1;
-    with_metrics t Metrics.incr_unreachable;
     t.notify (Obs.Hub.Degraded { sw = sid });
     (* Nothing queued for this switch can succeed any more; the shadow
        table keeps the intent and resync will replay it on reconnect. *)
@@ -306,8 +292,7 @@ let retransmit t p =
   else begin
     if p.p_sent then begin
       p.p_attempts <- p.p_attempts + 1;
-      t.n_retransmits <- t.n_retransmits + 1;
-      with_metrics t Metrics.incr_retransmits;
+      Metrics.bump t.metrics Metrics.retransmits;
       t.notify
         (Obs.Hub.Retransmitted
            {
@@ -351,12 +336,9 @@ let resync t sid =
   | Some table ->
       let entries = Flow_table.entries table in
       if entries <> [] then begin
-        t.n_resyncs <- t.n_resyncs + 1;
+        Metrics.bump t.metrics Metrics.resyncs;
+        Metrics.bump_by t.metrics Metrics.resynced_rules (List.length entries);
         t.notify (Obs.Hub.Resynced { sw = sid; rules = List.length entries });
-        with_metrics t Metrics.incr_resyncs;
-        t.n_resynced_rules <- t.n_resynced_rules + List.length entries;
-        with_metrics t (fun m ->
-            Metrics.incr_resynced_rules m (List.length entries));
         List.iter
           (fun (e : Flow_entry.t) ->
             let fm =

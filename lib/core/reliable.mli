@@ -55,7 +55,9 @@ val create :
   ?notify:(Obs.Hub.delivery -> unit) ->
   Netsim.Net.t ->
   t
-(** Counters are mirrored into [metrics] when given. [notify] is invoked
+(** Retransmits, barrier acks, resyncs and resynced rules are counted in
+    [metrics] (a fresh registry when not given), which {!retransmits},
+    {!acks}, {!resyncs} and {!resynced_rules} read back. [notify] is invoked
     synchronously on every delivery-lifecycle step (sent, queued behind
     the head of line, retransmitted, acked, degraded, resynced) — the
     runtime routes it onto its {!Obs.Hub}. [controller_id] stamps every

@@ -92,7 +92,6 @@ type t = {
   ticket_store : Ticket.store;
   cfg : config;
   mutable reply_backlog : (string * Event.t) list;
-  mutable n_events : int;
   mutable n_shed : int;
   queue : Dispatch.t option;  (* Some iff cfg.dispatch is Sharded *)
   obs_hub : Obs.Hub.t;
@@ -168,20 +167,19 @@ let create ?(config = default_config) ?xid_base ?controller_id
     let observer ev =
       (match ev with
       | Invariants.Incremental.Trace_hit ->
-          Metrics.incr_inv_trace_hit metrics_store;
+          Metrics.bump metrics_store Metrics.inv_hits;
           Obs.Tracer.instant !tracer_cell Obs.Span.Inv_cache_hit
       | Invariants.Incremental.Trace_miss ->
-          Metrics.incr_inv_trace_miss metrics_store;
+          Metrics.bump metrics_store Metrics.inv_misses;
           Obs.Tracer.instant !tracer_cell Obs.Span.Inv_cache_miss
       | Invariants.Incremental.Trace_invalidated ->
-          Metrics.incr_inv_invalidation metrics_store
+          Metrics.bump metrics_store Metrics.inv_invalidations
       | Invariants.Incremental.Switch_recaptured _ ->
-          Metrics.incr_inv_recapture metrics_store
+          Metrics.bump metrics_store Metrics.inv_recaptures
       | Invariants.Incremental.Check_memoized ->
-          Metrics.incr_inv_memoized metrics_store
-      | Invariants.Incremental.Trace_evicted { bytes } ->
-          Metrics.incr_inv_eviction metrics_store;
-          Metrics.set_inv_cache_bytes metrics_store bytes);
+          Metrics.bump metrics_store Metrics.inv_memoized
+      | Invariants.Incremental.Trace_evicted _ ->
+          Metrics.bump metrics_store Metrics.inv_evictions);
       Obs.Hub.emit obs_hub (Obs.Hub.Inv_cache ev)
     in
     Invariants.Incremental.create ~observer
@@ -189,12 +187,13 @@ let create ?(config = default_config) ?xid_base ?controller_id
   in
   let ckpt_observer = function
     | Checkpoint.Took { written; chunk_hits; chunk_misses; deduped; _ } ->
-        Metrics.incr_checkpoint metrics_store;
-        Metrics.add_ckpt_bytes_written metrics_store written;
-        Metrics.add_ckpt_chunk_hits metrics_store chunk_hits;
-        Metrics.add_ckpt_chunk_misses metrics_store chunk_misses;
-        Metrics.add_ckpt_bytes_deduped metrics_store deduped
-    | Checkpoint.Materialized _ -> Metrics.incr_ckpt_restore metrics_store
+        Metrics.bump metrics_store Metrics.checkpoints;
+        Metrics.bump_by metrics_store Metrics.ckpt_bytes_written written;
+        Metrics.bump_by metrics_store Metrics.ckpt_chunk_hits chunk_hits;
+        Metrics.bump_by metrics_store Metrics.ckpt_chunk_misses chunk_misses;
+        Metrics.bump_by metrics_store Metrics.ckpt_bytes_deduped deduped
+    | Checkpoint.Materialized _ ->
+        Metrics.bump metrics_store Metrics.ckpt_restores
   in
   let make_ckpt () =
     let k = config.checkpoint_every in
@@ -273,7 +272,6 @@ let create ?(config = default_config) ?xid_base ?controller_id
     ticket_store = Ticket.store ();
     cfg = config;
     reply_backlog = [];
-    n_events = 0;
     n_shed = 0;
     queue;
     obs_hub;
@@ -292,7 +290,7 @@ let ticket_store t = t.ticket_store
 let netlog t = t.netlog_instance
 let reliable t = t.reliable_layer
 let incremental t = t.incremental_checker
-let events_processed t = t.n_events
+let events_processed t = Metrics.get t.metrics_store Metrics.events
 let events_shed t = t.n_shed
 let config t = t.cfg
 
@@ -302,17 +300,9 @@ let tracer t = !(t.tracer_cell)
 
 let set_tracer t tracer =
   t.tracer_cell := tracer;
-  (match t.netlog_instance with
+  match t.netlog_instance with
   | Some nl -> Netlog.set_tracer nl tracer
-  | None -> ());
-  (* Per-stage latency distributions become first-class metrics, so one
-     [Metrics.pp_registry] shows counters and span latencies together. *)
-  List.iter
-    (fun (kind, hist) ->
-      Metrics.attach_histogram t.metrics_store
-        ("span." ^ Obs.Span.kind_name kind)
-        hist)
-    (Obs.Tracer.histograms tracer)
+  | None -> ()
 
 (* The service state applications see through their context. Normally the
    ingesting services; the cluster layer overrides it with a replica built
@@ -366,7 +356,6 @@ let rec drain_replies t deps =
    barrier chases and checkpoints (sequential) versus per-batch ones
    (sharded). *)
 let dispatch_with t deps event =
-  t.n_events <- t.n_events + 1;
   let tracer = !(t.tracer_cell) in
   let attrs =
     if Obs.Tracer.enabled tracer then
@@ -375,7 +364,7 @@ let dispatch_with t deps event =
   in
   Obs.Tracer.with_span tracer ~attrs Obs.Span.Event_root (fun () ->
       Obs.Hub.emit t.obs_hub (Obs.Hub.Dispatched event);
-      Metrics.incr_events t.metrics_store;
+      Metrics.bump t.metrics_store Metrics.events;
       List.iter (dispatch_unit t deps event) t.units;
       drain_replies t deps)
 

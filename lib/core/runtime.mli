@@ -217,10 +217,10 @@ val set_tracer : t -> Obs.Tracer.t -> unit
 (** Install a tracer: every event dispatch opens an [Event_root] span with
     nested per-stage spans (app delivery, detection, transaction
     commit/rollback, recovery), and delivery/cache activity is marked as
-    instants. The tracer's per-kind latency histograms are registered in
-    {!metrics} under ["span.<kind>"]. *)
+    instants. *)
 
 val events_processed : t -> int
+(** The {!Metrics.events} counter of {!metrics}. *)
 
 val events_shed : t -> int
 (** Notifications dropped by the broadcast-storm guard (see

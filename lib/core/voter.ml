@@ -131,8 +131,8 @@ let ship (deps : Crashpad.deps) t ~donor recipients =
       (fun r ->
         let bytes = Checkpoint.Chunk_store.materialize t.ship_store manifest in
         Sandbox.restore_bytes r.box bytes;
-        Metrics.incr_nv_resyncs deps.Crashpad.metrics;
-        Metrics.add_nv_resync_bytes deps.Crashpad.metrics logical;
+        Metrics.bump deps.Crashpad.metrics Metrics.nv_resyncs;
+        Metrics.bump_by deps.Crashpad.metrics Metrics.nv_resync_bytes logical;
         Obs.Tracer.instant deps.Crashpad.tracer
           ~attrs:[ ("app", t.vname); ("bytes", string_of_int logical) ]
           Obs.Span.State_transfer)
@@ -152,7 +152,7 @@ let bundle_failed cfg deps t event failure =
   ship deps t ~donor:(primary_variant t) (List.tl t.variants)
 
 let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
-  Metrics.incr_nv_events deps.metrics;
+  Metrics.bump deps.metrics Metrics.nv_events;
   let tracer = deps.tracer in
   let live =
     List.filter
@@ -207,7 +207,7 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
             (List.map (fun (v, _) -> v.box) casualties));
       bundle_failed cfg deps t event failure
   | Some e -> (
-      if not e.majority then Metrics.incr_nv_no_majority deps.metrics;
+      if not e.majority then Metrics.bump deps.metrics Metrics.nv_no_majority;
       let winner = List.hd e.winners in
       (* The elected output goes through exactly the screened commit a
          solo app's output does. *)
@@ -227,15 +227,15 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
           List.iter
             (fun b ->
               Sandbox.revert_last b.voter.box;
-              Metrics.incr_nv_outvoted deps.metrics;
+              Metrics.bump deps.metrics Metrics.nv_outvoted;
               Obs.Tracer.instant tracer
                 ~attrs:[ ("app", t.vname) ]
                 Obs.Span.Outvoted)
             e.losers;
-          if e.losers <> [] then Metrics.incr_nv_masked deps.metrics;
+          if e.losers <> [] then Metrics.bump deps.metrics Metrics.nv_masked;
           List.iter
             (fun (v, _) ->
-              Metrics.incr_nv_variant_crashes deps.metrics;
+              Metrics.bump deps.metrics Metrics.nv_variant_crashes;
               ignore (Sandbox.recover ~tracer v.box (deps.context ())))
             casualties;
           ship deps t ~donor:winner.voter
@@ -248,7 +248,7 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
               && List.length t.variants > 1
             then begin
               t.panel <- false;
-              Metrics.incr_nv_sheds deps.metrics
+              Metrics.bump deps.metrics Metrics.nv_sheds
             end
           end
           else t.quiet <- 0)
@@ -264,7 +264,7 @@ let shed_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
       if t.vcfg.nv_adaptive && List.length t.variants > 1 then begin
         t.panel <- true;
         t.quiet <- 0;
-        Metrics.incr_nv_grows deps.metrics;
+        Metrics.bump deps.metrics Metrics.nv_grows;
         ship deps t ~donor:(primary_variant t) (List.tl t.variants)
       end
 

@@ -194,10 +194,6 @@ let dropped = function Noop -> 0 | On st -> st.n_dropped
 let histogram t kind =
   match t with Noop -> None | On st -> Some st.hists.(kind_index kind)
 
-let histograms = function
-  | Noop -> []
-  | On st -> List.map (fun k -> (k, st.hists.(kind_index k))) Span.all_kinds
-
 let clear = function
   | Noop -> ()
   | On st ->

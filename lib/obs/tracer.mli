@@ -60,9 +60,6 @@ val dropped : t -> int
 val histogram : t -> Span.kind -> Histogram.t option
 (** Wall/logical duration histogram for one kind; [None] on {!noop}. *)
 
-val histograms : t -> (Span.kind * Histogram.t) list
-(** All kinds, in {!Span.all_kinds} order. [[]] on {!noop}. *)
-
 val clear : t -> unit
 (** Drop completed and open spans and histogram contents; ids keep
     counting from where they were. *)

@@ -67,7 +67,7 @@ let test_learning_switch_forgets_on_switch_down () =
   in
   Runtime.dispatch_event rt (Event.Switch_down 1);
   (* No assertion on internals — just that the handler runs clean. *)
-  T_util.checki "no crashes" 0 (Legosdn.Metrics.crashes (Runtime.metrics rt))
+  T_util.checki "no crashes" 0 Legosdn.Metrics.(get (Runtime.metrics rt) crashes)
 
 let test_router_installs_path_rules () =
   let net, rt =

@@ -68,7 +68,7 @@ let test_failstop_recovered_and_sibling_unaffected () =
   in
   Runtime.dispatch_event rt (packet_in_event 1 2);
   let m = Runtime.metrics rt in
-  T_util.checki "crash recorded" 1 (Metrics.crashes m);
+  T_util.checki "crash recorded" 1 Metrics.(get m crashes);
   let ls = Option.get (Runtime.sandbox rt "learning_switch") in
   T_util.checkb "app alive after recovery" true (Sandbox.alive ls);
   (* Firewall still sees traffic. *)
@@ -109,7 +109,7 @@ let test_byzantine_loop_blocked () =
       [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Learning_switch)) ]
   in
   Runtime.dispatch_event rt (packet_in_event ~sid:1 1 2);
-  T_util.checki "byzantine output blocked" 1 (Metrics.byzantine_blocked (Runtime.metrics rt));
+  T_util.checki "byzantine output blocked" 1 Metrics.(get (Runtime.metrics rt) byzantine);
   List.iter
     (fun sid ->
       T_util.checki "no loop rules committed" 0
@@ -128,7 +128,7 @@ let test_byzantine_blackhole_blocked () =
       [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Learning_switch)) ]
   in
   Runtime.dispatch_event rt (packet_in_event 1 2);
-  T_util.checki "blocked" 1 (Metrics.byzantine_blocked (Runtime.metrics rt));
+  T_util.checki "blocked" 1 Metrics.(get (Runtime.metrics rt) byzantine);
   T_util.checki "no black-hole rule" 0 (Flow_table.size (Net.switch net 1).Sw.table)
 
 let test_hang_recovered () =
@@ -143,7 +143,7 @@ let test_hang_recovered () =
   in
   Runtime.dispatch_event rt (packet_in_event 1 2);
   let m = Runtime.metrics rt in
-  T_util.checki "hang detected" 1 (Metrics.hangs m);
+  T_util.checki "hang detected" 1 Metrics.(get m hangs);
   (* Hang detection is slower than crash detection: charged as downtime. *)
   T_util.checkb "downtime charged" true
     (Metrics.app_downtime m ~app:"learning_switch" ~until:10. > 0.)
@@ -158,7 +158,7 @@ let test_no_compromise_disables () =
   Runtime.dispatch_event rt (packet_in_event 1 2);
   let ls = Option.get (Runtime.sandbox rt "learning_switch") in
   T_util.checkb "app taken out of service" false (Sandbox.alive ls);
-  T_util.checki "disabled metric" 1 (Metrics.disabled (Runtime.metrics rt));
+  T_util.checki "disabled metric" 1 Metrics.(get (Runtime.metrics rt) disabled);
   (* Further events are not delivered to a disabled app. *)
   Runtime.dispatch_event rt (packet_in_event 2 1);
   T_util.checki "no more crashes" 1 (Sandbox.crash_count ls)
@@ -172,8 +172,8 @@ let test_absolute_ignores () =
   in
   Runtime.dispatch_event rt (packet_in_event 1 2);
   let m = Runtime.metrics rt in
-  T_util.checki "ignored" 1 (Metrics.ignored m);
-  T_util.checki "not transformed" 0 (Metrics.transformed m);
+  T_util.checki "ignored" 1 Metrics.(get m ignored);
+  T_util.checki "not transformed" 0 Metrics.(get m transformed);
   let ls = Option.get (Runtime.sandbox rt "learning_switch") in
   T_util.checkb "app continues" true (Sandbox.alive ls)
 
@@ -183,8 +183,8 @@ let test_equivalence_transforms_switch_down () =
      links): the app crashes on it, Crash-Pad replays it as link-downs. *)
   Runtime.dispatch_event rt (Event.Switch_down 2);
   let m = Runtime.metrics rt in
-  T_util.checki "transformed once" 1 (Metrics.transformed m);
-  T_util.checki "one crash behind it" 1 (Metrics.crashes m);
+  T_util.checki "transformed once" 1 Metrics.(get m transformed);
+  T_util.checki "one crash behind it" 1 Metrics.(get m crashes);
   (* The link-down handler left marker rules: proof the alternative ran
      and committed. s2 had two links (to s1 and s3). *)
   let markers =
@@ -212,9 +212,9 @@ let test_equivalence_falls_back_to_ignore () =
   let _, rt = fresh [ App_sig.app (module Hopeless : App_sig.APP) ] in
   Runtime.dispatch_event rt (Event.Switch_down 2);
   let m = Runtime.metrics rt in
-  T_util.checki "fell back to ignoring" 1 (Metrics.ignored m);
-  T_util.checki "not recorded as transformed" 0 (Metrics.transformed m);
-  T_util.checkb "multiple crashes burned trying" true (Metrics.crashes m >= 2)
+  T_util.checki "fell back to ignoring" 1 Metrics.(get m ignored);
+  T_util.checki "not recorded as transformed" 0 Metrics.(get m transformed);
+  T_util.checkb "multiple crashes burned trying" true (Metrics.(get m crashes) >= 2)
 
 let test_checkpoint_every_k_replays () =
   let config =
@@ -230,8 +230,8 @@ let test_checkpoint_every_k_replays () =
   Runtime.dispatch_event rt (packet_in_event 3 1);
   Runtime.dispatch_event rt (packet_in_event 1 3);
   let m = Runtime.metrics rt in
-  T_util.checki "crashed on 4th" 1 (Metrics.crashes m);
-  T_util.checki "journal replayed (3 events since snapshot)" 3 (Metrics.replayed m);
+  T_util.checki "crashed on 4th" 1 Metrics.(get m crashes);
+  T_util.checki "journal replayed (3 events since snapshot)" 3 Metrics.(get m replayed);
   let ls = Option.get (Runtime.sandbox rt "learning_switch") in
   T_util.checkb "alive" true (Sandbox.alive ls)
 
@@ -254,7 +254,7 @@ let test_resource_limit_contains_leak () =
   let _, rt = fresh ~config [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Learning_switch)) ] in
   Runtime.dispatch_event rt (packet_in_event 1 2);
   let m = Runtime.metrics rt in
-  T_util.checki "breach detected" 1 (Metrics.resource_breaches m);
+  T_util.checki "breach detected" 1 Metrics.(get m resource_breaches);
   let ls = Option.get (Runtime.sandbox rt "learning_switch") in
   T_util.checkb "app restarted, not dead" true (Sandbox.alive ls);
   T_util.checkb "state shrunk back under the limit" true
@@ -274,7 +274,7 @@ let test_command_limit () =
   in
   let net, rt = fresh ~config [ (App_sig.app (module Apps.Flooder)) ] in
   Runtime.dispatch_event rt (packet_in_event 1 2);
-  T_util.checki "breach" 1 (Metrics.resource_breaches (Runtime.metrics rt));
+  T_util.checki "breach" 1 Metrics.(get (Runtime.metrics rt) resource_breaches);
   T_util.checki "commands never committed" 0
     (Flow_table.size (Net.switch net 1).Sw.table)
 
@@ -327,9 +327,9 @@ let test_runtime_never_dies () =
     Runtime.dispatch_event rt (packet_in_event (1 + (i mod 3)) (1 + ((i + 1) mod 3)))
   done;
   let m = Runtime.metrics rt in
-  T_util.checkb "crashes happened" true (Metrics.crashes m > 0);
-  T_util.checkb "hangs happened" true (Metrics.hangs m > 0);
-  T_util.checkb "byzantine happened" true (Metrics.byzantine_blocked m > 0);
+  T_util.checkb "crashes happened" true (Metrics.(get m crashes) > 0);
+  T_util.checkb "hangs happened" true (Metrics.(get m hangs) > 0);
+  T_util.checkb "byzantine happened" true (Metrics.(get m byzantine) > 0);
   let fw = Option.get (Runtime.sandbox rt "firewall") in
   (* 3 switch_up handshakes + 10 packet_ins. *)
   T_util.checki "the healthy app processed everything" 13
@@ -359,7 +359,7 @@ let test_delay_buffer_engine_end_to_end () =
   Runtime.dispatch_event rt (packet_in_event ~sid:2 2 1);
   T_util.checki "partial emission discarded, never installed" 0
     (Flow_table.size (Net.switch net 2).Sw.table);
-  T_util.checki "crash still recovered" 1 (Metrics.crashes (Runtime.metrics rt));
+  T_util.checki "crash still recovered" 1 Metrics.(get (Runtime.metrics rt) crashes);
   let box = Option.get (Runtime.sandbox rt "flooder") in
   T_util.checkb "app alive" true (Sandbox.alive box)
 
@@ -379,7 +379,7 @@ let test_byzantine_blocked_under_delay_buffer () =
   in
   let net, rt = fresh ~config [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Learning_switch)) ] in
   Runtime.dispatch_event rt (packet_in_event 1 2);
-  T_util.checki "blocked" 1 (Metrics.byzantine_blocked (Runtime.metrics rt));
+  T_util.checki "blocked" 1 Metrics.(get (Runtime.metrics rt) byzantine);
   T_util.checki "nothing installed" 0 (Flow_table.size (Net.switch net 1).Sw.table)
 
 (* Robustness: any event stream — valid, stale or nonsensical — must flow

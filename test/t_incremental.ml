@@ -462,8 +462,8 @@ let test_partition_heal_resync_equivalence () =
   T_util.checkb "resync repaired the path" true (Net.reachable net 1 3);
   check_agrees "agrees after resync replay" eng net;
   T_util.checkb "metrics saw cache traffic" true
-    (Metrics.inv_trace_hits (Runtime.metrics rt)
-     + Metrics.inv_trace_misses (Runtime.metrics rt)
+    (Metrics.(get (Runtime.metrics rt) inv_hits)
+     + Metrics.(get (Runtime.metrics rt) inv_misses)
     > 0)
 
 let suite =

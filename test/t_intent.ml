@@ -29,7 +29,7 @@ let test_reconcile_programs_switches () =
   Runtime.step rt;
   let m = Runtime.metrics rt in
   T_util.checkb "intent reconciled at least once" true
-    (Metrics.policy_reconciles m >= 1);
+    (Metrics.(get m policy_reconciles) >= 1);
   T_util.checkb "rules installed on switch 1" true (table_size net 1 > 0);
   T_util.checkb "rules installed on switch 2" true (table_size net 2 > 0);
   (match Runtime.sandboxes rt with
@@ -45,14 +45,14 @@ let test_reconcile_programs_switches () =
   T_util.checki "telnet blocked in hardware" delivered_before
     (Net.stats net).Net.delivered;
   (* ...while web traffic floods through without ever punting. *)
-  let events_before = Metrics.events m in
+  let events_before = Metrics.(get m events) in
   Clock.advance_by clock 0.05;
   Net.inject net 1 (Openflow.Packet.tcp ~src_host:1 ~dst_host:2 ~dport:80 ());
   Runtime.step rt;
   T_util.checkb "http delivered" true
     ((Net.stats net).Net.delivered > delivered_before);
   T_util.checki "no punt: table covered the packet" events_before
-    (Metrics.events m)
+    Metrics.(get m events)
 
 (* ---------------- rejection ---------------- *)
 
@@ -87,8 +87,8 @@ let test_looping_intent_rejected () =
   let rt = Runtime.create net [ App_sig.intent (module Loopy) ] in
   Runtime.step rt;
   let m = Runtime.metrics rt in
-  T_util.checkb "looping intent rejected" true (Metrics.policy_rejected m >= 1);
-  T_util.checki "no reconcile recorded" 0 (Metrics.policy_reconciles m);
+  T_util.checkb "looping intent rejected" true (Metrics.(get m policy_rejected) >= 1);
+  T_util.checki "no reconcile recorded" 0 Metrics.(get m policy_reconciles);
   T_util.checki "switch 1 table untouched" 0 (table_size net 1);
   T_util.checki "switch 2 table untouched" 0 (table_size net 2);
   match Runtime.sandboxes rt with
@@ -126,9 +126,9 @@ let test_compromise_reroutes_after_crash () =
   done;
   let m = Runtime.metrics rt in
   T_util.checkb "routes installed before the failure" true
-    (Metrics.policy_reconciles m >= 1);
-  T_util.checki "no compromise yet" 0 (Metrics.policy_compromises m);
-  T_util.checki "no crash yet" 0 (Metrics.crashes m);
+    (Metrics.(get m policy_reconciles) >= 1);
+  T_util.checki "no compromise yet" 0 Metrics.(get m policy_compromises);
+  T_util.checki "no crash yet" 0 Metrics.(get m crashes);
   (* Cut the 1<->2 link. The app subscribes to no topology event, so the
      routes through it simply went stale. *)
   Net.apply_fault net (Net.Link_down (Topology.Switch 1, Topology.Switch 2));
@@ -139,9 +139,9 @@ let test_compromise_reroutes_after_crash () =
   Clock.advance_by clock 0.05;
   Net.inject net 1 (Openflow.Packet.tcp ~src_host:1 ~dst_host:4 ~dport:7 ());
   Runtime.step rt;
-  T_util.checkb "crash absorbed" true (Metrics.crashes m >= 1);
+  T_util.checkb "crash absorbed" true (Metrics.(get m crashes) >= 1);
   T_util.checkb "compromise derived from compiled policy" true
-    (Metrics.policy_compromises m >= 1);
+    (Metrics.(get m policy_compromises) >= 1);
   List.iter
     (fun box -> T_util.checkb "app still alive" true (Sandbox.alive box))
     (Runtime.sandboxes rt);

@@ -160,11 +160,11 @@ let test_byzantine_variant_masked () =
   let clock, net, rt = panel [ (hub, true); (hub, true); (byz, false) ] in
   inject_pairs net clock rt 6;
   let m = Runtime.metrics rt in
-  T_util.checkb "panel voted" true (Metrics.nv_events m >= 6);
-  T_util.checkb "byzantine output masked" true (Metrics.nv_masked m >= 1);
+  T_util.checkb "panel voted" true (Metrics.(get m nv_events) >= 6);
+  T_util.checkb "byzantine output masked" true (Metrics.(get m nv_masked) >= 1);
   T_util.checkb "outvoted at least once per masked event" true
-    (Metrics.nv_outvoted m >= Metrics.nv_masked m);
-  T_util.checki "masking is not a counted failure" 0 (Metrics.crashes m);
+    (Metrics.(get m nv_outvoted) >= Metrics.(get m nv_masked));
+  T_util.checki "masking is not a counted failure" 0 Metrics.(get m crashes);
   T_util.checki "masking files no ticket" 0
     (List.length (Runtime.tickets rt));
   List.iter
@@ -184,8 +184,8 @@ let test_variant_crash_is_masked () =
   inject_pairs net clock rt 4;
   let m = Runtime.metrics rt in
   T_util.checkb "variant crashes recorded" true
-    (Metrics.nv_variant_crashes m >= 1);
-  T_util.checki "no bundle failure" 0 (Metrics.crashes m);
+    (Metrics.(get m nv_variant_crashes) >= 1);
+  T_util.checki "no bundle failure" 0 Metrics.(get m crashes);
   T_util.checkb "hub still forwarded traffic" true
     ((Net.stats net).Net.delivered > 0)
 
@@ -202,9 +202,9 @@ let test_every_variant_crashes () =
   Runtime.set_tracer rt tracer;
   inject_pairs net clock rt 1;
   let m = Runtime.metrics rt in
-  T_util.checki "one counted crash" 1 (Metrics.crashes m);
+  T_util.checki "one counted crash" 1 Metrics.(get m crashes);
   T_util.checki "one ticket" 1 (List.length (Runtime.tickets rt));
-  T_util.checki "no crash was masked" 0 (Metrics.nv_variant_crashes m);
+  T_util.checki "no crash was masked" 0 Metrics.(get m nv_variant_crashes);
   T_util.checki "every variant recovered" 3
     (List.length
        (List.filter
@@ -238,7 +238,7 @@ let test_two_variant_split () =
   in
   Runtime.dispatch_event rt (packet_in 1 2);
   T_util.checki "no majority counted" 1
-    (Metrics.nv_no_majority (Runtime.metrics rt));
+    Metrics.(get (Runtime.metrics rt) nv_no_majority);
   Alcotest.(check (list int)) "the first-arrival rule landed" [ 10 ]
     (List.map (fun (e : Netsim.Flow_entry.t) -> e.priority) (entries net 1))
 
@@ -253,7 +253,7 @@ let test_majority_loop_blocked () =
   in
   inject_pairs net clock rt 1;
   let m = Runtime.metrics rt in
-  T_util.checki "one byzantine failure" 1 (Metrics.byzantine_blocked m);
+  T_util.checki "one byzantine failure" 1 Metrics.(get m byzantine);
   T_util.checki "one ticket" 1 (List.length (Runtime.tickets rt));
   T_util.checkb "no rule landed" true
     (List.for_all
@@ -280,9 +280,9 @@ let test_adaptive_shed_and_grow () =
   | _ -> Alcotest.fail "expected exactly one panel");
   inject_pairs net clock rt 8;
   let m = Runtime.metrics rt in
-  T_util.checkb "panel shed while clean" true (Metrics.nv_sheds m >= 1);
+  T_util.checkb "panel shed while clean" true (Metrics.(get m nv_sheds) >= 1);
   T_util.checkb "panel re-grown on the shed-mode failure" true
-    (Metrics.nv_grows m >= 1);
+    (Metrics.(get m nv_grows) >= 1);
   match Runtime.voters rt with
   | [ v ] -> T_util.checkb "panel active again" true (Voter.panel_active v)
   | _ -> Alcotest.fail "expected exactly one panel"

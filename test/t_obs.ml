@@ -227,51 +227,52 @@ let test_runtime_dispatch_stream_via_hub () =
 
 (* ---------------- the metrics registry ---------------- *)
 
+(* The names the end-to-end benchmark reads counters by, in the order it
+   reports them. *)
+let counter_names =
+  [
+    "events"; "crashes"; "hangs"; "byzantine"; "ignored"; "transformed";
+    "disabled"; "replayed"; "dropped-in-replay"; "resource-breaches";
+    "quarantined"; "suppressed"; "retransmits"; "barrier-acks"; "resyncs";
+    "resynced-rules"; "unreachable"; "inv-hits"; "inv-misses";
+    "inv-invalidations"; "inv-recaptures"; "inv-memoized"; "inv-evictions";
+    "checkpoints"; "ckpt-restores"; "ckpt-chunk-hits"; "ckpt-chunk-misses";
+    "ckpt-bytes-deduped"; "ckpt-bytes-written"; "counter-cache-evictions";
+    "policy_compromises"; "policy_rejected"; "policy_reconciles";
+    "nversion_events"; "nversion_masked"; "nversion_outvoted";
+    "nversion_variant_crashes"; "nversion_no_majority"; "nversion_resyncs";
+    "nversion_resync_bytes"; "nversion_sheds"; "nversion_grows";
+  ]
+
+(* Counter [i] of [Metrics.all] holds [i + 1]. *)
+let numbered_store () =
+  let m = Metrics.create () in
+  List.iteri (fun i s -> Metrics.bump_by m s (i + 1)) Metrics.all;
+  m
+
 let test_metrics_registry () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "my.counter" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  checki "counter value" 5 (Metrics.value c);
-  let c' = Metrics.counter m "my.counter" in
-  Metrics.incr c';
-  checki "find-or-register shares state" 6 (Metrics.value c);
-  (match Metrics.counter m "events" with
-  | c -> checkb "legacy counter reachable by name" true (Metrics.value c = 0));
-  Metrics.incr_events m;
-  checki "legacy incr and registry agree" 1 (Metrics.events m);
-  (match Metrics.find m "events" with
-  | Some (Metrics.Counter c) -> checki "via find" 1 (Metrics.value c)
-  | _ -> Alcotest.fail "events not registered as a counter");
-  let g = Metrics.gauge m "my.gauge" in
-  Metrics.set g 2.5;
-  checkb "gauge" true (Metrics.gauge_value g = 2.5);
-  checkb "type clash raises" true
-    (match Metrics.gauge m "my.counter" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let h = Obs.Histogram.create () in
-  Obs.Histogram.observe h 1e-6;
-  Metrics.attach_histogram m "span.event" h;
-  (match Metrics.find m "span.event" with
-  | Some (Metrics.Histogram h') ->
-      checki "attached histogram is shared" 1 (Obs.Histogram.count h')
-  | _ -> Alcotest.fail "span.event not registered as a histogram");
-  (* Registration order: pre-registered legacy counters first, then ours. *)
-  (match Metrics.names m with
-  | "events" :: _ -> ()
-  | other ->
-      Alcotest.failf "expected events first, got %s"
-        (String.concat "," other));
-  checkb "our names present, in order" true
-    (let names = Metrics.names m in
-     let pos x = Option.get (List.find_index (( = ) x) names) in
-     pos "my.counter" < pos "my.gauge" && pos "my.gauge" < pos "span.event")
+  Metrics.bump m Metrics.crashes;
+  Metrics.bump_by m Metrics.crashes 4;
+  checki "bump and bump_by" 5 (Metrics.get m Metrics.crashes);
+  checki "stores are independent" 0
+    (Metrics.get (Metrics.create ()) Metrics.crashes);
+  Alcotest.(check (list string))
+    "names, in declaration order" counter_names (Metrics.names m);
+  (* [find] by name reaches the same slot as the stat at that position. *)
+  let m = numbered_store () in
+  List.iteri
+    (fun i name ->
+      match Metrics.find m name with
+      | Some (Metrics.Counter c) -> checki name (i + 1) (Metrics.value c)
+      | None -> Alcotest.failf "%s not found" name)
+    counter_names;
+  checkb "unknown name" true (Metrics.find m "no-such-counter" = None)
 
 let test_metrics_pp_format_unchanged () =
   let m = Metrics.create () in
-  Metrics.incr_events m;
-  Metrics.incr_crash m;
+  Metrics.bump m Metrics.events;
+  Metrics.bump m Metrics.crashes;
   let s = Format.asprintf "%a" Metrics.pp m in
   checkb "summary line starts as before" true
     (String.length s >= 8 && String.sub s 0 8 = "events=1");
@@ -279,29 +280,30 @@ let test_metrics_pp_format_unchanged () =
     (let re = "crashes=1" in
      let n = String.length s and k = String.length re in
      let rec scan i = i + k <= n && (String.sub s i k = re || scan (i + 1)) in
-     scan 0)
+     scan 0);
+  Alcotest.(check string)
+    "every counter in its place"
+    "events=1 crashes=2 hangs=3 byzantine=4\n\
+     ignored=5 transformed=6 disabled=7\n\
+     replayed=8 dropped-in-replay=9 resource-breaches=10\n\
+     quarantined=11 suppressed=12\n\
+     retransmits=13 barrier-acks=14 resyncs=15 resynced-rules=16 \
+     unreachable=17\n\
+     inv-cache hits=18 misses=19 invalidations=20 recaptures=21 \
+     memoized=22 evictions=23\n\
+     checkpoints=24 ckpt-restores=25 ckpt-chunk hits=26 misses=27 \
+     deduped=28 written=29 cc-evictions=30\n\
+     nversion events=34 masked=35 outvoted=36 variant-crashes=37 \
+     no-majority=38 nv-resyncs=39 nv-resync-bytes=40 sheds=41 grows=42"
+    (Format.asprintf "%a" Metrics.pp (numbered_store ()))
 
-(* Reading a metric never registers one: the summary line and every flat
-   reader go through handles created with the registry. *)
+(* Reading a metric never registers one. *)
 let test_metrics_reads_register_nothing () =
   let m = Metrics.create () in
   let before = Metrics.names m in
   ignore (Format.asprintf "%a" Metrics.pp m);
-  List.iter
-    (fun read -> ignore (read m))
-    Metrics.
-      [
-        events; crashes; hangs; byzantine_blocked; ignored; transformed;
-        disabled; replayed; dropped_in_replay; resource_breaches; quarantined;
-        suppressed; retransmits; barrier_acks; resyncs; resynced_rules;
-        unreachable; policy_compromises; policy_rejected; policy_reconciles;
-        nv_events; nv_masked; nv_outvoted; nv_variant_crashes; nv_no_majority;
-        nv_resyncs; nv_resync_bytes; nv_sheds; nv_grows; inv_trace_hits;
-        inv_trace_misses; inv_invalidations; inv_recaptures;
-        inv_memoized_checks; inv_evictions; inv_cache_bytes; checkpoints;
-        ckpt_restores; ckpt_chunk_hits; ckpt_chunk_misses; ckpt_bytes_deduped;
-        ckpt_bytes_written; counter_cache_evictions;
-      ];
+  List.iter (fun s -> ignore (Metrics.get m s)) Metrics.all;
+  List.iter (fun name -> ignore (Metrics.find m name)) ("unknown" :: before);
   Alcotest.(check (list string)) "names unchanged" before (Metrics.names m)
 
 (* ---------------- histogram quantile bounds (qcheck) ---------------- *)

@@ -119,9 +119,9 @@ let test_runtime_integration () =
   let m = Runtime.metrics rt in
   (* Crashes stop at the threshold; the remaining four deliveries are
      suppressed without ever reaching the app. *)
-  T_util.checki "crash churn capped at threshold" 2 (Metrics.crashes m);
-  T_util.checki "signature quarantined once" 1 (Metrics.quarantined m);
-  T_util.checki "subsequent deliveries suppressed" 4 (Metrics.suppressed m);
+  T_util.checki "crash churn capped at threshold" 2 Metrics.(get m crashes);
+  T_util.checki "signature quarantined once" 1 Metrics.(get m quarantined);
+  T_util.checki "subsequent deliveries suppressed" 4 Metrics.(get m suppressed);
   (* Healthy traffic still flows to the app. *)
   Runtime.dispatch_event rt (packet_in 1 2);
   let box = Option.get (Runtime.sandbox rt "learning_switch") in

@@ -117,17 +117,19 @@ let test_resync_repairs_rebooted_switch () =
   T_util.checkb "resync repaired forwarding without new traffic" true
     (Net.reachable net 1 3);
   let m = Runtime.metrics rt in
-  T_util.checkb "resync counted" true (Metrics.resyncs m >= 1);
-  T_util.checkb "rules replayed" true (Metrics.resynced_rules m >= 1)
+  T_util.checkb "resync counted" true (Metrics.(get m resyncs) >= 1);
+  T_util.checkb "rules replayed" true (Metrics.(get m resynced_rules) >= 1)
 
 let test_no_resync_without_reliable_layer () =
   let _, net, rt = reboot_scenario ~reliable_on:false in
   T_util.checkb "disabled layer leaves the path black-holed" false
     (Net.reachable net 1 3);
-  T_util.checki "no resyncs" 0 (Metrics.resyncs (Runtime.metrics rt))
+  T_util.checki "no resyncs" 0 Metrics.(get (Runtime.metrics rt) resyncs)
 
 (* Transactions against a degraded switch abort cleanly: the crashpad
-   screen turns them into Unreachable failures before anything is sent. *)
+   screen turns them into Unreachable failures before anything is sent.
+   Degrading the switch refuses nothing by itself; the first transaction
+   that targets it is refused and ticketed. *)
 let test_unreachable_screen_aborts_transactions () =
   let clock = Clock.create () in
   let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
@@ -153,9 +155,32 @@ let test_unreachable_screen_aborts_transactions () =
     Runtime.step rt
   done;
   let rel = Option.get (Runtime.reliable rt) in
+  let m = Runtime.metrics rt in
   T_util.checkb "switch 2 degraded" true (Reliable.is_degraded rel 2);
+  T_util.checki "degrading refuses no transaction" 0
+    Metrics.(get m unreachable);
+  let seen = List.map (fun t -> t.Legosdn.Ticket.id) (Runtime.tickets rt) in
+  Runtime.dispatch_event rt
+    (Controller.Event.Packet_in
+       ( 2,
+         {
+           Message.pi_buffer_id = None;
+           pi_in_port = 1;
+           pi_reason = Message.No_match;
+           pi_packet = Packet.tcp ~src_host:1 ~dst_host:3 ();
+         } ));
   T_util.checkb "unreachable aborts counted" true
-    (Metrics.unreachable (Runtime.metrics rt) >= 1)
+    (Metrics.(get m unreachable) >= 1);
+  match
+    List.filter
+      (fun t -> not (List.mem t.Legosdn.Ticket.id seen))
+      (Runtime.tickets rt)
+  with
+  | [ t ] ->
+      let prefix = "unreachable: switch 2 " in
+      T_util.checkb "diagnosis names switch 2" true
+        (String.starts_with ~prefix t.Legosdn.Ticket.diagnosis)
+  | ts -> Alcotest.failf "expected one new ticket, got %d" (List.length ts)
 
 let suite =
   [

@@ -77,12 +77,12 @@ let test_controller_always_survives () =
     (* The injected bug actually fired in most seeds; when it did, every
        failure was converted into a policy outcome (nothing unaccounted). *)
     let failures =
-      Metrics.crashes metrics + Metrics.hangs metrics
-      + Metrics.byzantine_blocked metrics
+      Metrics.(get metrics crashes) + Metrics.(get metrics hangs)
+      + Metrics.(get metrics byzantine)
     in
     let outcomes =
-      Metrics.ignored metrics + Metrics.transformed metrics
-      + Metrics.disabled metrics
+      Metrics.(get metrics ignored) + Metrics.(get metrics transformed)
+      + Metrics.(get metrics disabled)
     in
     T_util.checkb
       (Printf.sprintf "seed %d: failures (%d) imply outcomes (%d)" seed
