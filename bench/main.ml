@@ -1,4 +1,4 @@
-(* Wall-clock micro-benchmarks, one cluster per experiment of
+(* Wall-clock micro-benchmarks, one group per experiment of
    EXPERIMENTS.md. Absolute numbers depend on the host; the experiments
    care about the *relative* shape (e.g. isolation costs a serialization
    roundtrip per hop; checkpoint cost grows with state size; recovery cost
@@ -201,147 +201,6 @@ let bench_netlog () =
     [ 1; 16; 64 ]
 
 (* ------------------------------------------------------------------ *)
-(* Substrate costs: codec, data plane, invariant checker. *)
-
-let bench_substrate () =
-  let fm =
-    Openflow.Message.message
-      (Openflow.Message.Flow_mod
-         (Openflow.Message.flow_add
-            (Openflow.Ofp_match.make ~tp_dst:80 ())
-            [ Openflow.Action.Output 2 ]))
-  in
-  let fm_bytes = Openflow.Codec.encode fm in
-  let net =
-    Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 8)
-  in
-  ignore (Net.poll net);
-  (* Program the chain for h1 -> h8. *)
-  let dst_mac = Openflow.Types.mac_of_host 8 in
-  for sid = 1 to 7 do
-    ignore
-      (Net.send net sid
-         (Openflow.Message.message
-            (Openflow.Message.Flow_mod
-               (Openflow.Message.flow_add
-                  (Openflow.Ofp_match.make ~dl_dst:dst_mac ())
-                  [ Openflow.Action.Output (if sid = 1 then 1 else 2) ]))))
-  done;
-  ignore
-    (Net.send net 8
-       (Openflow.Message.message
-          (Openflow.Message.Flow_mod
-             (Openflow.Message.flow_add
-                (Openflow.Ofp_match.make ~dl_dst:dst_mac ())
-                [ Openflow.Action.Output 100 ]))));
-  let pkt = Openflow.Packet.tcp ~src_host:1 ~dst_host:8 () in
-  [
-    Test.make ~name:"codec-encode-flow-mod"
-      (Staged.stage (fun () -> ignore (Openflow.Codec.encode fm)));
-    Test.make ~name:"codec-decode-flow-mod"
-      (Staged.stage (fun () -> ignore (Openflow.Codec.decode fm_bytes)));
-    Test.make ~name:"dataplane-8-hop-delivery"
-      (Staged.stage (fun () ->
-           Net.inject net 1 pkt;
-           ignore (Net.poll net)));
-    Test.make ~name:"invariant-check-linear-8"
-      (Staged.stage (fun () ->
-           ignore (Invariants.Checker.check (Invariants.Snapshot.of_net net))));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Crash-Pad machinery: policy decisions, transformations, quarantine
-   lookups — all on every dispatch, so their unit cost matters. *)
-
-let bench_crashpad_machinery () =
-  let policy =
-    Legosdn.Recovery_policy.make ~default:Legosdn.Recovery_policy.Equivalence
-      [
-        { Legosdn.Recovery_policy.app = Some "firewall"; kind = None;
-          action = Legosdn.Recovery_policy.No_compromise };
-        { Legosdn.Recovery_policy.app = None; kind = Some Event.K_switch_down;
-          action = Legosdn.Recovery_policy.Equivalence };
-        { Legosdn.Recovery_policy.app = Some "lb"; kind = Some Event.K_packet_in;
-          action = Legosdn.Recovery_policy.Absolute };
-      ]
-  in
-  let links_of _ =
-    List.init 8 (fun i ->
-        { Event.src_switch = 1; src_port = i + 1; dst_switch = i + 2; dst_port = 1 })
-  in
-  let quarantine = Legosdn.Quarantine.create () in
-  let ev = packet_in_event 1 2 in
-  for i = 1 to 50 do
-    Legosdn.Quarantine.add quarantine ~app:"app" (packet_in_event i (i + 1))
-  done;
-  [
-    Test.make ~name:"policy-decide"
-      (Staged.stage (fun () ->
-           ignore (Legosdn.Recovery_policy.decide policy ~app:"router" Event.K_packet_in)));
-    Test.make ~name:"transform-switch-down"
-      (Staged.stage (fun () ->
-           ignore (Legosdn.Transform.equivalents ~links_of (Event.Switch_down 1))));
-    Test.make ~name:"quarantine-miss-lookup-50-entries"
-      (Staged.stage (fun () ->
-           ignore (Legosdn.Quarantine.blocked quarantine ~app:"app" ev)));
-  ]
-
-(* Topology-sized costs: STP recompute and invariant checks on a fat-tree. *)
-
-let bench_topology_scale () =
-  let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.fat_tree 4) in
-  let rt = Runtime.create net [ (App_sig.app (module Apps.Spanning_tree)) ] in
-  Runtime.step rt;
-  let services_links =
-    Controller.Services.context
-      (Runtime.services rt)
-  in
-  let snap = Invariants.Snapshot.of_net net in
-  [
-    Test.make ~name:"stp-recompute-fat-tree-k4"
-      (Staged.stage (fun () ->
-           ignore
-             (Apps.Spanning_tree.handle services_links
-                (Apps.Spanning_tree.init ())
-                (Event.Link_up
-                   { Event.src_switch = 1; src_port = 1; dst_switch = 5; dst_port = 1 }))));
-    Test.make ~name:"invariant-check-fat-tree-k4"
-      (Staged.stage (fun () -> ignore (Invariants.Checker.check snap)));
-    Test.make ~name:"snapshot-of-fat-tree-k4"
-      (Staged.stage (fun () -> ignore (Invariants.Snapshot.of_net net)));
-  ]
-
-(* End-to-end scenario throughput: one full 10-virtual-second availability
-   run per iteration (the unit of work behind E7). *)
-
-let bench_scenario () =
-  let scenario =
-    Workload.Scenario.make
-      ~make_topology:(fun () -> Topo_gen.linear ~hosts_per_switch:1 3)
-      ~duration:10.
-      ~traffic:
-        (Workload.Traffic.schedule
-           (Workload.Traffic.uniform_pairs ~seed:3 ~hosts:[ 1; 2; 3 ] ~flows:30
-              ~duration:10. ()))
-      ~tick_interval:1. ()
-  in
-  [
-    Test.make ~name:"scenario-10s-legosdn"
-      (Staged.stage (fun () ->
-           ignore
-             (Workload.Scenario.run scenario ~make_driver:(fun net ->
-                  Workload.Scenario.legosdn_driver
-                    (Runtime.create net [ (App_sig.app (module Apps.Learning_switch)) ])))));
-    Test.make ~name:"scenario-10s-monolithic"
-      (Staged.stage (fun () ->
-           ignore
-             (Workload.Scenario.run scenario ~make_driver:(fun net ->
-                  Workload.Scenario.monolithic_driver
-                    (Monolithic.create net [ (App_sig.app (module Apps.Learning_switch)) ])))));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* E20 — the control-channel fault model and the reliable-delivery layer:
    verdict draw cost, the barrier-chasing overhead on a perfect channel,
    and a full send+drain cycle over 10% loss. Each iteration installs and
@@ -473,12 +332,9 @@ let bench_incremental () =
    warmed learning switch, restore latency across journal depths
    (materialize + replay), and a deterministic steady-state byte-accounting
    experiment. The byte numbers are not timed — they are exact counters
-   from the checkpoint store, surfaced through the JSON "derived" section
-   so CI can assert the delta-vs-full reduction without rerunning. *)
+   from the checkpoint store, and their ratio carries the group's floor. *)
 
 module Checkpoint = Legosdn.Checkpoint
-
-let ckpt_stats : (string * float) list ref = ref []
 
 (* One availability-style run: warm the app on an 8-host pair mix, then
    keep replaying the same pairs (steady state — learned state no longer
@@ -514,17 +370,6 @@ let bench_ckpt () =
     steady_state_bytes (fun () ->
         Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) ())
   in
-  ckpt_stats :=
-    [
-      ("ckpt-steady-full-bytes-written", full_bytes);
-      ("ckpt-steady-delta-bytes-written", delta_bytes);
-      ( "ckpt-bytes-ratio-full-over-delta",
-        if delta_bytes > 0. then full_bytes /. delta_bytes else nan );
-      ("ckpt-chunk-hits", float_of_int (Checkpoint.chunk_hits delta_c));
-      ("ckpt-chunk-misses", float_of_int (Checkpoint.chunk_misses delta_c));
-      ( "ckpt-bytes-deduped",
-        float_of_int (Checkpoint.chunk_bytes_deduped delta_c) );
-    ];
   let inst = learning_switch_with_macs 1_000 in
   let full = Checkpoint.create ~every:1 in
   Checkpoint.take full inst;
@@ -551,50 +396,40 @@ let bench_ckpt () =
                    restored := updated)
                  journal))
   in
-  [
-    Test.make ~name:"take-full-1000-macs"
-      (Staged.stage (fun () -> Checkpoint.take full inst));
-    (* Steady state for the delta store: every chunk hits, so this measures
-       the chunking + digest walk rather than storage. *)
-    Test.make ~name:"take-delta-1000-macs"
-      (Staged.stage (fun () -> Checkpoint.take delta inst));
-  ]
-  @ List.map restore_test [ 0; 16; 64; 256 ]
+  ( [
+      Test.make ~name:"take-full-1000-macs"
+        (Staged.stage (fun () -> Checkpoint.take full inst));
+      (* Steady state for the delta store: every chunk hits, so this
+         measures the chunking + digest walk rather than storage. *)
+      Test.make ~name:"take-delta-1000-macs"
+        (Staged.stage (fun () -> Checkpoint.take delta inst));
+    ]
+    @ List.map restore_test [ 0; 16; 64; 256 ],
+    [
+      ("ckpt-steady-full-bytes-written", full_bytes);
+      ("ckpt-steady-delta-bytes-written", delta_bytes);
+      ("ckpt-chunk-hits", float_of_int (Checkpoint.chunk_hits delta_c));
+      ("ckpt-chunk-misses", float_of_int (Checkpoint.chunk_misses delta_c));
+      ( "ckpt-bytes-deduped",
+        float_of_int (Checkpoint.chunk_bytes_deduped delta_c) );
+    ] )
 
 (* ------------------------------------------------------------------ *)
-(* E22 — observability overhead: the same control-loop hot paths with the
-   no-op tracer vs a live ring-buffer tracer, plus the tracer's unit
-   costs. The derived "obs-*-overhead" ratios are the acceptance numbers:
-   tracing on must stay within a few percent of tracing off on the
-   dispatch path, and the no-op tracer is a single branch. *)
+(* E22 — observability overhead: the byzantine screen with the no-op
+   tracer vs a live ring-buffer tracer, plus the tracer's unit costs.
+   perfbench's obs.trace_overhead measures the whole traced loop. *)
 
 let bench_obs () =
-  let make_rt () =
-    let net =
-      Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 3)
-    in
-    let rt = Runtime.create net [ (App_sig.app (module Apps.Hub)) ] in
-    Runtime.step rt;
-    (net, rt)
-  in
-  let off_net, off_rt = make_rt () in
-  let on_net, on_rt = make_rt () in
-  (* A modest ring reaches wraparound (steady state) during warm-up, so
-     the measured slope is the tracer's per-span work rather than the
-     live-heap growth of a still-filling 65536-slot ring. *)
-  let ring = 8192 in
-  Runtime.set_tracer on_rt
-    (Obs.Tracer.create ~capacity:ring
-       ~now:(fun () -> Clock.now (Net.clock on_net))
-       ());
-  let ev = packet_in_event 1 2 in
   (* The per-transaction screening call (E21's hot path), traced vs not. *)
   let screen_net = Net.create (Clock.create ()) (Topo_gen.fat_tree 4) in
   ignore (Net.poll screen_net);
   let screen_engine = Invariants.Incremental.create screen_net in
   ignore (Invariants.Incremental.check screen_engine);
+  (* A modest ring reaches wraparound (steady state) during warm-up, so
+     the measured slope is the tracer's per-span work rather than the
+     live-heap growth of a still-filling 65536-slot ring. *)
   let screen_tracer =
-    Obs.Tracer.create ~capacity:ring
+    Obs.Tracer.create ~capacity:8192
       ~now:(fun () -> Clock.now (Net.clock screen_net))
       ()
   in
@@ -612,14 +447,6 @@ let bench_obs () =
   let prim = Obs.Tracer.create ~capacity:4096 ~now:(fun () -> 0.) () in
   let hist = Obs.Histogram.create () in
   [
-    Test.make ~name:"dispatch-tracing-off"
-      (Staged.stage (fun () ->
-           Runtime.dispatch_event off_rt ev;
-           ignore (Net.poll off_net)));
-    Test.make ~name:"dispatch-tracing-on"
-      (Staged.stage (fun () ->
-           Runtime.dispatch_event on_rt ev;
-           ignore (Net.poll on_net)));
     Test.make ~name:"screen-tracing-off"
       (Staged.stage (fun () -> screen Obs.Tracer.noop));
     Test.make ~name:"screen-tracing-on"
@@ -637,12 +464,10 @@ let bench_obs () =
 
 (* E24: replicated-cluster fail-over. Two acceptance numbers: the
    virtual-time gap between a leader kill and its successor serving
-   traffic (an exact counter from one scripted kill run, surfaced via the
-   derived section), and the wall-clock overhead of driving a 3-replica
-   cluster versus a single controller on the same fat-tree workload (the
-   derived "failover-replication-overhead" ratio, budget <= 2x). *)
-
-let failover_stats : (string * float) list ref = ref []
+   traffic (an exact counter from one scripted kill run), and the
+   wall-clock overhead of driving a 3-replica cluster versus a single
+   controller on the same fat-tree workload (the
+   "failover-replication-overhead" ratio, floor <= 2x). *)
 
 let bench_failover () =
   let cluster_config =
@@ -683,7 +508,7 @@ let bench_failover () =
     if i = 20 then Cluster.arm_kill killed;
     Cluster.tick killed
   done;
-  failover_stats :=
+  let counters =
     [
       ( "failover-latency-virtual-s",
         match Cluster.failover_latencies killed with
@@ -693,7 +518,8 @@ let bench_failover () =
         float_of_int (Cluster.replication_bytes killed) );
       ( "failover-state-transfers",
         float_of_int (Cluster.transfers_shipped killed) );
-    ];
+    ]
+  in
   (* Wall-clock cost of one driver tick, replicated vs solo, in steady
      state: both sides are warmed through the learning storm first, so
      the slope compares replication machinery, not first-contact
@@ -722,12 +548,12 @@ let bench_failover () =
     drive_cluster ();
     drive_solo ()
   done;
-  [
-    Test.make ~name:"drive-tick-cluster-3-fat-tree-k4"
-      (Staged.stage drive_cluster);
-    Test.make ~name:"drive-tick-solo-fat-tree-k4"
-      (Staged.stage drive_solo);
-  ]
+  ( [
+      Test.make ~name:"drive-tick-cluster-3-fat-tree-k4"
+        (Staged.stage drive_cluster);
+      Test.make ~name:"drive-tick-solo-fat-tree-k4" (Staged.stage drive_solo);
+    ],
+    counters )
 
 (* ------------------------------------------------------------------ *)
 
@@ -740,8 +566,6 @@ let bench_failover () =
    batch, one barrier per touched switch) and reuses codec buffers, which
    is exactly the claimed >=10x. Both drives process the same burst of
    events per step, so the ns/run ratio is the events/sec ratio. *)
-
-let dispatch_stats : (string * float) list ref = ref []
 
 let bench_dispatch () =
   let burst = 32 in
@@ -803,7 +627,10 @@ let bench_dispatch () =
   let sh_before = Runtime.events_processed sh_rt in
   drive_seq ();
   drive_sh ();
-  dispatch_stats :=
+  ( [
+      Test.make ~name:"flood-step-seq-fat-tree-k8" (Staged.stage drive_seq);
+      Test.make ~name:"flood-step-sharded-fat-tree-k8" (Staged.stage drive_sh);
+    ],
     [
       ( "dispatch-flood-events-per-step-seq",
         float_of_int (Runtime.events_processed seq_rt - seq_before) );
@@ -811,15 +638,12 @@ let bench_dispatch () =
         float_of_int (Runtime.events_processed sh_rt - sh_before) );
       ("dispatch-flood-shed-seq", float_of_int (Runtime.events_shed seq_rt));
       ("dispatch-flood-shed-sharded", float_of_int (Runtime.events_shed sh_rt));
-    ];
-  [
-    Test.make ~name:"flood-step-seq-fat-tree-k8" (Staged.stage drive_seq);
-    Test.make ~name:"flood-step-sharded-fat-tree-k8" (Staged.stage drive_sh);
-  ]
+    ] )
 
 (* ------------------------------------------------------------------ *)
 
-(* E26 — scale to fat-tree k=16. Three sub-experiments:
+(* E26 — scale to fat-tree k=16. Two exact sub-experiments (perfbench's
+   proxy-arp-k16 workload times the k=16 event loop):
 
    - match-storage interning: install one dl_dst rule per (switch, host)
      pair of a k=16 fabric (320 x 1024 entries sharing 1024 distinct
@@ -830,16 +654,7 @@ let bench_dispatch () =
    - bounded trace cache: a trace-driven learning-switch campaign on a
      k=4 fat-tree with a deliberately tiny [trace_cache_budget], sampling
      the checker's resident cache bytes after every step. Evictions > 0 and
-     peak <= budget show the cache holds memory flat under load.
-   - trace-driven flood throughput at k = 4 / 8 / 16: the ARP-responder
-     harness of E25 (gratuitous warm-up, no data-plane amplification),
-     but with the request order drawn from a Trace_gen plan — heavy-tailed
-     bursts over a diurnal curve, the load shape big fabrics actually see.
-     Live-words deltas per world and events-per-step counters land in the
-     derived section; events/sec per k is computed from the fitted
-     ns/run. *)
-
-let scale_stats : (string * float) list ref = ref []
+     peak <= budget show the cache holds memory flat under load. *)
 
 let match_storage_words ~interned k =
   let was = Openflow.Ofp_match.interning_enabled () in
@@ -927,100 +742,16 @@ let bounded_cache_campaign () =
       float_of_int Legosdn.Metrics.(get m inv_evictions) );
   ]
 
-let scale_world k =
-  let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.fat_tree k) in
-  let hosts = Array.of_list (Topology.hosts (Net.topology net)) in
-  let config =
-    { Runtime.default_config with Runtime.dispatch = Runtime.default_sharded }
-  in
-  let rt = Runtime.create ~config net [ (App_sig.app (module Apps.Arp_responder)) ] in
-  Runtime.step rt;
-  (* Gratuitous replies teach the responder every binding without the
-     broadcast storm an unknown-address request would start (see E25). *)
-  let gratuitous j =
-    Openflow.Packet.make ~dl_type:Openflow.Packet.ethertype_arp ~nw_proto:2
-      ~dl_src:(Openflow.Types.mac_of_host j)
-      ~dl_dst:Openflow.Types.mac_broadcast
-      ~nw_src:(Openflow.Types.ip_of_host j)
-      ~nw_dst:(Openflow.Types.ip_of_host j) ~tp_src:0 ~tp_dst:0
-      ~payload_len:28 ()
-  in
-  Array.iter
-    (fun src ->
-      Net.inject net src (gratuitous src);
-      Runtime.step rt)
-    hosts;
-  (* The drive replays a Trace_gen plan as ARP requests for known
-     addresses: heavy-tailed src/dst bursts, every packet-in answered by
-     one unicast packet-out. *)
-  let w =
-    {
-      Runtime.default_workload_config with
-      Runtime.w_seed = k;
-      Runtime.w_rate = 200.;
-    }
-  in
-  let plan =
-    Workload.Trace_gen.plan ~config:w ~hosts:(Array.to_list hosts)
-      ~duration:30. ()
-  in
-  let flows = Array.of_list plan.Workload.Trace_gen.flows in
-  let nf = Array.length flows in
-  assert (nf > 0);
-  let burst = 32 in
-  let cursor = ref 0 in
-  let drive () =
-    for _ = 1 to burst do
-      let f = flows.(!cursor mod nf) in
-      incr cursor;
-      Net.inject net f.Workload.Traffic.src_host
-        (Openflow.Packet.arp_request ~src_host:f.Workload.Traffic.src_host
-           ~dst_host:f.Workload.Traffic.dst_host)
-    done;
-    Runtime.step rt
-  in
-  (rt, drive)
-
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
-
 let bench_scale () =
-  scale_stats := [];
   let entries, interned_words = match_storage_words ~interned:true 16 in
   let _, fresh_words = match_storage_words ~interned:false 16 in
-  scale_stats :=
+  ( [],
     [
       ("scale-match-entries", float_of_int entries);
       ("scale-match-words-interned", float_of_int interned_words);
       ("scale-match-words-fresh", float_of_int fresh_words);
-      ( "scale-match-intern-ratio",
-        float_of_int fresh_words /. float_of_int interned_words );
     ]
-    @ bounded_cache_campaign ();
-  List.map
-    (fun k ->
-      let before = live_words () in
-      let rt, drive = scale_world k in
-      let after = live_words () in
-      for _ = 1 to 3 do
-        drive ()
-      done;
-      let ev_before = Runtime.events_processed rt in
-      drive ();
-      scale_stats :=
-        !scale_stats
-        @ [
-            ( Printf.sprintf "scale-live-words-k%d" k,
-              float_of_int (after - before) );
-            ( Printf.sprintf "scale-flood-events-per-step-k%d" k,
-              float_of_int (Runtime.events_processed rt - ev_before) );
-          ];
-      Test.make
-        ~name:(Printf.sprintf "trace-step-fat-tree-k%d" k)
-        (Staged.stage drive))
-    [ 4; 8; 16 ]
+    @ bounded_cache_campaign () )
 
 (* ------------------------------------------------------------------ *)
 (* E27 — declarative policy compiler: compile throughput, plus the full
@@ -1029,10 +760,7 @@ let bench_scale () =
    agreement on a probe set, invariant check over the flow-mods),
    against the hand-coded transform it subsumes. *)
 
-let policy_stats : (string * float) list ref = ref []
-
 let bench_policy () =
-  policy_stats := [];
   let switches n = List.init n (fun i -> i + 1) in
   (* Bidirectional chain matching [Topo_gen.linear]'s port plan: port 1
      faces down-chain, port 2 up-chain, port 100 attaches the host. *)
@@ -1066,17 +794,6 @@ let bench_policy () =
   in
   let firewall = Apps.Policy_firewall.intent in
   let routes_16x64 = routes ~fabric:16 ~dests:64 in
-  policy_stats :=
-    [
-      ( "policy-rows-firewall-16sw",
-        float_of_int
-          (Policy.table_rows (Policy.compile ~switches:(switches 16) firewall))
-      );
-      ( "policy-rows-routes-16sw-64dst",
-        float_of_int
-          (Policy.table_rows
-             (Policy.compile ~switches:(switches 16) routes_16x64)) );
-    ];
   (* The compromise pipeline on a live fabric, exactly the work
      [Crashpad.sync_intent] does per candidate rule-set: switch 4 has
      died, so the intent is recompiled over the survivors, diffed against
@@ -1102,19 +819,27 @@ let bench_policy () =
     ignore violations
   in
   let links_of _ = chain_links 8 in
-  [
-    Test.make ~name:"compile-firewall-16sw"
-      (Staged.stage (fun () ->
-           ignore (Policy.compile ~switches:(switches 16) firewall)));
-    Test.make ~name:"compile-routes-16sw-64dst"
-      (Staged.stage (fun () ->
-           ignore (Policy.compile ~switches:(switches 16) routes_16x64)));
-    Test.make ~name:"verified-compromise-linear-8"
-      (Staged.stage verified_compromise);
-    Test.make ~name:"transform-baseline-switch-down"
-      (Staged.stage (fun () ->
-           ignore (Legosdn.Transform.equivalents ~links_of (Event.Switch_down 4))));
-  ]
+  let rows pol =
+    float_of_int (Policy.table_rows (Policy.compile ~switches:(switches 16) pol))
+  in
+  ( [
+      Test.make ~name:"compile-firewall-16sw"
+        (Staged.stage (fun () ->
+             ignore (Policy.compile ~switches:(switches 16) firewall)));
+      Test.make ~name:"compile-routes-16sw-64dst"
+        (Staged.stage (fun () ->
+             ignore (Policy.compile ~switches:(switches 16) routes_16x64)));
+      Test.make ~name:"verified-compromise-linear-8"
+        (Staged.stage verified_compromise);
+      Test.make ~name:"transform-baseline-switch-down"
+        (Staged.stage (fun () ->
+             ignore
+               (Legosdn.Transform.equivalents ~links_of (Event.Switch_down 4))));
+    ],
+    [
+      ("policy-rows-firewall-16sw", rows firewall);
+      ("policy-rows-routes-16sw-64dst", rows routes_16x64);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* E28 — N-version voting panels. One punted packet against a hub (every
@@ -1123,9 +848,7 @@ let bench_policy () =
    3-variant panel, and an adaptive panel that has shed to its primary.
    The panel pays 3 deliveries + an election per event; the shed panel
    must be nearly indistinguishable from solo — that ratio is the MORPH
-   claim, and CI budgets it. *)
-
-let nversion_stats : (string * float) list ref = ref []
+   claim, and the group's floor budgets it. *)
 
 let bench_nversion () =
   let world nversion =
@@ -1173,68 +896,211 @@ let bench_nversion () =
     drive_panel ();
     drive_shed ()
   done;
-  nversion_stats :=
+  ( [
+      Test.make ~name:"event-solo-hub-linear-4" (Staged.stage drive_solo);
+      Test.make ~name:"event-panel3-hub-linear-4" (Staged.stage drive_panel);
+      Test.make ~name:"event-shed3-hub-linear-4" (Staged.stage drive_shed);
+    ],
     [
       ( "nversion-sheds-before-measure",
-        float_of_int
-          Legosdn.Metrics.(get (Runtime.metrics shed_rt) nv_sheds) );
-    ];
-  [
-    Test.make ~name:"event-solo-hub-linear-4" (Staged.stage drive_solo);
-    Test.make ~name:"event-panel3-hub-linear-4" (Staged.stage drive_panel);
-    Test.make ~name:"event-shed3-hub-linear-4" (Staged.stage drive_shed);
-  ]
+        float_of_int Legosdn.Metrics.(get (Runtime.metrics shed_rt) nv_sheds)
+      );
+    ] )
 
 (* ------------------------------------------------------------------ *)
 
-type row = { group : string; test : string; ns_per_run : float; r2 : float }
+(* The harness. A group names its timed tests and the exact counters its
+   setup produced, the ratios it derives from them, and the floors those
+   values must clear. Ratios and floors read one environment: each test's
+   fitted seconds per run and each counter or ratio, by name. A breached
+   floor makes the run exit 1 after the JSON is written. *)
+
+type floor =
+  | At_least of string * float
+  | At_most of string * float
+  | Above of string * float
+  | Fits_at_least of float  (** every row of the group has r² >= bound *)
+
+let describe = function
+  | At_least (k, b) -> Printf.sprintf "%s >= %g" k b
+  | At_most (k, b) -> Printf.sprintf "%s <= %g" k b
+  | Above (k, b) -> Printf.sprintf "%s > %g" k b
+  | Fits_at_least b -> Printf.sprintf "every r_square >= %g" b
+
+let holds v = function
+  | At_least (_, b) | Fits_at_least b -> v >= b
+  | At_most (_, b) -> v <= b
+  | Above (_, b) -> v > b
+
+type group = {
+  id : string;
+  title : string;
+  setup : unit -> Test.t list * (string * float) list;
+      (** Runs only when the group is selected, so [--only] skips the
+          setup work (traffic population, world builds) of the others. *)
+  ratios : (string * string * string) list;  (** key, numerator, denominator *)
+  floors : floor list;
+}
+
+let group ?(ratios = []) ?(floors = []) id title setup =
+  { id; title; setup; ratios; floors }
+
+let timed tests () = (tests (), [])
+
+let groups =
+  [
+    group "E4" "isolation / control-loop latency" (timed bench_isolation);
+    group "E5" "checkpoint cost vs state size" (timed bench_checkpoint);
+    group "E6" "crash-recovery cost vs transaction size" (timed bench_recovery);
+    group "E8-E9" "NetLog vs delay-buffer transactions" (timed bench_netlog);
+    group "E20" "control-channel model + reliable delivery" (timed bench_channel);
+    group "invariants" "incremental vs full invariant checking"
+      (timed bench_incremental)
+      ~ratios:
+        [
+          ( "full-over-warm-speedup",
+            "invariant-check-fat-tree-k4-full",
+            "invariant-check-fat-tree-k4-warm" );
+          ( "cold-over-full-overhead",
+            "invariant-check-fat-tree-k4-cold",
+            "invariant-check-fat-tree-k4-full" );
+          ( "flow-mods-full-over-incremental-speedup",
+            "check-flow-mods-full",
+            "check-flow-mods-incremental" );
+        ];
+    group "obs" "tracing overhead on the byzantine screen (E22)"
+      (timed bench_obs)
+      ~ratios:
+        [ ("obs-screen-overhead", "screen-tracing-on", "screen-tracing-off") ];
+    group "ckpt" "delta checkpointing: take/restore cost + bytes (E23)"
+      bench_ckpt
+      ~ratios:
+        [
+          ("ckpt-take-full-over-delta", "take-full-1000-macs",
+           "take-delta-1000-macs");
+          ( "ckpt-bytes-ratio-full-over-delta",
+            "ckpt-steady-full-bytes-written",
+            "ckpt-steady-delta-bytes-written" );
+        ]
+      ~floors:[ At_least ("ckpt-bytes-ratio-full-over-delta", 3.0) ];
+    group "failover" "replicated cluster: fail-over + replication cost (E24)"
+      bench_failover
+      ~ratios:
+        [
+          ( "failover-replication-overhead",
+            "drive-tick-cluster-3-fat-tree-k4",
+            "drive-tick-solo-fat-tree-k4" );
+        ]
+      ~floors:[ At_most ("failover-replication-overhead", 2.0) ];
+    group "dispatch" "sequential vs sharded/batched event dispatch (E25)"
+      bench_dispatch
+      ~ratios:
+        [
+          ( "dispatch-seq-over-sharded-speedup",
+            "flood-step-seq-fat-tree-k8",
+            "flood-step-sharded-fat-tree-k8" );
+        ]
+      ~floors:
+        [
+          At_least ("dispatch-seq-over-sharded-speedup", 10.0);
+          Fits_at_least 0.95;
+        ];
+    group "scale" "fat-tree k=16: interned matches, bounded cache (E26)"
+      bench_scale
+      ~ratios:
+        [
+          ( "scale-match-intern-ratio",
+            "scale-match-words-fresh",
+            "scale-match-words-interned" );
+          ( "scale-trace-cache-peak-over-budget",
+            "scale-trace-cache-peak-bytes",
+            "scale-trace-cache-budget-bytes" );
+        ]
+      ~floors:
+        [
+          At_least ("scale-match-intern-ratio", 4.0);
+          Above ("scale-trace-cache-evictions", 0.);
+          At_most ("scale-trace-cache-peak-over-budget", 1.0);
+        ];
+    group "policy" "declarative intent: compile + verified compromise (E27)"
+      bench_policy
+      ~ratios:
+        [
+          ( "policy-compile-rows-per-sec-firewall",
+            "policy-rows-firewall-16sw",
+            "compile-firewall-16sw" );
+          ( "policy-compile-rows-per-sec-routes",
+            "policy-rows-routes-16sw-64dst",
+            "compile-routes-16sw-64dst" );
+          ( "policy-compromise-over-transform",
+            "verified-compromise-linear-8",
+            "transform-baseline-switch-down" );
+        ]
+      ~floors:
+        [
+          At_least ("policy-compile-rows-per-sec-routes", 1000.0);
+          At_most ("verified-compromise-linear-8", 0.1);
+        ];
+    group "nversion" "N-version voting panels: solo vs panel vs shed (E28)"
+      bench_nversion
+      ~ratios:
+        [
+          ( "nversion-panel-overhead",
+            "event-panel3-hub-linear-4",
+            "event-solo-hub-linear-4" );
+          ( "nversion-shed-overhead",
+            "event-shed3-hub-linear-4",
+            "event-solo-hub-linear-4" );
+        ]
+      ~floors:
+        [
+          At_most ("nversion-shed-overhead", 1.34);
+          Above ("nversion-sheds-before-measure", 0.);
+        ];
+  ]
+
+type row = {
+  group : string;
+  test : string;
+  ns_per_run : float;
+  r2 : float;
+  flagged : bool;  (** r² below [--min-r2], or not a number *)
+}
 
 (* All measurement progress goes to stderr so that stdout carries nothing
    but the JSON when [--json -] is used (and so that [--json FILE] runs
    can be piped or captured without interleaved progress lines). *)
-let measure_group ~quota (experiment, tests) =
+let measure ~quota id tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:None () in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:experiment (tests ()))
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results []
+  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:id tests) in
+  (* Bechamel reports "<group>/<test>"; keep the bare test name so
+     consumers can address tests without knowing their group. *)
+  let prefix = String.length id + 1 in
+  Hashtbl.fold
+    (fun name ols_result acc ->
+      let ns_per_run =
+        match Analyze.OLS.estimates ols_result with
+        | Some [ e ] -> e
+        | _ -> nan
+      in
+      let r2 = Option.value (Analyze.OLS.r_square ols_result) ~default:nan in
+      let test = String.sub name prefix (String.length name - prefix) in
+      { group = id; test; ns_per_run; r2; flagged = false } :: acc)
+    (Analyze.all ols instance raw) []
   |> List.sort compare
-  |> List.map (fun (name, ols_result) ->
-         let estimate =
-           match Analyze.OLS.estimates ols_result with
-           | Some [ e ] -> e
-           | _ -> nan
-         in
-         let r2 =
-           match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-         in
-         (* Bechamel reports "<group>/<test>"; keep the bare test name so
-            consumers can address tests without knowing their cluster. *)
-         let prefix = experiment ^ "/" in
-         let test =
-           if String.length name > String.length prefix
-              && String.sub name 0 (String.length prefix) = prefix
-           then
-             String.sub name (String.length prefix)
-               (String.length name - String.length prefix)
-           else name
-         in
-         { group = experiment; test; ns_per_run = estimate; r2 })
 
-(* A noisy OLS fit (low r²) means the reported slope is not trustworthy:
-   re-measure the whole group with a doubled quota (more samples damp
-   scheduler noise and GC jitter) and keep the best fit per test, up to
-   three attempts. Groups that still miss [min_r2] are reported with a
-   warning — the JSON carries the honest r² either way, and CI asserts on
-   it for the groups it consumes. *)
-let run_group ~quota ~min_r2 (experiment, title, tests) =
-  Printf.eprintf "\n### %s — %s\n%!" experiment title;
-  let acceptable r = Float.is_nan r.r2 || r.r2 >= min_r2 in
+(* A noisy OLS fit (low r², or none at all) means the reported slope is
+   not trustworthy: re-measure the whole group, setup included, with a
+   doubled quota (more samples damp scheduler noise and GC jitter) and
+   keep the best fit per test, up to three attempts. Rows that still miss
+   [min_r2] are flagged — the JSON carries the honest r² either way. *)
+let run_group ~quota ~min_r2 g =
+  Printf.eprintf "\n### %s — %s\n%!" g.id g.title;
+  let flagged r = not (r.r2 >= min_r2) in
   let better a b = if Float.is_nan b.r2 || a.r2 >= b.r2 then a else b in
   let merge best rows =
     List.map
@@ -1245,180 +1111,96 @@ let run_group ~quota ~min_r2 (experiment, title, tests) =
       rows
   in
   let rec attempt q tries best =
-    let rows = measure_group ~quota:q (experiment, tests) in
-    let best = merge best rows in
-    if List.for_all acceptable best || tries >= 3 then best
-    else begin
+    let tests, counters = g.setup () in
+    let best =
+      match tests with [] -> [] | _ -> merge best (measure ~quota:q g.id tests)
+    in
+    if List.exists flagged best && tries < 3 then begin
       Printf.eprintf
         "  (noisy fit: r² < %.2f — re-measuring with quota %.2fs)\n%!" min_r2
         (q *. 2.);
       attempt (q *. 2.) (tries + 1) best
     end
+    else (List.map (fun r -> { r with flagged = flagged r }) best, counters)
   in
-  let rows = attempt quota 1 [] in
+  let rows, counters = attempt quota 1 [] in
   List.iter
     (fun r ->
       Printf.eprintf "  %-42s %14.1f ns/run   (r²=%.3f)%s\n%!"
         (r.group ^ "/" ^ r.test) r.ns_per_run r.r2
-        (if acceptable r then "" else "   [below --min-r2]"))
+        (if r.flagged then "   [below --min-r2]" else ""))
     rows;
-  rows
-
-(* Hand-rolled JSON (no json library in the tree): the grammar here is
-   numbers and [A-Za-z0-9._+-] names, so escaping is just strings. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
-
-let find_ns rows name =
-  List.find_map
-    (fun r -> if r.test = name then Some r.ns_per_run else None)
-    rows
-
-let ratio rows ~num ~den =
-  match (find_ns rows num, find_ns rows den) with
-  | Some n, Some d when d > 0. && not (Float.is_nan n || Float.is_nan d) ->
-      Some (n /. d)
-  | _ -> None
-
-let write_json path rows =
-  let oc = if path = "-" then stdout else open_out path in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"group\": \"%s\", \"test\": \"%s\", \"ns_per_run\": %s, \
-         \"r_square\": %s}%s\n"
-        (json_escape r.group) (json_escape r.test)
-        (json_float r.ns_per_run)
-        (if Float.is_nan r.r2 then "null" else Printf.sprintf "%.3f" r.r2)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "  ],\n  \"derived\": {\n";
-  let derived =
-    List.filter_map
-      (fun (key, num, den) ->
-        Option.map
-          (fun v -> Printf.sprintf "    \"%s\": %.2f" key v)
-          (ratio rows ~num ~den))
-      [
-        ( "full-over-warm-speedup",
-          "invariant-check-fat-tree-k4-full",
-          "invariant-check-fat-tree-k4-warm" );
-        ( "cold-over-full-overhead",
-          "invariant-check-fat-tree-k4-cold",
-          "invariant-check-fat-tree-k4-full" );
-        ( "flow-mods-full-over-incremental-speedup",
-          "check-flow-mods-full",
-          "check-flow-mods-incremental" );
-        ("obs-dispatch-overhead", "dispatch-tracing-on", "dispatch-tracing-off");
-        ("obs-screen-overhead", "screen-tracing-on", "screen-tracing-off");
-        ("ckpt-take-full-over-delta", "take-full-1000-macs",
-         "take-delta-1000-macs");
-        ( "failover-replication-overhead",
-          "drive-tick-cluster-3-fat-tree-k4",
-          "drive-tick-solo-fat-tree-k4" );
-        ( "dispatch-seq-over-sharded-speedup",
-          "flood-step-seq-fat-tree-k8",
-          "flood-step-sharded-fat-tree-k8" );
-        ( "policy-compromise-over-transform",
-          "verified-compromise-linear-8",
-          "transform-baseline-switch-down" );
-        ( "nversion-panel-overhead",
-          "event-panel3-hub-linear-4",
-          "event-solo-hub-linear-4" );
-        ( "nversion-shed-overhead",
-          "event-shed3-hub-linear-4",
-          "event-solo-hub-linear-4" );
-      ]
+  let lookup values name =
+    match List.find_opt (fun r -> r.test = name) rows with
+    | Some r -> r.ns_per_run *. 1e-9
+    | None -> Option.value (List.assoc_opt name values) ~default:nan
   in
-  (* Exact counters from the ckpt cluster's byte-accounting experiment
-     (empty unless that cluster ran). *)
-  let derived =
-    derived
-    @ List.filter_map
-        (fun k ->
-          match
-            ( find_ns rows (Printf.sprintf "trace-step-fat-tree-k%d" k),
-              List.assoc_opt
-                (Printf.sprintf "scale-flood-events-per-step-k%d" k)
-                !scale_stats )
-          with
-          | Some ns, Some ev when ns > 0. && not (Float.is_nan ns) ->
-              Some
-                (Printf.sprintf "    \"scale-events-per-sec-k%d\": %.2f" k
-                   (ev *. 1e9 /. ns))
-          | _ -> None)
-        [ 4; 8; 16 ]
-    (* Compile throughput in rows/second, from the policy cluster's
-       row-count stats (empty unless that cluster ran). *)
-    @ List.filter_map
-        (fun (test, stat, key) ->
-          match (find_ns rows test, List.assoc_opt stat !policy_stats) with
-          | Some ns, Some nrows when ns > 0. && not (Float.is_nan ns) ->
-              Some
-                (Printf.sprintf "    \"%s\": %.2f" key (nrows *. 1e9 /. ns))
-          | _ -> None)
-        [
-          ( "compile-firewall-16sw",
-            "policy-rows-firewall-16sw",
-            "policy-compile-rows-per-sec-firewall" );
-          ( "compile-routes-16sw-64dst",
-            "policy-rows-routes-16sw-64dst",
-            "policy-compile-rows-per-sec-routes" );
-        ]
+  let values =
+    counters
     @ List.map
-        (fun (key, v) ->
-          Printf.sprintf "    \"%s\": %.2f" (json_escape key) v)
-        (!ckpt_stats @ !failover_stats @ !dispatch_stats @ !scale_stats
-       @ !policy_stats @ !nversion_stats)
+        (fun (key, num, den) -> (key, lookup counters num /. lookup counters den))
+        g.ratios
   in
-  output_string oc (String.concat ",\n" derived);
-  output_string oc "\n  }\n}\n";
+  List.iter (fun (k, v) -> Printf.eprintf "  %-42s %14.2f\n%!" k v) values;
+  let verdicts =
+    List.map
+      (fun floor ->
+        let v =
+          match floor with
+          | At_least (k, _) | At_most (k, _) | Above (k, _) -> lookup values k
+          | Fits_at_least _ ->
+              List.fold_left (fun m r -> Float.min m r.r2) infinity rows
+        in
+        let ok = holds v floor in
+        Printf.eprintf "  floor %-36s %14.3f   %s\n%!" (describe floor) v
+          (if ok then "ok" else "BREACHED");
+        (g.id, floor, v, ok))
+      g.floors
+  in
+  (rows, values, verdicts)
+
+(* Hand-rolled JSON (no json library in the tree): every string is a
+   group, test, counter or floor name of this file, none of which needs
+   escaping; a missing or infinite number is null. *)
+let json_number fmt f = if Float.is_finite f then Printf.sprintf fmt f else "null"
+
+let write_json path ~quota ~min_r2 rows values verdicts =
+  let oc = if path = "-" then stdout else open_out path in
+  let items = function
+    | [] -> ""
+    | l -> "\n" ^ String.concat ",\n" (List.map (fun s -> "    " ^ s) l) ^ "\n  "
+  in
+  Printf.fprintf oc "{\n  \"quota\": %g,\n  \"min_r2\": %g,\n" quota min_r2;
+  Printf.fprintf oc "  \"benchmarks\": [%s],\n"
+    (items
+       (List.map
+          (fun r ->
+            Printf.sprintf
+              "{\"group\": \"%s\", \"test\": \"%s\", \"ns_per_run\": %s, \
+               \"r_square\": %s, \"flagged\": %b}"
+              r.group r.test
+              (json_number "%.1f" r.ns_per_run)
+              (json_number "%.3f" r.r2) r.flagged)
+          rows));
+  Printf.fprintf oc "  \"derived\": {%s},\n"
+    (items
+       (List.map
+          (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (json_number "%.2f" v))
+          values));
+  Printf.fprintf oc "  \"floors\": [%s]\n}\n"
+    (items
+       (List.map
+          (fun (g, floor, v, holds) ->
+            Printf.sprintf
+              "{\"group\": \"%s\", \"floor\": \"%s\", \"value\": %s, \
+               \"holds\": %b}"
+              g (describe floor) (json_number "%g" v) holds)
+          verdicts));
   if path = "-" then flush oc
   else begin
     close_out oc;
     Printf.eprintf "\nwrote %s\n%!" path
   end
-
-(* Test lists are thunks so that [--only] skips the setup work (traffic
-   population, scenario builds) of every unselected cluster. *)
-let groups () =
-  [
-    ("E4", "isolation / control-loop latency", bench_isolation);
-    ("E5", "checkpoint cost vs state size", bench_checkpoint);
-    ("E6", "crash-recovery cost vs transaction size", bench_recovery);
-    ("E8-E9", "NetLog vs delay-buffer transactions", bench_netlog);
-    ("substrate", "codec / data plane / invariant checker", bench_substrate);
-    ("crashpad", "policy / transform / quarantine unit costs",
-     bench_crashpad_machinery);
-    ("topology-scale", "STP + invariants on a fat-tree", bench_topology_scale);
-    ("E20", "control-channel model + reliable delivery", bench_channel);
-    ("scenario", "end-to-end 10-virtual-second scenario runs", bench_scenario);
-    ("invariants", "incremental vs full invariant checking", bench_incremental);
-    ("obs", "tracing overhead on the hot paths (E22)", bench_obs);
-    ("ckpt", "delta checkpointing: take/restore cost + bytes (E23)", bench_ckpt);
-    ("failover", "replicated cluster: fail-over + replication cost (E24)",
-     bench_failover);
-    ("dispatch", "sequential vs sharded/batched event dispatch (E25)",
-     bench_dispatch);
-    ("scale", "fat-tree k=16: interned matches, bounded cache, trace load (E26)",
-     bench_scale);
-    ("policy", "declarative intent: compile + verified compromise (E27)",
-     bench_policy);
-    ("nversion", "N-version voting panels: solo vs panel vs shed (E28)",
-     bench_nversion);
-  ]
 
 let () =
   let json_path = ref "" in
@@ -1430,27 +1212,37 @@ let () =
       ("--json", Arg.Set_string json_path,
        "FILE  also write results as JSON to FILE ('-' for stdout)");
       ("--only", Arg.Set_string only,
-       "GROUP  run only the named cluster (e.g. invariants, E4)");
+       "GROUP  run only the named group (e.g. invariants, E4)");
       ("--quota", Arg.Set_float quota,
        "SECONDS  per-test measurement budget (default 0.25)");
       ("--min-r2", Arg.Set_float min_r2,
-       "R  re-measure groups whose OLS fit has r-square below R \
-        (default 0.95; 0 disables)");
+       "R  re-measure groups with a row whose OLS fit has r-square below R \
+        or none, and flag such rows (default 0.95)");
     ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "bench [--only GROUP] [--quota SECONDS] [--min-r2 R] [--json FILE]";
   Printf.eprintf "LegoSDN benchmark harness (see EXPERIMENTS.md for the index)\n";
   let selected =
-    if !only = "" then groups ()
+    if !only = "" then groups
     else
-      match List.filter (fun (g, _, _) -> g = !only) (groups ()) with
+      match List.filter (fun g -> g.id = !only) groups with
       | [] ->
           Printf.eprintf "unknown group %S (known: %s)\n" !only
-            (String.concat ", " (List.map (fun (g, _, _) -> g) (groups ())));
+            (String.concat ", " (List.map (fun g -> g.id) groups));
           exit 2
       | gs -> gs
   in
-  let rows =
-    List.concat_map (run_group ~quota:!quota ~min_r2:!min_r2) selected
+  let results =
+    List.map (run_group ~quota:!quota ~min_r2:!min_r2) selected
   in
-  if !json_path <> "" then write_json !json_path rows
+  let rows = List.concat_map (fun (r, _, _) -> r) results in
+  let values = List.concat_map (fun (_, v, _) -> v) results in
+  let verdicts = List.concat_map (fun (_, _, v) -> v) results in
+  if !json_path <> "" then
+    write_json !json_path ~quota:!quota ~min_r2:!min_r2 rows values verdicts;
+  let breached = List.filter (fun (_, _, _, holds) -> not holds) verdicts in
+  List.iter
+    (fun (g, floor, v, _) ->
+      Printf.eprintf "floor breached: %s: %s (measured %g)\n" g (describe floor) v)
+    breached;
+  if breached <> [] then exit 1

@@ -756,32 +756,55 @@ let atomic_exp () =
   row "  2-rule clean path update              : %s (rules installed: %d)\n"
     (Legosdn.Atomic_update.describe o2) (count_rules ())
 
-let standby_exp () =
-  section "E18" "standby controller fail-over (§5 future work)";
+let failover_exp () =
+  section "E18" "controller fail-over in a 3-replica cluster (§5 future work)";
   let clock = Clock.create () in
   let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-  let sb =
-    Legosdn.Standby.create ~sync_interval:0.5 net [ (App_sig.app (module Apps.Learning_switch)) ]
+  let config =
+    {
+      Runtime.default_config with
+      Runtime.cluster =
+        { Runtime.replicas = 3; election_lo = 0.15; election_hi = 0.3 };
+    }
   in
-  Legosdn.Standby.step sb;
-  List.iter
-    (fun (src, dst) ->
-      Clock.advance_by clock 0.2;
-      Net.inject net src (Openflow.Packet.tcp ~src_host:src ~dst_host:dst ());
-      Legosdn.Standby.step sb)
-    [ (1, 2); (2, 1); (1, 3); (3, 1); (2, 3); (3, 2) ];
-  let box name sb =
-    Option.get (Runtime.sandbox (Legosdn.Standby.runtime sb) name)
+  let c =
+    Cluster.create ~config ~seed:7 net
+      [ (App_sig.app (module Apps.Learning_switch)) ]
   in
-  let before = Sandbox.state_size (box "learning_switch" sb) in
-  let sb = Legosdn.Standby.fail_primary sb in
-  let after = Sandbox.state_size (box "learning_switch" sb) in
-  row "  controller process killed; standby took over (failover #%d)\n"
-    (Legosdn.Standby.failovers sb);
-  row "  learning-switch state: %dB before, %dB after fail-over\n" before after;
-  row "  state preserved: %b (apps lose only events since the last sync,\n"
-    (before = after);
-  row "  vs everything in a monolithic cold restart)\n"
+  let tick () =
+    Clock.advance_by clock 0.5;
+    Net.tick net;
+    Cluster.tick c
+  in
+  let drive ?(sport = 1024) pairs =
+    List.iter
+      (fun (src, dst) ->
+        Net.inject net src
+          (Openflow.Packet.tcp ~src_host:src ~dst_host:dst ~sport ());
+        tick ())
+      pairs
+  in
+  let learning_switch () =
+    Option.get
+      (Runtime.sandbox (Option.get (Cluster.active_runtime c)) "learning_switch")
+  in
+  drive [ (1, 2); (2, 1); (1, 3); (3, 1); (2, 3); (3, 2) ];
+  tick ();
+  let before = Sandbox.snapshot_bytes (learning_switch ()) in
+  (* A fresh flow between learned hosts: its install is the first
+     state-altering send after the kill is armed, so the leader dies with
+     that transaction half on the wire. *)
+  Cluster.arm_kill c;
+  drive ~sport:2048 [ (1, 3); (3, 1); (1, 3) ];
+  tick ();
+  let after = Sandbox.snapshot_bytes (learning_switch ()) in
+  row "  leader killed mid-transaction; %d fail-over(s), successor elected\n"
+    (Cluster.failovers c);
+  row "  learning-switch state: %dB before, %dB after fail-over\n"
+    (Bytes.length before) (Bytes.length after);
+  row "  state byte-identical: %b (the successor restores the last state\n"
+    (Bytes.equal before after);
+  row "  transfer and re-dispatches the committed log suffix)\n"
 
 let storm_exp () =
   section "E19" "broadcast storms: NO_FLOOD pruning vs controller shedding";
@@ -1032,7 +1055,7 @@ let experiments =
     ("limits", limits_exp);
     ("quarantine", quarantine_exp);
     ("atomic", atomic_exp);
-    ("standby", standby_exp);
+    ("failover", failover_exp);
     ("storm", storm_exp);
     ("channel", channel_exp);
   ]

@@ -14,7 +14,7 @@
     one. Journal accounting is O(1) either way — [due] never scans. *)
 
 (** Content-addressed chunk storage: the backing store for delta
-    checkpoints, shared with the standby's shipped-state store.
+    checkpoints, shared with {!State_transfer}'s shipped-state store.
 
     Chunks are refcounted: storing a snapshot takes a reference on every
     chunk it uses, releasing a manifest drops them, and a chunk with no

@@ -119,7 +119,7 @@ val shadow : t -> Types.switch_id -> Netsim.Flow_table.t option
 
 val export_shadows : t -> (Types.switch_id * Netsim.Flow_entry.t list) list
 (** All shadow tables as entry lists, sorted by switch id — the portable
-    form replica state transfer ships to a standby controller. *)
+    form replica state transfer ships to a follower controller. *)
 
 val import_shadows :
   t -> (Types.switch_id * Netsim.Flow_entry.t list) list -> unit

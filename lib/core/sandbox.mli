@@ -115,9 +115,9 @@ val set_intent_tables : t -> Policy.table list -> unit
 
 val snapshot_bytes : t -> bytes
 (** A serialized snapshot of the current state (does not touch the
-    checkpoint store) — for shipping state elsewhere, e.g. to a standby. *)
+    checkpoint store) — for shipping state elsewhere, e.g. to a cluster replica. *)
 
 val restore_bytes : t -> bytes -> unit
 (** Overwrite the application state with a snapshot taken earlier from the
-    same module (standby fail-over, external state shipping). The snapshot
+    same module (cluster fail-over, external state shipping). The snapshot
     becomes the new checkpoint baseline. *)

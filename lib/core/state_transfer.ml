@@ -68,4 +68,3 @@ let restore t snapshot rt =
 
 let ships t = t.n_ships
 let shipped_bytes t = t.n_shipped_bytes
-let store t = t.store

@@ -1,8 +1,7 @@
 (** Incremental replica state transfer, keyed on commit index.
 
-    The shipping side of controller replication, generalized from the
-    standby's snapshot shipping so {!Standby} (one warm spare) and the
-    cluster layer (2f+1 replicas) share one mechanism: application
+    The shipping side of controller replication, used by the cluster
+    layer (2f+1 replicas) to keep followers warm: application
     snapshots are content-chunked into a shared {!Checkpoint.Chunk_store},
     so a steady-state ship transfers only the chunks that changed since
     the previous one, and a {!snapshot} records where in the replicated
@@ -51,6 +50,3 @@ val ships : t -> int
 val shipped_bytes : t -> int
 (** Cumulative bytes actually shipped: new chunk bytes plus manifest
     overhead — the replication-overhead metric. *)
-
-val store : t -> Chunk_store.t
-(** The shared chunk store (hit/miss/dedup accounting). *)

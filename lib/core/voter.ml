@@ -116,7 +116,7 @@ let primary t = (primary_variant t).box
 let panel_active t = t.panel
 
 (* Ship the donor's snapshot to every re-syncable recipient through the
-   chunk store — the same manifest mechanism a standby's state transfer
+   chunk store — the same manifest mechanism a cluster's state transfer
    uses, so repeated re-syncs of a persistently-divergent variant pay only
    for the chunks that changed. *)
 let ship (deps : Crashpad.deps) t ~donor recipients =

@@ -9,7 +9,7 @@
     output ({!Crashpad.commit_output}). A disagreeing or crashed
     replica is repaired from the majority's snapshot, shipped through a
     content-addressed {!Checkpoint.Chunk_store} manifest exactly like a
-    standby's state transfer.
+    cluster replica's state transfer.
 
     MORPH-style adaptation: after enough consecutive clean, unanimous
     elections the panel sheds to its primary variant alone (solo Crash-Pad

@@ -25,7 +25,7 @@ type kind =
   | Election  (** One leader-election round in the controller cluster. *)
   | Replicate  (** Majority-commit of one replicated log entry. *)
   | State_transfer  (** Incremental replica state transfer (chunk shipping). *)
-  | Failover  (** A standby taking over as leader after a kill. *)
+  | Failover  (** A follower taking over as leader after a kill. *)
   | Batch_root  (** One batch through the sharded dispatch engine. *)
   | Shard_dispatch
       (** A contiguous run of same-shard events inside a batch. *)

@@ -121,28 +121,35 @@ let test_atomic_update_on_delay_buffer () =
 let test_standby_under_live_faults () =
   let clock = Clock.create () in
   let net = Net.create clock (Topo_gen.ring ~hosts_per_switch:1 4) in
-  let sb =
-    Legosdn.Standby.create ~sync_interval:0.2 net
+  let config =
+    {
+      Legosdn.Runtime.default_config with
+      Legosdn.Runtime.cluster =
+        { Legosdn.Runtime.replicas = 3; election_lo = 0.15; election_hi = 0.3 };
+    }
+  in
+  let c =
+    Cluster.create ~config ~seed:7 net
       [ (App_sig.app (module Apps.Spanning_tree)); (App_sig.app (module Apps.Router)) ]
   in
-  Legosdn.Standby.step sb;
-  List.iter
-    (fun (src, dst) ->
-      Clock.advance_by clock 0.2;
-      Net.inject net src (T_util.tcp_packet src dst);
-      Legosdn.Standby.step sb)
-    [ (1, 3); (3, 1); (2, 4) ];
-  (* A network fault and a controller death back to back. *)
+  let drive pairs =
+    List.iter
+      (fun (src, dst) ->
+        Clock.advance_by clock 0.5;
+        Net.tick net;
+        Net.inject net src (T_util.tcp_packet src dst);
+        Cluster.tick c)
+      pairs
+  in
+  drive [ (1, 3); (3, 1); (2, 4) ];
+  (* A network fault and a leader death back to back: the leader dies on
+     the first state-altering send of its reaction to the fault. *)
   Net.apply_fault net (Net.Link_down (Topology.Switch 1, Topology.Switch 2));
-  Legosdn.Standby.step sb;
-  let sb = Legosdn.Standby.fail_primary sb in
-  List.iter
-    (fun (src, dst) ->
-      Clock.advance_by clock 0.2;
-      Net.inject net src (T_util.tcp_packet src dst);
-      Legosdn.Standby.step sb)
-    [ (1, 3); (3, 1); (1, 3); (3, 1) ];
-  let rt = Legosdn.Standby.runtime sb in
+  Cluster.arm_kill c;
+  drive [ (1, 3); (3, 1); (1, 3); (3, 1) ];
+  T_util.checki "the leader died" 1 (Cluster.kills c);
+  T_util.checki "a standby replica took over" 1 (Cluster.failovers c);
+  let rt = Option.get (Cluster.active_runtime c) in
   T_util.checkb "new controller keeps serving" true
     (Legosdn.Runtime.events_processed rt > 0);
   T_util.checkb "traffic still flows" true (Net.reachable net 1 3)
