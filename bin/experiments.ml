@@ -467,7 +467,8 @@ let nversion_exp () =
       label
       Metrics.(get m byzantine)
       Metrics.(get m nv_outvoted)
-      (100. *. Net.connectivity net)
+      (100.
+      *. Invariants.Checker.connectivity (Invariants.Snapshot.of_net net))
   in
   run "byzantine router alone" [ byzantine_router ];
   (* The same version seated between two healthy, independently built
@@ -955,11 +956,14 @@ let channel_exp () =
     Net.apply_fault net (Net.Switch_down 2);
     Runtime.step rt;
     Net.apply_fault net (Net.Switch_up 2);
-    let blackholed = not (Net.reachable net 1 3) in
+    let reachable () =
+      Invariants.Checker.reachable (Invariants.Snapshot.of_net net) 1 3
+    in
+    let blackholed = not (reachable ()) in
     Runtime.step rt;
     let m = Runtime.metrics rt in
     ( blackholed,
-      Net.reachable net 1 3,
+      reachable (),
       Metrics.(get m resyncs),
       Metrics.(get m resynced_rules) )
   in

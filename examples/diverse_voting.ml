@@ -36,7 +36,8 @@ let report label rt net =
     "%-26s byzantine outputs blocked by checker: %2d | connectivity: %3.0f%%\n"
     label
     Metrics.(get m byzantine)
-    (100. *. Net.connectivity net)
+    (100.
+     *. Invariants.Checker.connectivity (Invariants.Snapshot.of_net net))
 
 let () =
   Printf.printf "=== N-version diversity with majority voting ===\n\n";

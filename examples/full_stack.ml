@@ -51,7 +51,11 @@ let () =
   in
   List.iter (fun (src, dst) -> send src dst 80) active_pairs;
   let served () =
-    List.length (List.filter (fun (s, d) -> Net.reachable net s d) active_pairs)
+    let snap = Invariants.Snapshot.of_net net in
+    List.length
+      (List.filter
+         (fun (s, d) -> Invariants.Checker.reachable snap s d)
+         active_pairs)
   in
   Printf.printf "traffic flowing; %d/%d active flows pinned in hardware\n"
     (served ()) (List.length active_pairs);

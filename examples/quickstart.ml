@@ -80,4 +80,5 @@ let () =
     (fun t -> Format.printf "%a@." Legosdn.Ticket.pp t)
     (Runtime.tickets lego);
   Printf.printf "\nNetwork connectivity right now: %.0f%% of host pairs\n"
-    (100. *. Net.connectivity net)
+    (100.
+     *. Invariants.Checker.connectivity (Invariants.Snapshot.of_net net))

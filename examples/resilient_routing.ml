@@ -28,6 +28,9 @@ let drive net step pairs =
       step ())
     pairs
 
+let reachable net src dst =
+  Invariants.Checker.reachable (Invariants.Snapshot.of_net net) src dst
+
 (* Warm up the device manager and pin h1 <-> h3 paths. *)
 let warmup = [ (1, 3); (3, 1); (1, 3); (3, 1) ]
 
@@ -40,7 +43,7 @@ let () =
   Monolithic.step mono;
   drive net (fun () -> Monolithic.step mono) warmup;
   Printf.printf "monolithic: h1->h3 reachable before failure: %b\n"
-    (Net.reachable net 1 3);
+    (reachable net 1 3);
   Net.apply_fault net (Net.Link_down (Topology.Switch 1, Topology.Switch 2));
   Monolithic.step mono;
   (match Monolithic.status mono with
@@ -57,7 +60,7 @@ let () =
   Runtime.step lego;
   drive net (fun () -> Runtime.step lego) warmup;
   Printf.printf "legosdn: h1->h3 reachable before failure: %b\n"
-    (Net.reachable net 1 3);
+    (reachable net 1 3);
   Net.apply_fault net (Net.Link_down (Topology.Switch 1, Topology.Switch 2));
   Runtime.step lego;
   let m = Runtime.metrics lego in
@@ -68,7 +71,7 @@ let () =
   (* Traffic re-triggers routing around the surviving arc of the ring. *)
   drive net (fun () -> Runtime.step lego) [ (1, 3); (3, 1); (1, 3) ];
   Printf.printf "legosdn: h1->h3 reachable after re-routing: %b\n"
-    (Net.reachable net 1 3);
+    (reachable net 1 3);
   Printf.printf "\nTickets:\n";
   List.iter
     (fun t -> Format.printf "%a@." Legosdn.Ticket.pp t)

@@ -102,25 +102,14 @@ let copy_entry (e : Flow_entry.t) = { e with Flow_entry.priority = e.priority }
 let table_of t sid =
   try Some (Net.switch t.network sid).Netsim.Sw.table with Not_found -> None
 
-(* Entries a modify/delete with these parameters will touch, mirroring the
-   switch's own matching rule. *)
+(* Entries a modify/delete with these parameters will touch on the switch. *)
 let touched_entries t sid ~strict ?out_port pattern ~priority =
   match table_of t sid with
   | None -> []
   | Some table ->
-      Flow_table.entries table
-      |> List.filter (fun (e : Flow_entry.t) ->
-             let match_ok =
-               if strict then
-                 e.priority = priority && Ofp_match.equal e.pattern pattern
-               else Ofp_match.subsumes pattern e.pattern
-             in
-             let port_ok =
-               match out_port with
-               | None -> true
-               | Some p -> List.mem p (Action.outputs e.actions)
-             in
-             match_ok && port_ok)
+      List.filter
+        (Flow_table.touches ~strict ?out_port pattern ~priority)
+        (Flow_table.entries table)
 
 (* The undo list for one flow-mod, in the order the undos must run. *)
 let flow_mod_undos t sid (fm : Message.flow_mod) =

@@ -101,27 +101,12 @@ let shadow_of t sid =
       Hashtbl.replace t.shadows sid table;
       table
 
-(* Mirror of Sw.apply_flow_mod on the intent table: what the switch's
-   table will hold once this message is (eventually) delivered. *)
+(* The intent table: what the switch's table will hold once this message
+   is (eventually) delivered. *)
 let record_intent t sid (msg : Message.t) =
   match msg.payload with
-  | Message.Flow_mod fm -> (
-      let table = shadow_of t sid in
-      let entry () = Flow_entry.of_flow_mod ~now:(now t) fm in
-      match fm.command with
-      | Message.Add -> Flow_table.add table (entry ())
-      | Message.Modify | Message.Modify_strict ->
-          let strict = fm.command = Message.Modify_strict in
-          let hit =
-            Flow_table.modify table ~strict fm.pattern ~priority:fm.priority
-              fm.actions
-          in
-          if not hit then Flow_table.add table (entry ())
-      | Message.Delete | Message.Delete_strict ->
-          let strict = fm.command = Message.Delete_strict in
-          ignore
-            (Flow_table.delete table ~strict ?out_port:fm.out_port fm.pattern
-               ~priority:fm.priority))
+  | Message.Flow_mod fm ->
+      ignore (Flow_table.apply (shadow_of t sid) ~now:(now t) fm)
   | _ -> ()
 
 let acked_synchronously xid replies =

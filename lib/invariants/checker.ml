@@ -49,6 +49,24 @@ let host_pairs topo =
         hosts)
     hosts
 
+let reachable snap src dst =
+  List.mem dst (Snapshot.trace snap src (canonical_packet src dst)).reached
+
+let connectivity snap =
+  let hosts = Topology.hosts (Snapshot.topology snap) in
+  let pairs = ref 0 and ok = ref 0 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          if src <> dst then begin
+            incr pairs;
+            if reachable snap src dst then incr ok
+          end)
+        hosts)
+    hosts;
+  if !pairs = 0 then 1.0 else float !ok /. float !pairs
+
 type scope = {
   pairs : (Topology.host * Topology.host) list;
   listed : Topology.host -> Topology.host -> bool;

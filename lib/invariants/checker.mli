@@ -72,6 +72,16 @@ val host_pairs :
     pairs {!Loop_freedom} and {!Black_hole_freedom} probe, in the order
     they probe them. *)
 
+val reachable :
+  Snapshot.t -> Netsim.Topology.host -> Netsim.Topology.host -> bool
+(** Whether {!canonical_packet} from [src] reaches [dst] in the snapshot,
+    using only installed rules (no controller help). *)
+
+val connectivity : Snapshot.t -> float
+(** Fraction of ordered host pairs for which {!reachable} holds; 1.0 on a
+    fully programmed network (or one with fewer than two hosts). Walks the
+    pairs without building a list of them. *)
+
 val check : ?invariants:invariant list -> Snapshot.t -> violation list
 (** Violations in the snapshot, probing every ordered host pair with
     {!canonical_packet}. Traces are memoized within one call, so several

@@ -7,11 +7,14 @@ module Net = Netsim.Net
 
 module Sid_map = Map.Make (Int)
 
+(* Port state is captured as the (usually empty) lists of down and
+   NO_FLOOD ports; the ascending port list is the switch's own, shared. *)
 type sw_state = {
   rules : Flow_entry.t list;  (* priority order, as Flow_table.entries *)
   alive : bool;
-  ports_down : (Types.port_no, unit) Hashtbl.t;
   port_nos : Types.port_no list;
+  ports_down : Types.port_no list;
+  no_flood : Types.port_no list;
 }
 
 type t = {
@@ -22,19 +25,17 @@ type t = {
 
 let capture_switch net sid =
   let sw = Net.switch net sid in
-  let ports_down = Hashtbl.create 4 in
-  let port_nos =
-    List.map
-      (fun (p : Sw.port_state) ->
-        if not p.port_up then Hashtbl.replace ports_down p.port_no ();
-        p.port_no)
-      (Sw.port_list sw)
+  let flagged pick =
+    Hashtbl.fold
+      (fun n (p : Sw.port_state) acc -> if pick p then n :: acc else acc)
+      sw.Sw.ports []
   in
   {
     rules = Flow_table.entries sw.Sw.table;
     alive = sw.Sw.up;
-    ports_down;
-    port_nos;
+    port_nos = sw.Sw.port_nos;
+    ports_down = flagged (fun p -> not p.port_up);
+    no_flood = flagged (fun p -> p.no_flood);
   }
 
 let of_net net =
@@ -61,7 +62,6 @@ let refresh t net ~dirty =
   in
   { t with frozen_at = Netsim.Clock.now (Net.clock net); switches }
 
-let now t = t.frozen_at
 let topology t = t.topo
 
 let entries t sid =
@@ -69,21 +69,12 @@ let entries t sid =
   | Some s -> s.rules
   | None -> []
 
-let switch_up t sid =
-  match Sid_map.find_opt sid t.switches with
-  | Some s -> s.alive
-  | None -> false
-
-let port_up t sid port =
-  match Sid_map.find_opt sid t.switches with
-  | Some s -> not (Hashtbl.mem s.ports_down port)
-  | None -> false
-
 (* Apply a flow-mod functionally as an overlay on the rule list itself —
    entries are immutable for our purposes (counters are irrelevant to
    invariants), so one list pass replaces the old rebuild-a-scratch-table
-   approach, and untouched switches stay fully shared. The semantics mirror
-   Flow_table exactly: priority-descending order, insertion order within a
+   approach, and untouched switches stay fully shared. Which entries a
+   modify or delete touches is Flow_table's own rule; the order is
+   Flow_table's too: priority-descending, insertion order within a
    priority (append on add). *)
 let insert_sorted entry rules =
   let rec go = function
@@ -93,10 +84,6 @@ let insert_sorted entry rules =
         else e :: go rest
   in
   go rules
-
-let touches ~strict pattern ~priority (e : Flow_entry.t) =
-  if strict then priority = e.priority && Ofp_match.equal pattern e.pattern
-  else Ofp_match.subsumes pattern e.pattern
 
 let apply_flow_mod t sid fm =
   match Sid_map.find_opt sid t.switches with
@@ -113,11 +100,14 @@ let apply_flow_mod t sid fm =
                  s.rules)
         | Modify | Modify_strict ->
             let strict = fm.command = Modify_strict in
+            let touches =
+              Flow_table.touches ~strict fm.pattern ~priority:fm.priority
+            in
             let hit = ref false in
             let mapped =
               List.map
                 (fun (e : Flow_entry.t) ->
-                  if touches ~strict fm.pattern ~priority:fm.priority e then begin
+                  if touches e then begin
                     hit := true;
                     { e with actions = fm.actions }
                   end
@@ -129,16 +119,11 @@ let apply_flow_mod t sid fm =
               insert_sorted (Flow_entry.of_flow_mod ~now:t.frozen_at fm) s.rules
         | Delete | Delete_strict ->
             let strict = fm.command = Delete_strict in
-            let port_ok (e : Flow_entry.t) =
-              match fm.out_port with
-              | None -> true
-              | Some p -> List.mem p (Action.outputs e.actions)
-            in
             List.filter
               (fun e ->
                 not
-                  (touches ~strict fm.pattern ~priority:fm.priority e
-                  && port_ok e))
+                  (Flow_table.touches ~strict ?out_port:fm.out_port fm.pattern
+                     ~priority:fm.priority e))
               s.rules
       in
       { t with switches = Sid_map.add sid { s with rules } t.switches }
@@ -154,35 +139,18 @@ type probe = {
   path : (Types.switch_id * Types.port_no * Packet.t) list;
 }
 
-let lookup t sid ~in_port pkt =
-  match Sid_map.find_opt sid t.switches with
-  | None -> None
-  | Some s ->
-      List.find_opt
-        (fun (e : Flow_entry.t) ->
-          Flow_entry.live e ~now:t.frozen_at
-          && Flow_entry.matches e ~in_port pkt)
-        s.rules
+let lookup t s ~in_port pkt =
+  List.find_opt
+    (fun (e : Flow_entry.t) ->
+      Flow_entry.live e ~now:t.frozen_at && Flow_entry.matches e ~in_port pkt)
+    s.rules
 
-let resolve t sid ~in_port (pkt, out) =
-  let s = Sid_map.find sid t.switches in
-  let up_ports_except skip =
-    List.filter
-      (fun p -> (not (Hashtbl.mem s.ports_down p)) && p <> skip)
-      s.port_nos
-  in
-  if out = Types.port_flood || out = Types.port_all then
-    List.map (fun p -> (pkt, p)) (up_ports_except in_port)
-  else if out = Types.port_in_port then [ (pkt, in_port) ]
-  else if
-    out = Types.port_controller || out = Types.port_local
-    || out = Types.port_none
-  then []
-  else if List.mem out s.port_nos && not (Hashtbl.mem s.ports_down out) then
-    [ (pkt, out) ]
-  else []
-
-let hop_limit = 64
+let resolve s ~in_port (pkt, out) =
+  let up p = List.mem p s.port_nos && not (List.mem p s.ports_down) in
+  let no_flood p = List.mem p s.no_flood in
+  List.map
+    (fun p -> (pkt, p))
+    (Sw.egress ~ports:s.port_nos ~up ~no_flood ~in_port out)
 
 let trace t h pkt =
   let reached = ref [] in
@@ -194,28 +162,31 @@ let trace t h pkt =
   let rec visit sid in_port pkt hops =
     let key = (sid, in_port, pkt) in
     path := key :: !path;
-    if Hashtbl.mem seen key || hops >= hop_limit then looped := true
+    if Hashtbl.mem seen key || hops >= Net.hop_limit then looped := true
     else begin
       Hashtbl.replace seen key ();
-      if not (switch_up t sid) then blackholed := sid :: !blackholed
-      else
-        match lookup t sid ~in_port pkt with
-        | None -> punted := sid :: !punted
-        | Some entry ->
-            let staged = Action.apply_staged entry.actions pkt in
-            let copies = List.concat_map (resolve t sid ~in_port) staged in
-            if copies = [] && Action.is_drop entry.actions then ()
-            else if copies = [] then blackholed := sid :: !blackholed
-            else
-              List.iter
-                (fun (pkt', out_port) ->
-                  match Topology.peer t.topo (Topology.Switch sid) out_port with
-                  | Some { node = Topology.Host h'; _ } ->
-                      reached := h' :: !reached
-                  | Some { node = Topology.Switch sid'; port = port' } ->
-                      visit sid' port' pkt' (hops + 1)
-                  | None -> blackholed := sid :: !blackholed)
-                copies
+      match Sid_map.find_opt sid t.switches with
+      | Some s when s.alive -> (
+          match lookup t s ~in_port pkt with
+          | None -> punted := sid :: !punted
+          | Some entry ->
+              let staged = Action.apply_staged entry.actions pkt in
+              let copies = List.concat_map (resolve s ~in_port) staged in
+              if copies = [] && Action.is_drop entry.actions then ()
+              else if copies = [] then blackholed := sid :: !blackholed
+              else
+                List.iter
+                  (fun (pkt', out_port) ->
+                    match
+                      Topology.peer t.topo (Topology.Switch sid) out_port
+                    with
+                    | Some { node = Topology.Host h'; _ } ->
+                        reached := h' :: !reached
+                    | Some { node = Topology.Switch sid'; port = port' } ->
+                        visit sid' port' pkt' (hops + 1)
+                    | None -> blackholed := sid :: !blackholed)
+                  copies)
+      | Some _ | None -> blackholed := sid :: !blackholed
     end
   in
   (match Topology.host_attachment t.topo h with

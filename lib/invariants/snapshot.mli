@@ -1,5 +1,6 @@
 (** A pure, frozen copy of data-plane state: flow tables, port liveness and
-    switch liveness at one instant, plus the (shared, read-only) topology.
+    NO_FLOOD flags, and switch liveness at one instant, plus the (shared,
+    read-only) topology.
 
     Crash-Pad checks an application's *proposed* output before it touches
     the network, so the snapshot supports applying hypothetical flow-mods
@@ -18,18 +19,15 @@ val refresh : t -> Netsim.Net.t -> dirty:Types.switch_id list -> t
     with [t]. The caller (the incremental engine) is responsible for naming
     every switch whose {!Netsim.Sw.version} moved since [t] was taken. *)
 
-val now : t -> float
 val topology : t -> Netsim.Topology.t
 
 val entries : t -> Types.switch_id -> Netsim.Flow_entry.t list
 (** Flow entries of a switch in priority order; [] for unknown switches. *)
 
-val switch_up : t -> Types.switch_id -> bool
-val port_up : t -> Types.switch_id -> Types.port_no -> bool
-
 val apply_flow_mod : t -> Types.switch_id -> Message.flow_mod -> t
-(** The snapshot after the flow-mod, computed functionally; the original is
-    unchanged. *)
+(** The snapshot after the flow-mod, computed functionally as an overlay
+    on the rule list (the original is unchanged). Which entries a modify
+    or delete touches is {!Netsim.Flow_table.touches}. *)
 
 val apply_flow_mods : t -> (Types.switch_id * Message.flow_mod) list -> t
 
@@ -48,5 +46,7 @@ type probe = {
 }
 
 val trace : t -> Netsim.Topology.host -> Packet.t -> probe
-(** Follow a packet injected by a host. Pure: no counter or buffer
-    changes. *)
+(** Follow a packet injected by a host, as the data plane would forward
+    it: each hop's copies leave by {!Netsim.Sw.egress}, and a copy that
+    revisits a (switch, port, header) or exceeds {!Netsim.Net.hop_limit}
+    hops marks the trace [looped]. Pure: no counter or buffer changes. *)

@@ -122,9 +122,13 @@ let add t (entry : Flow_entry.t) =
   t.count <- t.count + 1;
   touch t
 
-let touches ~strict pattern ~priority (e : Flow_entry.t) =
-  if strict then priority = e.priority && Ofp_match.equal pattern e.pattern
-  else Ofp_match.subsumes pattern e.pattern
+let touches ~strict ?out_port pattern ~priority (e : Flow_entry.t) =
+  (if strict then priority = e.priority && Ofp_match.equal pattern e.pattern
+   else Ofp_match.subsumes pattern e.pattern)
+  &&
+  match out_port with
+  | None -> true
+  | Some p -> List.mem p (Action.outputs e.actions)
 
 let modify t ~strict pattern ~priority actions =
   let hit = ref false in
@@ -161,14 +165,7 @@ let modify t ~strict pattern ~priority actions =
   !hit
 
 let delete t ~strict ?out_port pattern ~priority =
-  let port_ok (e : Flow_entry.t) =
-    match out_port with
-    | None -> true
-    | Some p -> List.mem p (Action.outputs e.actions)
-  in
-  let condemned (e : Flow_entry.t) =
-    touches ~strict pattern ~priority e && port_ok e
-  in
+  let condemned = touches ~strict ?out_port pattern ~priority in
   let gone = ref [] in
   List.iter
     (fun b ->
@@ -199,6 +196,20 @@ let delete t ~strict ?out_port pattern ~priority =
     touch t
   end;
   removed
+
+let apply t ~now (fm : Message.flow_mod) =
+  match fm.command with
+  | Add ->
+      add t (Flow_entry.of_flow_mod ~now fm);
+      []
+  | Modify | Modify_strict ->
+      let strict = fm.command = Modify_strict in
+      if not (modify t ~strict fm.pattern ~priority:fm.priority fm.actions)
+      then add t (Flow_entry.of_flow_mod ~now fm);
+      []
+  | Delete | Delete_strict ->
+      let strict = fm.command = Delete_strict in
+      delete t ~strict ?out_port:fm.out_port fm.pattern ~priority:fm.priority
 
 let lookup t ~now ~in_port pkt =
   let live e = Flow_entry.live e ~now in

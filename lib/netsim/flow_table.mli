@@ -28,12 +28,25 @@ val add : t -> Flow_entry.t -> unit
     patterns across tables share one heap block fabric-wide and the exact
     index probes by pointer. *)
 
+val touches :
+  strict:bool ->
+  ?out_port:Types.port_no ->
+  Ofp_match.t ->
+  priority:int ->
+  Flow_entry.t ->
+  bool
+(** Whether a modify or delete with these parameters touches the entry:
+    non-strict, every entry the pattern {!Ofp_match.subsumes}; strict, only
+    the entry with exactly this match and priority. [out_port] (deletes
+    only) further requires the entry to output to that port. The one
+    statement of this rule: {!modify}, {!delete}, NetLog's undo and the
+    invariant snapshot's overlay all call it. *)
+
 val modify :
   t -> strict:bool -> Ofp_match.t -> priority:int -> Action.t list -> bool
-(** Update the action list of matching entries in place (preserving
-    counters). Non-strict touches every entry the pattern {!Ofp_match.subsumes};
-    strict only an exact match+priority twin. Returns [false] when nothing
-    matched — the caller must then fall back to an add, as the spec says. *)
+(** Update the action list of every entry the modify {!touches}, in place
+    (preserving counters). Returns [false] when nothing matched — the
+    caller must then fall back to an add, as the spec says. *)
 
 val delete :
   t ->
@@ -42,9 +55,15 @@ val delete :
   Ofp_match.t ->
   priority:int ->
   Flow_entry.t list
-(** Remove matching entries and return them (most recent state first was not
-    guaranteed; priority order). [out_port] further restricts to entries
-    whose actions output to that port. *)
+(** Remove every entry the delete {!touches} and return them, in priority
+    order. *)
+
+val apply : t -> now:float -> Message.flow_mod -> Flow_entry.t list
+(** What one flow-mod does to the table, per OF 1.0: [Add] installs;
+    [Modify]/[Modify_strict] rewrite what they touch, or add when nothing
+    matched; [Delete]/[Delete_strict] remove. Returns the deleted entries
+    ([[]] for adds and modifies). The switch and the reliable layer's
+    shadow tables both apply flow-mods through this. *)
 
 val lookup : t -> now:float -> in_port:Types.port_no -> Packet.t
   -> Flow_entry.t option

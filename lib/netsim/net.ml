@@ -33,14 +33,14 @@ type t = {
   mutable pending : notification list;  (* reverse order *)
   mutable in_flight : (float * Types.switch_id * int option * Message.t) list;
       (* delayed controller-to-switch copies, unordered *)
-  hop_limit : int;
   st : stats;
 }
 
 let queue t n = t.pending <- n :: t.pending
 
-let create ?(hop_limit = 64) ?(channel = Channel.perfect) ?(channel_seed = 0)
-    clock topo =
+let hop_limit = 64
+
+let create ?(channel = Channel.perfect) ?(channel_seed = 0) clock topo =
   let switches = Hashtbl.create 16 in
   let channels = Hashtbl.create 16 in
   let t =
@@ -51,7 +51,6 @@ let create ?(hop_limit = 64) ?(channel = Channel.perfect) ?(channel_seed = 0)
       channels;
       pending = [];
       in_flight = [];
-      hop_limit;
       st =
         {
           delivered = 0;
@@ -137,7 +136,7 @@ let rec propagate t sid (fwd : Sw.forward_result) ~hops =
             t.st.delivered_to_dst <- t.st.delivered_to_dst + 1;
           queue t (Delivered (h, pkt))
       | Some { node = Topology.Switch next_sid; port = next_port } ->
-          if hops >= t.hop_limit then t.st.looped <- t.st.looped + 1
+          if hops >= hop_limit then t.st.looped <- t.st.looped + 1
           else begin
             let next_sw = switch t next_sid in
             if next_sw.up then
@@ -305,103 +304,3 @@ let tick t =
           (fun msg -> queue_from_switch t sid msg)
           (Sw.expire_flows sw ~now))
     (Topology.switches t.topo)
-
-type probe_result = {
-  reached : Topology.host list;
-  punted_at : Types.switch_id list;
-  blackholed_at : Types.switch_id list;
-  looped : bool;
-  path : (Types.switch_id * Types.port_no) list;
-}
-
-(* Pure resolution of a staged output for probing: same logic as the
-   switch's, without mutating drop counters. *)
-let probe_resolve sw ~in_port (pkt, out) =
-  let up_ports_except skip =
-    Sw.port_list sw
-    |> List.filter (fun (p : Sw.port_state) ->
-           p.port_up && p.port_no <> skip)
-    |> List.map (fun (p : Sw.port_state) -> p.port_no)
-  in
-  if out = Types.port_flood || out = Types.port_all then
-    List.map (fun p -> (pkt, p)) (up_ports_except in_port)
-  else if out = Types.port_in_port then [ (pkt, in_port) ]
-  else if
-    out = Types.port_controller || out = Types.port_local
-    || out = Types.port_none
-  then []
-  else
-    match Sw.port sw out with
-    | Some p when p.port_up -> [ (pkt, out) ]
-    | Some _ | None -> []
-
-let probe t h pkt =
-  let reached = ref [] in
-  let punted = ref [] in
-  let blackholed = ref [] in
-  let looped = ref false in
-  let path = ref [] in
-  let seen = Hashtbl.create 32 in
-  let now = Clock.now t.clock in
-  let rec visit sid in_port pkt hops =
-    path := (sid, in_port) :: !path;
-    let key = (sid, in_port, pkt) in
-    if Hashtbl.mem seen key || hops >= t.hop_limit then looped := true
-    else begin
-      Hashtbl.replace seen key ();
-      let sw = switch t sid in
-      if not sw.up then blackholed := sid :: !blackholed
-      else
-        match Flow_table.lookup sw.table ~now ~in_port pkt with
-        | None -> punted := sid :: !punted
-        | Some entry ->
-            let staged = Action.apply_staged entry.actions pkt in
-            let copies =
-              List.concat_map (probe_resolve sw ~in_port) staged
-            in
-            if copies = [] && Action.is_drop entry.actions then
-              (* explicit drop rule: intentional, not a black hole *)
-              ()
-            else if copies = [] then blackholed := sid :: !blackholed
-            else
-              List.iter
-                (fun (pkt', out_port) ->
-                  match Topology.peer t.topo (Topology.Switch sid) out_port with
-                  | Some { node = Topology.Host h'; _ } ->
-                      reached := h' :: !reached
-                  | Some { node = Topology.Switch sid'; port = port' } ->
-                      visit sid' port' pkt' (hops + 1)
-                  | None -> blackholed := sid :: !blackholed)
-                copies
-    end
-  in
-  (match Topology.host_attachment t.topo h with
-  | Some (sid, port) when Topology.peer t.topo (Topology.Host h) 1 <> None ->
-      visit sid port pkt 0
-  | Some _ | None -> ());
-  {
-    reached = List.sort_uniq compare !reached;
-    punted_at = List.sort_uniq compare !punted;
-    blackholed_at = List.sort_uniq compare !blackholed;
-    looped = !looped;
-    path = List.rev !path;
-  }
-
-let reachable t src dst =
-  let pkt = Packet.tcp ~src_host:src ~dst_host:dst () in
-  List.mem dst (probe t src pkt).reached
-
-let connectivity t =
-  let hosts = Topology.hosts t.topo in
-  let pairs = ref 0 and ok = ref 0 in
-  List.iter
-    (fun src ->
-      List.iter
-        (fun dst ->
-          if src <> dst then begin
-            incr pairs;
-            if reachable t src dst then incr ok
-          end)
-        hosts)
-    hosts;
-  if !pairs = 0 then 1.0 else float !ok /. float !pairs

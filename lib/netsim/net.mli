@@ -4,7 +4,9 @@
 
     This is the "southbound" boundary: the controller calls {!send} and
     {!poll}; workloads call {!inject}; failure injection calls
-    {!apply_fault}; invariant checkers use the read-only {!probe}. *)
+    {!apply_fault}. Invariant checkers trace packets through a frozen
+    copy of the switches' state (see [Invariants.Snapshot]) instead of
+    this live one. *)
 
 open Openflow
 
@@ -48,8 +50,12 @@ type stats = {
 
 type t
 
+val hop_limit : int
+(** Inter-switch hops a copy may make before the data plane kills it as
+    looping (counted in [looped]). The invariant snapshot's trace gives
+    up at the same bound. *)
+
 val create :
-  ?hop_limit:int ->
   ?channel:Channel.config ->
   ?channel_seed:int ->
   Clock.t ->
@@ -105,24 +111,3 @@ val apply_fault : t -> fault -> unit
 val tick : t -> unit
 (** Expire flow-table entries against the current clock, queueing
     flow-removed notifications. *)
-
-(** Read-only trace of where a packet would go, given current tables.
-    Counters, buffers and notifications are untouched. *)
-type probe_result = {
-  reached : Topology.host list;
-  punted_at : Types.switch_id list;  (** Table misses along the way. *)
-  blackholed_at : Types.switch_id list;
-  looped : bool;
-  path : (Types.switch_id * Types.port_no) list;
-      (** (switch, ingress port) in visit order. *)
-}
-
-val probe : t -> Topology.host -> Packet.t -> probe_result
-
-val reachable : t -> Topology.host -> Topology.host -> bool
-(** Would a canonical TCP packet from one host reach the other right now,
-    using only installed rules (no controller help)? *)
-
-val connectivity : t -> float
-(** Fraction of ordered host pairs for which {!reachable} holds; 1.0 on a
-    fully programmed network. *)

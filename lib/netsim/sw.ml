@@ -18,6 +18,7 @@ type t = {
   table : Flow_table.t;
   mutable up : bool;
   ports : (int, port_state) Hashtbl.t;
+  port_nos : Types.port_no list;
   buffers : (int, Packet.t * Types.port_no) Hashtbl.t;
   mutable next_buffer_id : int;
   seen_xids : (Types.xid, unit) Hashtbl.t;
@@ -57,6 +58,7 @@ let create ~id ~port_nos =
     table = Flow_table.create ();
     up = true;
     ports;
+    port_nos = List.sort_uniq Int.compare port_nos;
     buffers = Hashtbl.create 8;
     next_buffer_id = 1;
     seen_xids = Hashtbl.create 64;
@@ -113,9 +115,7 @@ let has_seen_xid t xid = Hashtbl.mem t.seen_xids xid
 
 let port t n = Hashtbl.find_opt t.ports n
 
-let port_list t =
-  Hashtbl.fold (fun _ p acc -> p :: acc) t.ports []
-  |> List.sort (fun a b -> compare a.port_no b.port_no)
+let port_list t = List.filter_map (port t) t.port_nos
 
 let set_port t n ~up =
   match port t n with
@@ -163,23 +163,26 @@ let buffer_packet t pkt in_port =
   Hashtbl.replace t.buffers id (pkt, in_port);
   id
 
-(* Expand one staged (packet, port) pair: reserved ports become concrete
-   port lists; down or missing ports drop the copy. *)
-let resolve_output t ~in_port (pkt, out) =
-  let up_ports_except ~honor_no_flood skip =
-    port_list t
-    |> List.filter (fun p ->
-           p.port_up && p.port_no <> skip
-           && not (honor_no_flood && p.no_flood))
-    |> List.map (fun p -> p.port_no)
-  in
+let egress ~ports ~up ~no_flood ~in_port out =
   if out = Types.port_flood then
-    (* FLOOD honors OFPPC_NO_FLOOD (the spanning-tree hook); ALL does not. *)
-    ([], List.map (fun p -> (pkt, p)) (up_ports_except ~honor_no_flood:true in_port))
+    List.filter (fun p -> p <> in_port && up p && not (no_flood p)) ports
   else if out = Types.port_all then
-    ([], List.map (fun p -> (pkt, p)) (up_ports_except ~honor_no_flood:false in_port))
-  else if out = Types.port_in_port then ([], [ (pkt, in_port) ])
-  else if out = Types.port_controller then
+    List.filter (fun p -> p <> in_port && up p) ports
+  else if out = Types.port_in_port then [ in_port ]
+  else if
+    out = Types.port_controller || out = Types.port_local
+    || out = Types.port_none
+  then []
+  else if up out then [ out ]
+  else []
+
+let port_up t n = match port t n with Some p -> p.port_up | None -> false
+let no_flood t n = match port t n with Some p -> p.no_flood | None -> false
+
+(* Expand one staged (packet, port) pair into its egress copies; an output
+   to the controller becomes a packet-in, and a down port counts the drop. *)
+let resolve_output t ~in_port (pkt, out) =
+  if out = Types.port_controller then
     ( [
         {
           Message.pi_buffer_id = None;
@@ -189,14 +192,16 @@ let resolve_output t ~in_port (pkt, out) =
         };
       ],
       [] )
-  else if out = Types.port_local || out = Types.port_none then ([], [])
-  else
-    match port t out with
-    | Some p when p.port_up -> ([], [ (pkt, out) ])
-    | Some p ->
-        p.tx_dropped <- p.tx_dropped + 1;
-        ([], [])
-    | None -> ([], [])
+  else begin
+    (match port t out with
+    | Some p when not p.port_up -> p.tx_dropped <- p.tx_dropped + 1
+    | Some _ | None -> ());
+    let ports =
+      egress ~ports:t.port_nos ~up:(port_up t) ~no_flood:(no_flood t) ~in_port
+        out
+    in
+    ([], List.map (fun p -> (pkt, p)) ports)
+  end
 
 let run_actions t ~in_port actions pkt =
   let staged = Action.apply_staged actions pkt in
@@ -252,27 +257,6 @@ let flow_removed_messages ~now reason entries =
   |> List.map (fun e ->
          Message.message (Message.Flow_removed (Flow_entry.to_flow_removed ~now reason e)))
 
-let apply_flow_mod t ~now (fm : Message.flow_mod) =
-  match fm.command with
-  | Add ->
-      Flow_table.add t.table (Flow_entry.of_flow_mod ~now fm);
-      []
-  | Modify | Modify_strict ->
-      let strict = fm.command = Modify_strict in
-      let hit =
-        Flow_table.modify t.table ~strict fm.pattern ~priority:fm.priority
-          fm.actions
-      in
-      if not hit then Flow_table.add t.table (Flow_entry.of_flow_mod ~now fm);
-      []
-  | Delete | Delete_strict ->
-      let strict = fm.command = Delete_strict in
-      let gone =
-        Flow_table.delete t.table ~strict ?out_port:fm.out_port fm.pattern
-          ~priority:fm.priority
-      in
-      flow_removed_messages ~now Message.Removed_delete gone
-
 let take_buffer t = function
   | None -> None
   | Some id ->
@@ -308,13 +292,18 @@ let handle_message ?from t ~now (msg : Message.t) =
     | Port_mod pm -> (
         match port t pm.Message.pm_port_no with
         | Some p ->
+            if p.no_flood <> pm.Message.pm_no_flood then
+              t.cfg_gen <- t.cfg_gen + 1;
             p.no_flood <- pm.Message.pm_no_flood;
             ([], empty_forward)
         | None ->
             ( [ reply (Message.Error (Message.Port_mod_failed, "no such port")) ],
               empty_forward ))
     | Flow_mod fm ->
-        let removed = apply_flow_mod t ~now fm in
+        let removed =
+          flow_removed_messages ~now Message.Removed_delete
+            (Flow_table.apply t.table ~now fm)
+        in
         (* A flow-mod referencing a buffered packet applies its actions to
            that packet immediately (OF 1.0 §4.6). *)
         let fwd =

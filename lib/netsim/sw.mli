@@ -23,6 +23,7 @@ type t = {
   table : Flow_table.t;
   mutable up : bool;
   ports : (int, port_state) Hashtbl.t;
+  port_nos : Types.port_no list;  (** Every port, ascending; fixed at creation. *)
   buffers : (int, Packet.t * Types.port_no) Hashtbl.t;
   mutable next_buffer_id : int;
   seen_xids : (Types.xid, unit) Hashtbl.t;
@@ -45,9 +46,10 @@ val create : id:Types.switch_id -> port_nos:Types.port_no list -> t
 
 val version : t -> int
 (** Monotonic forwarding-state version: changes whenever the flow table,
-    a port's up/down state or the switch's liveness changes. Equal
-    versions at two instants guarantee identical forwarding behaviour,
-    which is what the incremental invariant checker keys its caches on. *)
+    a port's up/down state or NO_FLOOD flag, or the switch's liveness
+    changes. Equal versions at two instants guarantee identical forwarding
+    behaviour, which is what the incremental invariant checker keys its
+    caches on. *)
 
 val set_up : t -> up:bool -> unit
 (** Change switch liveness, bumping {!version} on a real transition. The
@@ -76,6 +78,21 @@ val port_list : t -> port_state list
 
 val set_port : t -> Types.port_no -> up:bool -> bool
 (** Returns [false] if the port does not exist. *)
+
+val egress :
+  ports:Types.port_no list ->
+  up:(Types.port_no -> bool) ->
+  no_flood:(Types.port_no -> bool) ->
+  in_port:Types.port_no ->
+  Types.port_no ->
+  Types.port_no list
+(** The ports a copy staged for output port [out] leaves by, given the
+    switch's [ports] (ascending) and their state; [up p] is false for a
+    port the switch lacks. FLOOD: every up port except [in_port] and the
+    NO_FLOOD ones; ALL: the same, NO_FLOOD ports included; IN_PORT:
+    [in_port]; a physical port: itself, when it is up; CONTROLLER, LOCAL
+    and NONE: no port. The one statement of these rules: the switch's
+    forwarding and the invariant snapshot's trace both call it. *)
 
 val features : t -> Message.features
 val port_desc : port_state -> Message.port_desc

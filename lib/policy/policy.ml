@@ -170,7 +170,7 @@ let apply_update u (p : Packet.t) : Packet.t =
 (* Expansion of one staged (packet, out-port) pair into concrete
    transmissions — shared by [denotation] and [eval_table] so the two
    semantics cannot disagree about reserved ports. Mirrors
-   [Netsim.Sw.resolve_output]: FLOOD/ALL fan out over the flood-eligible
+   [Netsim.Sw.egress]: FLOOD/ALL fan out over the flood-eligible
    ports minus the ingress, IN_PORT hairpins, CONTROLLER/LOCAL/NONE
    transmit nothing. *)
 let expand_out ~ports ~sw ~in_port (pkt, out) =

@@ -149,7 +149,9 @@ let run scenario ~make_driver =
     | Do_tick -> if driver.controller_up () then driver.tick ()
     | Sample ->
         connectivity_samples :=
-          (Clock.now clock, Net.connectivity net) :: !connectivity_samples;
+          ( Clock.now clock,
+            Invariants.Checker.connectivity (Invariants.Snapshot.of_net net) )
+          :: !connectivity_samples;
         sample_liveness ()
     | Restart ->
         (* Notifications that arrived while the controller was dead were

@@ -57,8 +57,8 @@ let test_learning_switch_converges () =
       [ (App_sig.app (module Apps.Learning_switch)) ]
   in
   drive net (fun () -> Runtime.step rt) [ (1, 2); (2, 1); (1, 2) ];
-  T_util.checkb "forward path pinned" true (Net.reachable net 1 2);
-  T_util.checkb "reverse path pinned" true (Net.reachable net 2 1)
+  T_util.checkb "forward path pinned" true (T_util.reachable net 1 2);
+  T_util.checkb "reverse path pinned" true (T_util.reachable net 2 1)
 
 let test_learning_switch_forgets_on_switch_down () =
   let _, rt =
@@ -75,7 +75,7 @@ let test_router_installs_path_rules () =
   in
   (* First exchange seeds the device manager (flooding), second installs. *)
   drive net (fun () -> Runtime.step rt) [ (1, 3); (3, 1); (1, 3) ];
-  T_util.checkb "end-to-end path programmed" true (Net.reachable net 1 3);
+  T_util.checkb "end-to-end path programmed" true (T_util.reachable net 1 3);
   (* Path rules exist on the transit switch too. *)
   T_util.checkb "transit switch programmed" true
     (Flow_table.size (Net.switch net 2).Sw.table >= 1)
@@ -85,7 +85,7 @@ let test_router_tears_down_on_link_failure () =
     runtime_over (Topo_gen.linear ~hosts_per_switch:1 3) [ (App_sig.app (module Apps.Router)) ]
   in
   drive net (fun () -> Runtime.step rt) [ (1, 3); (3, 1); (1, 3) ];
-  T_util.checkb "programmed" true (Net.reachable net 1 3);
+  T_util.checkb "programmed" true (T_util.reachable net 1 3);
   Net.apply_fault net (Net.Link_down (Topology.Switch 2, Topology.Switch 3));
   Runtime.step rt;
   (* Routes through the dead link were withdrawn, not left black-holing. *)
@@ -118,7 +118,7 @@ let test_firewall_web_unaffected () =
       [ (App_sig.app (module Apps.Firewall)); (App_sig.app (module Apps.Learning_switch)) ]
   in
   drive net (fun () -> Runtime.step rt) [ (1, 2); (2, 1); (1, 2) ];
-  T_util.checkb "web traffic still flows" true (Net.reachable net 1 2)
+  T_util.checkb "web traffic still flows" true (T_util.reachable net 1 2)
 
 let test_load_balancer_spreads_flows () =
   (* Star: leaves s2..s4 each hang off hub s1; hub has 3 uplinks. Traffic
@@ -166,7 +166,7 @@ let test_faulty_wrapper_transparent_until_trigger () =
   in
   drive net (fun () -> Monolithic.step mono) [ (1, 2); (2, 1); (1, 2) ];
   T_util.checkb "wrapped app behaves identically below trigger" true
-    (Monolithic.status mono = Monolithic.Running && Net.reachable net 1 2)
+    (Monolithic.status mono = Monolithic.Running && T_util.reachable net 1 2)
 
 let test_bug_probability_is_seed_deterministic () =
   let trigger p seed =

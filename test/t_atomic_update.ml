@@ -30,7 +30,7 @@ let test_good_update_commits () =
   (match apply w path_update with
   | Atomic_update.Committed -> ()
   | other -> Alcotest.failf "expected commit, got %s" (Atomic_update.describe other));
-  T_util.checkb "path live" true (Net.reachable w.net 1 2)
+  T_util.checkb "path live" true (T_util.reachable w.net 1 2)
 
 let test_bad_update_rolls_back_everything () =
   let w = setup () in

@@ -103,7 +103,7 @@ let test_atomic_update_on_delay_buffer () =
   | other ->
       Alcotest.failf "buffered commit failed: %s"
         (Legosdn.Atomic_update.describe other));
-  T_util.checkb "rules flushed at commit" true (Net.reachable net 1 2);
+  T_util.checkb "rules flushed at commit" true (T_util.reachable net 1 2);
   (* The hypothetical screen vetoes bad batches before buffering flushes. *)
   let bad =
     (3, Openflow.Message.flow_add
@@ -152,7 +152,7 @@ let test_standby_under_live_faults () =
   let rt = Option.get (Cluster.active_runtime c) in
   T_util.checkb "new controller keeps serving" true
     (Legosdn.Runtime.events_processed rt > 0);
-  T_util.checkb "traffic still flows" true (Net.reachable net 1 3)
+  T_util.checkb "traffic still flows" true (T_util.reachable net 1 3)
 
 let suite =
   [

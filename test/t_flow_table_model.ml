@@ -1,7 +1,8 @@
 (* Model-based testing of Flow_table: a naive, obviously-correct reference
-   implementation is driven with the same random operation sequences as the
+   implementation is driven with the same random flow-mod sequences as the
    real table, and their observable behaviour (lookups, sizes, removals)
-   must agree at every step. *)
+   must agree at every step. The invariant snapshot's list overlay, the one
+   other implementation of these rules, is held to the same model. *)
 
 open Openflow
 open Netsim
@@ -45,14 +46,31 @@ module Model = struct
         t.rules;
     !hit
 
-  let delete t ~strict pattern ~priority =
+  let delete t ~strict ?out_port pattern ~priority =
+    let outputs_to r =
+      match out_port with
+      | None -> true
+      | Some p -> List.mem p (Action.outputs r.actions)
+    in
     let gone, kept =
-      List.partition (touches ~strict pattern ~priority) t.rules
+      List.partition
+        (fun r -> touches ~strict pattern ~priority r && outputs_to r)
+        t.rules
     in
     t.rules <- kept;
     List.length gone
 
   let size t = List.length t.rules
+
+  (* Priority order, insertion order within a priority. *)
+  let entries t =
+    List.sort
+      (fun a b ->
+        match compare b.priority a.priority with
+        | 0 -> compare a.seq b.seq
+        | c -> c)
+      t.rules
+    |> List.map (fun r -> (r.pattern, r.priority, r.actions))
 
   (* Highest priority; insertion order (lowest seq) breaks ties. *)
   let lookup t ~in_port pkt =
@@ -72,25 +90,27 @@ end
 type op =
   | Add of Ofp_match.t * int * Action.t list
   | Modify of bool * Ofp_match.t * int * Action.t list
-  | Delete of bool * Ofp_match.t * int
+  | Delete of bool * Ofp_match.t * int * Types.port_no option
 
-let apply_real table = function
-  | Add (pattern, priority, actions) ->
-      Flow_table.add table
-        (Flow_entry.make ~priority ~now:0. pattern actions)
+let flow_mod = function
+  | Add (pattern, priority, actions) -> Message.flow_add ~priority pattern actions
   | Modify (strict, pattern, priority, actions) ->
-      if not (Flow_table.modify table ~strict pattern ~priority actions) then
-        Flow_table.add table (Flow_entry.make ~priority ~now:0. pattern actions)
-  | Delete (strict, pattern, priority) ->
-      ignore (Flow_table.delete table ~strict pattern ~priority)
+      {
+        (Message.flow_add ~priority pattern actions) with
+        command = (if strict then Message.Modify_strict else Message.Modify);
+      }
+  | Delete (strict, pattern, priority, out_port) ->
+      { (Message.flow_delete ~strict ~priority pattern) with out_port }
+
+let apply_real table op = ignore (Flow_table.apply table ~now:0. (flow_mod op))
 
 let apply_model model = function
   | Add (pattern, priority, actions) -> Model.add model pattern priority actions
   | Modify (strict, pattern, priority, actions) ->
       if not (Model.modify model ~strict pattern ~priority actions) then
         Model.add model pattern priority actions
-  | Delete (strict, pattern, priority) ->
-      ignore (Model.delete model ~strict pattern ~priority)
+  | Delete (strict, pattern, priority, out_port) ->
+      ignore (Model.delete model ~strict ?out_port pattern ~priority)
 
 (* Small domains maximize collisions, which is where the bugs live. *)
 let small_pattern =
@@ -108,11 +128,12 @@ let op_gen =
       map (fun p -> [ Action.Output p ]) (oneofl [ 1; 2; 3 ])
     in
     let* strict = bool in
+    let* out_port = opt (oneofl [ 1; 2; 3 ]) in
     oneof
       [
         return (Add (pattern, priority, actions));
         return (Modify (strict, pattern, priority, actions));
-        return (Delete (strict, pattern, priority));
+        return (Delete (strict, pattern, priority, out_port));
       ])
 
 let probe_packets =
@@ -124,8 +145,14 @@ let probe_packets =
          ~nw_dst:(Types.ip_of_host 2) ~tp_dst:53 ());
   ]
 
+let view entries =
+  List.map
+    (fun (e : Flow_entry.t) -> (e.pattern, e.priority, e.actions))
+    entries
+
 let agree table model =
   Model.size model = Flow_table.size table
+  && view (Flow_table.entries table) = Model.entries model
   && List.for_all
        (fun (in_port, pkt) ->
          let real =
@@ -166,6 +193,24 @@ let prop_delete_counts_agree =
       in
       let model_gone = Model.delete model ~strict pattern ~priority:20 in
       real_gone = model_gone)
+
+(* The screen's overlay applies flow-mods to a frozen rule list; from an
+   empty snapshot it must hold the model's rules in the model's order. *)
+let prop_snapshot_overlay_agreement =
+  QCheck2.Test.make ~name:"snapshot overlay agrees with naive reference"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 25) op_gen)
+    (fun ops ->
+      let module Snapshot = Invariants.Snapshot in
+      let net = Net.create (Clock.create ()) (Topo_gen.linear 1) in
+      let model = Model.create () in
+      let snap = ref (Snapshot.of_net net) in
+      List.for_all
+        (fun op ->
+          snap := Snapshot.apply_flow_mods !snap [ (1, flow_mod op) ];
+          apply_model model op;
+          view (Snapshot.entries !snap 1) = Model.entries model)
+        ops)
 
 (* Interning is a representation change only: the same operation sequence
    against a table built with interning on and one built with it off (the
@@ -209,5 +254,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_model_agreement;
     QCheck_alcotest.to_alcotest prop_delete_counts_agree;
+    QCheck_alcotest.to_alcotest prop_snapshot_overlay_agreement;
     QCheck_alcotest.to_alcotest prop_interning_differential;
   ]

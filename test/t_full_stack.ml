@@ -47,7 +47,7 @@ let warm clock net rt =
     active_pairs
 
 let served net =
-  List.length (List.filter (fun (s, d) -> Net.reachable net s d) active_pairs)
+  List.length (List.filter (fun (s, d) -> T_util.reachable net s d) active_pairs)
 
 let test_suite_programs_fat_tree () =
   let clock, net, rt = setup () in
@@ -121,7 +121,7 @@ let test_jellyfish_suite () =
       Runtime.step rt)
     pairs;
   T_util.checki "flows pinned on jellyfish" 4
-    (List.length (List.filter (fun (s, d) -> Net.reachable net s d) pairs));
+    (List.length (List.filter (fun (s, d) -> T_util.reachable net s d) pairs));
   T_util.checki "no storms" 0 (Runtime.events_shed rt)
 
 let suite =

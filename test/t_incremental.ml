@@ -2,9 +2,10 @@ module App_sig = Controller.App_sig
 (* The incremental invariant checker must be observationally equal to the
    full checker — same violations, same order — no matter what happened to
    the network since its caches were last valid. The property below drives
-   both through arbitrary flow-mod / fault / clock sequences; the unit
-   tests pin the invalidation paths that are easy to get wrong (reboots,
-   flow timeouts, partition + resync, hypothetical-overlay pollution). *)
+   both through arbitrary flow-mod / port-mod / fault / clock sequences;
+   the unit tests pin the invalidation paths that are easy to get wrong
+   (reboots, flow timeouts, partition + resync, hypothetical-overlay
+   pollution). *)
 
 open Openflow
 open Netsim
@@ -64,6 +65,7 @@ let timeouts = [| 0; 1; 3 |]
 
 type op =
   | Flow of int * Message.flow_mod
+  | Port_mod of int * Message.port_mod
   | Fault of Net.fault
   | Advance of float
 
@@ -95,6 +97,11 @@ let gen_op =
       [
         (6, gen_install);
         (2, gen_delete);
+        ( 1,
+          map
+            (fun (s, p, on) ->
+              Port_mod (s, { Message.pm_port_no = p; pm_no_flood = on }))
+            (triple (int_range 1 3) (int_range 1 3) bool) );
         (1, map (fun s -> Fault (Net.Switch_down s)) (int_range 1 3));
         (1, map (fun s -> Fault (Net.Switch_up s)) (int_range 1 3));
         ( 1,
@@ -111,6 +118,8 @@ let gen_op =
 let apply_op net clock = function
   | Flow (sid, fm) ->
       ignore (Net.send net sid (Message.message (Message.Flow_mod fm)))
+  | Port_mod (sid, pm) ->
+      ignore (Net.send net sid (Message.message (Message.Port_mod pm)))
   | Fault f -> Net.apply_fault net f
   | Advance d -> Clock.advance_by clock d
 
@@ -449,7 +458,7 @@ let test_partition_heal_resync_equivalence () =
       Net.inject net src (Packet.tcp ~src_host:src ~dst_host:dst ());
       Runtime.step rt)
     [ (1, 3); (3, 1); (1, 3); (3, 1) ];
-  T_util.checkb "path warmed" true (Net.reachable net 1 3);
+  T_util.checkb "path warmed" true (T_util.reachable net 1 3);
   check_agrees "agrees on warmed path" eng net;
   Net.apply_fault net (Net.Switch_down 2);
   Runtime.step rt;
@@ -459,7 +468,7 @@ let test_partition_heal_resync_equivalence () =
   (* Resync replays the learned rules into the empty rebooted table via
      the control channel, not via apply_fault — exactly the kind of write
      the version counters must pick up. *)
-  T_util.checkb "resync repaired the path" true (Net.reachable net 1 3);
+  T_util.checkb "resync repaired the path" true (T_util.reachable net 1 3);
   check_agrees "agrees after resync replay" eng net;
   T_util.checkb "metrics saw cache traffic" true
     (Metrics.(get (Runtime.metrics rt) inv_hits)

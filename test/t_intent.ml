@@ -150,7 +150,7 @@ let test_compromise_reroutes_after_crash () =
   Net.inject net 1 (Openflow.Packet.tcp ~src_host:1 ~dst_host:2 ());
   Runtime.step rt;
   T_util.checkb "traffic rerouted around the dead link" true
-    (Net.reachable net 1 2)
+    (T_util.reachable net 1 2)
 
 (* ---------------- end-to-end fuzzer scenario ---------------- *)
 

@@ -120,15 +120,110 @@ let test_snapshot_delete_mod () =
   T_util.checki "live rule still present" 1
     (Flow_table.size (Net.switch net 1).Sw.table)
 
-let test_trace_agrees_with_net_probe () =
-  let net = setup () in
-  install net 1 (Ofp_match.make ~dl_dst:(mac 2) ()) [ Action.Output 1 ];
-  install net 2 (Ofp_match.make ~dl_dst:(mac 2) ()) [ Action.Output 100 ];
-  let snap = Snapshot.of_net net in
-  let t = Snapshot.trace snap 1 (T_util.tcp_packet 1 2) in
-  let p = Net.probe net 1 (T_util.tcp_packet 1 2) in
-  Alcotest.(check (list int)) "same hosts reached" p.Net.reached t.Snapshot.reached;
-  T_util.checkb "same loop flag" true (p.Net.looped = t.Snapshot.looped)
+let set_no_flood net sid port on =
+  ignore
+    (Net.send net sid
+       (Message.message
+          (Message.Port_mod { Message.pm_port_no = port; pm_no_flood = on })))
+
+(* Inject [pkt] from [src] into the live data plane: the hosts it was
+   delivered to, and whether the hop limit killed a copy. *)
+let deliver net src pkt =
+  ignore (Net.poll net);
+  let killed = (Net.stats net).Net.looped in
+  Net.inject net src pkt;
+  let hosts =
+    List.filter_map
+      (function Net.Delivered (h, _) -> Some h | _ -> None)
+      (Net.poll net)
+  in
+  (List.sort_uniq compare hosts, (Net.stats net).Net.looped > killed)
+
+(* A 3-switch ring with one link pruned by NO_FLOOD on both its ends (what
+   the spanning-tree app does) and a match-all FLOOD rule on every switch:
+   floods cover the tree, and no copy loops. *)
+let test_pruned_ring_floods_without_loop () =
+  let clock = Clock.create () in
+  let net = Net.create clock (Topo_gen.ring 3) in
+  ignore (Net.poll net);
+  (* ring 3: s1:1-s2:1, s2:2-s3:1, s3:2-s1:2; prune s3-s1. *)
+  set_no_flood net 1 2 true;
+  set_no_flood net 3 2 true;
+  List.iter
+    (fun sid -> install net sid Ofp_match.any [ Action.Output Types.port_flood ])
+    [ 1; 2; 3 ];
+  Alcotest.(check (list string)) "no loop reported" []
+    (List.map Checker.violation_kind
+       (Checker.check ~invariants:[ Checker.Loop_freedom ] (Snapshot.of_net net)));
+  let hosts, killed = deliver net 1 (Checker.canonical_packet 1 2) in
+  Alcotest.(check (list int)) "data plane delivers to h2 and h3" [ 2; 3 ] hosts;
+  T_util.checkb "no hop-limit kill" false killed
+
+(* The one tracer, pinned to the data plane: on random single-output rules,
+   NO_FLOOD flags and link failures, [Snapshot.trace] reaches exactly the
+   hosts [Net.inject] delivers to, and a hop-limit kill is a looped trace.
+   The converse does not hold: two flood copies meeting again revisit
+   forwarding state without ever reaching the hop limit. *)
+type dp_op =
+  | Rule of int * Message.flow_mod
+  | No_flood of int * Types.port_no * bool
+  | Port_down of int * Types.port_no
+
+let gen_dp_op =
+  QCheck2.Gen.(
+    let rule =
+      let* sid = int_range 1 3 in
+      let* pattern =
+        oneof
+          [
+            return Ofp_match.any;
+            map (fun h -> Ofp_match.make ~dl_dst:(mac h) ()) (int_range 1 3);
+            map (fun p -> Ofp_match.make ~in_port:p ()) (oneofl [ 1; 2; 3; 100 ]);
+          ]
+      in
+      let* priority = oneofl [ 10; Message.default_priority; 65000 ] in
+      let* out =
+        oneofl [ Types.port_flood; Types.port_all; Types.port_in_port; 1; 2; 3 ]
+      in
+      return (Rule (sid, Message.flow_add ~priority pattern [ Action.Output out ]))
+    in
+    frequency
+      [
+        (6, rule);
+        ( 2,
+          map
+            (fun (sid, port, on) -> No_flood (sid, port, on))
+            (triple (int_range 1 3) (oneofl [ 1; 2; 100 ]) bool) );
+        ( 1,
+          map
+            (fun (sid, port) -> Port_down (sid, port))
+            (pair (int_range 1 3) (oneofl [ 1; 2 ])) );
+      ])
+
+let prop_trace_matches_data_plane =
+  QCheck2.Test.make ~name:"trace reaches exactly what the data plane delivers"
+    ~count:2000
+    QCheck2.Gen.(
+      triple bool (list_size (int_range 1 12) gen_dp_op)
+        (pair (int_range 1 3) (int_range 1 3)))
+    (fun (ring, ops, (src, dst)) ->
+      let topo =
+        if ring then Topo_gen.ring ~hosts_per_switch:1 3
+        else Topo_gen.linear ~hosts_per_switch:1 3
+      in
+      let net = Net.create (Clock.create ()) topo in
+      ignore (Net.poll net);
+      List.iter
+        (function
+          | Rule (sid, fm) ->
+              ignore (Net.send net sid (Message.message (Message.Flow_mod fm)))
+          | No_flood (sid, port, on) -> set_no_flood net sid port on
+          | Port_down (sid, port) -> Net.apply_fault net (Net.Port_down (sid, port)))
+        ops;
+      let pkt = Checker.canonical_packet src dst in
+      let probe = Snapshot.trace (Snapshot.of_net net) src pkt in
+      let hosts, killed = deliver net src pkt in
+      probe.Snapshot.reached = hosts && ((not killed) || probe.Snapshot.looped))
 
 let suite =
   [
@@ -141,5 +236,7 @@ let suite =
     Alcotest.test_case "differential check" `Quick test_check_flow_mods_is_differential;
     Alcotest.test_case "snapshot apply is pure" `Quick test_snapshot_apply_is_pure;
     Alcotest.test_case "snapshot delete" `Quick test_snapshot_delete_mod;
-    Alcotest.test_case "trace agrees with live probe" `Quick test_trace_agrees_with_net_probe;
+    Alcotest.test_case "pruned ring floods without a loop" `Quick
+      test_pruned_ring_floods_without_loop;
+    QCheck_alcotest.to_alcotest prop_trace_matches_data_plane;
   ]

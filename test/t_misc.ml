@@ -31,9 +31,9 @@ let test_flood_probe_reaches_all_hosts () =
               (Message.Flow_mod
                  (Message.flow_add Ofp_match.any [ Action.Output Types.port_flood ])))))
     (Topology.switches (Net.topology net));
-  let probe = Net.probe net 1 (T_util.tcp_packet 1 2) in
+  let probe = T_util.trace net 1 (T_util.tcp_packet 1 2) in
   Alcotest.(check (list int)) "all other hosts reached" [ 2; 3 ]
-    probe.Net.reached
+    probe.Invariants.Snapshot.reached
 
 let test_learning_switch_idle_variant () =
   let m = Apps.Learning_switch.with_idle_timeout 5 in
@@ -49,12 +49,12 @@ let test_learning_switch_idle_variant () =
       Net.inject net src (T_util.tcp_packet src dst);
       Legosdn.Runtime.step rt)
     [ (1, 2); (2, 1); (1, 2) ];
-  T_util.checkb "path pinned" true (Net.reachable net 1 2);
+  T_util.checkb "path pinned" true (T_util.reachable net 1 2);
   (* The short idle timeout expires the rules quickly. *)
   Clock.advance_by clock 6.;
   Net.tick net;
   ignore (Net.poll net);
-  T_util.checkb "rules idled out" false (Net.reachable net 1 2)
+  T_util.checkb "rules idled out" false (T_util.reachable net 1 2)
 
 let test_router_variants_differ_in_tie_breaking () =
   (* On a multipath topology the two team versions may pick different
@@ -70,7 +70,7 @@ let test_router_variants_differ_in_tie_breaking () =
         Net.inject net src (T_util.tcp_packet src dst);
         Legosdn.Runtime.step rt)
       [ (1, 4); (4, 1); (1, 4) ];
-    Net.reachable net 1 4
+    T_util.reachable net 1 4
   in
   T_util.checkb "team A routes" true (run (Apps.Router.variant "team_a"));
   T_util.checkb "team C routes" true

@@ -27,7 +27,7 @@ let test_healthy_dispatch () =
   T_util.checkb "controller running" true (Monolithic.status mono = Monolithic.Running);
   T_util.checkb "events flowed" true (Monolithic.events_processed mono > 0);
   (* After learning both sides, h1->h2 is pinned in hardware. *)
-  T_util.checkb "path installed" true (Net.reachable net 1 2)
+  T_util.checkb "path installed" true (T_util.reachable net 1 2)
 
 let test_crash_takes_down_everything () =
   let net, mono =

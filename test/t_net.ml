@@ -59,28 +59,31 @@ let test_programmed_delivery () =
 let test_probe_and_reachable () =
   let _, net = setup () in
   program_linear net;
-  T_util.checkb "h1 reaches h2" true (Net.reachable net 1 2);
+  T_util.checkb "h1 reaches h2" true (T_util.reachable net 1 2);
   T_util.checkb "h2 cannot reach h1 (no reverse rules)" false
-    (Net.reachable net 2 1);
-  let probe = Net.probe net 1 (T_util.tcp_packet 1 2) in
+    (T_util.reachable net 2 1);
+  let probe = T_util.trace net 1 (T_util.tcp_packet 1 2) in
   Alcotest.(check (list int)) "probe path switches" [ 1; 2 ]
-    (List.map fst probe.Net.path)
+    (List.map (fun (sid, _, _) -> sid) probe.Invariants.Snapshot.path)
 
 let test_probe_does_not_mutate () =
   let _, net = setup () in
   program_linear net;
   let before = (Flow_table.entries (Net.switch net 1).Sw.table |> List.hd).Flow_entry.packet_count in
-  ignore (Net.probe net 1 (T_util.tcp_packet 1 2));
+  ignore (T_util.trace net 1 (T_util.tcp_packet 1 2));
   let after = (Flow_table.entries (Net.switch net 1).Sw.table |> List.hd).Flow_entry.packet_count in
   T_util.checki "counters untouched by probe" before after
+
+let connectivity net =
+  Invariants.Checker.connectivity (Invariants.Snapshot.of_net net)
 
 let test_connectivity_metric () =
   let _, net = setup () in
   T_util.checkb "nothing programmed: 0 connectivity" true
-    (Net.connectivity net = 0.);
+    (connectivity net = 0.);
   program_linear net;
   (* exactly 1 of 6 ordered pairs works *)
-  Alcotest.(check (float 0.001)) "1/6 pairs" (1. /. 6.) (Net.connectivity net)
+  Alcotest.(check (float 0.001)) "1/6 pairs" (1. /. 6.) (connectivity net)
 
 let test_link_down_notifications () =
   let _, net = setup () in
@@ -99,9 +102,9 @@ let test_link_down_notifications () =
 let test_link_down_kills_path () =
   let _, net = setup () in
   program_linear net;
-  T_util.checkb "path up" true (Net.reachable net 1 2);
+  T_util.checkb "path up" true (T_util.reachable net 1 2);
   Net.apply_fault net (Net.Link_down (Topology.Switch 1, Topology.Switch 2));
-  T_util.checkb "path broken" false (Net.reachable net 1 2)
+  T_util.checkb "path broken" false (T_util.reachable net 1 2)
 
 let test_switch_down_and_reboot () =
   let _, net = setup () in
@@ -110,7 +113,7 @@ let test_switch_down_and_reboot () =
   let notes = Net.poll net in
   T_util.checkb "disconnect notification" true
     (List.exists (function Net.Switch_disconnected 2 -> true | _ -> false) notes);
-  T_util.checkb "unreachable while down" false (Net.reachable net 1 2);
+  T_util.checkb "unreachable while down" false (T_util.reachable net 1 2);
   Net.apply_fault net (Net.Switch_up 2);
   let notes = Net.poll net in
   T_util.checkb "reconnect notification" true
@@ -118,7 +121,7 @@ let test_switch_down_and_reboot () =
   T_util.checki "reboot cleared the flow table" 0
     (Flow_table.size (Net.switch net 2).Sw.table);
   T_util.checkb "still unreachable (rules lost in reboot)" false
-    (Net.reachable net 1 2)
+    (T_util.reachable net 1 2)
 
 let test_loop_guard () =
   (* Program an actual forwarding loop on a ring and check the hop limit
@@ -138,8 +141,8 @@ let test_loop_guard () =
   add 3 2;
   Net.inject net 1 (T_util.tcp_packet 1 2);
   T_util.checkb "loop detected by hop limit" true ((Net.stats net).Net.looped > 0);
-  let probe = Net.probe net 1 (T_util.tcp_packet 1 2) in
-  T_util.checkb "probe flags the loop" true probe.Net.looped
+  let probe = T_util.trace net 1 (T_util.tcp_packet 1 2) in
+  T_util.checkb "probe flags the loop" true probe.Invariants.Snapshot.looped
 
 let test_expiry_tick () =
   let clock, net = setup () in

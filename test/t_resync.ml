@@ -102,20 +102,20 @@ let reboot_scenario ~reliable_on =
       Net.inject net src (Packet.tcp ~src_host:src ~dst_host:dst ());
       Runtime.step rt)
     [ (1, 3); (3, 1); (1, 3); (3, 1) ];
-  T_util.checkb "path warmed" true (Net.reachable net 1 3);
+  T_util.checkb "path warmed" true (T_util.reachable net 1 3);
   Net.apply_fault net (Net.Switch_down 2);
   Runtime.step rt;
   Net.apply_fault net (Net.Switch_up 2);
   (* The rebooted switch is empty: the old rules are gone and no new
      packet has arrived to re-trigger the applications. *)
-  T_util.checkb "reboot blackholes the path" false (Net.reachable net 1 3);
+  T_util.checkb "reboot blackholes the path" false (T_util.reachable net 1 3);
   Runtime.step rt;
   (clock, net, rt)
 
 let test_resync_repairs_rebooted_switch () =
   let _, net, rt = reboot_scenario ~reliable_on:true in
   T_util.checkb "resync repaired forwarding without new traffic" true
-    (Net.reachable net 1 3);
+    (T_util.reachable net 1 3);
   let m = Runtime.metrics rt in
   T_util.checkb "resync counted" true (Metrics.(get m resyncs) >= 1);
   T_util.checkb "rules replayed" true (Metrics.(get m resynced_rules) >= 1)
@@ -123,7 +123,7 @@ let test_resync_repairs_rebooted_switch () =
 let test_no_resync_without_reliable_layer () =
   let _, net, rt = reboot_scenario ~reliable_on:false in
   T_util.checkb "disabled layer leaves the path black-holed" false
-    (Net.reachable net 1 3);
+    (T_util.reachable net 1 3);
   T_util.checki "no resyncs" 0 Metrics.(get (Runtime.metrics rt) resyncs)
 
 (* Transactions against a degraded switch abort cleanly: the crashpad

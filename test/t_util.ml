@@ -41,6 +41,15 @@ let net_with_services topo =
 
 let tcp_packet src dst = Packet.tcp ~src_host:src ~dst_host:dst ()
 
+(* Read-only tracing over the installed rules right now: where a packet
+   from a host would go, and whether the canonical packet from [src]
+   reaches [dst]. *)
+let trace net src pkt =
+  Invariants.Snapshot.trace (Invariants.Snapshot.of_net net) src pkt
+
+let reachable net src dst =
+  Invariants.Checker.reachable (Invariants.Snapshot.of_net net) src dst
+
 (* Alcotest testables. *)
 let match_t = Alcotest.testable Ofp_match.pp Ofp_match.equal
 let message_t = Alcotest.testable Message.pp Message.equal
