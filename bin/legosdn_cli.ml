@@ -5,15 +5,13 @@
      dune exec bin/legosdn_cli.exe -- run --topo ring:5 --apps learning_switch,firewall
      dune exec bin/legosdn_cli.exe -- run --arch monolithic \
         --bug crash:packet_in --duration 30
-     dune exec bin/legosdn_cli.exe -- run --policy-file my.policy --verbose
-     dune exec bin/legosdn_cli.exe -- check-policy my.policy *)
+     dune exec bin/legosdn_cli.exe -- run --config-file my.policy --verbose
+     dune exec bin/legosdn_cli.exe -- check-config my.policy *)
 
 open Netsim
 module Event = Controller.Event
 module App_sig = Controller.App_sig
 module Runtime = Legosdn.Runtime
-module Recovery_policy = Legosdn.Recovery_policy
-module Crashpad = Legosdn.Crashpad
 module Scenario = Workload.Scenario
 module Traffic = Workload.Traffic
 
@@ -89,7 +87,7 @@ let read_file path =
 
 (* ---------------- the run command ---------------- *)
 
-let run_scenario make_topology arch app_names bug policy_file config_file
+let run_scenario make_topology arch app_names bug config_file
     workload_flag duration trace_out trace_buffer delta_ckpt nversion verbose =
   let apps =
     List.filter_map
@@ -116,17 +114,6 @@ let run_scenario make_topology arch app_names bug policy_file config_file
         Apps.Faulty.wrap ~bug first :: List.map snd rest
     | Some _, [] -> []
   in
-  let policy =
-    match policy_file with
-    | None -> Recovery_policy.uniform Recovery_policy.Equivalence
-    | Some path -> (
-        match Legosdn.Recovery_policy_lang.parse (read_file path) with
-        | Ok p -> p
-        | Error e ->
-            Printf.eprintf "error: %s: %s\n" path
-              (Format.asprintf "%a" Legosdn.Recovery_policy_lang.pp_error e);
-            exit 2)
-  in
   let config =
     match config_file with
     | Some path -> (
@@ -136,11 +123,7 @@ let run_scenario make_topology arch app_names bug policy_file config_file
             Printf.eprintf "error: %s: %s\n" path
               (Format.asprintf "%a" Legosdn.Config_lang.pp_error e);
             exit 2)
-    | None ->
-        {
-          Runtime.default_config with
-          Runtime.crashpad = { Crashpad.default_config with Crashpad.policy };
-        }
+    | None -> Runtime.default_config
   in
   let config =
     if delta_ckpt then
@@ -380,7 +363,7 @@ let validate_trace path =
             kinds;
           `Ok ())
 
-(* ---------------- the check-policy command ---------------- *)
+(* ---------------- the check-config command ---------------- *)
 
 let check_config path =
   match Legosdn.Config_lang.parse (read_file path) with
@@ -390,18 +373,6 @@ let check_config path =
   | Error e ->
       Printf.eprintf "%s: %s\n" path
         (Format.asprintf "%a" Legosdn.Config_lang.pp_error e);
-      exit 1
-
-let check_policy path =
-  match Legosdn.Recovery_policy_lang.parse (read_file path) with
-  | Ok p ->
-      Printf.printf "%s: OK (%d rules)\n%s" path
-        (List.length (Recovery_policy.rules p))
-        (Legosdn.Recovery_policy_lang.print p);
-      `Ok ()
-  | Error e ->
-      Printf.eprintf "%s: %s\n" path
-        (Format.asprintf "%a" Legosdn.Recovery_policy_lang.pp_error e);
       exit 1
 
 (* ---------------- cmdliner wiring ---------------- *)
@@ -457,18 +428,12 @@ let bug_arg =
        & info [ "bug" ] ~docv:"BUG"
            ~doc:"Inject a bug into the first app, e.g. crash:packet_in, crash-nth:packet_in:5, hang:switch_down, byz-loop:packet_in, leak:packet_in:4096.")
 
-let policy_arg =
-  Arg.(value
-       & opt (some file) None
-       & info [ "policy-file" ] ~docv:"FILE"
-           ~doc:"Compromise policy in the Crash-Pad policy language.")
-
 let config_arg =
   Arg.(value
        & opt (some file) None
        & info [ "config-file" ] ~docv:"FILE"
-           ~doc:"Full runtime configuration in the operator config language \
-                 (supersedes $(b,--policy-file)).")
+           ~doc:"Runtime configuration in the operator config language; \
+                 a file of compromise-policy lines alone is one.")
 
 let duration_arg =
   Arg.(value & opt float 20. & info [ "duration" ] ~docv:"SECONDS"
@@ -513,14 +478,9 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(ret
             (const run_scenario $ topo_arg $ arch_arg $ apps_arg $ bug_arg
-             $ policy_arg $ config_arg $ workload_arg $ duration_arg
+             $ config_arg $ workload_arg $ duration_arg
              $ trace_out_arg $ trace_buffer_arg $ delta_ckpt_arg
              $ nversion_arg $ verbose_arg))
-
-let check_policy_cmd =
-  let doc = "Parse and echo a Crash-Pad policy file" in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  Cmd.v (Cmd.info "check-policy" ~doc) Term.(ret (const check_policy $ path))
 
 let out_arg =
   Arg.(value & opt string "events.trace"
@@ -571,6 +531,6 @@ let () =
        (Cmd.group
           (Cmd.info "legosdn_cli" ~doc)
           [
-            run_cmd; check_policy_cmd; check_config_cmd; record_cmd;
+            run_cmd; check_config_cmd; record_cmd;
             minimize_cmd; validate_trace_cmd;
           ]))

@@ -92,27 +92,21 @@ let kill_leader_arg =
   in
   Arg.(value & flag & info [ "kill-leader" ] ~doc)
 
-let dispatch_conv =
-  Arg.conv
-    ( (fun s ->
-        match s with
-        | "seq" -> Ok Legosdn.Runtime.Sequential
-        | "sharded" -> Ok Legosdn.Runtime.default_sharded
-        | _ -> Error (`Msg (Printf.sprintf "unknown dispatch mode %S" s))),
-      fun fmt d ->
-        Format.fprintf fmt "%s"
-          (match d with
-          | Legosdn.Runtime.Sequential -> "seq"
-          | Legosdn.Runtime.Sharded _ -> "sharded") )
-
 let dispatch_arg =
   let doc =
-    "Event-dispatch engine: 'seq' (the sequential specification) or \
-     'sharded' (the batched engine). An execution parameter, not part of \
-     the scenario: the same seeds and reproducers run under either, and \
-     must behave identically."
+    "Event dispatch: 'seq' (one event at a time, the specification) or \
+     'batched' (batches of up to 64 events). An execution parameter, not \
+     part of the scenario: the same seeds and reproducers run under \
+     either, and must behave identically."
   in
-  Arg.(value & opt dispatch_conv Legosdn.Runtime.Sequential
+  Arg.(value
+       & opt
+           (enum
+              [
+                ("seq", Legosdn.Runtime.Sequential);
+                ("batched", Legosdn.Runtime.default_sharded);
+              ])
+           Legosdn.Runtime.Sequential
        & info [ "dispatch" ] ~docv:"MODE" ~doc)
 
 let apps_arg =
@@ -187,8 +181,8 @@ let do_fuzz oracles dispatch seeds budget plant trace_buffer apps out =
     (Check.Fuzz.plant_name plant)
     (match dispatch with
     | Legosdn.Runtime.Sequential -> "seq"
-    | Legosdn.Runtime.Sharded { shards; max_batch } ->
-        Printf.sprintf "sharded(%d,%d)" shards max_batch);
+    | Legosdn.Runtime.Batched { max_batch } ->
+        Printf.sprintf "batched(%d)" max_batch);
   let on_finding (f : Check.Fuzz.finding) =
     ensure_dir out;
     let path = repro_path out f in

@@ -354,8 +354,6 @@ let takeover_pass t ~now:at =
    storm budget the single-controller step uses. A replication round can
    reveal a higher term and step the node down, so the role is checked
    again before every poll: a follower must not append. *)
-let storm_guard_events = 2048
-
 let leader_io t ~now:at =
   let leads node = node.alive && Raft.role node.raft = Raft.Leader in
   Array.iter
@@ -367,7 +365,7 @@ let leader_io t ~now:at =
             (match Runtime.reliable rt with
             | Some rel -> Reliable.tick rel
             | None -> ());
-            let budget = ref storm_guard_events in
+            let budget = ref Controller.Monolithic.storm_guard_events in
             let rec go () =
               if leads node && !budget > 0 then
                 match Runtime.poll_events rt with

@@ -53,3 +53,8 @@ val events_shed : t -> int
     budget is exhausted (e.g. a flooding loop on a cyclic topology), excess
     switch notifications are shed, as an overloaded controller connection
     would shed them. *)
+
+val storm_guard_events : int
+(** One {!step}'s event budget (2048). [Legosdn.Runtime.step] and the
+    controller cluster spend the same budget, so every architecture
+    processes the same event stream. *)

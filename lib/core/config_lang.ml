@@ -87,8 +87,6 @@ let add_invariant b inv =
 
 let directive b lineno toks =
   let err message = Error { line = lineno; message } in
-  let lift message = function Ok v -> Ok v | Error _ -> err message in
-  ignore lift;
   match toks with
   | [] -> Ok ()
   | [ "checkpoint"; "every"; k ] -> (
@@ -112,15 +110,15 @@ let directive b lineno toks =
   | [ "dispatch"; "seq" ] ->
       b.dispatch <- Runtime.Sequential;
       Ok ()
-  | [ "dispatch"; "sharded" ] ->
+  | [ "dispatch"; "batched" ] ->
       b.dispatch <- Runtime.default_sharded;
       Ok ()
-  | [ "dispatch"; "sharded"; "shards"; s; "batch"; m ] -> (
-      match (int_of_string_opt s, int_of_string_opt m) with
-      | Some shards, Some max_batch when shards >= 1 && max_batch >= 1 ->
-          b.dispatch <- Runtime.Sharded { shards; max_batch };
+  | [ "dispatch"; "batched"; "batch"; m ] -> (
+      match int_of_string_opt m with
+      | Some max_batch when max_batch >= 1 ->
+          b.dispatch <- Runtime.Batched { max_batch };
           Ok ()
-      | _ -> err "bad dispatch directive (need shards >= 1, batch >= 1)")
+      | _ -> err "bad dispatch directive (need batch >= 1)")
   | [ "trace-cache"; "budget"; n ] -> (
       match int_of_string_opt n with
       | Some n when n > 0 ->
@@ -377,8 +375,7 @@ let print (config : Runtime.config) =
     | Runtime.Delay_buffer_engine -> "delay-buffer");
   (match config.Runtime.dispatch with
   | Runtime.Sequential -> line "dispatch seq"
-  | Runtime.Sharded { shards; max_batch } ->
-      line "dispatch sharded shards %d batch %d" shards max_batch);
+  | Runtime.Batched { max_batch } -> line "dispatch batched batch %d" max_batch);
   (match config.Runtime.trace_cache_budget with
   | Some n -> line "trace-cache budget %d" n
   | None -> ());

@@ -1,12 +1,14 @@
 (** The operator configuration language: one text file describing a whole
     LegoSDN runtime configuration.
 
-    This grows the paper's per-app compromise policy language (§3.3, see
-    {!Recovery_policy_lang}) into the full set of operator-tunable knobs the paper
-    discusses: the checkpoint cadence (§5), the quarantine threshold for
-    multi-transaction failures (§5), the transaction engine (§4.1),
-    detection timing, per-app resource limits (§3.4) and the set of
-    "No-Compromise" network invariants (§5).
+    This grows the paper's per-app compromise policy language (§3.3: the
+    [app] and [default] lines) into the full set of operator-tunable knobs
+    the paper discusses: the checkpoint cadence (§5), the quarantine
+    threshold for multi-transaction failures (§5), the transaction engine
+    (§4.1), detection timing, per-app resource limits (§3.4) and the set
+    of "No-Compromise" network invariants (§5). A file of policy lines
+    alone is a valid configuration: {!Runtime.default_config} with that
+    policy.
 
     Grammar — one directive per line, [#] starts a comment; every directive
     is optional and defaults to {!Runtime.default_config}:
@@ -15,7 +17,7 @@
     checkpoint every 5
     checkpoint mode delta                # or: full | delta-adaptive
     engine netlog                        # or: delay-buffer
-    dispatch sharded shards 8 batch 64   # or: dispatch seq | dispatch sharded
+    dispatch batched batch 64            # or: dispatch seq | dispatch batched
     trace-cache budget 1048576           # bytes; or: trace-cache unbounded
     workload trace seed 7 rate 40 alpha 1.5 diurnal 0.5 period 60 churn 0.1
                                          # or bare: workload trace (defaults)
@@ -33,8 +35,12 @@
     invariant isolation 1,2|3,4          # group A | group B
     invariant waypoint via 2 pairs 1:3,4:3
     app firewall event * => no-compromise
-    default => equivalence
-    v} *)
+                                         # app <name|*> event <kind|*> => C
+    default => equivalence               # at most one, anywhere
+    v}
+
+    Policy rules apply first-match-wins in file order; the compromise is
+    one of [no-compromise], [absolute] or [equivalence]. *)
 
 type error = { line : int; message : string }
 

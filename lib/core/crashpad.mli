@@ -64,8 +64,8 @@ type deps = {
           recovery). Pass {!Obs.Tracer.noop} to disable. *)
   batched_checkpoints : bool;
       (** Skip the per-event {!Sandbox.prepare}: the caller checkpoints
-          every sandbox at batch entry instead (the sharded dispatch
-          engine's amortization). *)
+          every sandbox at batch entry instead (batched dispatch's
+          amortization). *)
 }
 
 val dispatch : config -> deps -> Sandbox.t -> Event.t -> unit

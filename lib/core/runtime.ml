@@ -14,11 +14,9 @@ type cluster_config = {
 let default_cluster_config =
   { replicas = 1; election_lo = 0.15; election_hi = 0.3 }
 
-type dispatch_mode =
-  | Sequential
-  | Sharded of { shards : int; max_batch : int }
+type dispatch_mode = Sequential | Batched of { max_batch : int }
 
-let default_sharded = Sharded { shards = 8; max_batch = 64 }
+let default_sharded = Batched { max_batch = 64 }
 
 (* Parameters of the trace-driven workload generator (lib/workload's
    [Trace_gen]). They live here — not in lib/workload — so scenario
@@ -93,7 +91,6 @@ type t = {
   cfg : config;
   mutable reply_backlog : (string * Event.t) list;
   mutable n_shed : int;
-  queue : Dispatch.t option;  (* Some iff cfg.dispatch is Sharded *)
   obs_hub : Obs.Hub.t;
   tracer_cell : Obs.Tracer.t ref;
 }
@@ -244,20 +241,10 @@ let create ?(config = default_config) ?xid_base ?controller_id
       (function Solo box -> [ box ] | Panel v -> Voter.sandboxes v)
       units
   in
-  let queue =
-    match config.dispatch with
-    | Sequential -> None
-    | Sharded { shards; max_batch } ->
-        if shards <= 0 then invalid_arg "Runtime.create: shards <= 0";
-        if max_batch <= 0 then invalid_arg "Runtime.create: max_batch <= 0";
-        (* The sharded engine also switches the RPC boundary to the
-           reusable codec buffers; the sequential engine keeps the
-           fresh-allocation path as the executable specification. *)
-        List.iter
-          (fun b -> Sandbox.set_scratch b (Some (Wire.scratch ())))
-          boxes;
-        Some (Dispatch.create ~shards)
-  in
+  (match config.dispatch with
+  | Batched { max_batch } when max_batch <= 0 ->
+      invalid_arg "Runtime.create: max_batch <= 0"
+  | Sequential | Batched _ -> ());
   {
     network;
     services_state = Services.create (Net.clock network) (Net.topology network);
@@ -273,7 +260,6 @@ let create ?(config = default_config) ?xid_base ?controller_id
     cfg = config;
     reply_backlog = [];
     n_shed = 0;
-    queue;
     obs_hub;
     tracer_cell;
   }
@@ -350,11 +336,11 @@ let rec drain_replies t deps =
       Option.iter (dispatch_unit t deps ev) (unit_for t app);
       drain_replies t deps
 
-(* The per-event delivery pipeline, shared verbatim by both engines:
+(* The per-event delivery pipeline, shared verbatim by both modes:
    everything inside the [Event_root] span is what "dispatch one event"
-   means. The engines differ only in what surrounds it — per-event
+   means. The modes differ only in what surrounds it — per-event
    barrier chases and checkpoints (sequential) versus per-batch ones
-   (sharded). *)
+   (batched). *)
 let dispatch_with t deps event =
   let tracer = !(t.tracer_cell) in
   let attrs =
@@ -379,76 +365,48 @@ let dispatch_event t event = dispatch_with t (deps t) event
    therefore recover precisely the state before the crashing event. With
    k > 1 or the adaptive cadence the journal may span polls, where
    sequential replay already runs under a context the events were not
-   delivered under; the sharded engine then mirrors the per-event
+   delivered under; batched dispatch then mirrors the per-event
    [Sandbox.prepare] to stay byte-equivalent. *)
 let batch_amortizes_checkpoints t =
   t.cfg.checkpoint_every = 1 && t.cfg.checkpoint_mode <> Ckpt_delta_adaptive
 
-(* Dispatch one batch (arrival order, shard-annotated). One
-   [Reliable] batch brackets the whole thing, so flow-mods to a
-   fault-free switch share a single barrier; contiguous same-shard runs
-   get a [Shard_dispatch] span under the [Batch_root]. *)
+(* Dispatch one batch in arrival order. One [Reliable] batch brackets
+   the whole thing, so flow-mods to a fault-free switch share a single
+   barrier. *)
 let dispatch_batch t batch =
-  match batch with
-  | [] -> ()
-  | _ ->
-      (match t.reliable_layer with
-      | Some rel -> Reliable.begin_batch rel
-      | None -> ());
-      let tracer = !(t.tracer_cell) in
-      let attrs =
-        if Obs.Tracer.enabled tracer then
-          [ ("events", string_of_int (List.length batch)) ]
-        else []
-      in
-      Obs.Tracer.with_span tracer ~attrs Obs.Span.Batch_root (fun () ->
-          let batched_checkpoints = batch_amortizes_checkpoints t in
-          if batched_checkpoints then
-            List.iter (fun box -> Sandbox.prepare ~tracer box) t.boxes;
-          let deps = deps ~batched_checkpoints t in
-          let rec runs = function
-            | [] -> ()
-            | (shard, ev) :: rest ->
-                let same, rest =
-                  let rec split acc = function
-                    | (s, e) :: tl when s = shard -> split (e :: acc) tl
-                    | tl -> (List.rev acc, tl)
-                  in
-                  split [ ev ] rest
-                in
-                let attrs =
-                  if Obs.Tracer.enabled tracer then
-                    [
-                      ("shard", string_of_int shard);
-                      ("events", string_of_int (List.length same));
-                    ]
-                  else []
-                in
-                Obs.Tracer.with_span tracer ~attrs Obs.Span.Shard_dispatch
-                  (fun () -> List.iter (dispatch_with t deps) same);
-                runs rest
-          in
-          runs batch);
-      (match t.reliable_layer with
-      | Some rel -> Reliable.end_batch rel
-      | None -> ())
+  (match t.reliable_layer with
+  | Some rel -> Reliable.begin_batch rel
+  | None -> ());
+  let tracer = !(t.tracer_cell) in
+  let attrs =
+    if Obs.Tracer.enabled tracer then
+      [ ("events", string_of_int (List.length batch)) ]
+    else []
+  in
+  Obs.Tracer.with_span tracer ~attrs Obs.Span.Batch_root (fun () ->
+      let batched_checkpoints = batch_amortizes_checkpoints t in
+      if batched_checkpoints then
+        List.iter (fun box -> Sandbox.prepare ~tracer box) t.boxes;
+      List.iter (dispatch_with t (deps ~batched_checkpoints t)) batch);
+  match t.reliable_layer with
+  | Some rel -> Reliable.end_batch rel
+  | None -> ()
 
-(* Drain-until-quiet with a broadcast-storm guard, mirroring
-   Monolithic.step so the two architectures process identical event
-   streams: when a step's event budget runs out (an app flooding a cyclic
-   topology can multiply packet-ins exponentially), the excess is shed the
-   way an overloaded controller connection would shed it. *)
-let storm_guard_events = 2048
+(* What the dispatch mode decides: how many events one dispatch takes,
+   and whether they go out one by one or as a batch. *)
+let batch_size t =
+  match t.cfg.dispatch with Sequential -> 1 | Batched { max_batch } -> max_batch
+
+let dispatch_events t events =
+  match t.cfg.dispatch with
+  | Sequential -> List.iter (dispatch_event t) events
+  | Batched _ -> dispatch_batch t events
 
 let observe_reliable t notifications =
   match t.reliable_layer with
   | None -> ()
   | Some rel -> List.iter (Reliable.observe rel) notifications
 
-(* One poll round: drain the network's notification queue, feed the
-   reliable layer, and translate to controller events — without
-   dispatching them. The cluster layer uses this to interpose log
-   replication between "event observed" and "event dispatched". *)
 (* A switch that disconnects takes its flow table with it: prune its
    entries from every sandbox's installed-intent record so that when it
    returns, reconciliation re-derives and re-installs its rules from
@@ -473,6 +431,10 @@ let forget_switch_intent t events =
       | _ -> ())
     events
 
+(* One poll round: drain the network's notification queue, feed the
+   reliable layer, and translate to controller events — without
+   dispatching them. The cluster layer uses this to interpose log
+   replication between "event observed" and "event dispatched". *)
 let poll_events t =
   match Net.poll t.network with
   | [] -> []
@@ -484,85 +446,51 @@ let poll_events t =
       forget_switch_intent t events;
       events
 
-let step_sequential t =
-  let budget = ref storm_guard_events in
-  let rec go () =
-    match poll_events t with
-    | [] -> ()
-    | events ->
-        List.iter
-          (fun ev ->
-            if !budget > 0 then begin
-              decr budget;
-              dispatch_event t ev
-            end
-            else t.n_shed <- t.n_shed + 1)
-          events;
-        if !budget > 0 then go ()
-        else t.n_shed <- t.n_shed + List.length (Net.poll t.network)
-  in
-  go ()
+let rec take n = function
+  | x :: rest when n > 0 ->
+      let xs, rest = take (n - 1) rest in
+      (x :: xs, rest)
+  | rest -> ([], rest)
 
-(* Identical poll-round structure and shedding arithmetic as
-   [step_sequential]: each poll round's events are enqueued, then drained
-   to empty before polling again — so batches never mix poll rounds'
-   descendants out of order, and the budget decrements once per
-   dispatched event exactly as the sequential loop does. *)
-let step_sharded t q max_batch =
-  let budget = ref storm_guard_events in
-  let rec drain () =
-    if Dispatch.length q > 0 then
-      if !budget > 0 then begin
-        let batch = Dispatch.next_batch q ~max_batch:(min max_batch !budget) in
-        dispatch_batch t batch;
-        budget := !budget - List.length batch;
-        drain ()
-      end
-      else begin
-        t.n_shed <- t.n_shed + Dispatch.length q;
-        Dispatch.clear q
-      end
-  in
-  let rec go () =
-    match poll_events t with
-    | [] -> ()
-    | events ->
-        List.iter (Dispatch.push q) events;
-        drain ();
-        if !budget > 0 then go ()
-        else t.n_shed <- t.n_shed + List.length (Net.poll t.network)
-  in
-  go ()
-
+(* Drain-until-quiet with a broadcast-storm guard, mirroring
+   Monolithic.step so the two architectures process identical event
+   streams: each poll round is dispatched in arrival order, one dispatch
+   of up to [batch_size] events at a time, and the budget falls once per
+   dispatched event. When it runs out (an app flooding a cyclic topology
+   can multiply packet-ins exponentially), the excess is shed the way an
+   overloaded controller connection would shed it. *)
 let step t =
   (match t.reliable_layer with
   | Some rel -> Reliable.tick rel
   | None -> ());
-  match (t.queue, t.cfg.dispatch) with
-  | Some q, Sharded { max_batch; _ } -> step_sharded t q max_batch
-  | _ -> step_sequential t
+  let budget = ref Monolithic.storm_guard_events in
+  let rec dispatch_round = function
+    | [] -> ()
+    | events when !budget <= 0 -> t.n_shed <- t.n_shed + List.length events
+    | events ->
+        let batch, rest = take (min (batch_size t) !budget) events in
+        dispatch_events t batch;
+        budget := !budget - List.length batch;
+        dispatch_round rest
+  in
+  let rec go () =
+    match poll_events t with
+    | [] -> ()
+    | events ->
+        dispatch_round events;
+        if !budget > 0 then go ()
+        else t.n_shed <- t.n_shed + List.length (Net.poll t.network)
+  in
+  go ()
 
+(* The Tick goes out alone: under batched dispatch it is a batch of its
+   own. [step] never meets one, because [Services.ingest] never yields a
+   Tick. *)
 let tick t =
   (match t.reliable_layer with
   | Some rel -> Reliable.tick rel
   | None -> ());
-  let ev = Event.Tick (now t) in
-  match t.queue with
-  | None -> dispatch_event t ev
-  | Some q ->
-      (* Through the engine, so the Tick is subject to the same
-         batch-barrier rule as a queued one. The queue is empty here
-         ([step] always drains it), so the Tick forms a singleton batch —
-         the sequential dispatch, batched. *)
-      Dispatch.push q ev;
-      let rec drain () =
-        match Dispatch.next_batch q ~max_batch:max_int with
-        | [] -> ()
-        | batch ->
-            dispatch_batch t batch;
-            drain ()
-      in
-      drain ()
+  dispatch_events t [ Event.Tick (now t) ]
 
 let upgrade_controller t =
   (* Platform restart: controller-side state is rebuilt from the network;

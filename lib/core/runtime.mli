@@ -38,29 +38,25 @@ type cluster_config = {
 val default_cluster_config : cluster_config
 (** 1 replica, timeouts drawn from [0.15, 0.3). *)
 
-(** How {!step} turns polled events into Crash-Pad deliveries.
+(** How {!step} turns polled events into Crash-Pad deliveries. Both modes
+    dispatch in arrival order; the mode picks only how many events one
+    dispatch takes.
 
     [Sequential] is the executable specification: one event at a time,
     each with its own barrier chase and (at k = 1) its own checkpoint.
 
-    [Sharded] partitions events across [shards] FIFO queues by a
-    (switch, flow-key) hash and dispatches them in batches of up to
-    [max_batch]: the queues are drained by a minimum-arrival-sequence
-    merge (so dispatch order is {e exactly} arrival order regardless of
-    shard count), flow-mods to fault-free switches are acknowledged by
-    one barrier per switch per batch ({!Reliable.begin_batch}),
+    [Batched] dispatches the next [min max_batch budget] events of a poll
+    round as one batch: flow-mods to fault-free switches are acknowledged
+    by one barrier per switch per batch ({!Reliable.begin_batch}), and
     checkpoints amortize to one per sandbox per batch when the cadence
-    permits, and the sandbox RPC boundary reuses codec buffers
-    ({!Sandbox.set_scratch}). [Tick] events act as batch barriers. The
-    two modes are observationally equivalent — same final flow tables,
-    shadow intent, NetLog journal and semantic metrics on the same event
-    stream — which [test/t_dispatch.ml] checks differentially. *)
-type dispatch_mode =
-  | Sequential
-  | Sharded of { shards : int; max_batch : int }
+    permits. The two modes are observationally equivalent — same final
+    flow tables, shadow intent, NetLog journal and semantic metrics on
+    the same event stream — which [test/t_dispatch.ml] checks
+    differentially. *)
+type dispatch_mode = Sequential | Batched of { max_batch : int }
 
 val default_sharded : dispatch_mode
-(** [Sharded {shards = 8; max_batch = 64}]. *)
+(** [Batched {max_batch = 64}]. *)
 
 (** Parameters of the trace-driven workload generator
     ([Workload.Trace_gen]). Carried here so scenario configs and
@@ -141,8 +137,9 @@ val create :
 
 val step : t -> unit
 (** Drain southbound notifications and dispatch the resulting events,
-    through whichever engine {!config.dispatch} selects. Both engines
-    share the poll-round structure and the broadcast-storm guard. *)
+    one event or one batch at a time as {!config.dispatch} selects. A
+    step spends {!Controller.Monolithic.storm_guard_events} dispatched
+    events at most and sheds the rest. *)
 
 val poll_events : t -> Event.t list
 (** One poll round of {!step} without the dispatch: drain currently queued
@@ -153,15 +150,14 @@ val poll_events : t -> Event.t list
 
 val dispatch_event : t -> Event.t -> unit
 (** Deliver one event through the {e sequential} pipeline regardless of
-    {!config.dispatch} — this is the per-event specification both engines
+    {!config.dispatch} — this is the per-event specification both modes
     share, and the entry point the cluster layer uses to dispatch
     committed log entries one at a time (commit-gating interposes between
     observation and dispatch, so batching happens upstream of it). *)
 
 val tick : t -> unit
-(** Advance the reliable layer and deliver a [Tick] event. Under sharded
-    dispatch the [Tick] flows through the engine as a singleton batch —
-    a [Tick] is a batch barrier, never grouped with other events. *)
+(** Advance the reliable layer and deliver a [Tick] event. Under batched
+    dispatch the [Tick] is a batch of its own. *)
 
 val upgrade_controller : t -> unit
 (** Simulate a controller upgrade (§3.4): platform state (services) is torn

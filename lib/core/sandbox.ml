@@ -13,7 +13,7 @@ type t = {
   mutable n_events : int;
   mutable n_crashes : int;
   mutable n_rpc_bytes : int;
-  mutable scratch : Wire.scratch option;
+  scratch : Wire.scratch;  (* the RPC channel's codec buffer *)
   mutable intent_tables : Policy.table list;
       (* Compiled form of the app's declared policy as last installed on the
          network. Tracks network state, not app state: reboots and restores
@@ -32,15 +32,9 @@ let create ?ckpt ~checkpoint_every m =
     n_events = 0;
     n_crashes = 0;
     n_rpc_bytes = 0;
-    scratch = None;
+    scratch = Wire.scratch ();
     intent_tables = [];
   }
-
-(* Install (or remove) a reusable codec buffer for the RPC boundary. The
-   sharded engine installs one per sandbox; the sequential engine keeps
-   the fresh-allocation path, staying the executable specification the
-   scratch path is tested against. *)
-let set_scratch t s = t.scratch <- s
 
 let name t = App_sig.name t.inst
 let subscribes_to t kind = App_sig.subscribes_to t.inst kind
@@ -76,26 +70,14 @@ let prepare ?(tracer = Obs.Tracer.noop) t =
 
 (* One hop of the proxy->stub RPC: bytes out, bytes back in. *)
 let ship_event t ev =
-  match t.scratch with
-  | Some s ->
-      let ev', n = Wire.roundtrip_event_scratch s ev in
-      t.n_rpc_bytes <- t.n_rpc_bytes + n;
-      ev'
-  | None ->
-      let b = Wire.encode_event ev in
-      t.n_rpc_bytes <- t.n_rpc_bytes + Bytes.length b;
-      Wire.decode_event b
+  let ev', n = Wire.roundtrip_event_scratch t.scratch ev in
+  t.n_rpc_bytes <- t.n_rpc_bytes + n;
+  ev'
 
 let ship_commands t cmds =
-  match t.scratch with
-  | Some s ->
-      let cmds', n = Wire.roundtrip_commands_scratch s cmds in
-      t.n_rpc_bytes <- t.n_rpc_bytes + n;
-      cmds'
-  | None ->
-      let b = Wire.encode_commands cmds in
-      t.n_rpc_bytes <- t.n_rpc_bytes + Bytes.length b;
-      Wire.decode_commands b
+  let cmds', n = Wire.roundtrip_commands_scratch t.scratch cmds in
+  t.n_rpc_bytes <- t.n_rpc_bytes + n;
+  cmds'
 
 let deliver t ctx ev =
   let ev = ship_event t ev in

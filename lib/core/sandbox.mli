@@ -2,7 +2,8 @@
     the proxy.
 
     The sandbox owns one application instance. Every event in and every
-    command out crosses the boundary through {!Wire} serialization, and
+    command out crosses the boundary through {!Wire} serialization — in
+    and out of one reusable {!Wire.scratch} buffer the sandbox owns — and
     every failure mode of the application — exception, partial-emission
     crash, hang — is converted into an explicit {!verdict}; nothing an
     application does can escape the sandbox. This is the fate-sharing
@@ -31,13 +32,6 @@ val create : ?ckpt:Checkpoint.t -> checkpoint_every:int -> App_sig.app -> t
 
 val name : t -> string
 val subscribes_to : t -> Event.kind -> bool
-
-val set_scratch : t -> Wire.scratch option -> unit
-(** Install ([Some]) or remove ([None]) a reusable codec buffer for the
-    RPC boundary: {!Wire.roundtrip_event_scratch} replaces the
-    fresh-allocation ship path. Byte-stream and error behaviour are
-    identical (see {!Wire.scratch}); only allocation changes. The sharded
-    dispatch engine installs one per sandbox. *)
 
 val alive : t -> bool
 

@@ -6,32 +6,19 @@ exception Decode_error of string
 
 let fail fmt = Format.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* An embedded message is a u16 length, then its OpenFlow frame. The
+   frame is encoded in place and the length back-patched, so no
+   intermediate buffer is allocated. *)
 let put_message w msg =
-  let b = Codec.encode msg in
-  Buf.u16 w (Bytes.length b);
-  Buf.raw w b
-
-(* Scratch-path twin of [put_message]: same bytes (length prefix then
-   frame), no intermediate buffer. The length is back-patched once the
-   frame is in place. *)
-let put_message_into w msg =
   let lenpos = Buf.length w in
   Buf.u16 w 0;
   Codec.encode_into w msg;
   Buf.patch_u16 w ~pos:lenpos (Buf.length w - lenpos - 2)
 
+(* The frame is decoded through a window onto the reader's bytes, not a
+   copy. A torn frame leaves a short window: [sub_reader] raises
+   [Buf.Underflow]. *)
 let get_message r =
-  let n = Buf.read_u16 r in
-  let b = Buf.read_raw r n in
-  try Codec.decode b
-  with Codec.Decode_error e -> fail "embedded message: %s" e
-
-(* Scratch-path twin of [get_message]: the embedded frame is decoded
-   through a shared-store window instead of a copied sub-buffer. Torn
-   frames surface identically: a short window raises [Buf.Underflow] from
-   [sub_reader] exactly where [read_raw] would, and an internally
-   truncated frame yields the same [Decode_error] text. *)
-let get_message_at r =
   let n = Buf.read_u16 r in
   let sub = Buf.sub_reader r n in
   try Codec.decode_at sub
@@ -50,22 +37,19 @@ let get_link r : Event.link =
   let dst_port = Buf.read_u16 r in
   { src_switch; src_port; dst_switch; dst_port }
 
-(* [embed] is how message-shaped payloads reach the buffer: the fresh
-   path encodes to an intermediate [bytes], the scratch path appends in
-   place. Both produce the same stream. *)
-let put_event ~embed w (ev : Event.t) =
+let put_event w (ev : Event.t) =
   match ev with
   | Event.Switch_up (sid, features) ->
       Buf.u8 w 0;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Features_reply features))
+      put_message w (Message.message (Message.Features_reply features))
   | Event.Switch_down sid ->
       Buf.u8 w 1;
       Buf.u32 w sid
   | Event.Port_status (sid, reason, desc) ->
       Buf.u8 w 2;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Port_status (reason, desc)))
+      put_message w (Message.message (Message.Port_status (reason, desc)))
   | Event.Link_up l ->
       Buf.u8 w 3;
       put_link w l
@@ -75,36 +59,31 @@ let put_event ~embed w (ev : Event.t) =
   | Event.Packet_in (sid, pi) ->
       Buf.u8 w 5;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Packet_in pi))
+      put_message w (Message.message (Message.Packet_in pi))
   | Event.Flow_removed (sid, fr) ->
       Buf.u8 w 6;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Flow_removed fr))
+      put_message w (Message.message (Message.Flow_removed fr))
   | Event.Stats_reply (sid, xid, sr) ->
       Buf.u8 w 7;
       Buf.u32 w sid;
-      embed w (Message.message ~xid (Message.Stats_reply sr))
+      put_message w (Message.message ~xid (Message.Stats_reply sr))
   | Event.Tick now ->
       Buf.u8 w 8;
       Buf.u64 w (Int64.bits_of_float now)
 
-let encode_event (ev : Event.t) =
-  let w = Buf.writer ~capacity:64 () in
-  put_event ~embed:put_message w ev;
-  Buf.contents w
-
-let get_event ~get_msg r =
+let get_event r =
   try
     match Buf.read_u8 r with
     | 0 -> (
         let sid = Buf.read_u32 r in
-        match (get_msg r).Message.payload with
+        match (get_message r).Message.payload with
         | Message.Features_reply f -> Event.Switch_up (sid, f)
         | _ -> fail "switch_up: embedded message is not features_reply")
     | 1 -> Event.Switch_down (Buf.read_u32 r)
     | 2 -> (
         let sid = Buf.read_u32 r in
-        match (get_msg r).Message.payload with
+        match (get_message r).Message.payload with
         | Message.Port_status (reason, desc) ->
             Event.Port_status (sid, reason, desc)
         | _ -> fail "port_status: bad embedded message")
@@ -112,17 +91,17 @@ let get_event ~get_msg r =
     | 4 -> Event.Link_down (get_link r)
     | 5 -> (
         let sid = Buf.read_u32 r in
-        match (get_msg r).Message.payload with
+        match (get_message r).Message.payload with
         | Message.Packet_in pi -> Event.Packet_in (sid, pi)
         | _ -> fail "packet_in: bad embedded message")
     | 6 -> (
         let sid = Buf.read_u32 r in
-        match (get_msg r).Message.payload with
+        match (get_message r).Message.payload with
         | Message.Flow_removed fr -> Event.Flow_removed (sid, fr)
         | _ -> fail "flow_removed: bad embedded message")
     | 7 -> (
         let sid = Buf.read_u32 r in
-        let msg = get_msg r in
+        let msg = get_message r in
         match msg.Message.payload with
         | Message.Stats_reply sr -> Event.Stats_reply (sid, msg.Message.xid, sr)
         | _ -> fail "stats_reply: bad embedded message")
@@ -130,24 +109,20 @@ let get_event ~get_msg r =
     | n -> fail "unknown event tag %d" n
   with Buf.Underflow -> fail "truncated event"
 
-let decode_event b = get_event ~get_msg:get_message (Buf.reader b)
-
-let decode_event_at r = get_event ~get_msg:get_message_at r
-
-let put_command ~embed w (cmd : Command.t) =
+let put_command w (cmd : Command.t) =
   match cmd with
   | Command.Flow (sid, fm) ->
       Buf.u8 w 0;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Flow_mod fm))
+      put_message w (Message.message (Message.Flow_mod fm))
   | Command.Packet (sid, po) ->
       Buf.u8 w 1;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Packet_out po))
+      put_message w (Message.message (Message.Packet_out po))
   | Command.Stats (sid, sr) ->
       Buf.u8 w 2;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Stats_request sr))
+      put_message w (Message.message (Message.Stats_request sr))
   | Command.Log s ->
       Buf.u8 w 3;
       Buf.u16 w (String.length s);
@@ -155,23 +130,23 @@ let put_command ~embed w (cmd : Command.t) =
   | Command.Port (sid, pm) ->
       Buf.u8 w 4;
       Buf.u32 w sid;
-      embed w (Message.message (Message.Port_mod pm))
+      put_message w (Message.message (Message.Port_mod pm))
 
-let get_command ~get_msg r : Command.t =
+let get_command r : Command.t =
   match Buf.read_u8 r with
   | 0 -> (
       let sid = Buf.read_u32 r in
-      match (get_msg r).Message.payload with
+      match (get_message r).Message.payload with
       | Message.Flow_mod fm -> Command.Flow (sid, fm)
       | _ -> fail "flow command: bad embedded message")
   | 1 -> (
       let sid = Buf.read_u32 r in
-      match (get_msg r).Message.payload with
+      match (get_message r).Message.payload with
       | Message.Packet_out po -> Command.Packet (sid, po)
       | _ -> fail "packet command: bad embedded message")
   | 2 -> (
       let sid = Buf.read_u32 r in
-      match (get_msg r).Message.payload with
+      match (get_message r).Message.payload with
       | Message.Stats_request sr -> Command.Stats (sid, sr)
       | _ -> fail "stats command: bad embedded message")
   | 3 ->
@@ -179,38 +154,38 @@ let get_command ~get_msg r : Command.t =
       Command.Log (Bytes.to_string (Buf.read_raw r n))
   | 4 -> (
       let sid = Buf.read_u32 r in
-      match (get_msg r).Message.payload with
+      match (get_message r).Message.payload with
       | Message.Port_mod pm -> Command.Port (sid, pm)
       | _ -> fail "port command: bad embedded message")
   | n -> fail "unknown command tag %d" n
 
-let encode_command cmd =
-  let w = Buf.writer ~capacity:64 () in
-  put_command ~embed:put_message w cmd;
+let put_commands w cmds =
+  Buf.u16 w (List.length cmds);
+  List.iter (put_command w) cmds
+
+let get_commands r =
+  try
+    let n = Buf.read_u16 r in
+    List.init n (fun _ -> get_command r)
+  with Buf.Underflow -> fail "truncated command list"
+
+(* The fresh-allocation entry points: the same encoders on a new writer,
+   the same decoders on a new reader. *)
+let encode ~capacity put x =
+  let w = Buf.writer ~capacity () in
+  put w x;
   Buf.contents w
+
+let encode_event ev = encode ~capacity:64 put_event ev
+let decode_event b = get_event (Buf.reader b)
+let encode_command cmd = encode ~capacity:64 put_command cmd
 
 let decode_command b =
-  try get_command ~get_msg:get_message (Buf.reader b)
+  try get_command (Buf.reader b)
   with Buf.Underflow -> fail "truncated command"
 
-let encode_commands cmds =
-  let w = Buf.writer ~capacity:128 () in
-  Buf.u16 w (List.length cmds);
-  List.iter (put_command ~embed:put_message w) cmds;
-  Buf.contents w
-
-let decode_commands b =
-  try
-    let r = Buf.reader b in
-    let n = Buf.read_u16 r in
-    List.init n (fun _ -> get_command ~get_msg:get_message r)
-  with Buf.Underflow -> fail "truncated command list"
-
-let decode_commands_at r =
-  try
-    let n = Buf.read_u16 r in
-    List.init n (fun _ -> get_command ~get_msg:get_message_at r)
-  with Buf.Underflow -> fail "truncated command list"
+let encode_commands cmds = encode ~capacity:128 put_commands cmds
+let decode_commands b = get_commands (Buf.reader b)
 
 let event_size ev = Bytes.length (encode_event ev)
 let commands_size cmds = Bytes.length (encode_commands cmds)
@@ -218,31 +193,23 @@ let commands_size cmds = Bytes.length (encode_commands cmds)
 let roundtrip_event ev = decode_event (encode_event ev)
 let roundtrip_commands cmds = decode_commands (encode_commands cmds)
 
-(* The allocation-free hot path: one scratch buffer per RPC channel,
-   rewound (not reallocated) per message. After warm-up the only
+(* The allocation-free hot path: one writer per RPC channel, rewound (not
+   reallocated) per message, decoded in place. After warm-up the only
    allocations left in a ship are the decoded values themselves. *)
-type scratch = { sw : Buf.writer }
+type scratch = Buf.writer
 
-let scratch ?(capacity = 512) () = { sw = Buf.writer ~capacity () }
+let scratch ?(capacity = 512) () = Buf.writer ~capacity ()
 
-let encode_event_into s ev =
-  Buf.reset s.sw;
-  put_event ~embed:put_message_into s.sw ev;
-  Buf.length s.sw
+let roundtrip_scratch put get s x =
+  Buf.reset s;
+  put s x;
+  (get (Buf.reader_of_writer s), Buf.length s)
 
-let encode_commands_into s cmds =
-  Buf.reset s.sw;
-  Buf.u16 s.sw (List.length cmds);
-  List.iter (put_command ~embed:put_message_into s.sw) cmds;
-  Buf.length s.sw
-
-let roundtrip_event_scratch s ev =
-  let n = encode_event_into s ev in
-  (decode_event_at (Buf.reader_of_writer s.sw), n)
+let roundtrip_event_scratch s ev = roundtrip_scratch put_event get_event s ev
 
 let roundtrip_commands_scratch s cmds =
-  let n = encode_commands_into s cmds in
-  (decode_commands_at (Buf.reader_of_writer s.sw), n)
+  roundtrip_scratch put_commands get_commands s cmds
 
-(* Test hook: the exact bytes the scratch path produced, as a copy. *)
-let scratch_contents s = Buf.contents s.sw
+(* Test hook: the bytes most recently encoded into the scratch, as a
+   copy. *)
+let scratch_contents = Buf.contents

@@ -28,14 +28,14 @@ val roundtrip_commands : Controller.Command.t list -> Controller.Command.t list
 
 (** {1 Reusable-buffer path}
 
-    The fresh-allocation functions above allocate a writer, an
-    intermediate [bytes] per embedded message, and a copy of the final
-    frame — per ship. A {!scratch} carries one writer that is rewound
-    (never reallocated, once grown) between ships, and decodes through
-    zero-copy windows over the same backing store. The byte stream and
-    the decode behaviour (including torn-frame errors) are identical to
-    the fresh path; the qcheck equality properties in [test/t_wire.ml]
-    and [test/t_codec.ml] are the evidence. *)
+    The functions above allocate a fresh writer and copy out its frame
+    per call. A {!scratch} carries one writer that is rewound (never
+    reallocated, once grown) between ships, and decodes through a
+    zero-copy window over the same backing store. Every sandbox's RPC
+    channel owns one. Both paths run the same encoder and the same
+    decoder, so the bytes and the [Decode_error]s are the same; the
+    properties in [test/t_wire.ml] check that a reused, dirty scratch
+    writes the bytes a fresh writer writes. *)
 
 type scratch
 
@@ -51,13 +51,6 @@ val roundtrip_event_scratch :
 val roundtrip_commands_scratch :
   scratch -> Controller.Command.t list -> Controller.Command.t list * int
 
-val decode_event_at : Openflow.Buf.reader -> Controller.Event.t
-(** Decode directly from a reader window (no sub-buffer copies). Same
-    result and same [Decode_error]s as {!decode_event} on the windowed
-    bytes. *)
-
-val decode_commands_at : Openflow.Buf.reader -> Controller.Command.t list
-
 val scratch_contents : scratch -> bytes
 (** Copy of the bytes most recently encoded into the scratch — for
-    equality tests against the fresh path. *)
+    equality tests against a fresh writer. *)

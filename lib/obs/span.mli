@@ -26,9 +26,12 @@ type kind =
   | Replicate  (** Majority-commit of one replicated log entry. *)
   | State_transfer  (** Incremental replica state transfer (chunk shipping). *)
   | Failover  (** A follower taking over as leader after a kill. *)
-  | Batch_root  (** One batch through the sharded dispatch engine. *)
+  | Batch_root
+      (** One batch of batched dispatch; its [events] attribute is the
+          batch size. *)
   | Shard_dispatch
-      (** A contiguous run of same-shard events inside a batch. *)
+      (** No longer emitted: batches are not split into runs. Kept so
+          consumers that name it still compile. *)
   | Vote  (** One N-version panel election over a delivered event. *)
   | Outvoted
       (** A variant's output lost an election and was discarded (instant). *)

@@ -211,7 +211,7 @@ let config_gen =
         [
           Runtime.Sequential;
           Runtime.default_sharded;
-          Runtime.Sharded { shards = 3; max_batch = 7 };
+          Runtime.Batched { max_batch = 7 };
         ]
     in
     let* trace_cache_budget = opt (int_range 1024 10_000_000) in

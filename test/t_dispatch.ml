@@ -1,90 +1,21 @@
 module App_sig = Controller.App_sig
-(* The dispatch-engine differential: the sharded, batched engine must be
-   observationally equivalent to the sequential engine — which stays
-   in-tree precisely to serve as the executable specification. Scenarios
-   (topology, channel faults, traffic, injected app bugs) come from the
-   fuzzer's seed-deterministic generator; equality is demanded on the full
+(* The dispatch differential: batched dispatch must be observationally
+   equivalent to sequential dispatch — which stays in-tree precisely to
+   serve as the executable specification. Scenarios (topology, channel
+   faults, traffic, injected app bugs) come from the fuzzer's
+   seed-deterministic generator; equality is demanded on the full
    equivalence surface: oracle verdict, the dispatched event stream, final
    switch flow tables, controller shadow intent, the NetLog transaction
    journal, and the semantic metrics (events, crashes, commits, aborts).
 
-   Plus focused units for the pieces the property leans on: the k-way
-   minimum-sequence merge reconstructing arrival order for any shard
-   count, and Tick acting as a batch barrier. *)
+   Plus a focused unit for the one step loop: every mode sheds a
+   broadcast storm alike. *)
 
 open Openflow
 module Runtime = Legosdn.Runtime
-module Dispatch = Legosdn.Dispatch
 module Event = Controller.Event
 module Runner = Check.Runner
 module SGen = Check.Gen
-
-let pkt_in sw src dst =
-  Event.Packet_in
-    ( sw,
-      {
-        Message.pi_buffer_id = None;
-        pi_in_port = 1;
-        pi_reason = Message.No_match;
-        pi_packet = Packet.tcp ~src_host:src ~dst_host:dst ~dport:80 ();
-      } )
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch queue units *)
-
-let drain_all ?(max_batch = 64) q =
-  let rec go acc =
-    match Dispatch.next_batch q ~max_batch with
-    | [] -> List.rev acc
-    | batch -> go (batch :: acc)
-  in
-  go []
-
-let test_merge_restores_arrival_order () =
-  List.iter
-    (fun shards ->
-      let q = Dispatch.create ~shards in
-      let events =
-        List.init 40 (fun i -> pkt_in ((i mod 5) + 1) (i mod 7) ((i + 1) mod 7))
-      in
-      List.iter (Dispatch.push q) events;
-      T_util.checki "queued" 40 (Dispatch.length q);
-      let batches = drain_all ~max_batch:7 q in
-      let drained = List.concat_map (List.map snd) batches in
-      T_util.checkb
-        (Printf.sprintf "shards=%d drains in arrival order" shards)
-        true (drained = events);
-      List.iter
-        (List.iter (fun (s, ev) ->
-             T_util.checki "annotated with its shard" (Dispatch.shard_of q ev)
-               s))
-        batches)
-    [ 1; 2; 3; 8; 16 ]
-
-let test_tick_is_a_batch_barrier () =
-  let q = Dispatch.create ~shards:4 in
-  let e1 = pkt_in 1 0 1 and e2 = pkt_in 2 1 2 and e3 = pkt_in 3 2 3 in
-  let tick = Event.Tick 1.0 in
-  List.iter (Dispatch.push q) [ e1; e2; tick; e3 ];
-  (* The cut happens before the Tick even though max_batch has room. *)
-  T_util.checkb "batch 1 stops before the Tick" true
-    (List.map snd (Dispatch.next_batch q ~max_batch:64) = [ e1; e2 ]);
-  (* A leading Tick is a singleton batch, never grouped. *)
-  T_util.checkb "the Tick is a singleton batch" true
-    (List.map snd (Dispatch.next_batch q ~max_batch:64) = [ tick ]);
-  T_util.checkb "dispatch resumes after the barrier" true
-    (List.map snd (Dispatch.next_batch q ~max_batch:64) = [ e3 ]);
-  T_util.checkb "drained" true (Dispatch.next_batch q ~max_batch:64 = [])
-
-let test_flow_affinity () =
-  (* Packets of one (switch, src, dst) flow always share a shard. *)
-  let q = Dispatch.create ~shards:8 in
-  List.iter
-    (fun (sw, a, b) ->
-      T_util.checki "same flow, same shard"
-        (Dispatch.shard_of q (pkt_in sw a b))
-        (Dispatch.shard_of q (pkt_in sw a b)))
-    [ (1, 2, 3); (4, 0, 1); (7, 5, 6) ]
 
 (* ------------------------------------------------------------------ *)
 (* The differential property *)
@@ -94,7 +25,7 @@ let verdict_of (r : Runner.result) =
   | Some f -> f.Runner.oracle
   | None -> "none"
 
-let explain_divergence spec shards max_batch (a : Runner.result)
+let explain_divergence spec max_batch (a : Runner.result)
     (b : Runner.result) =
   let af = a.Runner.final and bf = b.Runner.final in
   let part name eq = if eq then None else Some name in
@@ -113,8 +44,8 @@ let explain_divergence spec shards max_batch (a : Runner.result)
              bf.Runner.f_aborted));
       ]
   in
-  Printf.sprintf "spec %s, shards=%d batch=%d: %s diverge(s)"
-    (Check.Spec.summary spec) shards max_batch (String.concat ", " diffs)
+  Printf.sprintf "spec %s, batch=%d: %s diverge(s)"
+    (Check.Spec.summary spec) max_batch (String.concat ", " diffs)
 
 let equivalent (a : Runner.result) (b : Runner.result) =
   verdict_of a = verdict_of b
@@ -135,33 +66,24 @@ let baseline seed =
 
 let prop_differential =
   QCheck2.Test.make
-    ~name:"sharded/batched dispatch == sequential dispatch" ~count:220
-    QCheck2.Gen.(
-      triple (int_bound 120) (oneofl [ 1; 2; 3; 8; 16 ])
-        (oneofl [ 1; 2; 7; 64 ]))
-    (fun (seed, shards, max_batch) ->
+    ~name:"batched dispatch == sequential dispatch" ~count:220
+    QCheck2.Gen.(pair (int_bound 120) (oneofl [ 1; 2; 7; 64 ]))
+    (fun (seed, max_batch) ->
       let spec = SGen.scenario seed in
       let a = baseline seed in
-      let b =
-        Runner.run ~dispatch:(Runtime.Sharded { shards; max_batch }) spec
-      in
+      let b = Runner.run ~dispatch:(Runtime.Batched { max_batch }) spec in
       if equivalent a b then true
-      else
-        QCheck2.Test.fail_report
-          (explain_divergence spec shards max_batch a b))
+      else QCheck2.Test.fail_report (explain_divergence spec max_batch a b))
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-level regressions *)
 
 (* The differential is only meaningful if the scenarios actually
-   interleave Ticks with traffic (every Tick cuts a batch); pin that the
-   generator gives the property that structure. *)
+   interleave Ticks with traffic (every Tick is a batch of its own); pin
+   that the generator gives the property that structure. *)
 let test_scenarios_exercise_tick_barriers () =
   let seed = 3 in
-  let r =
-    Runner.run ~dispatch:(Runtime.Sharded { shards = 8; max_batch = 64 })
-      (SGen.scenario seed)
-  in
+  let r = Runner.run ~dispatch:Runtime.default_sharded (SGen.scenario seed) in
   let ticks, others =
     List.partition (function Event.Tick _ -> true | _ -> false) r.Runner.trace
   in
@@ -225,25 +147,94 @@ let twin dispatch =
 let test_twin_runtimes_agree_across_tick_barrier () =
   let seq = twin Runtime.Sequential in
   List.iter
-    (fun (shards, max_batch) ->
-      let sh = twin (Runtime.Sharded { shards; max_batch }) in
+    (fun max_batch ->
       T_util.checkb
-        (Printf.sprintf "twin state equal at shards=%d batch=%d" shards
+        (Printf.sprintf "twin state equal at batch=%d" max_batch)
+        true
+        (seq = twin (Runtime.Batched { max_batch })))
+    [ 1; 2; 64 ]
+
+(* The one step loop: a hub alone on a 4-switch ring floods a storm that
+   outruns the step budget. Every mode must spend the budget and shed the
+   excess alike, step by step, and a batch never outgrows its size. *)
+let storm ?(tracer = Obs.Tracer.noop) dispatch =
+  let clock = Netsim.Clock.create () in
+  let net =
+    Netsim.Net.create clock (Netsim.Topo_gen.ring ~hosts_per_switch:1 4)
+  in
+  let config = { Runtime.default_config with Runtime.dispatch } in
+  let rt = Runtime.create ~config net [ App_sig.app (module Apps.Hub) ] in
+  Runtime.set_tracer rt tracer;
+  let step () =
+    Runtime.step rt;
+    (Runtime.events_processed rt, Runtime.events_shed rt)
+  in
+  let send src dst =
+    Netsim.Net.inject net src (Packet.tcp ~src_host:src ~dst_host:dst ())
+  in
+  let handshake = step () in
+  send 1 3;
+  let first = step () in
+  Netsim.Clock.advance_by clock 0.5;
+  Runtime.tick rt;
+  send 2 4;
+  let second = step () in
+  ([ handshake; first; second ], (Netsim.Net.stats net).Netsim.Net.delivered)
+
+let test_storm_sheds_alike_in_every_mode () =
+  let seq = storm Runtime.Sequential in
+  (match seq with
+  | [ _; first; second ], delivered ->
+      T_util.checkb "storm shed after the first flood" true
+        (first = (2056, 3));
+      T_util.checkb "storm shed after the second flood" true
+        (second = (4105, 6));
+      T_util.checki "packets delivered" 4094 delivered
+  | _ -> Alcotest.fail "three steps");
+  List.iter
+    (fun max_batch ->
+      T_util.checkb
+        (Printf.sprintf "processed/shed after every step at batch=%d"
            max_batch)
-        true (seq = sh))
-    [ (1, 1); (3, 2); (8, 64) ]
+        true
+        (storm (Runtime.Batched { max_batch }) = seq))
+    [ 1; 7; 64 ];
+  let tracer = Obs.Tracer.create ~capacity:65536 ~now:(fun () -> 0.) () in
+  ignore (storm ~tracer (Runtime.Batched { max_batch = 7 }));
+  let spans = Obs.Tracer.spans tracer in
+  T_util.checki "no span dropped" 0 (Obs.Tracer.dropped tracer);
+  let events (s : Obs.Span.t) =
+    int_of_string (List.assoc "events" s.Obs.Span.attrs)
+  in
+  let batches =
+    List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.kind = Obs.Span.Batch_root)
+      spans
+  in
+  T_util.checkb "every batch holds 1..7 events" true
+    (batches <> []
+    && List.for_all (fun s -> events s >= 1 && events s <= 7) batches);
+  let tick_batches =
+    List.filter_map
+      (fun (s : Obs.Span.t) ->
+        if List.assoc_opt "kind" s.Obs.Span.attrs = Some "tick" then
+          Some s.Obs.Span.parent
+        else None)
+      spans
+  in
+  T_util.checkb "the tick is a batch of one" true
+    (List.map events
+       (List.filter
+          (fun (b : Obs.Span.t) -> List.mem b.Obs.Span.id tick_batches)
+          batches)
+    = [ 1 ])
 
 let suite =
   [
-    Alcotest.test_case "merge restores arrival order" `Quick
-      test_merge_restores_arrival_order;
-    Alcotest.test_case "tick is a batch barrier" `Quick
-      test_tick_is_a_batch_barrier;
-    Alcotest.test_case "flow affinity is deterministic" `Quick
-      test_flow_affinity;
     QCheck_alcotest.to_alcotest prop_differential;
     Alcotest.test_case "scenarios exercise tick barriers" `Quick
       test_scenarios_exercise_tick_barriers;
     Alcotest.test_case "twin runtimes agree across tick barrier" `Quick
       test_twin_runtimes_agree_across_tick_barrier;
+    Alcotest.test_case "storm sheds alike in every mode" `Quick
+      test_storm_sheds_alike_in_every_mode;
   ]

@@ -82,32 +82,32 @@ let test_reproducer_roundtrip_and_replay () =
   T_util.checkb "replay trace byte-identical" true r.Repro.same_trace
 
 (* Dispatch mode is an execution parameter, not part of the reproducer
-   format: a reproducer recorded under the sequential engine must replay
-   byte-for-byte under the sharded engine, and vice versa — determinism
-   across engines, not merely within one. *)
+   format: a reproducer recorded under sequential dispatch must replay
+   byte-for-byte under batched dispatch, and vice versa — determinism
+   across modes, not merely within one. *)
 let test_reproducer_replays_across_engines () =
-  let sharded = Legosdn.Runtime.default_sharded in
-  (* Recorded sequential, replayed sharded... *)
+  let batched = Legosdn.Runtime.default_sharded in
+  (* Recorded sequential, replayed batched... *)
   let f = find_planted () in
   let repro = Repro.decode (Repro.encode (Fuzz.reproducer_of f)) in
-  let r = Repro.replay ~dispatch:sharded repro in
-  T_util.checkb "seq-recorded reproduces under sharded" true
+  let r = Repro.replay ~dispatch:batched repro in
+  T_util.checkb "seq-recorded reproduces under batched" true
     r.Repro.reproduced;
-  T_util.checkb "seq-recorded trace identical under sharded" true
+  T_util.checkb "seq-recorded trace identical under batched" true
     r.Repro.same_trace;
-  (* ...and recorded sharded, replayed sequential. *)
+  (* ...and recorded batched, replayed sequential. *)
   match
-    (Fuzz.campaign ~plant:Fuzz.No_retransmit ~dispatch:sharded
+    (Fuzz.campaign ~plant:Fuzz.No_retransmit ~dispatch:batched
        ~max_findings:1 (seeds 0 10))
       .Fuzz.findings
   with
-  | [] -> Alcotest.fail "planted defect not found under sharded dispatch"
+  | [] -> Alcotest.fail "planted defect not found under batched dispatch"
   | f :: _ ->
       let repro = Repro.decode (Repro.encode (Fuzz.reproducer_of f)) in
       let r = Repro.replay repro in
-      T_util.checkb "sharded-recorded reproduces under seq" true
+      T_util.checkb "batched-recorded reproduces under seq" true
         r.Repro.reproduced;
-      T_util.checkb "sharded-recorded trace identical under seq" true
+      T_util.checkb "batched-recorded trace identical under seq" true
         r.Repro.same_trace
 
 let suite =

@@ -1,5 +1,5 @@
 module Recovery_policy = Legosdn.Recovery_policy
-module Recovery_policy_lang = Legosdn.Recovery_policy_lang
+module Config_lang = Legosdn.Config_lang
 module Event = Controller.Event
 
 let test_default_policy () =
@@ -50,9 +50,17 @@ app learning_switch event packet_in => absolute   # drop poisoned packets
 default => equivalence
 |}
 
+(* Policy lines are config directives: a file of them alone parses as a
+   whole configuration carrying that policy. *)
+let policy_of text =
+  Result.map
+    (fun (c : Legosdn.Runtime.config) ->
+      c.Legosdn.Runtime.crashpad.Legosdn.Crashpad.policy)
+    (Config_lang.parse text)
+
 let test_parse_example () =
-  match Recovery_policy_lang.parse example_text with
-  | Error e -> Alcotest.failf "parse error: %a" Recovery_policy_lang.pp_error e
+  match policy_of example_text with
+  | Error e -> Alcotest.failf "parse error: %a" Config_lang.pp_error e
   | Ok p ->
       T_util.checki "three rules" 3 (List.length (Recovery_policy.rules p));
       T_util.checkb "firewall protected" true
@@ -63,45 +71,20 @@ let test_parse_example () =
         (Recovery_policy.decide p ~app:"learning_switch" Event.K_packet_in = Recovery_policy.Absolute)
 
 let test_parse_errors () =
-  (match Recovery_policy_lang.parse "app x => nope" with
-  | Error e -> T_util.checki "error on line 1" 1 e.Recovery_policy_lang.line
+  (match policy_of "app x => nope" with
+  | Error e -> T_util.checki "error on line 1" 1 e.Config_lang.line
   | Ok _ -> Alcotest.fail "should not parse");
-  (match Recovery_policy_lang.parse "app x event packet_in => sorta" with
+  (match policy_of "app x event packet_in => sorta" with
   | Error e ->
       T_util.checkb "names the bad compromise" true
-        (String.length e.Recovery_policy_lang.message > 0)
+        (String.length e.Config_lang.message > 0)
   | Ok _ -> Alcotest.fail "bad compromise accepted");
-  (match Recovery_policy_lang.parse "app x event nonsense_kind => absolute" with
+  (match policy_of "app x event nonsense_kind => absolute" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad kind accepted");
-  match Recovery_policy_lang.parse "default => absolute\ndefault => equivalence" with
-  | Error e -> T_util.checki "duplicate default flagged" 2 e.Recovery_policy_lang.line
+  match policy_of "default => absolute\ndefault => equivalence" with
+  | Error e -> T_util.checki "duplicate default flagged" 2 e.Config_lang.line
   | Ok _ -> Alcotest.fail "duplicate default accepted"
-
-let test_print_parse_roundtrip () =
-  let p = Recovery_policy_lang.parse_exn example_text in
-  let p2 = Recovery_policy_lang.parse_exn (Recovery_policy_lang.print p) in
-  T_util.checkb "roundtrip equality" true (Recovery_policy.equal p p2)
-
-let policy_gen =
-  QCheck2.Gen.(
-    let compromise =
-      oneofl [ Recovery_policy.No_compromise; Recovery_policy.Absolute; Recovery_policy.Equivalence ]
-    in
-    let rule =
-      let* app = opt (oneofl [ "a"; "b"; "router" ]) in
-      let* kind = opt (oneofl Event.all_kinds) in
-      let* action = compromise in
-      return { Recovery_policy.app; kind; action }
-    in
-    let* rules = list_size (int_bound 6) rule in
-    let* default = compromise in
-    return (Recovery_policy.make ~default rules))
-
-let prop_lang_roundtrip =
-  QCheck2.Test.make ~name:"print/parse roundtrip for any policy" ~count:300
-    policy_gen (fun p ->
-      Recovery_policy.equal p (Recovery_policy_lang.parse_exn (Recovery_policy_lang.print p)))
 
 let suite =
   [
@@ -111,6 +94,4 @@ let suite =
     Alcotest.test_case "uniform policy" `Quick test_uniform;
     Alcotest.test_case "parse example" `Quick test_parse_example;
     Alcotest.test_case "parse errors located" `Quick test_parse_errors;
-    Alcotest.test_case "print/parse roundtrip" `Quick test_print_parse_roundtrip;
-    QCheck_alcotest.to_alcotest prop_lang_roundtrip;
   ]
