@@ -814,7 +814,7 @@ let bench_policy () =
     let next = Policy.compile ~switches:survivors pol in
     let mods = Policy.flow_mods ~prev:installed ~next in
     let probes = Policy.probes ~ports next in
-    let agreed = Policy.agrees ~ports ~switches:survivors pol next ~probes in
+    let agreed = Policy.agrees ~ports pol next ~probes in
     let snap = Invariants.Snapshot.of_net net in
     let violations = Invariants.Checker.check_flow_mods snap mods in
     ignore agreed;

@@ -4,8 +4,10 @@ open Controller
 (* Destination-MAC routing declared as intent. [handle] only *observes*:
    it records which MACs exist and floods the triggering packet so nothing
    blackholes while tables converge. All rule installation happens through
-   the declared policy — per-switch shortest-path routes recompiled by the
-   runtime after every event (and by Crash-Pad during recovery). *)
+   the declared policy — per-switch shortest-path routes the runtime
+   re-derives after every event it delivers (and Crash-Pad during
+   recovery), and recompiles only when the routes or the switch set
+   changed. *)
 
 type state = Types.mac list  (* destinations seen, sorted *)
 
@@ -19,8 +21,9 @@ let init () = []
 
 let hosts_known st = List.length st
 
-(* BFS first-hop port from [src] towards [dst] over the live links. *)
-let first_hop links src dst =
+(* Each switch's out-links over the live links, as (port, neighbour)
+   sorted ascending: the order a BFS tries them in. *)
+let adjacency links =
   let adjacency = Hashtbl.create 16 in
   List.iter
     (fun (l : Event.link) ->
@@ -30,34 +33,29 @@ let first_hop links src dst =
       Hashtbl.replace adjacency l.Event.src_switch
         ((l.Event.src_port, l.Event.dst_switch) :: existing))
     links;
-  let neighbors sid =
-    Option.value (Hashtbl.find_opt adjacency sid) ~default:[]
-    |> List.sort compare
-  in
-  let visited = Hashtbl.create 16 in
-  Hashtbl.replace visited src ();
+  Hashtbl.filter_map_inplace
+    (fun _ ns -> Some (List.sort compare ns))
+    adjacency;
+  fun sid -> Option.value (Hashtbl.find_opt adjacency sid) ~default:[]
+
+(* One BFS from [src]: every switch it reaches, mapped to the port of [src]
+   through which that switch was first reached — its shortest-path first
+   hop, ties going to the lowest (port, neighbour). *)
+let first_hops neighbors src =
+  let hops = Hashtbl.create 16 in
   let queue = Queue.create () in
-  List.iter
-    (fun (port, next) ->
-      if not (Hashtbl.mem visited next) then begin
-        Hashtbl.replace visited next ();
-        Queue.push (next, port) queue
-      end)
-    (neighbors src);
-  let result = ref None in
-  while !result = None && not (Queue.is_empty queue) do
+  let reach port next =
+    if next <> src && not (Hashtbl.mem hops next) then begin
+      Hashtbl.replace hops next port;
+      Queue.push (next, port) queue
+    end
+  in
+  List.iter (fun (port, next) -> reach port next) (neighbors src);
+  while not (Queue.is_empty queue) do
     let sid, port = Queue.pop queue in
-    if sid = dst then result := Some port
-    else
-      List.iter
-        (fun (_, next) ->
-          if not (Hashtbl.mem visited next) then begin
-            Hashtbl.replace visited next ();
-            Queue.push (next, port) queue
-          end)
-        (neighbors sid)
+    List.iter (fun (_, next) -> reach port next) (neighbors sid)
   done;
-  !result
+  hops
 
 let flood_out sid (pi : Message.packet_in) =
   Command.packet_out ?buffer_id:pi.Message.pi_buffer_id
@@ -81,8 +79,11 @@ let handle _ctx (st : state) = function
    hop). Unknown destinations fall off the compiled table and punt to the
    controller, where [handle] floods them. *)
 let policy ctx (st : state) =
-  let links = App_sig.links ctx in
   let switches = App_sig.switches ctx in
+  let neighbors = adjacency (App_sig.links ctx) in
+  let hops =
+    List.map (fun sw -> (sw, lazy (first_hops neighbors sw))) switches
+  in
   let routes =
     List.filter_map
       (fun mac ->
@@ -94,7 +95,8 @@ let policy ctx (st : state) =
                 (fun sw ->
                   let out =
                     if sw = dst_sid then Some dst_port
-                    else first_hop links sw dst_sid
+                    else
+                      Hashtbl.find_opt (Lazy.force (List.assoc sw hops)) dst_sid
                   in
                   Option.map
                     (fun port ->

@@ -70,7 +70,10 @@ module type INTENT_APP = sig
       has nothing declarative to say (imperative commands only). Must be
       pure: the runtime calls it after every handled event to reconcile
       the compiled tables, and Crash-Pad calls it during recovery to
-      derive verified-equivalent compromises. May raise; a raise during
+      derive verified-equivalent compromises. Reconciliation keys on the
+      returned value: a policy structurally equal to the last installed
+      one, over the same connected switches, is not recompiled (its
+      compile would be the installed tables). May raise; a raise during
       recovery only disables derivation, it is not a new crash. *)
 end
 

@@ -79,58 +79,65 @@ let route_replies deps sandbox sid replies =
 
 (* ---------------- declarative intent ---------------- *)
 
-(* Recompile the app's declared policy against the current network view and
-   diff it against what the network holds. The candidate diff is installed
+(* Compile the app's declared policy over the connected switches and diff
+   it against what the network holds. The candidate diff is installed
    only after two independent checks: the compiled tables must agree with
    the policy's denotation on a probe set covering every rule (forwarding
    relation preserved), and the flow-mods must pass the invariant screen
    of the one commit path. *)
+let install_intent config deps sandbox ctx ((pol, switches) as source) =
+  match Policy.compile ~switches pol with
+  | exception Policy.Uncompilable _ -> `Rejected
+  | tables -> (
+      let mods =
+        Policy.flow_mods ~prev:(Sandbox.intent_tables sandbox) ~next:tables
+        (* Tables are declarative, idempotent state, so mods aimed at
+           switches that left the network (or whose channel is given up
+           on) are simply dropped — typically strict deletes for a dead
+           switch's rows, moot because its table died with it. Unlike an
+           app transaction there is no atomicity to lose: the next
+           reconciliation re-derives whatever remains. *)
+        |> List.filter (fun (sid, _) ->
+               List.mem sid switches && not (deps.unreachable sid))
+      in
+      if mods = [] then begin
+        (* Network already reflects the intent (or intent is empty). *)
+        Sandbox.set_intent_tables ~source sandbox tables;
+        `Noop
+      end
+      else
+        let ports sid = App_sig.switch_ports ctx sid in
+        let probes = Policy.probes ~ports tables in
+        if not (Policy.agrees ~ports pol tables ~probes) then `Rejected
+        else
+          match
+            Atomic_update.commit ~tracer:deps.tracer
+              ~invariants:config.invariants ~checker:deps.incremental
+              ~replies:(Atomic_update.Route (fun _ _ -> ()))
+              ~app:(Sandbox.name sandbox)
+              (Atomic_update.Deferred deps.engine)
+              (List.map (fun (sid, fm) -> Command.Flow (sid, fm)) mods)
+          with
+          | Atomic_update.Rolled_back _ -> `Rejected
+          | Atomic_update.Committed ->
+              Sandbox.set_intent_tables ~source sandbox tables;
+              `Installed (List.length mods))
+
+(* Reconcile the network with the app's declared intent. When the policy
+   and the switch list equal the source of the installed record, nothing
+   is compiled: [compile] is a function of the two, so it would rebuild
+   the installed tables and diff to nothing. A rejection records no
+   source, so it is re-derived and counted every time. *)
 let sync_intent config deps sandbox =
   if not config.intent then `No_intent
   else
     let ctx = deps.context () in
     match Sandbox.declared_policy sandbox ctx with
     | None -> `No_intent
-    | Some pol -> (
-        let switches = App_sig.switches ctx in
-        match Policy.compile ~switches pol with
-        | exception Policy.Uncompilable _ -> `Rejected
-        | tables -> (
-            let mods =
-              Policy.flow_mods ~prev:(Sandbox.intent_tables sandbox)
-                ~next:tables
-              (* Tables are declarative, idempotent state, so mods aimed at
-                 switches that left the network (or whose channel is given
-                 up on) are simply dropped — typically strict deletes for a
-                 dead switch's rows, moot because its table died with it.
-                 Unlike an app transaction there is no atomicity to lose:
-                 the next reconciliation re-derives whatever remains. *)
-              |> List.filter (fun (sid, _) ->
-                     List.mem sid switches && not (deps.unreachable sid))
-            in
-            if mods = [] then begin
-              (* Network already reflects the intent (or intent is empty). *)
-              Sandbox.set_intent_tables sandbox tables;
-              `Noop
-            end
-            else
-              let ports sid = App_sig.switch_ports ctx sid in
-              let probes = Policy.probes ~ports tables in
-              if not (Policy.agrees ~ports ~switches pol tables ~probes) then
-                `Rejected
-              else
-                match
-                  Atomic_update.commit ~tracer:deps.tracer
-                    ~invariants:config.invariants ~checker:deps.incremental
-                    ~replies:(Atomic_update.Route (fun _ _ -> ()))
-                    ~app:(Sandbox.name sandbox)
-                    (Atomic_update.Deferred deps.engine)
-                    (List.map (fun (sid, fm) -> Command.Flow (sid, fm)) mods)
-                with
-                | Atomic_update.Rolled_back _ -> `Rejected
-                | Atomic_update.Committed ->
-                    Sandbox.set_intent_tables sandbox tables;
-                    `Installed (List.length mods)))
+    | Some pol ->
+        let source = (pol, App_sig.switches ctx) in
+        if Sandbox.intent_source sandbox = Some source then `Noop
+        else install_intent config deps sandbox ctx source
 
 (* After a healthy commit: if the delivery moved the app's declared intent,
    push the (verified) diff out so hardware tracks intent continuously. *)

@@ -410,7 +410,10 @@ let observe_reliable t notifications =
 (* A switch that disconnects takes its flow table with it: prune its
    entries from every sandbox's installed-intent record so that when it
    returns, reconciliation re-derives and re-installs its rules from
-   declared policy instead of concluding [`Noop]. (The reliable layer's
+   declared policy instead of concluding [`Noop]. The pruned record is
+   no longer a compile of anything, so the write drops its source and the
+   next reconcile recompiles even if policy and switches look unchanged,
+   as they do after a reboot inside one poll round. (The reliable layer's
    shadow resync also replays its rules on reconnect; the re-adds are
    idempotent, and pruning here keeps intent correct even with the
    reliable layer disabled.) *)

@@ -18,6 +18,9 @@ type t = {
       (* Compiled form of the app's declared policy as last installed on the
          network. Tracks network state, not app state: reboots and restores
          leave it alone because the rules stay in the switches. *)
+  mutable intent_source : (Policy.t * Openflow.Types.switch_id list) option;
+      (* The policy and switch list [intent_tables] were compiled from, when
+         the tables are exactly that compile; [None] after any other write. *)
 }
 
 let create ?ckpt ~checkpoint_every m =
@@ -34,6 +37,7 @@ let create ?ckpt ~checkpoint_every m =
     n_rpc_bytes = 0;
     scratch = Wire.scratch ();
     intent_tables = [];
+    intent_source = None;
   }
 
 let name t = App_sig.name t.inst
@@ -173,7 +177,11 @@ let declared_policy t ctx =
   | exception _ -> None
 
 let intent_tables t = t.intent_tables
-let set_intent_tables t tables = t.intent_tables <- tables
+let intent_source t = t.intent_source
+
+let set_intent_tables ?source t tables =
+  t.intent_tables <- tables;
+  t.intent_source <- source
 
 let snapshot_bytes t = App_sig.snapshot t.inst
 

@@ -104,8 +104,21 @@ val intent_tables : t -> Policy.table list
 (** Compiled intent as last installed on the network ([[]] initially).
     Survives reboots/restores: it mirrors switch state, not app state. *)
 
-val set_intent_tables : t -> Policy.table list -> unit
-(** Record that [tables] are now what the network holds for this app. *)
+val intent_source : t -> (Policy.t * Openflow.Types.switch_id list) option
+(** The policy and switch list {!intent_tables} were compiled from, or
+    [None] when the record is not exactly such a compile (initially, and
+    after any write without [~source]). Survives reboots/restores with
+    the tables. *)
+
+val set_intent_tables :
+  ?source:Policy.t * Openflow.Types.switch_id list ->
+  t ->
+  Policy.table list ->
+  unit
+(** Record that [tables] are now what the network holds for this app.
+    Pass [~source:(pol, switches)] only when [tables] is
+    [Policy.compile ~switches pol]; any other write (a partial prune, say)
+    clears the source, so reconciliation recompiles the next time. *)
 
 val snapshot_bytes : t -> bytes
 (** A serialized snapshot of the current state (does not touch the

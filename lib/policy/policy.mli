@@ -161,13 +161,15 @@ val eval_table :
 
 val agrees :
   ports:(Types.switch_id -> Types.port_no list) ->
-  switches:Types.switch_id list ->
   t ->
   table list ->
   probes:(Types.switch_id * Types.port_no * Packet.t) list ->
   bool
 (** Does the compiled forwarding relation match {!denotation} on every
-    probe? A switch with no table forwards nothing. *)
+    probe? A switch with no table forwards nothing. The policy is
+    restricted once per probed switch ([At] bundles for other switches
+    dropped, which keeps the denotation there), so a probe costs what
+    its own switch's share of the policy costs, not the whole policy. *)
 
 val probes :
   ports:(Types.switch_id -> Types.port_no list) ->

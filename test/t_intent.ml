@@ -7,6 +7,8 @@
 open Netsim
 module App_sig = Controller.App_sig
 module Event = Controller.Event
+module Message = Openflow.Message
+module Types = Openflow.Types
 module Runtime = Legosdn.Runtime
 module Sandbox = Legosdn.Sandbox
 module Metrics = Legosdn.Metrics
@@ -210,6 +212,285 @@ let test_fuzzer_scenario_derives_compromise () =
   T_util.checkb "fuzzer scenario derived a verified compromise" true
     (r.Runner.final.Runner.f_policy_compromises >= 1)
 
+(* ---------------- reconciliation tracks the network ---------------- *)
+
+(* The app, subscribed to every event kind: every delivered event, ticks
+   included, reconciles its intent. *)
+module Every_event (A : App_sig.INTENT_APP) : App_sig.INTENT_APP = struct
+  include A
+
+  let subscriptions = Event.all_kinds
+end
+
+type op =
+  | Packet of int * int  (** host, destination host *)
+  | Link_flap of int  (** toggle the i-th inter-switch link *)
+  | Switch_toggle of Types.switch_id
+  | Reboot of Types.switch_id  (** down and back up before the next step *)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun h d -> Packet (h, d)) (int_range 1 4) (int_range 1 4));
+        (2, map (fun i -> Link_flap i) (int_bound 2));
+        (2, map (fun s -> Switch_toggle s) (int_range 1 4));
+        (2, map (fun s -> Reboot s) (int_range 1 4));
+      ])
+
+let print_op = function
+  | Packet (h, d) -> Printf.sprintf "packet %d->%d" h d
+  | Link_flap i -> Printf.sprintf "flap link %d" i
+  | Switch_toggle s -> Printf.sprintf "toggle s%d" s
+  | Reboot s -> Printf.sprintf "reboot s%d" s
+
+let apply_op net = function
+  | Packet (h, d) ->
+      Net.inject net h (Openflow.Packet.tcp ~src_host:h ~dst_host:d ())
+  | Link_flap i ->
+      let l =
+        List.nth
+          (Workload.Failure_schedule.inter_switch_links (Net.topology net))
+          i
+      in
+      let a = l.Topology.a.Topology.node and b = l.Topology.b.Topology.node in
+      Net.apply_fault net
+        (if l.Topology.up then Net.Link_down (a, b) else Net.Link_up (a, b))
+  | Switch_toggle s ->
+      Net.apply_fault net
+        (if (Net.switch net s).Sw.up then Net.Switch_down s
+         else Net.Switch_up s)
+  | Reboot s ->
+      Net.apply_fault net (Net.Switch_down s);
+      Net.apply_fault net (Net.Switch_up s)
+
+(* Compiled intent on a switch, as sorted (priority, pattern, actions). *)
+let installed_rows net sid =
+  Flow_table.entries (Net.switch net sid).Sw.table
+  |> List.filter (fun (e : Flow_entry.t) ->
+         e.Flow_entry.priority > Message.default_priority)
+  |> List.map (fun (e : Flow_entry.t) ->
+         (e.Flow_entry.priority, e.pattern, e.actions))
+  |> List.sort compare
+
+let compiled_rows tables sid =
+  match List.find_opt (fun t -> t.Policy.t_sw = sid) tables with
+  | None -> []
+  | Some t ->
+      List.map
+        (fun r -> (r.Policy.r_priority, r.Policy.r_pattern, r.Policy.r_actions))
+        t.Policy.t_rows
+      |> List.sort compare
+
+(* With the reliable layer off, re-deriving intent is the only thing that
+   puts a rebooted switch's rules back. After each op and a step, tick,
+   step, every up switch must hold exactly a fresh compile of what the
+   app declares now — whatever reconciliation skipped along the way. A
+   step that rejected an install (a flood intent that would black-hole on
+   a partitioned chain) rightly leaves the old rules, so it is not
+   checked. *)
+let holds_fresh_compile app ops =
+  let clock = Clock.create () in
+  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 4) in
+  let config =
+    {
+      Runtime.default_config with
+      reliable = { Legosdn.Reliable.default_config with enabled = false };
+    }
+  in
+  let rt = Runtime.create ~config net [ app ] in
+  Runtime.step rt;
+  let box = List.hd (Runtime.sandboxes rt) in
+  let m = Runtime.metrics rt in
+  List.for_all
+    (fun op ->
+      Clock.advance_by clock 0.05;
+      apply_op net op;
+      let rejected = Metrics.(get m policy_rejected) in
+      Runtime.step rt;
+      Runtime.tick rt;
+      Runtime.step rt;
+      Metrics.(get m policy_rejected) > rejected
+      ||
+      let ctx = Controller.Services.context (Runtime.services rt) in
+      let tables =
+        match Sandbox.declared_policy box ctx with
+        | None -> []
+        | Some pol -> Policy.compile ~switches:(App_sig.switches ctx) pol
+      in
+      List.for_all
+        (fun sid ->
+          (not (Net.switch net sid).Sw.up)
+          || installed_rows net sid = compiled_rows tables sid
+          || QCheck.Test.fail_reportf
+               "%s: after %s, s%d holds %d intent rows, a fresh compile has %d"
+               (Sandbox.name box) (print_op op) sid
+               (List.length (installed_rows net sid))
+               (List.length (compiled_rows tables sid)))
+        (Topology.switches (Net.topology net)))
+    ops
+
+let test_fresh_compile =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"network holds a fresh compile of declared intent"
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+          (QCheck.Gen.list_repeat 40 gen_op))
+       (fun ops ->
+         List.for_all
+           (fun app -> holds_fresh_compile app ops)
+           [
+             App_sig.intent (module Every_event (Apps.Policy_router));
+             App_sig.intent (module Every_event (Apps.Policy_firewall));
+           ]))
+
+(* ---------------- routes ---------------- *)
+
+(* The reference for [Policy_router]'s routes: a fresh BFS per (switch,
+   destination) pair, where the router runs one BFS per source switch. *)
+let per_pair_first_hop links src dst =
+  let adjacency = Hashtbl.create 16 in
+  List.iter
+    (fun (l : Event.link) ->
+      let existing =
+        Option.value (Hashtbl.find_opt adjacency l.Event.src_switch) ~default:[]
+      in
+      Hashtbl.replace adjacency l.Event.src_switch
+        ((l.Event.src_port, l.Event.dst_switch) :: existing))
+    links;
+  let neighbors sid =
+    Option.value (Hashtbl.find_opt adjacency sid) ~default:[]
+    |> List.sort compare
+  in
+  let visited = Hashtbl.create 16 in
+  Hashtbl.replace visited src ();
+  let queue = Queue.create () in
+  List.iter
+    (fun (port, next) ->
+      if not (Hashtbl.mem visited next) then begin
+        Hashtbl.replace visited next ();
+        Queue.push (next, port) queue
+      end)
+    (neighbors src);
+  let result = ref None in
+  while !result = None && not (Queue.is_empty queue) do
+    let sid, port = Queue.pop queue in
+    if sid = dst then result := Some port
+    else
+      List.iter
+        (fun (_, next) ->
+          if not (Hashtbl.mem visited next) then begin
+            Hashtbl.replace visited next ();
+            Queue.push (next, port) queue
+          end)
+        (neighbors sid)
+  done;
+  !result
+
+let per_pair_policy ctx macs =
+  let links = App_sig.links ctx in
+  let switches = App_sig.switches ctx in
+  Policy.union_all
+    (List.filter_map
+       (fun mac ->
+         match App_sig.host_location ctx mac with
+         | None -> None
+         | Some (dst_sid, dst_port) -> (
+             let per_switch =
+               List.filter_map
+                 (fun sw ->
+                   let out =
+                     if sw = dst_sid then Some dst_port
+                     else per_pair_first_hop links sw dst_sid
+                   in
+                   Option.map
+                     (fun port ->
+                       Policy.at sw
+                         (Policy.seq
+                            (Policy.filter (Policy.Test (Policy.Dl_dst mac)))
+                            (Policy.forward port)))
+                     out)
+                 switches
+             in
+             match per_switch with
+             | [] -> None
+             | l -> Some (Policy.union_all l)))
+       macs)
+
+(* Switches 1..n; links drawn over 1..n with no symmetry, so one-way
+   links, self-loops, parallel links and disconnected parts all occur;
+   hosts attached anywhere in 1..n+1 (n+1 is not connected), some never
+   located at all. *)
+let gen_routing =
+  QCheck.Gen.(
+    let* n = int_range 1 7 in
+    let sw = int_range 1 n in
+    let link =
+      let* src_switch = sw and* dst_switch = sw and* src_port = int_range 1 4 in
+      return { Event.src_switch; src_port; dst_switch; dst_port = 1 }
+    in
+    let* links = list_size (int_bound 14) link in
+    let* hosts =
+      list_size (int_range 1 6)
+        (pair (int_range 1 8)
+           (opt (pair (int_range 1 (n + 1)) (int_range 100 102))))
+    in
+    return (n, links, hosts))
+
+let print_routing (n, links, hosts) =
+  Printf.sprintf "%d switches; links %s; hosts %s" n
+    (String.concat " "
+       (List.map
+          (fun (l : Event.link) ->
+            Printf.sprintf "%d:%d->%d" l.Event.src_switch l.Event.src_port
+              l.Event.dst_switch)
+          links))
+    (String.concat " "
+       (List.map
+          (fun (h, loc) ->
+            match loc with
+            | None -> Printf.sprintf "h%d@?" h
+            | Some (s, p) -> Printf.sprintf "h%d@%d:%d" h s p)
+          hosts))
+
+let one_bfs_prop (n, links, hosts) =
+  let mac = Types.mac_of_host in
+  let locations = List.map (fun (h, loc) -> (mac h, loc)) hosts in
+  let ctx =
+    {
+      T_util.null_context with
+      switches = (fun () -> List.init n (fun i -> i + 1));
+      links = (fun () -> links);
+      host_location =
+        (fun m -> Option.join (List.assoc_opt m locations));
+    }
+  in
+  (* The router learns a destination from the source of a punted packet. *)
+  let st =
+    List.fold_left
+      (fun st (h, _) ->
+        fst
+          (Apps.Policy_router.handle ctx st
+             (Event.Packet_in
+                ( 1,
+                  {
+                    Message.pi_buffer_id = None;
+                    pi_in_port = 1;
+                    pi_reason = Message.No_match;
+                    pi_packet = T_util.tcp_packet h 1;
+                  } ))))
+      (Apps.Policy_router.init ()) hosts
+  in
+  let macs = List.sort_uniq compare (List.map (fun (h, _) -> mac h) hosts) in
+  Apps.Policy_router.policy ctx st = Some (per_pair_policy ctx macs)
+
+let test_one_bfs_routes =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"one-BFS routes == per-pair BFS routes"
+       (QCheck.make ~print:print_routing gen_routing)
+       one_bfs_prop)
+
 let suite =
   [
     Alcotest.test_case "reconcile programs switches" `Quick
@@ -220,4 +501,6 @@ let suite =
       test_compromise_reroutes_after_crash;
     Alcotest.test_case "fuzzer scenario derives compromise" `Quick
       test_fuzzer_scenario_derives_compromise;
+    test_fresh_compile;
+    test_one_bfs_routes;
   ]

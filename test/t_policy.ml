@@ -199,12 +199,68 @@ let test_compilable_majority () =
     true
     (!compiled > 3 * !uncompilable)
 
+(* ---------------- per-switch agreement ---------------- *)
+
+(* [Policy.agrees] evaluates each probe against its switch's restriction
+   of the policy. The reference here is the unrestricted check: every
+   probe against the whole policy. Tables come from the policy itself
+   (agreement expected) and from a second random policy, so that the
+   two checks must also agree on [false]. Random located packets join the
+   derived probes to reach switches that have no table. *)
+
+let mismatched_disagreements = ref 0
+
+let whole_policy_agrees pol tables probes =
+  List.for_all
+    (fun (sw, in_port, pkt) ->
+      let want, got = forwarding tables pol sw in_port pkt in
+      want = got)
+    probes
+
+let per_switch_agreement_prop (pol, other, located) =
+  List.for_all
+    (fun (source, mismatched) ->
+      match Policy.compile ~switches source with
+      | exception Policy.Uncompilable _ -> true
+      | tables ->
+          let probes = Policy.probes ~ports tables @ located in
+          let got = Policy.agrees ~ports pol tables ~probes in
+          if mismatched && not got then incr mismatched_disagreements;
+          got = whole_policy_agrees pol tables probes
+          || QCheck.Test.fail_reportf
+               "@[<v>policy: %a@,tables from: %a@,per-switch: %b@]" Policy.pp
+               pol Policy.pp source got)
+    [ (pol, false); (other, true) ]
+
+let test_per_switch_agreement =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400
+       ~name:"per-switch agreement == whole-policy agreement"
+       (QCheck.make
+          ~print:(fun (pol, other, located) ->
+            Format.asprintf "@[<v>%s@,other: %a@]"
+              (print_case (pol, located))
+              Policy.pp other)
+          QCheck.Gen.(
+            triple (gen_policy 3) (gen_policy 3)
+              (list_size (int_range 1 6) gen_located)))
+       per_switch_agreement_prop)
+
+(* Runs after the property: tables compiled from an unrelated policy must
+   produce some disagreements, or the [false] side went unchecked. *)
+let test_agreement_not_vacuous () =
+  Alcotest.(check bool)
+    (Printf.sprintf "%d disagreements from mismatched tables"
+       !mismatched_disagreements)
+    true
+    (!mismatched_disagreements > 0)
+
 (* ---------------- units ---------------- *)
 
 let probe_agreement pol =
   let tables = Policy.compile ~switches pol in
   let probes = Policy.probes ~ports tables in
-  Policy.agrees ~ports ~switches pol tables ~probes
+  Policy.agrees ~ports pol tables ~probes
 
 let blocked_pred =
   Policy.(
@@ -336,6 +392,9 @@ let suite =
   [
     test_differential;
     Alcotest.test_case "compilable majority" `Quick test_compilable_majority;
+    test_per_switch_agreement;
+    Alcotest.test_case "mismatched tables disagree" `Quick
+      test_agreement_not_vacuous;
     Alcotest.test_case "firewall shape" `Quick test_firewall_shape;
     Alcotest.test_case "priorities above default" `Quick
       test_priorities_above_default;
