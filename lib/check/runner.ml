@@ -299,11 +299,19 @@ let rec run ?(oracles = Oracle.all) ?trace_buffer
   in
   let trace = ref [] in
   let taps = ref [] in
+  let journals = ref [] in
   (* Runs once for a single controller; once per elected leader in a
-     replicated run — each leader builds a fresh runtime, so the tracer
-     and the dispatch tap must follow it. *)
+     replicated run — each leader builds a fresh runtime, so the tracer,
+     the dispatch tap and the NetLog close hook must follow it. Each
+     runtime's closed transactions are kept apart, newest first. *)
   let attach rt =
     Runtime.set_tracer rt tracer;
+    (match Runtime.netlog rt with
+    | Some nl ->
+        let closed = ref [] in
+        journals := (rt, closed) :: !journals;
+        Legosdn.Netlog.set_close_hook nl (fun e -> closed := e :: !closed)
+    | None -> ());
     let tap =
       Obs.Hub.subscribe (Runtime.hub rt) (function
         | Obs.Hub.Dispatched ev -> trace := ev :: !trace
@@ -532,8 +540,8 @@ let rec run ?(oracles = Oracle.all) ?trace_buffer
             | Some rel -> Reliable.export_shadows rel
             | None -> []);
           journal =
-            (match Runtime.netlog rt with
-            | Some nl -> Legosdn.Netlog.journal nl
+            (match List.assq_opt rt !journals with
+            | Some closed -> List.rev !closed
             | None -> []);
           f_events = Legosdn.Metrics.(get m events);
           f_crashes = Legosdn.Metrics.(get m crashes);

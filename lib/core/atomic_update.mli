@@ -40,8 +40,8 @@ val screen :
 (** The screens alone, committing nothing. [invariants] defaults to
     {!Invariants.Checker.default}; by default every switch is reachable. *)
 
-(** Which transaction the commands go into; this decides what a refusal
-    leaves in the NetLog journal. *)
+(** Which transaction the commands go into; this decides which closed
+    transaction, if any, a refusal hands NetLog's close hook. *)
 type txn =
   | Opened of Txn_engine.txn
       (** Opened by the caller before the commands existed (an app

@@ -31,9 +31,9 @@ type txn = {
   mutable closed : bool;
 }
 
-(* One closed transaction, as the journal remembers it. Commands are kept
-   structurally (not re-encoded) so the record is cheap to take on the
-   commit path and still byte-comparable across runs. *)
+(* One closed transaction, as the close hook receives it. Commands are
+   kept structurally (not re-encoded) so the record is cheap to build on
+   the commit path and still byte-comparable across runs. *)
 type journal_entry = {
   je_app : string;
   je_committed : bool;
@@ -50,7 +50,7 @@ type t = {
   mutable n_aborted : int;
   mutable n_ops : int;
   mutable n_rolled_back : int;
-  mutable history : journal_entry list;  (* newest first *)
+  mutable on_close : journal_entry -> unit;
   mutable tracer : Obs.Tracer.t;
 }
 
@@ -73,11 +73,12 @@ let create ?transport ?(xid_base = 1) ?metrics network =
     n_aborted = 0;
     n_ops = 0;
     n_rolled_back = 0;
-    history = [];
+    on_close = ignore;
     tracer = Obs.Tracer.noop;
   }
 
 let set_tracer t tracer = t.tracer <- tracer
+let set_close_hook t f = t.on_close <- f
 
 let net t = t.network
 let cache t = t.counter_cache
@@ -86,7 +87,6 @@ let committed t = t.n_committed
 let aborted t = t.n_aborted
 let ops_applied t = t.n_ops
 let ops_rolled_back t = t.n_rolled_back
-let journal t = List.rev t.history
 
 let begin_txn _t ~app = { app; undos = []; applied = []; closed = false }
 
@@ -261,14 +261,13 @@ let commit t txn =
   if not txn.closed then begin
     txn.closed <- true;
     t.n_committed <- t.n_committed + 1;
-    t.history <-
+    t.on_close
       {
         je_app = txn.app;
         je_committed = true;
         je_ops = List.rev txn.applied;
         je_rolled_back = 0;
       }
-      :: t.history
   end
 
 let abort t txn =
@@ -286,14 +285,13 @@ let abort t txn =
             t.n_rolled_back <- t.n_rolled_back + 1;
             run_undo t undo)
           txn.undos);
-    t.history <-
+    t.on_close
       {
         je_app = txn.app;
         je_committed = false;
         je_ops = List.rev txn.applied;
         je_rolled_back = List.length txn.undos;
-      }
-      :: t.history;
+      };
     txn.undos <- []
   end
 

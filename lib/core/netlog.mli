@@ -44,7 +44,7 @@ val aborted : t -> int
 val ops_applied : t -> int
 val ops_rolled_back : t -> int
 
-(** One closed transaction, as the journal remembers it. *)
+(** One closed transaction, as the close hook receives it. *)
 type journal_entry = {
   je_app : string;
   je_committed : bool;  (** [false] = aborted and rolled back. *)
@@ -52,12 +52,14 @@ type journal_entry = {
   je_rolled_back : int;  (** Undos executed during the abort; 0 for commits. *)
 }
 
-val journal : t -> journal_entry list
-(** Every transaction ever closed on this instance, oldest first. This is
-    the transaction-atomicity surface the dispatch-engine differential
-    tests compare: two engines are only equivalent if they commit and
-    abort the same transactions with the same commands, in the same
-    order. *)
+val set_close_hook : t -> (journal_entry -> unit) -> unit
+(** Hand every transaction this instance closes from now on to the hook,
+    as it is committed or aborted. Default: a no-op, so NetLog keeps
+    nothing per closed transaction. This is the transaction-atomicity
+    surface the dispatch-engine differential tests compare: two engines
+    are only equivalent if they commit and abort the same transactions
+    with the same commands, in the same order, so those tests set a hook
+    that collects the entries. *)
 
 type txn
 

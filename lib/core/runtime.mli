@@ -50,8 +50,9 @@ val default_cluster_config : cluster_config
     by one barrier per switch per batch ({!Reliable.begin_batch}), and
     checkpoints amortize to one per sandbox per batch when the cadence
     permits. The two modes are observationally equivalent — same final
-    flow tables, shadow intent, NetLog journal and semantic metrics on
-    the same event stream — which [test/t_dispatch.ml] checks
+    flow tables, shadow intent, closed NetLog transactions (as
+    {!Netlog.set_close_hook} hands them out) and semantic metrics on the
+    same event stream — which [test/t_dispatch.ml] checks
     differentially. *)
 type dispatch_mode = Sequential | Batched of { max_batch : int }
 

@@ -33,6 +33,9 @@ type t = {
    retransmission window while keeping reboot-survivor memory small. *)
 let dedup_window = 4096
 
+(* Packet buffers the switch advertises in its features. *)
+let n_buffers = 256
+
 let port_mac sid port_no = Types.mac_of_octets 0x0a 0x00 0x00 sid 0x00 port_no
 
 let create ~id ~port_nos =
@@ -137,7 +140,7 @@ let port_desc (p : port_state) : Message.port_desc =
 let features t : Message.features =
   {
     datapath_id = t.id;
-    n_buffers = 256;
+    n_buffers;
     n_tables = 1;
     ports = List.map port_desc (port_list t);
   }
@@ -161,6 +164,10 @@ let buffer_packet t pkt in_port =
   let id = t.next_buffer_id in
   t.next_buffer_id <- t.next_buffer_id + 1;
   Hashtbl.replace t.buffers id (pkt, in_port);
+  (* Ids are consecutive, so this keeps the newest [n_buffers]: a packet
+     the controller never releases (it answered with an inline copy, or
+     not at all) gives up its slot instead of staying forever. *)
+  Hashtbl.remove t.buffers (id - n_buffers);
   id
 
 let egress ~ports ~up ~no_flood ~in_port out =

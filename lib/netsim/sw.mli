@@ -112,7 +112,9 @@ val process_packet :
   t -> now:float -> in_port:Types.port_no -> Packet.t -> forward_result
 (** Run the packet through the flow table, updating entry and port rx
     counters. A table miss buffers the packet and raises a [No_match]
-    packet-in carrying the buffer id. *)
+    packet-in carrying the buffer id. The switch holds the newest 256
+    buffered packets, the [n_buffers] of its features; a release naming
+    an older id finds nothing. *)
 
 val account_tx : t -> Types.port_no -> Packet.t -> unit
 (** Record an actual transmission out of a port (the network layer calls

@@ -13,15 +13,28 @@ type link = {
   mutable up : bool;
 }
 
+(* Both indexes are filled by [connect] and never emptied: a topology is
+   built once and never unwired, and link state lives in the link's [up]
+   field, so a lookup never goes stale. *)
 type t = {
   mutable switch_ids : Types.switch_id list;  (* sorted ascending *)
   mutable host_ids : host list;  (* sorted ascending *)
   mutable link_list : link list;  (* reverse creation order *)
   mutable next_link_id : int;
+  at_endpoint : (node * Types.port_no, link) Hashtbl.t;
+  ports_of : (node, (Types.port_no * link) list) Hashtbl.t;
+      (* a node's wired ports, ascending *)
 }
 
 let create () =
-  { switch_ids = []; host_ids = []; link_list = []; next_link_id = 0 }
+  {
+    switch_ids = [];
+    host_ids = [];
+    link_list = [];
+    next_link_id = 0;
+    at_endpoint = Hashtbl.create 64;
+    ports_of = Hashtbl.create 64;
+  }
 
 let insert_sorted x l =
   let rec go = function
@@ -46,10 +59,9 @@ let node_exists t = function
 
 let endpoint_eq e node port = e.node = node && e.port = port
 
-let link_at t node port =
-  List.find_opt
-    (fun l -> endpoint_eq l.a node port || endpoint_eq l.b node port)
-    t.link_list
+let link_at t node port = Hashtbl.find_opt t.at_endpoint (node, port)
+
+let ports t node = Option.value (Hashtbl.find_opt t.ports_of node) ~default:[]
 
 let pp_node fmt = function
   | Switch sid -> Types.pp_switch fmt sid
@@ -67,9 +79,21 @@ let connect t ea eb =
   in
   check ea;
   check eb;
+  if ea = eb then
+    invalid_arg
+      (Format.asprintf "Topology.connect: %a port %d wired to itself" pp_node
+         ea.node ea.port);
   let link = { link_id = t.next_link_id; a = ea; b = eb; up = true } in
   t.next_link_id <- t.next_link_id + 1;
   t.link_list <- link :: t.link_list;
+  let index e =
+    Hashtbl.replace t.at_endpoint (e.node, e.port) link;
+    (* Ports of one node are distinct, so the pair order is the port's. *)
+    Hashtbl.replace t.ports_of e.node
+      (insert_sorted (e.port, link) (ports t e.node))
+  in
+  index ea;
+  index eb;
   link
 
 let attach_host t h sid port =
@@ -98,16 +122,12 @@ let link_between t na nb =
   let joins l =
     (l.a.node = na && l.b.node = nb) || (l.a.node = nb && l.b.node = na)
   in
-  List.find_opt joins (links t)
+  let earlier l = function Some f -> l.link_id < f.link_id | None -> true in
+  List.fold_left
+    (fun first (_, l) -> if joins l && earlier l first then Some l else first)
+    None (ports t na)
 
-let switch_ports t sid =
-  let node = Switch sid in
-  links t
-  |> List.filter_map (fun l ->
-         if l.a.node = node then Some (l.a.port, l)
-         else if l.b.node = node then Some (l.b.port, l)
-         else None)
-  |> List.sort (fun (p, _) (q, _) -> compare p q)
+let switch_ports t sid = ports t (Switch sid)
 
 let host_attachment t h =
   match link_at t (Host h) 1 with

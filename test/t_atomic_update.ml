@@ -146,6 +146,8 @@ let test_refusals_and_the_journal () =
         (fun opened ->
           let label = Printf.sprintf "%s, %s txn" name (if opened then "opened" else "deferred") in
           let w = setup () in
+          let journal = ref [] in
+          Netlog.set_close_hook w.nl (fun e -> journal := e :: !journal);
           fault w.net;
           let engine = Netlog.engine w.nl in
           let txn =
@@ -163,7 +165,7 @@ let test_refusals_and_the_journal () =
             (if not screened then [ (false, false) ] else if opened then [ (false, true) ] else [])
             (List.map
                (fun e -> (e.Netlog.je_committed, e.Netlog.je_ops = []))
-               (Netlog.journal w.nl)))
+               (List.rev !journal)))
         [ true; false ])
     [
       ("over limits", Some one_command, all_up, ignore, [ route 1 2 1; route 2 2 100 ], true);

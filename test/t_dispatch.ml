@@ -104,6 +104,10 @@ let twin dispatch =
     Runtime.create ~config net
       [ Controller.App_sig.app (module Apps.Learning_switch) ]
   in
+  let journal = ref [] in
+  Option.iter
+    (fun nl -> Legosdn.Netlog.set_close_hook nl (fun e -> journal := e :: !journal))
+    (Runtime.netlog rt);
   Runtime.step rt;
   let hosts = Netsim.Topology.hosts (Netsim.Net.topology net) in
   let inject i =
@@ -137,12 +141,7 @@ let twin dispatch =
     | Some rel -> Legosdn.Reliable.export_shadows rel
     | None -> []
   in
-  let journal =
-    match Runtime.netlog rt with
-    | Some nl -> Legosdn.Netlog.journal nl
-    | None -> []
-  in
-  (tables, shadows, journal, Runtime.events_processed rt)
+  (tables, shadows, List.rev !journal, Runtime.events_processed rt)
 
 let test_twin_runtimes_agree_across_tick_barrier () =
   let seq = twin Runtime.Sequential in

@@ -317,6 +317,33 @@ let test_committed_add_drops_bank () =
   Alcotest.(check (pair int int)) "bank stays consumed after commit" (0, 0)
     (Counter_cache.base cache 1 pattern ~priority:32768)
 
+(* NetLog keeps nothing per closed transaction: with no close hook set,
+   20,000 more packet-out commits leave the memory reachable from it
+   where 10,000 left it. *)
+let test_commits_keep_nothing () =
+  let _, net, nl = setup () in
+  let po =
+    {
+      Message.po_buffer_id = None;
+      po_in_port = None;
+      po_actions = [ Action.Output 100 ];
+      po_packet = Some (Packet.tcp ~src_host:2 ~dst_host:1 ());
+    }
+  in
+  let commit_packet_outs n =
+    for _ = 1 to n do
+      let txn = Netlog.begin_txn nl ~app:"t" in
+      ignore (Netlog.apply nl txn (Command.Packet (1, po)));
+      Netlog.commit nl txn;
+      ignore (Net.poll net)
+    done
+  in
+  commit_packet_outs 10_000;
+  let words = Obj.reachable_words (Obj.repr nl) in
+  commit_packet_outs 20_000;
+  T_util.checki "words reachable from the NetLog" words
+    (Obj.reachable_words (Obj.repr nl))
+
 let suite =
   [
     Alcotest.test_case "abort undoes add" `Quick test_abort_undoes_add;
@@ -335,5 +362,6 @@ let suite =
       test_add_consumes_bank_and_abort_recredits;
     Alcotest.test_case "committed add drops bank" `Quick
       test_committed_add_drops_bank;
+    Alcotest.test_case "commits keep no history" `Quick test_commits_keep_nothing;
     QCheck_alcotest.to_alcotest prop_rollback_identity;
   ]

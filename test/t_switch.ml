@@ -121,6 +121,35 @@ let test_packet_out_releases_buffer () =
     | _ -> false);
   T_util.checkb "nothing transmitted" true (fwd3.Sw.transmits = [])
 
+(* Packet-ins nobody releases by buffer id (the controller answered with
+   an inline copy) must not pile up: the switch holds the newest
+   [n_buffers] of them, and only those can still be released. *)
+let test_buffers_stay_bounded () =
+  let sw = fresh () in
+  let n = (Sw.features sw).Message.n_buffers in
+  let ids =
+    List.init (4 * n) (fun _ ->
+        match (Sw.process_packet sw ~now:0. ~in_port:1 pkt).Sw.punts with
+        | [ pi ] -> Option.get pi.Message.pi_buffer_id
+        | _ -> Alcotest.fail "expected punt")
+  in
+  T_util.checki "buffers held" n (Hashtbl.length sw.Sw.buffers);
+  let release xid id =
+    snd
+      (send ~xid sw
+         (Message.Packet_out
+            {
+              po_buffer_id = Some id;
+              po_in_port = Some 1;
+              po_actions = [ Action.Output 3 ];
+              po_packet = None;
+            }))
+  in
+  T_util.checki "newest buffer released" 1
+    (List.length (release 6 (List.nth ids ((4 * n) - 1))).Sw.transmits);
+  T_util.checki "oldest buffer gone" 0
+    (List.length (release 7 (List.hd ids)).Sw.transmits)
+
 let test_flow_mod_applies_to_buffer () =
   let sw = fresh () in
   let fwd = Sw.process_packet sw ~now:0. ~in_port:1 pkt in
@@ -267,6 +296,7 @@ let suite =
     Alcotest.test_case "down port drops copy" `Quick test_output_to_down_port_drops;
     Alcotest.test_case "controller output punts" `Quick test_output_to_controller_punts;
     Alcotest.test_case "packet_out releases buffer once" `Quick test_packet_out_releases_buffer;
+    Alcotest.test_case "packet buffers stay bounded" `Quick test_buffers_stay_bounded;
     Alcotest.test_case "flow_mod applies to buffer" `Quick test_flow_mod_applies_to_buffer;
     Alcotest.test_case "barrier/echo/features" `Quick test_barrier_echo_features;
     Alcotest.test_case "flow stats filter" `Quick test_flow_stats_filtering;

@@ -100,6 +100,207 @@ let test_double_wire_rejection () =
        false
      with Invalid_argument _ -> true)
 
+let test_self_wire_rejection () =
+  let topo = Topology.create () in
+  Topology.add_switch topo 1;
+  let e = { Topology.node = Switch 1; port = 1 } in
+  T_util.checkb "endpoint wired to itself rejected" true
+    (try
+       ignore (Topology.connect topo e e);
+       false
+     with Invalid_argument _ -> true);
+  T_util.checki "no link made" 0 (List.length (Topology.links topo))
+
+(* A link between two ports of one switch wires both of them. *)
+let test_same_switch_link () =
+  let topo = Topology.create () in
+  Topology.add_switch topo 1;
+  Topology.add_switch topo 2;
+  let wire a pa b pb =
+    ignore
+      (Topology.connect topo
+         { node = Switch a; port = pa }
+         { node = Switch b; port = pb })
+  in
+  wire 1 1 1 2;
+  wire 1 3 2 1;
+  Alcotest.(check (list int))
+    "s1 lists both ends of its loop" [ 1; 2; 3 ]
+    (List.map fst (Topology.switch_ports topo 1));
+  let net = Net.create (Clock.create ()) topo in
+  T_util.checkb "s1 is built with port 2" true
+    (Sw.port (Net.switch net 1) 2 <> None)
+
+(* The list scans the indexes replaced, per endpoint: a link with both
+   ends on one node lists both of its ports there. [links] is in creation
+   order. *)
+module Scan = struct
+  let ends (l : Topology.link) = [ l.a; l.b ]
+
+  let link_at links node port =
+    List.find_opt
+      (fun l ->
+        List.exists
+          (fun (e : Topology.endpoint) -> e.node = node && e.port = port)
+          (ends l))
+      links
+
+  let far_end (l : Topology.link) node port =
+    if l.a.node = node && l.a.port = port then Some l.b
+    else if l.b.node = node && l.b.port = port then Some l.a
+    else None
+
+  let peer_even_if_down links node port =
+    Option.bind (link_at links node port) (fun l -> far_end l node port)
+
+  let peer links node port =
+    match link_at links node port with
+    | Some l when l.up -> far_end l node port
+    | Some _ | None -> None
+
+  let link_between links na nb =
+    List.find_opt
+      (fun (l : Topology.link) ->
+        (l.a.node = na && l.b.node = nb) || (l.a.node = nb && l.b.node = na))
+      links
+
+  let switch_ports links sid =
+    List.concat_map
+      (fun l ->
+        List.filter_map
+          (fun (e : Topology.endpoint) ->
+            if e.node = Topology.Switch sid then Some (e.port, l) else None)
+          (ends l))
+      links
+    |> List.sort (fun (p, _) (q, _) -> compare p q)
+
+  let host_attachment links h =
+    match peer_even_if_down links (Topology.Host h) 1 with
+    | Some { node = Topology.Switch sid; port } -> Some (sid, port)
+    | Some { node = Topology.Host _; _ } | None -> None
+
+  let hosts_on links sid =
+    switch_ports links sid
+    |> List.filter_map (fun (port, l) ->
+           match far_end l (Topology.Switch sid) port with
+           | Some { node = Topology.Host h; _ } -> Some (h, port)
+           | Some { node = Topology.Switch _; _ } | None -> None)
+
+  let neighbor_switches links sid =
+    switch_ports links sid
+    |> List.filter_map (fun (port, (l : Topology.link)) ->
+           if not l.up then None
+           else
+             match far_end l (Topology.Switch sid) port with
+             | Some { node = Topology.Switch nb; port = remote } ->
+                 Some (nb, port, remote)
+             | Some { node = Topology.Host _; _ } | None -> None)
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+end
+
+(* Random wiring over a few switches and hosts, each wire (a, b, down):
+   endpoints repeat, so parallel links, links between two ports of one
+   switch, host links, refused double wiring and unwired ports all come
+   up, and some links are set down. *)
+let gen_wiring =
+  QCheck2.Gen.(
+    let* n_switches = int_range 1 4 in
+    let* n_hosts = int_range 0 3 in
+    let node =
+      if n_hosts = 0 then map (fun s -> Topology.Switch s) (int_range 1 n_switches)
+      else
+        frequency
+          [
+            (3, map (fun s -> Topology.Switch s) (int_range 1 n_switches));
+            (1, map (fun h -> Topology.Host h) (int_range 1 n_hosts));
+          ]
+    in
+    let endpoint =
+      map2 (fun node port -> { Topology.node; port }) node (int_range 1 5)
+    in
+    let* wires = list_size (int_range 0 24) (triple endpoint endpoint bool) in
+    return (n_switches, n_hosts, wires))
+
+let print_wiring (n_switches, n_hosts, wires) =
+  let ep (e : Topology.endpoint) =
+    Format.asprintf "%a:%d" Topology.pp_node e.node e.port
+  in
+  Printf.sprintf "%d switches, %d hosts: %s" n_switches n_hosts
+    (String.concat "; "
+       (List.map
+          (fun (a, b, down) ->
+            Printf.sprintf "%s-%s%s" (ep a) (ep b) (if down then " down" else ""))
+          wires))
+
+let prop_index_matches_scan =
+  QCheck2.Test.make ~name:"indexed topology == list-scan reference"
+    ~count:600 ~print:print_wiring gen_wiring
+    (fun (n_switches, n_hosts, wires) ->
+      let topo = Topology.create () in
+      let switches = List.init n_switches succ in
+      let hosts = List.init n_hosts succ in
+      List.iter (Topology.add_switch topo) switches;
+      List.iter (Topology.add_host topo) hosts;
+      let made = ref [] in
+      let refusals_agree =
+        List.for_all
+          (fun (ea, eb, down) ->
+            let free (e : Topology.endpoint) =
+              Scan.link_at !made e.node e.port = None
+            in
+            let expected = free ea && free eb && ea <> eb in
+            match Topology.connect topo ea eb with
+            | l ->
+                Topology.set_link l ~up:(not down);
+                made := !made @ [ l ];
+                expected
+            | exception Invalid_argument _ -> not expected)
+          wires
+      in
+      let links = !made in
+      let nodes =
+        List.map (fun s -> Topology.Switch s) switches
+        @ List.map (fun h -> Topology.Host h) hosts
+      in
+      let top =
+        List.fold_left
+          (fun m (l : Topology.link) -> max m (max l.a.port l.b.port))
+          0 links
+      in
+      let id = Option.map (fun (l : Topology.link) -> l.link_id) in
+      let ids = List.map (fun (p, (l : Topology.link)) -> (p, l.link_id)) in
+      refusals_agree
+      && List.map (fun (l : Topology.link) -> l.link_id) (Topology.links topo)
+         = List.map (fun (l : Topology.link) -> l.link_id) links
+      && List.for_all
+           (fun node ->
+             List.for_all
+               (fun port ->
+                 id (Topology.link_at topo node port)
+                 = id (Scan.link_at links node port)
+                 && Topology.peer topo node port = Scan.peer links node port
+                 && Topology.peer_even_if_down topo node port
+                    = Scan.peer_even_if_down links node port)
+               (List.init (top + 2) Fun.id)
+             && List.for_all
+                  (fun nb ->
+                    id (Topology.link_between topo node nb)
+                    = id (Scan.link_between links node nb))
+                  nodes)
+           nodes
+      && List.for_all
+           (fun sid ->
+             ids (Topology.switch_ports topo sid)
+             = ids (Scan.switch_ports links sid)
+             && Topology.hosts_on topo sid = Scan.hosts_on links sid
+             && Topology.neighbor_switches topo sid
+                = Scan.neighbor_switches links sid)
+           switches
+      && List.for_all
+           (fun h ->
+             Topology.host_attachment topo h = Scan.host_attachment links h)
+           hosts)
+
 (* Random topologies are connected by construction: verify with BFS. *)
 let connected topo =
   match Topology.switches topo with
@@ -156,6 +357,11 @@ let suite =
     Alcotest.test_case "host attachments" `Quick test_host_attachment;
     Alcotest.test_case "duplicate switch rejected" `Quick test_duplicate_rejection;
     Alcotest.test_case "port double-wire rejected" `Quick test_double_wire_rejection;
+    Alcotest.test_case "endpoint wired to itself rejected" `Quick
+      test_self_wire_rejection;
+    Alcotest.test_case "same-switch link lists both ports" `Quick
+      test_same_switch_link;
+    QCheck_alcotest.to_alcotest prop_index_matches_scan;
     QCheck_alcotest.to_alcotest prop_random_connected;
     QCheck_alcotest.to_alcotest prop_generators_deterministic;
   ]
