@@ -365,13 +365,13 @@ let steady_state_bytes make_ckpt =
   (float_of_int (Checkpoint.bytes_written c - base), c)
 
 let bench_ckpt () =
-  let full_bytes, _ = steady_state_bytes (fun () -> Checkpoint.create ~every:1) in
+  let full_bytes, _ = steady_state_bytes (fun () -> Checkpoint.create ~every:1 ()) in
   let delta_bytes, delta_c =
     steady_state_bytes (fun () ->
         Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) ())
   in
   let inst = learning_switch_with_macs 1_000 in
-  let full = Checkpoint.create ~every:1 in
+  let full = Checkpoint.create ~every:1 () in
   Checkpoint.take full inst;
   let delta = Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) () in
   Checkpoint.take delta inst;
@@ -846,8 +846,10 @@ let bench_policy () =
 (* ------------------------------------------------------------------ *)
 (* E28 — N-version voting panels. One punted packet against a hub (every
    event votes: the hub never installs rules, so steady state is one
-   election per injection) under three shapes: solo sandbox, a full
+   election per injection) under three shapes: a solo app, a full
    3-variant panel, and an adaptive panel that has shed to its primary.
+   Every app is a [Voter] unit, so the "solo" rows measure a panel of
+   one; they keep their names so BENCH_nversion.json stays comparable.
    The panel pays 3 deliveries + an election per event; the shed panel
    must be nearly indistinguishable from solo — that ratio is the MORPH
    claim, and the group's floor budgets it. *)

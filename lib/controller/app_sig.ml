@@ -14,9 +14,6 @@ let switch_ports (c : context) sw = c.switch_ports sw
 let links (c : context) = c.links ()
 let host_location (c : context) mac = c.host_location mac
 
-let flood_ports ctx ~sw ~in_port =
-  List.filter (fun p -> p <> in_port) (switch_ports ctx sw)
-
 module type APP = sig
   type state
 
@@ -45,7 +42,6 @@ let app (module A : APP) : app =
   (module L : INTENT_APP)
 
 let intent (module A : INTENT_APP) : app = (module A)
-let app_name ((module A) : app) = A.name
 
 let to_legacy ((module A) : app) : (module APP) = (module A : APP)
 
@@ -57,11 +53,6 @@ type instance =
 
 let instantiate (module A : INTENT_APP) =
   Instance ((module A : INTENT_APP with type state = A.state), A.init ())
-
-let instantiate_legacy m = instantiate (app m)
-
-let module_of (Instance ((module A), _)) = (module A : APP)
-let app_of (Instance ((module A), _)) = (module A : INTENT_APP)
 
 let name (Instance ((module A), _)) = A.name
 let subscriptions (Instance ((module A), _)) = A.subscriptions

@@ -42,12 +42,6 @@ val links : context -> Event.link list
 val host_location :
   context -> Types.mac -> (Types.switch_id * Types.port_no) option
 
-val flood_ports :
-  context -> sw:Types.switch_id -> in_port:Types.port_no -> Types.port_no list
-(** The ports a FLOOD from [in_port] egresses on — [switch_ports] minus the
-    ingress. Also the [ports] function to hand {!Policy.denotation} and
-    {!Policy.compile} consumers. *)
-
 module type APP = sig
   type state
 
@@ -90,11 +84,9 @@ val app : (module APP) -> app
 val intent : (module INTENT_APP) -> app
 (** Package an intent-declaring application. *)
 
-val app_name : app -> string
-
 val to_legacy : app -> (module APP)
-(** Forget the intent hook — for legacy consumers (STS minimization,
-    quarantine oracles, n-version functors) that only need [APP]. *)
+(** Forget the intent hook — for legacy consumers that only need [APP],
+    such as STS minimization. *)
 
 exception Crash_with_partial of Command.t list
 (** A fail-stop crash that happened after some commands were already issued
@@ -111,16 +103,6 @@ exception App_hang
 type instance
 
 val instantiate : app -> instance
-
-val instantiate_legacy : (module APP) -> instance
-(** [instantiate (app m)]. *)
-
-val module_of : instance -> (module APP)
-(** The application module behind an instance (for re-instantiation —
-    e.g. replaying a trace against a fresh copy during STS analysis). *)
-
-val app_of : instance -> app
-(** Like {!module_of} but keeps the intent hook. *)
 
 val name : instance -> string
 val subscriptions : instance -> Event.kind list

@@ -134,7 +134,6 @@ module Chunk_store = struct
       m.keys;
     out
 
-  let manifest_bytes m = m.total
   let hits t = t.n_hits
   let misses t = t.n_misses
   let bytes_deduped t = t.n_deduped
@@ -203,8 +202,7 @@ let make ?observer ~store when_due =
     est_write = 0.;
   }
 
-let create ~every = make ~store:None (Every every)
-let create_full ?observer ~every () = make ?observer ~store:None (Every every)
+let create ?observer ~every () = make ?observer ~store:None (Every every)
 
 let create_delta ?chunk_size ?observer ~cadence () =
   make ?observer ~store:(Some (Chunk_store.create ?chunk_size ())) cadence

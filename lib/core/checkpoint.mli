@@ -54,9 +54,6 @@ module Chunk_store : sig
   val materialize : t -> manifest -> bytes
   (** Reassemble the exact original bytes. *)
 
-  val manifest_bytes : manifest -> int
-  (** Logical (un-chunked) length of the stored snapshot. *)
-
   (** {2 Lifetime statistics} *)
 
   val hits : t -> int
@@ -107,12 +104,9 @@ type notification =
 
 type t
 
-val create : every:int -> t
+val create : ?observer:(notification -> unit) -> every:int -> unit -> t
 (** Full-blob storage with fixed cadence [every] = k. Raises
     [Invalid_argument] if [k < 1]. *)
-
-val create_full : ?observer:(notification -> unit) -> every:int -> unit -> t
-(** {!create} plus a notification observer. *)
 
 val create_delta :
   ?chunk_size:int ->

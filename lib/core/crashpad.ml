@@ -79,18 +79,41 @@ let route_replies deps sandbox sid replies =
 
 (* ---------------- declarative intent ---------------- *)
 
+(* What the network holds for one application's declared intent. It
+   tracks switch state, not app state: reboots, restores and re-syncs
+   leave it alone because the rules stay in the switches. *)
+type intent_record = {
+  mutable tables : Policy.table list;  (* compiled intent as last installed *)
+  mutable source : (Policy.t * Types.switch_id list) option;
+      (* The policy and switch list [tables] were compiled from, when the
+         tables are exactly that compile; [None] after any other write. *)
+}
+
+let new_intent_record () = { tables = []; source = None }
+let intent_tables r = r.tables
+
+(* The pruned record is no longer a compile of anything, so it drops its
+   source: the next reconcile recompiles even if policy and switches look
+   unchanged, as they do after a reboot inside one poll round. *)
+let forget_switch r sid =
+  if r.tables <> [] then begin
+    r.tables <-
+      List.filter (fun (tbl : Policy.table) -> tbl.Policy.t_sw <> sid) r.tables;
+    r.source <- None
+  end
+
 (* Compile the app's declared policy over the connected switches and diff
    it against what the network holds. The candidate diff is installed
    only after two independent checks: the compiled tables must agree with
    the policy's denotation on a probe set covering every rule (forwarding
    relation preserved), and the flow-mods must pass the invariant screen
    of the one commit path. *)
-let install_intent config deps sandbox ctx ((pol, switches) as source) =
+let install_intent config deps record sandbox ctx ((pol, switches) as source) =
   match Policy.compile ~switches pol with
   | exception Policy.Uncompilable _ -> `Rejected
   | tables -> (
       let mods =
-        Policy.flow_mods ~prev:(Sandbox.intent_tables sandbox) ~next:tables
+        Policy.flow_mods ~prev:record.tables ~next:tables
         (* Tables are declarative, idempotent state, so mods aimed at
            switches that left the network (or whose channel is given up
            on) are simply dropped — typically strict deletes for a dead
@@ -100,9 +123,13 @@ let install_intent config deps sandbox ctx ((pol, switches) as source) =
         |> List.filter (fun (sid, _) ->
                List.mem sid switches && not (deps.unreachable sid))
       in
+      let installed () =
+        record.tables <- tables;
+        record.source <- Some source
+      in
       if mods = [] then begin
         (* Network already reflects the intent (or intent is empty). *)
-        Sandbox.set_intent_tables ~source sandbox tables;
+        installed ();
         `Noop
       end
       else
@@ -120,7 +147,7 @@ let install_intent config deps sandbox ctx ((pol, switches) as source) =
           with
           | Atomic_update.Rolled_back _ -> `Rejected
           | Atomic_update.Committed ->
-              Sandbox.set_intent_tables ~source sandbox tables;
+              installed ();
               `Installed (List.length mods))
 
 (* Reconcile the network with the app's declared intent. When the policy
@@ -128,7 +155,7 @@ let install_intent config deps sandbox ctx ((pol, switches) as source) =
    is compiled: [compile] is a function of the two, so it would rebuild
    the installed tables and diff to nothing. A rejection records no
    source, so it is re-derived and counted every time. *)
-let sync_intent config deps sandbox =
+let sync_intent config deps record sandbox =
   if not config.intent then `No_intent
   else
     let ctx = deps.context () in
@@ -136,13 +163,13 @@ let sync_intent config deps sandbox =
     | None -> `No_intent
     | Some pol ->
         let source = (pol, App_sig.switches ctx) in
-        if Sandbox.intent_source sandbox = Some source then `Noop
-        else install_intent config deps sandbox ctx source
+        if record.source = Some source then `Noop
+        else install_intent config deps record sandbox ctx source
 
 (* After a healthy commit: if the delivery moved the app's declared intent,
    push the (verified) diff out so hardware tracks intent continuously. *)
-let reconcile_intent config deps sandbox =
-  match sync_intent config deps sandbox with
+let reconcile_intent config deps record sandbox =
+  match sync_intent config deps record sandbox with
   | `Installed _ -> Metrics.bump deps.metrics Metrics.policy_reconciles
   | `Rejected -> Metrics.bump deps.metrics Metrics.policy_rejected
   | `Noop | `No_intent -> ()
@@ -212,7 +239,8 @@ let commit_output config deps ~txn ~event ~revert ~contain owner commands =
 (* Deliver one event inside a fresh transaction. Returns [Ok ()] on commit,
    [Error (failure, rolled_back)] after an abort. The sandbox state has
    already been repaired (restore + replay) when [Error] is returned. *)
-let attempt config deps sandbox event : (unit, Detector.failure * int) result =
+let attempt config deps record sandbox event :
+    (unit, Detector.failure * int) result =
   if not deps.batched_checkpoints then
     Sandbox.prepare ~tracer:deps.tracer sandbox;
   let txn = deps.engine.Txn_engine.begin_txn ~app:(Sandbox.name sandbox) in
@@ -224,7 +252,7 @@ let attempt config deps sandbox event : (unit, Detector.failure * int) result =
       with
       | `Committed ->
           Sandbox.confirm sandbox event;
-          reconcile_intent config deps sandbox;
+          reconcile_intent config deps record sandbox;
           Ok ()
       | `Contained -> Ok ()
       | `Failed failure -> Error (failure, 0))
@@ -250,26 +278,26 @@ let attempt config deps sandbox event : (unit, Detector.failure * int) result =
 (* Try the equivalence alternatives in order; an alternative succeeds when
    every event in its sequence commits. No second-level transformation: a
    crash inside an alternative falls through to the next one. *)
-let rec try_alternatives config deps sandbox = function
+let rec try_alternatives config deps record sandbox = function
   | [] -> None
   | alternative :: rest ->
       let ok =
         List.for_all
           (fun ev ->
-            match attempt config deps sandbox ev with
+            match attempt config deps record sandbox ev with
             | Ok () -> true
             | Error _ -> false)
           alternative
       in
       if ok then Some alternative
-      else try_alternatives config deps sandbox rest
+      else try_alternatives config deps record sandbox rest
 
 let compromise_name = function
   | Recovery_policy.No_compromise -> "no-compromise"
   | Recovery_policy.Absolute -> "absolute"
   | Recovery_policy.Equivalence -> "equivalence"
 
-let apply_policy config deps sandbox event failure ~rolled_back =
+let apply_policy config deps record sandbox event failure ~rolled_back =
   let diagnosis = Detector.describe failure in
   let compromise =
     Recovery_policy.decide config.policy ~app:(Sandbox.name sandbox)
@@ -302,7 +330,7 @@ let apply_policy config deps sandbox event failure ~rolled_back =
          recompile the intent from the recovered state and install the
          verified diff, compensating for the crashed delivery without
          replaying anything through the faulty code path. *)
-      match sync_intent config deps sandbox with
+      match sync_intent config deps record sandbox with
       | `Installed n ->
           Metrics.bump deps.metrics Metrics.policy_compromises;
           Metrics.bump deps.metrics Metrics.transformed;
@@ -319,7 +347,7 @@ let apply_policy config deps sandbox event failure ~rolled_back =
           let alternatives =
             Transform.equivalents ~links_of:deps.links_of event
           in
-          match try_alternatives config deps sandbox alternatives with
+          match try_alternatives config deps record sandbox alternatives with
           | Some alternative ->
               Metrics.bump deps.metrics Metrics.transformed;
               file_ticket deps sandbox ~event ~diagnosis
@@ -348,17 +376,6 @@ let note_quarantine config deps sandbox event =
       | `Quarantined -> Metrics.bump deps.metrics Metrics.quarantined
       | `Recorded -> ())
 
-let resolve config deps sandbox event failure ~rolled_back =
+let resolve config deps record sandbox event failure ~rolled_back =
   note_quarantine config deps sandbox event;
-  apply_policy config deps sandbox event failure ~rolled_back
-
-let dispatch config deps sandbox event =
-  if
-    Sandbox.alive sandbox
-    && Sandbox.subscribes_to sandbox (Event.kind_of event)
-    && not (quarantine_blocked config deps sandbox event)
-  then
-    match attempt config deps sandbox event with
-    | Ok () -> ()
-    | Error (failure, rolled_back) ->
-        resolve config deps sandbox event failure ~rolled_back
+  apply_policy config deps record sandbox event failure ~rolled_back

@@ -68,22 +68,44 @@ type deps = {
           amortization). *)
 }
 
-val dispatch : config -> deps -> Sandbox.t -> Event.t -> unit
-(** Deliver one event to one sandboxed application with full protection.
-    Never raises on application failure — that is the contract. *)
+(** {1 Installed intent} *)
+
+type intent_record
+(** What the network holds for one application's declared intent: the
+    compiled tables last installed, and the policy and switch list they
+    were compiled from when they are exactly that compile. One record per
+    application: a panel drives one network, so its variants share one.
+    It mirrors switch state, not app state, so reboots, restores and
+    re-syncs of the app leave it alone. Only intent reconciliation
+    ({!reconcile_intent}, and the policy-derived compromise of
+    {!resolve}) reads or writes it. *)
+
+val new_intent_record : unit -> intent_record
+(** Nothing installed yet. *)
+
+val intent_tables : intent_record -> Policy.table list
+(** The compiled intent as last installed ([[]] initially). *)
+
+val forget_switch : intent_record -> Types.switch_id -> unit
+(** The switch went down and took its flow table with it: drop its rows,
+    so the next reconciliation re-installs them when it returns. The
+    pruned record is no longer a compile, so that reconciliation
+    recompiles even if policy and switches look unchanged. *)
 
 (** {1 Pipeline pieces}
 
-    Shared with the N-version {!Voter}, so a panel's elected output goes
+    {!Voter.dispatch} delivers every event through these (a solo
+    application is a panel of one), so a panel's elected output goes
     through exactly the screened commit, recovery and containment a solo
     app's output does. *)
 
-val attempt : config -> deps -> Sandbox.t -> Event.t ->
+val attempt : config -> deps -> intent_record -> Sandbox.t -> Event.t ->
   (unit, Detector.failure * int) result
 (** Deliver one event inside a fresh transaction: prepare (unless
     [batched_checkpoints]), begin, deliver, {!commit_output}, confirm,
-    reconcile intent. [Error (failure, rolled_back)] means the transaction
-    aborted and the sandbox state has already been repaired. *)
+    reconcile intent against the app's record. [Error (failure,
+    rolled_back)] means the transaction aborted and the sandbox state has
+    already been repaired. *)
 
 val deliver :
   deps -> Sandbox.t -> Event.t -> (Command.t list, Detector.failure) result
@@ -107,15 +129,18 @@ val recover :
     and replay each sandbox from its checkpoint. *)
 
 val resolve :
-  config -> deps -> Sandbox.t -> Event.t -> Detector.failure ->
-  rolled_back:int -> unit
+  config -> deps -> intent_record -> Sandbox.t -> Event.t ->
+  Detector.failure -> rolled_back:int -> unit
 (** Note the failure for quarantine, apply the operator's compromise
-    policy and file the problem ticket (exactly one per call). *)
+    policy and file the problem ticket (exactly one per call). An
+    Equivalence compromise first recompiles the declared intent and
+    installs its diff against the app's record. *)
 
 val quarantine_blocked : config -> deps -> Sandbox.t -> Event.t -> bool
 (** Is this delivery suppressed by the quarantine store? Counts the
     suppression when it is. *)
 
-val reconcile_intent : config -> deps -> Sandbox.t -> unit
-(** After a healthy commit: recompile the app's declared policy and install
-    the verified diff so hardware tracks intent continuously. *)
+val reconcile_intent : config -> deps -> intent_record -> Sandbox.t -> unit
+(** After a healthy commit: recompile the sandbox's declared policy and
+    install the verified diff against the app's record, so hardware tracks
+    intent continuously. *)

@@ -68,19 +68,11 @@ let default_config =
     nversion = None;
   }
 
-(* One dispatch unit: a solo sandboxed app, or an N-version voting panel
-   of variant sandboxes behind one application name. *)
-type unit_ = Solo of Sandbox.t | Panel of Voter.t
-
-let unit_name = function
-  | Solo box -> Sandbox.name box
-  | Panel v -> Voter.name v
-
 type t = {
   network : Net.t;
   mutable services_state : Services.t;
   mutable context_services : Services.t option;
-  units : unit_ list;
+  units : Voter.t list;  (* one per application *)
   boxes : Sandbox.t list;  (* every sandbox, panel variants included *)
   netlog_instance : Netlog.t option;
   reliable_layer : Reliable.t option;
@@ -195,7 +187,7 @@ let create ?(config = default_config) ?xid_base ?controller_id
   let make_ckpt () =
     let k = config.checkpoint_every in
     match config.checkpoint_mode with
-    | Ckpt_full -> Checkpoint.create_full ~observer:ckpt_observer ~every:k ()
+    | Ckpt_full -> Checkpoint.create ~observer:ckpt_observer ~every:k ()
     | Ckpt_delta ->
         Checkpoint.create_delta ~observer:ckpt_observer
           ~cadence:(Checkpoint.Every k) ()
@@ -214,33 +206,24 @@ let create ?(config = default_config) ?xid_base ?controller_id
                })
           ()
   in
+  (* Every application is one unit: a panel of [nv_replicas] variants
+     under N-version dispatch, else a panel of one, which never votes. *)
   let units =
-    match config.nversion with
-    | Some vcfg when vcfg.Voter.nv_replicas > 1 ->
-        let checkpoint_every = config.checkpoint_every in
-        List.map
-          (fun m ->
-            let module M = (val m : App_sig.INTENT_APP) in
-            Panel
-              (match Option.bind nv_variants (fun hook -> hook M.name) with
-              | Some specs ->
-                  Voter.create ~config:vcfg ~make_ckpt ~checkpoint_every specs
-              | None ->
-                  Voter.replicate ~config:vcfg ~make_ckpt ~checkpoint_every m))
-          modules
-    | Some _ | None ->
-        List.map
-          (fun m ->
-            Solo
-              (Sandbox.create ~ckpt:(make_ckpt ())
-                 ~checkpoint_every:config.checkpoint_every m))
-          modules
+    List.map
+      (fun m ->
+        let module M = (val m : App_sig.INTENT_APP) in
+        let variants =
+          match config.nversion with
+          | Some vcfg when vcfg.Voter.nv_replicas > 1 -> (
+              match Option.bind nv_variants (fun hook -> hook M.name) with
+              | Some specs -> specs
+              | None -> List.init vcfg.Voter.nv_replicas (fun _ -> (m, true)))
+          | Some _ | None -> [ (m, true) ]
+        in
+        Voter.create ?config:config.nversion ~make_ckpt variants)
+      modules
   in
-  let boxes =
-    List.concat_map
-      (function Solo box -> [ box ] | Panel v -> Voter.sandboxes v)
-      units
-  in
+  let boxes = List.concat_map Voter.sandboxes units in
   (match config.dispatch with
   | Batched { max_batch } when max_batch <= 0 ->
       invalid_arg "Runtime.create: max_batch <= 0"
@@ -268,8 +251,7 @@ let net t = t.network
 let services t = t.services_state
 let sandboxes t = t.boxes
 let sandbox t name = List.find_opt (fun b -> Sandbox.name b = name) t.boxes
-let voters t = List.filter_map (function Panel v -> Some v | Solo _ -> None) t.units
-let unit_for t name = List.find_opt (fun u -> unit_name u = name) t.units
+let voters t = t.units
 let metrics t = t.metrics_store
 let tickets t = Ticket.all t.ticket_store
 let ticket_store t = t.ticket_store
@@ -324,16 +306,14 @@ let deps ?(batched_checkpoints = false) t : Crashpad.deps =
     batched_checkpoints;
   }
 
-let dispatch_unit t deps event = function
-  | Solo box -> Crashpad.dispatch t.cfg.crashpad deps box event
-  | Panel v -> Voter.dispatch t.cfg.crashpad deps v event
-
 let rec drain_replies t deps =
   match t.reply_backlog with
   | [] -> ()
   | (app, ev) :: rest ->
       t.reply_backlog <- rest;
-      Option.iter (dispatch_unit t deps ev) (unit_for t app);
+      Option.iter
+        (fun v -> Voter.dispatch t.cfg.crashpad deps v ev)
+        (List.find_opt (fun v -> Voter.name v = app) t.units);
       drain_replies t deps
 
 (* The per-event delivery pipeline, shared verbatim by both modes:
@@ -351,7 +331,7 @@ let dispatch_with t deps event =
   Obs.Tracer.with_span tracer ~attrs Obs.Span.Event_root (fun () ->
       Obs.Hub.emit t.obs_hub (Obs.Hub.Dispatched event);
       Metrics.bump t.metrics_store Metrics.events;
-      List.iter (dispatch_unit t deps event) t.units;
+      List.iter (fun v -> Voter.dispatch t.cfg.crashpad deps v event) t.units;
       drain_replies t deps)
 
 let dispatch_event t event = dispatch_with t (deps t) event
@@ -408,12 +388,9 @@ let observe_reliable t notifications =
   | Some rel -> List.iter (Reliable.observe rel) notifications
 
 (* A switch that disconnects takes its flow table with it: prune its
-   entries from every sandbox's installed-intent record so that when it
-   returns, reconciliation re-derives and re-installs its rules from
-   declared policy instead of concluding [`Noop]. The pruned record is
-   no longer a compile of anything, so the write drops its source and the
-   next reconcile recompiles even if policy and switches look unchanged,
-   as they do after a reboot inside one poll round. (The reliable layer's
+   entries from every application's installed-intent record so that when
+   it returns, reconciliation re-derives and re-installs its rules from
+   declared policy instead of concluding [`Noop]. (The reliable layer's
    shadow resync also replays its rules on reconnect; the re-adds are
    idempotent, and pruning here keeps intent correct even with the
    reliable layer disabled.) *)
@@ -422,15 +399,8 @@ let forget_switch_intent t events =
     (function
       | Event.Switch_down sid ->
           List.iter
-            (fun box ->
-              match Sandbox.intent_tables box with
-              | [] -> ()
-              | tables ->
-                  Sandbox.set_intent_tables box
-                    (List.filter
-                       (fun (tbl : Policy.table) -> tbl.Policy.t_sw <> sid)
-                       tables))
-            t.boxes
+            (fun v -> Crashpad.forget_switch (Voter.intent_record v) sid)
+            t.units
       | _ -> ())
     events
 

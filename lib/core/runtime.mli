@@ -93,11 +93,12 @@ type config = {
       (** Trace-driven workload parameters, when the scenario uses the
           generator instead of a fixed traffic list. *)
   nversion : Voter.config option;
-      (** When set with [nv_replicas > 1], every application runs as an
-          N-version {!Voter} panel of variant sandboxes instead of a solo
-          sandbox: outputs are held in the transaction until the election
-          and only the majority command set is committed. [None] (the
-          default) is ordinary solo dispatch. *)
+      (** Every application runs as one {!Voter} unit. When set with
+          [nv_replicas > 1], the unit is an N-version panel of variant
+          sandboxes: outputs are held in the transaction until the
+          election and only the majority command set is committed.
+          Otherwise (and by default) it is a panel of one, which never
+          votes: ordinary solo Crash-Pad dispatch. *)
 }
 
 val default_config : config
@@ -184,7 +185,8 @@ val sandbox : t -> string -> Sandbox.t option
 (** First sandbox with this name: a panel's primary variant. *)
 
 val voters : t -> Voter.t list
-(** The active N-version panels; [[]] under solo dispatch. *)
+(** Every application's unit, in application order; under solo dispatch
+    each is a panel of one. *)
 
 val metrics : t -> Metrics.t
 val tickets : t -> Ticket.t list

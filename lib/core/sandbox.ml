@@ -14,30 +14,18 @@ type t = {
   mutable n_crashes : int;
   mutable n_rpc_bytes : int;
   scratch : Wire.scratch;  (* the RPC channel's codec buffer *)
-  mutable intent_tables : Policy.table list;
-      (* Compiled form of the app's declared policy as last installed on the
-         network. Tracks network state, not app state: reboots and restores
-         leave it alone because the rules stay in the switches. *)
-  mutable intent_source : (Policy.t * Openflow.Types.switch_id list) option;
-      (* The policy and switch list [intent_tables] were compiled from, when
-         the tables are exactly that compile; [None] after any other write. *)
 }
 
-let create ?ckpt ~checkpoint_every m =
+let create ~ckpt m =
   {
     inst = App_sig.instantiate m;
     prev_inst = None;
-    ckpt =
-      (match ckpt with
-      | Some c -> c
-      | None -> Checkpoint.create ~every:checkpoint_every);
+    ckpt;
     is_alive = true;
     n_events = 0;
     n_crashes = 0;
     n_rpc_bytes = 0;
     scratch = Wire.scratch ();
-    intent_tables = [];
-    intent_source = None;
   }
 
 let name t = App_sig.name t.inst
@@ -167,21 +155,12 @@ let recover ?(tracer = Obs.Tracer.noop) t ctx =
 
 let reboot t = t.inst <- App_sig.reboot t.inst
 
-let app_module t = App_sig.module_of t.inst
-
 (* The declared policy is evaluated against the *current* instance state;
    a raising hook only disables intent-based recovery, never the app. *)
 let declared_policy t ctx =
   match App_sig.policy_of t.inst ctx with
   | p -> p
   | exception _ -> None
-
-let intent_tables t = t.intent_tables
-let intent_source t = t.intent_source
-
-let set_intent_tables ?source t tables =
-  t.intent_tables <- tables;
-  t.intent_source <- source
 
 let snapshot_bytes t = App_sig.snapshot t.inst
 

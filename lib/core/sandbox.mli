@@ -7,7 +7,11 @@
     every failure mode of the application — exception, partial-emission
     crash, hang — is converted into an explicit {!verdict}; nothing an
     application does can escape the sandbox. This is the fate-sharing
-    breaker. *)
+    breaker.
+
+    A sandbox holds application state only. What the network holds of
+    the app's declared intent is one record per application
+    ({!Crashpad.intent_record}), kept by its {!Voter} unit. *)
 
 open Controller
 
@@ -25,10 +29,9 @@ type verdict =
 
 type t
 
-val create : ?ckpt:Checkpoint.t -> checkpoint_every:int -> App_sig.app -> t
-(** [ckpt] substitutes a custom checkpoint store (delta storage, adaptive
-    cadence); by default a full-blob store with cadence [checkpoint_every]
-    is created. *)
+val create : ckpt:Checkpoint.t -> App_sig.app -> t
+(** A fresh instance of the application, checkpointed into [ckpt] (full
+    or delta storage, fixed or adaptive cadence: the store decides). *)
 
 val name : t -> string
 val subscribes_to : t -> Event.kind -> bool
@@ -93,32 +96,9 @@ val recover : ?tracer:Obs.Tracer.t -> t -> App_sig.context -> recovery
 val reboot : t -> unit
 (** Fresh [init] state, clearing nothing else. *)
 
-val app_module : t -> (module App_sig.APP)
-(** The application module inside (for offline analysis on fresh copies). *)
-
 val declared_policy : t -> App_sig.context -> Policy.t option
 (** The app's declared forwarding intent evaluated over its current state,
     or [None] if the app is legacy or its hook raised. *)
-
-val intent_tables : t -> Policy.table list
-(** Compiled intent as last installed on the network ([[]] initially).
-    Survives reboots/restores: it mirrors switch state, not app state. *)
-
-val intent_source : t -> (Policy.t * Openflow.Types.switch_id list) option
-(** The policy and switch list {!intent_tables} were compiled from, or
-    [None] when the record is not exactly such a compile (initially, and
-    after any write without [~source]). Survives reboots/restores with
-    the tables. *)
-
-val set_intent_tables :
-  ?source:Policy.t * Openflow.Types.switch_id list ->
-  t ->
-  Policy.table list ->
-  unit
-(** Record that [tables] are now what the network holds for this app.
-    Pass [~source:(pol, switches)] only when [tables] is
-    [Policy.compile ~switches pol]; any other write (a partial prune, say)
-    clears the source, so reconciliation recompiles the next time. *)
 
 val snapshot_bytes : t -> bytes
 (** A serialized snapshot of the current state (does not touch the

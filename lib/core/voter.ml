@@ -66,23 +66,17 @@ type t = {
   vname : string;
   variants : variant list;  (* primary first *)
   vcfg : config;
-  ship_store : Checkpoint.Chunk_store.t;
-  mutable last_ship : Checkpoint.Chunk_store.manifest option;
-      (* Kept across events so consecutive majority snapshots dedup
-         against each other in the chunk store. *)
+  installed : Crashpad.intent_record;  (* one network, so one record *)
   mutable panel : bool;  (* full panel, or shed to the primary alone *)
   mutable quiet : int;  (* consecutive clean unanimous elections *)
 }
 
-let create ?(config = default_config) ~make_ckpt ~checkpoint_every specs =
+let create ?(config = default_config) ~make_ckpt specs =
   if specs = [] then invalid_arg "Voter.create: no variants";
   let variants =
     List.map
       (fun (app, resyncable) ->
-        {
-          box = Sandbox.create ~ckpt:(make_ckpt ()) ~checkpoint_every app;
-          resyncable;
-        })
+        { box = Sandbox.create ~ckpt:(make_ckpt ()) app; resyncable })
       specs
   in
   let vname = Sandbox.name (List.hd variants).box in
@@ -93,20 +87,15 @@ let create ?(config = default_config) ~make_ckpt ~checkpoint_every specs =
           (Printf.sprintf "Voter.create: variant %s does not share name %s"
              (Sandbox.name v.box) vname))
     variants;
+  (* One variant has nothing to vote with: it starts, and stays, shed. *)
   {
     vname;
     variants;
     vcfg = config;
-    ship_store = Checkpoint.Chunk_store.create ();
-    last_ship = None;
-    panel = true;
+    installed = Crashpad.new_intent_record ();
+    panel = List.length variants > 1;
     quiet = 0;
   }
-
-let replicate ?(config = default_config) ~make_ckpt ~checkpoint_every app =
-  let n = max 1 config.nv_replicas in
-  create ~config ~make_ckpt ~checkpoint_every
-    (List.init n (fun _ -> (app, true)))
 
 let name t = t.vname
 let config t = t.vcfg
@@ -114,40 +103,33 @@ let sandboxes t = List.map (fun v -> v.box) t.variants
 let primary_variant t = List.hd t.variants
 let primary t = (primary_variant t).box
 let panel_active t = t.panel
+let intent_record t = t.installed
 
-(* Ship the donor's snapshot to every re-syncable recipient through the
-   chunk store — the same manifest mechanism a cluster's state transfer
-   uses, so repeated re-syncs of a persistently-divergent variant pay only
-   for the chunks that changed. *)
+(* Ship the donor's snapshot bytes to every re-syncable recipient. *)
 let ship (deps : Crashpad.deps) t ~donor recipients =
   let recipients =
     List.filter (fun r -> r.resyncable && r.box != donor.box) recipients
   in
   if donor.resyncable && recipients <> [] then begin
     let snap = Sandbox.snapshot_bytes donor.box in
-    let manifest, _write = Checkpoint.Chunk_store.store t.ship_store snap in
-    let logical = Checkpoint.Chunk_store.manifest_bytes manifest in
+    let logical = Bytes.length snap in
     List.iter
       (fun r ->
-        let bytes = Checkpoint.Chunk_store.materialize t.ship_store manifest in
-        Sandbox.restore_bytes r.box bytes;
+        Sandbox.restore_bytes r.box snap;
         Metrics.bump deps.Crashpad.metrics Metrics.nv_resyncs;
         Metrics.bump_by deps.Crashpad.metrics Metrics.nv_resync_bytes logical;
         Obs.Tracer.instant deps.Crashpad.tracer
           ~attrs:[ ("app", t.vname); ("bytes", string_of_int logical) ]
           Obs.Span.State_transfer)
-      recipients;
-    (match t.last_ship with
-    | Some prev -> Checkpoint.Chunk_store.release t.ship_store prev
-    | None -> ());
-    t.last_ship <- Some manifest
+      recipients
   end
 
 (* The panel could not mask the failure, so the bundle fails once, as a
    solo app would — one compromise, one ticket — and the family
    re-converges on whatever state the compromise left the primary in. *)
 let bundle_failed cfg deps t event failure =
-  Crashpad.resolve cfg deps (primary t) event failure ~rolled_back:0;
+  Crashpad.resolve cfg deps t.installed (primary t) event failure
+    ~rolled_back:0;
   t.quiet <- 0;
   ship deps t ~donor:(primary_variant t) (List.tl t.variants)
 
@@ -221,7 +203,7 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
       | `Failed failure -> bundle_failed cfg deps t event failure
       | `Committed ->
           List.iter (fun b -> Sandbox.confirm b.voter.box event) e.winners;
-          Crashpad.reconcile_intent cfg deps winner.voter.box;
+          Crashpad.reconcile_intent cfg deps t.installed winner.voter.box;
           (* Out-voted variants: output discarded, state reverted, then
              rebuilt from the majority snapshot. *)
           List.iter
@@ -253,14 +235,16 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
           end
           else t.quiet <- 0)
 
-(* Shed mode: the primary runs alone under ordinary Crash-Pad dispatch.
-   Any failure re-spins the full panel, re-synchronised from whatever
-   state recovery left the primary in. *)
+(* Shed mode: the primary runs alone under ordinary Crash-Pad dispatch,
+   as a solo app (a panel of one) always does. In a shed panel, any
+   failure re-spins the full panel, re-synchronised from whatever state
+   recovery left the primary in. *)
 let shed_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
-  match Crashpad.attempt cfg deps (primary t) event with
+  match Crashpad.attempt cfg deps t.installed (primary t) event with
   | Ok () -> ()
   | Error (failure, rolled_back) ->
-      Crashpad.resolve cfg deps (primary t) event failure ~rolled_back;
+      Crashpad.resolve cfg deps t.installed (primary t) event failure
+        ~rolled_back;
       if t.vcfg.nv_adaptive && List.length t.variants > 1 then begin
         t.panel <- true;
         t.quiet <- 0;

@@ -1,4 +1,6 @@
-(** Sandboxed N-version voting (§3.4 + MORPH).
+(** Sandboxed N-version voting (§3.4 + MORPH), and the runtime's one
+    dispatch unit: every application is a [Voter.t], a solo application
+    being a panel of one.
 
     The vote runs in the runtime, not inside one application: each
     variant runs in its {e own} {!Sandbox} with its own (delta)
@@ -7,14 +9,16 @@
     until the election, and only the majority command set is committed
     to the network, through the same screened commit as a solo app's
     output ({!Crashpad.commit_output}). A disagreeing or crashed
-    replica is repaired from the majority's snapshot, shipped through a
-    content-addressed {!Checkpoint.Chunk_store} manifest exactly like a
-    cluster replica's state transfer.
+    replica is repaired from the majority's snapshot: the donor's
+    snapshot bytes are restored into it directly. The unit keeps one
+    installed-intent record ({!intent_record}) for all its variants,
+    because they drive one network.
 
     MORPH-style adaptation: after enough consecutive clean, unanimous
     elections the panel sheds to its primary variant alone (solo Crash-Pad
     dispatch, no voting overhead); the first failure in shed mode re-spins
-    the full panel, re-synchronised from the recovered primary. *)
+    the full panel, re-synchronised from the recovered primary. A panel
+    of one is always shed and never re-spins. *)
 
 open Controller
 
@@ -62,28 +66,18 @@ val default_config : config
 type t
 
 val create :
-  ?config:config ->
-  make_ckpt:(unit -> Checkpoint.t) ->
-  checkpoint_every:int ->
-  (App_sig.app * bool) list ->
-  t
-(** One panel over the given variants (primary first). The [bool] marks a
+  ?config:config -> make_ckpt:(unit -> Checkpoint.t) ->
+  (App_sig.app * bool) list -> t
+(** One unit over the given variants (primary first). The [bool] marks a
     variant as {e re-syncable}: its state representation is that of the
     primary's module, so a majority snapshot may be restored into it.
     Variants wrapping a different state type (e.g. a fault-injection
     wrapper) must pass [false] — they are still voted and out-voted, but
     repaired only from their own checkpoints. Each variant gets its own
-    sandbox and its own checkpoint store from [make_ckpt]. Raises
-    [Invalid_argument] on an empty variant list or mismatched names. *)
-
-val replicate :
-  ?config:config ->
-  make_ckpt:(unit -> Checkpoint.t) ->
-  checkpoint_every:int ->
-  App_sig.app ->
-  t
-(** [create] over [nv_replicas] copies of one module — independent states,
-    identical code (data diversity rather than design diversity). *)
+    sandbox and its own checkpoint store from [make_ckpt]. A single
+    variant is a solo application: it starts shed and, with nothing to
+    grow back to, never votes. Raises [Invalid_argument] on an empty
+    variant list or mismatched names. *)
 
 val name : t -> string
 (** The application name (shared by every variant). *)
@@ -94,10 +88,17 @@ val sandboxes : t -> Sandbox.t list
 
 val primary : t -> Sandbox.t
 val panel_active : t -> bool
-(** [false] while shed to the primary alone. *)
+(** [false] while shed to the primary alone, and always for one variant. *)
+
+val intent_record : t -> Crashpad.intent_record
+(** What the network holds for the application's declared intent. The
+    variants share it: whichever variant's output is committed, its
+    intent is reconciled against this one record. *)
 
 val dispatch : Crashpad.config -> Crashpad.deps -> t -> Event.t -> unit
-(** Deliver one event through the panel. Never raises on variant failure.
+(** Deliver one event through the unit, if its primary is alive,
+    subscribes to the event and is not quarantined for it. Never raises
+    on application failure — that is the contract.
 
     Panel mode: deliver to every live variant (outputs held), elect, then
     screen and commit the winning command set through
@@ -108,5 +109,6 @@ val dispatch : Crashpad.config -> Crashpad.deps -> t -> Event.t -> unit
     subscribed variant dies on the event, or when the elected output
     fails the screen.
 
-    Shed mode: solo Crash-Pad dispatch of the primary; a failure re-spins
-    the panel when adaptive. *)
+    Shed mode: solo Crash-Pad dispatch of the primary
+    ({!Crashpad.attempt}, then {!Crashpad.resolve} on failure); a failure
+    re-spins a panel of two or more when adaptive. *)

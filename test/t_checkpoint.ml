@@ -32,19 +32,19 @@ let warmed_instance () =
   !inst
 
 let test_due_before_first_event () =
-  let c = Checkpoint.create ~every:5 in
+  let c = Checkpoint.create ~every:5 () in
   T_util.checkb "due initially" true (Checkpoint.due c);
   Checkpoint.take c (instance ());
   T_util.checkb "not due right after" false (Checkpoint.due c)
 
 let test_every_one () =
-  let c = Checkpoint.create ~every:1 in
+  let c = Checkpoint.create ~every:1 () in
   Checkpoint.take c (instance ());
   Checkpoint.record_applied c (tick 1.);
   T_util.checkb "due after each event with k=1" true (Checkpoint.due c)
 
 let test_every_k () =
-  let c = Checkpoint.create ~every:3 in
+  let c = Checkpoint.create ~every:3 () in
   Checkpoint.take c (instance ());
   Checkpoint.record_applied c (tick 1.);
   T_util.checkb "not due after 1 of 3" false (Checkpoint.due c);
@@ -53,7 +53,7 @@ let test_every_k () =
   T_util.checkb "due after 3 of 3" true (Checkpoint.due c)
 
 let test_restore_point_carries_journal () =
-  let c = Checkpoint.create ~every:10 in
+  let c = Checkpoint.create ~every:10 () in
   T_util.checkb "no restore point yet" true (Checkpoint.restore_point c = None);
   Checkpoint.take c (instance ());
   Checkpoint.record_applied c (tick 1.);
@@ -65,7 +65,7 @@ let test_restore_point_carries_journal () =
   | None -> Alcotest.fail "restore point expected"
 
 let test_take_clears_journal () =
-  let c = Checkpoint.create ~every:2 in
+  let c = Checkpoint.create ~every:2 () in
   Checkpoint.take c (instance ());
   Checkpoint.record_applied c (tick 1.);
   Checkpoint.take c (instance ());
@@ -73,7 +73,7 @@ let test_take_clears_journal () =
   T_util.checki "two snapshots accounted" 2 (Checkpoint.snapshots_taken c)
 
 let test_bytes_accounting () =
-  let c = Checkpoint.create ~every:1 in
+  let c = Checkpoint.create ~every:1 () in
   Checkpoint.take c (instance ());
   let first = Checkpoint.bytes_written c in
   T_util.checkb "bytes counted" true (first > 0);
@@ -84,12 +84,12 @@ let test_bytes_accounting () =
 let test_invalid_k () =
   Alcotest.check_raises "k=0 rejected"
     (Invalid_argument "Checkpoint.create: every must be >= 1") (fun () ->
-      ignore (Checkpoint.create ~every:0))
+      ignore (Checkpoint.create ~every:0 ()))
 
 (* ---- delta storage ---- *)
 
 let test_delta_vs_full_bytes () =
-  let full = Checkpoint.create ~every:1 in
+  let full = Checkpoint.create ~every:1 () in
   let delta = Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) () in
   let inst = warmed_instance () in
   Checkpoint.take full inst;

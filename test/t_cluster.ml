@@ -8,6 +8,7 @@ module App_sig = Controller.App_sig
 open Netsim
 module Runtime = Legosdn.Runtime
 module Sandbox = Legosdn.Sandbox
+module Checkpoint = Legosdn.Checkpoint
 module Raft = Cluster.Raft
 module Services = Controller.Services
 module Event = Controller.Event
@@ -111,7 +112,9 @@ let test_followers_keep_sandboxes_warm () =
 let replay_log net entries =
   let services = Services.create (Net.clock net) (Net.topology net) in
   let boxes =
-    List.map (fun m -> Sandbox.create ~checkpoint_every:1000 m) apps
+    List.map
+      (fun m -> Sandbox.create ~ckpt:(Checkpoint.create ~every:1000 ()) m)
+      apps
   in
   List.iter Sandbox.prepare boxes;
   List.iter

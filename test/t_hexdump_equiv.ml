@@ -3,6 +3,7 @@ module App_sig = Controller.App_sig
 
 open Openflow
 module Sandbox = Legosdn.Sandbox
+module Checkpoint = Legosdn.Checkpoint
 module Event = Controller.Event
 
 let test_hexdump_layout () =
@@ -38,7 +39,11 @@ let prop_recover_is_identity =
       pair (int_range 1 7)
         (list_size (int_range 1 20) (pair (int_range 1 5) (int_range 1 5))))
     (fun (k, pairs) ->
-      let box = Sandbox.create ~checkpoint_every:k (App_sig.app (module Apps.Learning_switch)) in
+      let box =
+        Sandbox.create
+          ~ckpt:(Checkpoint.create ~every:k ())
+          (App_sig.app (module Apps.Learning_switch))
+      in
       List.iter
         (fun (src, dst) ->
           let ev =

@@ -11,6 +11,8 @@ module Message = Openflow.Message
 module Types = Openflow.Types
 module Runtime = Legosdn.Runtime
 module Sandbox = Legosdn.Sandbox
+module Crashpad = Legosdn.Crashpad
+module Voter = Legosdn.Voter
 module Metrics = Legosdn.Metrics
 module Spec = Check.Spec
 module Runner = Check.Runner
@@ -34,11 +36,11 @@ let test_reconcile_programs_switches () =
     (Metrics.(get m policy_reconciles) >= 1);
   T_util.checkb "rules installed on switch 1" true (table_size net 1 > 0);
   T_util.checkb "rules installed on switch 2" true (table_size net 2 > 0);
-  (match Runtime.sandboxes rt with
-  | [ box ] ->
-      T_util.checkb "sandbox tracks installed intent" true
-        (Sandbox.intent_tables box <> [])
-  | _ -> Alcotest.fail "expected exactly one sandbox");
+  (match Runtime.voters rt with
+  | [ v ] ->
+      T_util.checkb "unit tracks installed intent" true
+        (Crashpad.intent_tables (Voter.intent_record v) <> [])
+  | _ -> Alcotest.fail "expected exactly one unit");
   (* Telnet is dropped by the compiled tables... *)
   let delivered_before = (Net.stats net).Net.delivered in
   Clock.advance_by clock 0.05;
@@ -93,11 +95,11 @@ let test_looping_intent_rejected () =
   T_util.checki "no reconcile recorded" 0 Metrics.(get m policy_reconciles);
   T_util.checki "switch 1 table untouched" 0 (table_size net 1);
   T_util.checki "switch 2 table untouched" 0 (table_size net 2);
-  match Runtime.sandboxes rt with
-  | [ box ] ->
+  match Runtime.voters rt with
+  | [ v ] ->
       T_util.checkb "no intent recorded as installed" true
-        (Sandbox.intent_tables box = [])
-  | _ -> Alcotest.fail "expected exactly one sandbox"
+        (Crashpad.intent_tables (Voter.intent_record v) = [])
+  | _ -> Alcotest.fail "expected exactly one unit"
 
 (* ---------------- policy-derived compromise ---------------- *)
 
@@ -228,11 +230,16 @@ type op =
   | Switch_toggle of Types.switch_id
   | Reboot of Types.switch_id  (** down and back up before the next step *)
 
-let gen_op =
+(* Ops on [Topo_gen.linear 4]: its three inter-switch links, its four
+   switches, packets among its first [hosts] hosts. *)
+let gen_op ~hosts =
   QCheck.Gen.(
     frequency
       [
-        (3, map2 (fun h d -> Packet (h, d)) (int_range 1 4) (int_range 1 4));
+        ( 3,
+          map2
+            (fun h d -> Packet (h, d))
+            (int_range 1 hosts) (int_range 1 hosts) );
         (2, map (fun i -> Link_flap i) (int_bound 2));
         (2, map (fun s -> Switch_toggle s) (int_range 1 4));
         (2, map (fun s -> Reboot s) (int_range 1 4));
@@ -282,22 +289,22 @@ let compiled_rows tables sid =
         t.Policy.t_rows
       |> List.sort compare
 
+let reliable_off =
+  {
+    Runtime.default_config with
+    reliable = { Legosdn.Reliable.default_config with enabled = false };
+  }
+
 (* With the reliable layer off, re-deriving intent is the only thing that
    puts a rebooted switch's rules back. After each op and a step, tick,
    step, every up switch must hold exactly a fresh compile of what the
-   app declares now — whatever reconciliation skipped along the way. A
-   step that rejected an install (a flood intent that would black-hole on
-   a partitioned chain) rightly leaves the old rules, so it is not
-   checked. *)
-let holds_fresh_compile app ops =
+   app declares now (its primary variant, in a panel) — whatever
+   reconciliation skipped along the way. A step that rejected an install
+   (a flood intent that would black-hole on a partitioned chain) rightly
+   leaves the old rules, so it is not checked. *)
+let holds_fresh_compile ~topo ~config app ops =
   let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 4) in
-  let config =
-    {
-      Runtime.default_config with
-      reliable = { Legosdn.Reliable.default_config with enabled = false };
-    }
-  in
+  let net = Net.create clock topo in
   let rt = Runtime.create ~config net [ app ] in
   Runtime.step rt;
   let box = List.hd (Runtime.sandboxes rt) in
@@ -336,14 +343,44 @@ let test_fresh_compile =
        ~name:"network holds a fresh compile of declared intent"
        (QCheck.make
           ~print:(fun ops -> String.concat "; " (List.map print_op ops))
-          (QCheck.Gen.list_repeat 40 gen_op))
+          (QCheck.Gen.list_repeat 40 (gen_op ~hosts:4)))
        (fun ops ->
          List.for_all
-           (fun app -> holds_fresh_compile app ops)
+           (fun app ->
+             holds_fresh_compile
+               ~topo:(Topo_gen.linear ~hosts_per_switch:1 4)
+               ~config:reliable_off app ops)
            [
              App_sig.intent (module Every_event (Apps.Policy_router));
              App_sig.intent (module Every_event (Apps.Policy_firewall));
            ]))
+
+(* A panel drives one network, so whichever variant wins an election must
+   diff its intent against what the network holds, not against a record
+   of its own that went stale while another variant won. Crashing
+   variants make winners change often: every crash is masked, re-synced
+   or, when all three die, compromised from declared intent. *)
+let test_panel_fresh_compile =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:30
+       ~name:"panel network holds a fresh compile of declared intent"
+       (QCheck.make
+          ~print:(fun (seed, ops) ->
+            Printf.sprintf "seed %d: %s" seed
+              (String.concat "; " (List.map print_op ops)))
+          QCheck.Gen.(pair (int_bound 10_000) (list_repeat 60 (gen_op ~hosts:12))))
+       (fun (seed, ops) ->
+         let bug =
+           Apps.Bug_model.make
+             (Apps.Bug_model.With_probability (0.3, seed))
+             Apps.Bug_model.Crash
+         in
+         holds_fresh_compile
+           ~topo:(Topo_gen.linear ~hosts_per_switch:3 4)
+           ~config:{ reliable_off with nversion = Some Voter.default_config }
+           (Apps.Faulty.wrap ~bug
+              (App_sig.intent (module Every_event (Apps.Policy_router))))
+           ops))
 
 (* ---------------- routes ---------------- *)
 
@@ -502,5 +539,6 @@ let suite =
     Alcotest.test_case "fuzzer scenario derives compromise" `Quick
       test_fuzzer_scenario_derives_compromise;
     test_fresh_compile;
+    test_panel_fresh_compile;
     test_one_bfs_routes;
   ]

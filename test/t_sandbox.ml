@@ -1,5 +1,6 @@
 open Openflow
 module Sandbox = Legosdn.Sandbox
+module Checkpoint = Legosdn.Checkpoint
 module App_sig = Controller.App_sig
 module Event = Controller.Event
 
@@ -16,7 +17,7 @@ let packet_in ?(sid = 1) ?(in_port = 100) src dst =
 let ls_sandbox ?(bug = None) ?(every = 1) () =
   let base : App_sig.app = (App_sig.app (module Apps.Learning_switch)) in
   let m = match bug with None -> base | Some b -> Apps.Faulty.wrap ~bug:b base in
-  Sandbox.create ~checkpoint_every:every m
+  Sandbox.create ~ckpt:(Checkpoint.create ~every ()) m
 
 let ctx = T_util.null_context
 
@@ -50,7 +51,9 @@ let test_partial_crash_carries_commands () =
       (Apps.Bug_model.Crash_partial 1.0)
   in
   let box =
-    Sandbox.create ~checkpoint_every:1 (Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Flooder)))
+    Sandbox.create
+      ~ckpt:(Checkpoint.create ~every:1 ())
+      (Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Flooder)))
   in
   Sandbox.prepare box;
   match Sandbox.deliver box ctx (packet_in 1 2) with
