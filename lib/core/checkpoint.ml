@@ -16,9 +16,6 @@ module Chunk_store = struct
     mutable n_hits : int;
     mutable n_misses : int;
     mutable n_deduped : int;
-    mutable n_written : int;
-    mutable n_stored : int;
-    mutable n_evicted : int;
   }
 
   type manifest = { total : int; keys : key array }
@@ -39,12 +36,7 @@ module Chunk_store = struct
       n_hits = 0;
       n_misses = 0;
       n_deduped = 0;
-      n_written = 0;
-      n_stored = 0;
-      n_evicted = 0;
     }
-
-  let chunk_size t = t.size
 
   (* FNV-1a, 64-bit. *)
   let digest b =
@@ -71,7 +63,6 @@ module Chunk_store = struct
       | Some _ -> probe (p + 1)
       | None ->
           Hashtbl.replace t.table (d, p) { data; refs = 1 };
-          t.n_stored <- t.n_stored + Bytes.length data;
           ((d, p), false)
     in
     probe 0
@@ -100,7 +91,6 @@ module Chunk_store = struct
     t.n_hits <- t.n_hits + !hits;
     t.n_misses <- t.n_misses + !misses;
     t.n_deduped <- t.n_deduped + !deduped;
-    t.n_written <- t.n_written + written_bytes;
     ( { total = len; keys },
       {
         hits = !hits;
@@ -116,11 +106,7 @@ module Chunk_store = struct
         | None -> ()
         | Some c ->
             c.refs <- c.refs - 1;
-            if c.refs <= 0 then begin
-              Hashtbl.remove t.table key;
-              t.n_stored <- t.n_stored - Bytes.length c.data;
-              t.n_evicted <- t.n_evicted + 1
-            end)
+            if c.refs <= 0 then Hashtbl.remove t.table key)
       m.keys
 
   let materialize t m =
@@ -137,10 +123,6 @@ module Chunk_store = struct
   let hits t = t.n_hits
   let misses t = t.n_misses
   let bytes_deduped t = t.n_deduped
-  let bytes_written t = t.n_written
-  let chunk_count t = Hashtbl.length t.table
-  let stored_bytes t = t.n_stored
-  let evicted_chunks t = t.n_evicted
 end
 
 type cadence =

@@ -33,8 +33,6 @@ module Chunk_store : sig
   (** [chunk_size] defaults to 64 bytes. Raises [Invalid_argument] if
       [chunk_size < 1]. *)
 
-  val chunk_size : t -> int
-
   (** Accounting for one {!store}. [written_bytes] is the cost model for a
       delta write: bytes of chunks not already present, plus the manifest
       overhead (16 bytes + 10 per chunk reference). *)
@@ -59,14 +57,6 @@ module Chunk_store : sig
   val hits : t -> int
   val misses : t -> int
   val bytes_deduped : t -> int
-  val bytes_written : t -> int
-  (** Cumulative {!write}[.written_bytes] across every store. *)
-
-  val chunk_count : t -> int
-  val stored_bytes : t -> int
-  (** Bytes of chunk data currently resident. *)
-
-  val evicted_chunks : t -> int
 end
 
 (** When is the next checkpoint due? *)

@@ -107,9 +107,7 @@ let touched_entries t sid ~strict ?out_port pattern ~priority =
   match table_of t sid with
   | None -> []
   | Some table ->
-      List.filter
-        (Flow_table.touches ~strict ?out_port pattern ~priority)
-        (Flow_table.entries table)
+      Flow_table.touched table ~strict ?out_port pattern ~priority
 
 (* The undo list for one flow-mod, in the order the undos must run. *)
 let flow_mod_undos t sid (fm : Message.flow_mod) =

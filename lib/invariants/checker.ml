@@ -75,7 +75,7 @@ type scope = {
 
 (* The per-pair probing logic is parameterized on the trace function so a
    caching layer (Incremental) can serve memoized probes: every invariant
-   below is a pure function of the probe and the per-switch rule lists, so
+   below is a pure function of the probe and the per-switch tables, so
    any trace provider that agrees with [Snapshot.trace] yields identical
    violations in identical order. The scope narrows which pairs and
    switches are visited without reordering them. *)
@@ -110,17 +110,19 @@ let check_one ~trace ~scope snap acc = function
             else Unreachable { src; dst } :: acc)
         acc pairs
   | No_drop_all ->
+      (* A match-all pattern is never fully specified, so only the
+         wildcarded rules can be one. *)
       List.fold_left
         (fun acc sid ->
-          List.fold_left
-            (fun acc (e : Flow_entry.t) ->
+          Netsim.Flow_table.Version.fold_wild
+            (fun (e : Flow_entry.t) acc ->
               if
                 Ofp_match.equal e.pattern Ofp_match.any
                 && Action.is_drop e.actions
                 && e.priority >= Message.default_priority
               then Drop_all_rule { sw = sid; priority = e.priority } :: acc
               else acc)
-            acc (Snapshot.entries snap sid))
+            (Snapshot.table snap sid) acc)
         acc (Lazy.force scope).switches
   | Waypoint { pairs; via } ->
       let listed = (Lazy.force scope).listed in

@@ -1,6 +1,6 @@
 open Openflow
 module Topology = Netsim.Topology
-module Flow_entry = Netsim.Flow_entry
+module Flow_table = Netsim.Flow_table
 module Sw = Netsim.Sw
 module Net = Netsim.Net
 module Clock = Netsim.Clock
@@ -31,7 +31,8 @@ type stats = {
 type line = {
   probe : Snapshot.probe;
   deps : Types.switch_id list;  (* sorted, unique *)
-  words : int;  (* heap footprint of the line, for the byte budget *)
+  words : int;
+      (* heap footprint of the line under a byte budget; 0 without one *)
   mutable tick : int;  (* last-use stamp; smallest tick is evicted first *)
 }
 
@@ -56,7 +57,8 @@ type t = {
       (* the topology's hosts: listed pairs may name others *)
   budget_words : int option;
       (* trace-cache byte budget expressed in words; None = unbounded *)
-  mutable cache_words : int;  (* summed [words] of all resident lines *)
+  mutable cache_words : int;
+      (* summed [words] of all resident lines: 0 on an unbounded cache *)
   mutable clock : int;  (* monotonic use counter feeding [tick] *)
   mutable memo_check : (Checker.invariant list * Checker.violation list) option;
       (* last full-check result; valid until any switch is re-captured *)
@@ -71,34 +73,10 @@ type t = {
 
 let bytes_per_word = Sys.word_size / 8
 
-(* Earliest instant at which the entry could expire. [last_used] only ever
-   moves forward (live traffic refreshing an idle timeout), so a horizon
-   computed from it is at worst conservative: the switch gets re-captured
-   no later than the true first expiry. Entries already expired are
-   excluded — they cannot revive (the live table filters expired entries
-   before accounting matches), so they would otherwise pin the horizon in
-   the past and keep the switch permanently dirty. *)
-let deadline (e : Flow_entry.t) =
-  let idle =
-    if e.idle_timeout > 0 then e.last_used +. float e.idle_timeout
-    else infinity
-  in
-  let hard =
-    if e.hard_timeout > 0 then e.installed_at +. float e.hard_timeout
-    else infinity
-  in
-  min idle hard
-
-let horizon_of ~now rules =
-  List.fold_left
-    (fun acc e ->
-      let d = deadline e in
-      if d > now then min acc d else acc)
-    infinity rules
-
 let record t sid ~now =
   Hashtbl.replace t.versions sid (Sw.version (Net.switch t.net sid));
-  Hashtbl.replace t.horizons sid (horizon_of ~now (Snapshot.entries t.snap sid))
+  Hashtbl.replace t.horizons sid
+    (Flow_table.Version.next_expiry (Snapshot.table t.snap sid) ~now)
 
 let create ?(observer = fun _ -> ()) ?trace_cache_budget net =
   let t =
@@ -133,7 +111,26 @@ let create ?(observer = fun _ -> ()) ?trace_cache_budget net =
   List.iter (fun h -> Hashtbl.replace t.hosts h ()) (Topology.hosts (Net.topology net));
   t
 
-let cache_bytes t = t.cache_words * bytes_per_word
+(* +4 ≈ the line record itself (header + 3 boxed-or-immediate fields
+   beyond the measured payload tuple); the payload tuple's own 3 words
+   stand in for it. Exactness is irrelevant — the budget only has to track
+   growth faithfully. *)
+let line_words probe deps = Obj.reachable_words (Obj.repr (probe, deps)) + 4
+
+(* Only a budget reads a line's size on every store, so an unbounded cache
+   measures its lines here, when asked. A line never changes once stored,
+   so both ways give the same figure. *)
+let cache_bytes t =
+  let words =
+    match t.budget_words with
+    | Some _ -> t.cache_words
+    | None ->
+        Hashtbl.fold
+          (fun _ line acc -> acc + line_words line.probe line.deps)
+          t.cache 0
+  in
+  words * bytes_per_word
+
 let cache_lines t = Hashtbl.length t.cache
 
 let dependents t sid =
@@ -241,11 +238,11 @@ let enforce_budget t ~keep =
 
 (* Only ever called for a pair with no resident line. *)
 let store_line t key probe deps =
-  (* +4 ≈ the line record itself (header + 3 boxed-or-immediate fields
-     beyond the measured payload tuple); the payload tuple's own 3 words
-     stand in for it. Exactness is irrelevant — the budget only has to
-     track growth faithfully. *)
-  let words = Obj.reachable_words (Obj.repr (probe, deps)) + 4 in
+  let words =
+    match t.budget_words with
+    | Some _ -> line_words probe deps
+    | None -> 0
+  in
   let line = { probe; deps; words; tick = 0 } in
   touch_line t line;
   Hashtbl.replace t.cache key line;

@@ -83,14 +83,24 @@ val check_flow_mods :
     other pair has the same violations before and after, which the
     differential cancels. The screen:
 
-    - refreshes (re-capturing the dirty switches: O(rules) each);
+    - refreshes: re-captures each dirty switch, which takes its flow
+      table's current version in O(1) and walks its rules once, without
+      allocating per rule, for the next expiry horizon;
     - traces the pending pairs on the snapshot (on the first screen, when
       the invariants probe every host pair, every pair never traced);
     - tests the resident lines indexed under a modified switch, O(hops ×
       mods) each, keeping the pairs some mod matches;
     - evaluates the invariants for those pairs only, on the snapshot
       (resident probes) and on an overlay with the mods (one trace each),
-      and [No_drop_all] on the modified switches only.
+      and [No_drop_all] on the modified switches' wildcarded rules only.
+
+    A trace costs one table lookup per hop: an index probe per priority
+    with exact rules plus a scan of the wildcarded ones
+    ({!Netsim.Flow_table.Version.lookup}). The overlay is
+    {!Netsim.Flow_table.Version.apply} on the captured versions: O(log
+    rules) per add, sharing the rest of each table. Storing a traced line
+    costs O(hops), plus one [Obj.reachable_words] of the line when a byte
+    budget is set.
 
     Hypothetical results never enter the persistent cache. *)
 
@@ -105,7 +115,11 @@ val stats : t -> stats
 (** Cumulative cache activity since [create]. *)
 
 val cache_bytes : t -> int
-(** Resident trace-cache footprint in bytes (what the byte budget bounds). *)
+(** Resident trace-cache footprint in bytes (what the byte budget bounds).
+    Under a budget every stored line is measured once
+    ([Obj.reachable_words]) and this is O(1); on an unbounded cache no
+    line is measured when stored, and this measures every resident line,
+    O(resident heap). *)
 
 val cache_lines : t -> int
 (** Number of cached (src, dst) trace lines currently resident. *)

@@ -1,16 +1,17 @@
 open Openflow
 module Topology = Netsim.Topology
-module Flow_entry = Netsim.Flow_entry
 module Flow_table = Netsim.Flow_table
 module Sw = Netsim.Sw
 module Net = Netsim.Net
 
 module Sid_map = Map.Make (Int)
 
-(* Port state is captured as the (usually empty) lists of down and
-   NO_FLOOD ports; the ascending port list is the switch's own, shared. *)
+(* A switch's table is captured as its current version, which later changes
+   to the live table never alter. Port state is captured as the (usually
+   empty) lists of down and NO_FLOOD ports; the ascending port list is the
+   switch's own, shared. *)
 type sw_state = {
-  rules : Flow_entry.t list;  (* priority order, as Flow_table.entries *)
+  table : Flow_table.Version.t;
   alive : bool;
   port_nos : Types.port_no list;
   ports_down : Types.port_no list;
@@ -31,7 +32,7 @@ let capture_switch net sid =
       sw.Sw.ports []
   in
   {
-    rules = Flow_table.entries sw.Sw.table;
+    table = Flow_table.current sw.Sw.table;
     alive = sw.Sw.up;
     port_nos = sw.Sw.port_nos;
     ports_down = flagged (fun p -> not p.port_up);
@@ -51,9 +52,9 @@ let of_net net =
     switches;
   }
 
-(* Re-capture only the dirty switches; every other per-switch state (and its
-   memoized rules list) is shared structurally with the previous snapshot.
-   The incremental engine decides dirtiness from {!Netsim.Sw.version}. *)
+(* Re-capture only the dirty switches, O(ports) each; every other
+   per-switch state is shared structurally with the previous snapshot. The
+   incremental engine decides dirtiness from {!Netsim.Sw.version}. *)
 let refresh t net ~dirty =
   let switches =
     List.fold_left
@@ -64,69 +65,22 @@ let refresh t net ~dirty =
 
 let topology t = t.topo
 
-let entries t sid =
+let table t sid =
   match Sid_map.find_opt sid t.switches with
-  | Some s -> s.rules
-  | None -> []
+  | Some s -> s.table
+  | None -> Flow_table.Version.empty
 
-(* Apply a flow-mod functionally as an overlay on the rule list itself —
-   entries are immutable for our purposes (counters are irrelevant to
-   invariants), so one list pass replaces the old rebuild-a-scratch-table
-   approach, and untouched switches stay fully shared. Which entries a
-   modify or delete touches is Flow_table's own rule; the order is
-   Flow_table's too: priority-descending, insertion order within a
-   priority (append on add). *)
-let insert_sorted entry rules =
-  let rec go = function
-    | [] -> [ entry ]
-    | (e : Flow_entry.t) :: rest as all ->
-        if entry.Flow_entry.priority > e.priority then entry :: all
-        else e :: go rest
-  in
-  go rules
+let entries t sid = Flow_table.Version.entries (table t sid)
 
+(* The overlay is the switch's own flow-mod semantics applied to the
+   captured version, at the snapshot's instant; untouched switches, and the
+   untouched parts of a touched switch's table, stay shared. *)
 let apply_flow_mod t sid fm =
   match Sid_map.find_opt sid t.switches with
   | None -> t
   | Some s ->
-      let open Message in
-      let rules =
-        match fm.command with
-        | Add ->
-            let entry = Flow_entry.of_flow_mod ~now:t.frozen_at fm in
-            insert_sorted entry
-              (List.filter
-                 (fun e -> not (Flow_entry.same_rule e entry))
-                 s.rules)
-        | Modify | Modify_strict ->
-            let strict = fm.command = Modify_strict in
-            let touches =
-              Flow_table.touches ~strict fm.pattern ~priority:fm.priority
-            in
-            let hit = ref false in
-            let mapped =
-              List.map
-                (fun (e : Flow_entry.t) ->
-                  if touches e then begin
-                    hit := true;
-                    { e with actions = fm.actions }
-                  end
-                  else e)
-                s.rules
-            in
-            if !hit then mapped
-            else
-              insert_sorted (Flow_entry.of_flow_mod ~now:t.frozen_at fm) s.rules
-        | Delete | Delete_strict ->
-            let strict = fm.command = Delete_strict in
-            List.filter
-              (fun e ->
-                not
-                  (Flow_table.touches ~strict ?out_port:fm.out_port fm.pattern
-                     ~priority:fm.priority e))
-              s.rules
-      in
-      { t with switches = Sid_map.add sid { s with rules } t.switches }
+      let table, _ = Flow_table.Version.apply s.table ~now:t.frozen_at fm in
+      { t with switches = Sid_map.add sid { s with table } t.switches }
 
 let apply_flow_mods t mods =
   List.fold_left (fun acc (sid, fm) -> apply_flow_mod acc sid fm) t mods
@@ -138,12 +92,6 @@ type probe = {
   looped : bool;
   path : (Types.switch_id * Types.port_no * Packet.t) list;
 }
-
-let lookup t s ~in_port pkt =
-  List.find_opt
-    (fun (e : Flow_entry.t) ->
-      Flow_entry.live e ~now:t.frozen_at && Flow_entry.matches e ~in_port pkt)
-    s.rules
 
 let resolve s ~in_port (pkt, out) =
   let up p = List.mem p s.port_nos && not (List.mem p s.ports_down) in
@@ -167,7 +115,9 @@ let trace t h pkt =
       Hashtbl.replace seen key ();
       match Sid_map.find_opt sid t.switches with
       | Some s when s.alive -> (
-          match lookup t s ~in_port pkt with
+          match
+            Flow_table.Version.lookup s.table ~now:t.frozen_at ~in_port pkt
+          with
           | None -> punted := sid :: !punted
           | Some entry ->
               let staged = Action.apply_staged entry.actions pkt in

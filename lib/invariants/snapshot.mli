@@ -4,7 +4,13 @@
 
     Crash-Pad checks an application's *proposed* output before it touches
     the network, so the snapshot supports applying hypothetical flow-mods
-    functionally and probing the result. *)
+    functionally and probing the result.
+
+    A switch's flow table is held as the table's {!Netsim.Flow_table.Version.t},
+    so capturing a switch reads its table handle in O(1) and copies no
+    rule; lookups and overlays are the table's own
+    {!Netsim.Flow_table.Version.lookup} and
+    {!Netsim.Flow_table.Version.apply}. *)
 
 open Openflow
 
@@ -15,19 +21,23 @@ val of_net : Netsim.Net.t -> t
 
 val refresh : t -> Netsim.Net.t -> dirty:Types.switch_id list -> t
 (** A new snapshot at the network's current clock that re-captures only the
-    [dirty] switches; every other switch's state is shared structurally
-    with [t]. The caller (the incremental engine) is responsible for naming
-    every switch whose {!Netsim.Sw.version} moved since [t] was taken. *)
+    [dirty] switches, in O(ports) each; every other switch's state is
+    shared structurally with [t]. The caller (the incremental engine) is
+    responsible for naming every switch whose {!Netsim.Sw.version} moved
+    since [t] was taken. *)
 
 val topology : t -> Netsim.Topology.t
+
+val table : t -> Types.switch_id -> Netsim.Flow_table.Version.t
+(** The captured flow table of a switch; empty for unknown switches. *)
 
 val entries : t -> Types.switch_id -> Netsim.Flow_entry.t list
 (** Flow entries of a switch in priority order; [] for unknown switches. *)
 
 val apply_flow_mod : t -> Types.switch_id -> Message.flow_mod -> t
-(** The snapshot after the flow-mod, computed functionally as an overlay
-    on the rule list (the original is unchanged). Which entries a modify
-    or delete touches is {!Netsim.Flow_table.touches}. *)
+(** The snapshot after the flow-mod: {!Netsim.Flow_table.Version.apply} on
+    the switch's captured table at the snapshot's instant (the original is
+    unchanged). *)
 
 val apply_flow_mods : t -> (Types.switch_id * Message.flow_mod) list -> t
 

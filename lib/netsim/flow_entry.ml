@@ -95,9 +95,6 @@ let to_flow_removed ~now reason e : Message.flow_removed =
     fr_byte_count = e.byte_count;
   }
 
-let same_rule a b =
-  a.priority = b.priority && Ofp_match.equal a.pattern b.pattern
-
 let restore e ~remaining_idle ~remaining_hard ~now ~packet_count ~byte_count =
   {
     e with

@@ -53,9 +53,6 @@ val to_flow_stat : now:float -> t -> Message.flow_stat
 val to_flow_removed : now:float -> Message.flow_removed_reason -> t
   -> Message.flow_removed
 
-val same_rule : t -> t -> bool
-(** Equal match and priority — the OF identity for strict operations. *)
-
 val restore :
   t ->
   remaining_idle:int ->

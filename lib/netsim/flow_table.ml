@@ -1,126 +1,32 @@
 open Openflow
 
-(* Entries live in priority buckets (descending priority). Within a bucket,
-   fully-specified patterns sit in an exact-match hash table and wildcarded
-   patterns in an insertion-ordered list; a per-table sequence number stamps
-   every entry so the first-inserted-wins tie rule of the old flat list is
-   preserved exactly. The flattened priority-ordered view (what [entries]
-   returns and [Snapshot.of_net] copies) is memoized and invalidated on
-   mutation, and [generation] counts mutations so snapshot/cache layers can
-   detect change without diffing rules. *)
+(* A table is a mutable handle on an immutable version; every change
+   builds a new version that shares all it did not touch with the old one,
+   so capturing a table is reading its handle. A version holds its
+   priorities as a list in descending order. Within a priority,
+   fully-specified patterns sit in a persistent exact-match index and
+   wildcarded patterns in an insertion-ordered list; a per-version sequence
+   number stamps every entry so the first-inserted-wins tie rule of a flat
+   list holds across the two. Entry records are shared between versions, so
+   counter and idle-time updates from live traffic reach every version
+   holding the entry. *)
 
 type slot = { seq : int; entry : Flow_entry.t }
 
-(* The exact-match index hashes with [Ofp_match.hash] (FNV over the fields)
-   rather than the polymorphic hash, and probes through [Ofp_match.equal]'s
-   pointer-equality fast path — stored keys are interned, so twin
-   replacement and [find_exact] on interned probes are pointer compares. *)
-module Mtbl = Hashtbl.Make (struct
-  type t = Ofp_match.t
+(* The exact-match index keys on [Ofp_match.hash] (FNV over the fields);
+   each key's chain holds the slots whose patterns share that hash, at most
+   one per pattern, so almost always one. Stored patterns are interned, so
+   chain probes on interned keys are pointer compares. *)
+module Imap = Map.Make (Int)
 
-  let equal = Ofp_match.equal
-  let hash = Ofp_match.hash
-end)
-
-type bucket = {
+type prio = {
   prio : int;
-  exact : slot Mtbl.t;
-      (* fully-specified patterns: at most one entry per pattern *)
-  mutable wild : slot list;  (* wildcarded patterns, insertion order *)
+  exact : slot list Imap.t;  (* fully-specified patterns *)
+  wild : slot list;  (* wildcarded patterns, insertion order *)
 }
-
-type t = {
-  mutable buckets : bucket list;  (* descending priority *)
-  mutable count : int;
-  mutable next_seq : int;
-  mutable gen : int;
-  mutable flat : Flow_entry.t list option;  (* memoized [entries] view *)
-}
-
-let create () =
-  { buckets = []; count = 0; next_seq = 0; gen = 0; flat = None }
-
-let size t = t.count
-let generation t = t.gen
-
-let touch t =
-  t.gen <- t.gen + 1;
-  t.flat <- None
 
 let is_exact pattern = Ofp_match.wildcard_count pattern = 0
-
-let bucket_slots b =
-  Mtbl.fold (fun _ s acc -> s :: acc) b.exact b.wild
-  |> List.sort (fun a b -> compare a.seq b.seq)
-
-let entries t =
-  match t.flat with
-  | Some l -> l
-  | None ->
-      let l =
-        List.concat_map
-          (fun b -> List.map (fun s -> s.entry) (bucket_slots b))
-          t.buckets
-      in
-      t.flat <- Some l;
-      l
-
-let clear t =
-  t.buckets <- [];
-  t.count <- 0;
-  touch t
-
-let find_bucket t prio = List.find_opt (fun b -> b.prio = prio) t.buckets
-
-let add_bucket t prio =
-  let b = { prio; exact = Mtbl.create 8; wild = [] } in
-  let rec go = function
-    | [] -> [ b ]
-    | b' :: rest as all -> if prio > b'.prio then b :: all else b' :: go rest
-  in
-  t.buckets <- go t.buckets;
-  b
-
-let drop_empty t =
-  t.buckets <-
-    List.filter (fun b -> Mtbl.length b.exact > 0 || b.wild <> []) t.buckets
-
-let stamp t entry =
-  let s = { seq = t.next_seq; entry } in
-  t.next_seq <- t.next_seq + 1;
-  s
-
-let add t (entry : Flow_entry.t) =
-  (* [entry.pattern] is already interned ({!Flow_entry.of_flow_mod}/[make]
-     intern at creation), so the exact index stores shared keys and twin
-     replacement below is a pointer compare. The entry record itself is
-     stored as given — callers alias its mutable counters. *)
-  let b =
-    match find_bucket t entry.priority with
-    | Some b -> b
-    | None -> add_bucket t entry.priority
-  in
-  (* OF 1.0 Add semantics: an identical match+priority twin is replaced. The
-     bucket bounds the search; the exact hash makes the common
-     (fully-specified) case O(1). *)
-  if is_exact entry.pattern then begin
-    if Mtbl.mem b.exact entry.pattern then begin
-      Mtbl.remove b.exact entry.pattern;
-      t.count <- t.count - 1
-    end;
-    Mtbl.replace b.exact entry.pattern (stamp t entry)
-  end
-  else begin
-    let dup, kept =
-      List.partition
-        (fun s -> Ofp_match.equal s.entry.Flow_entry.pattern entry.pattern)
-        b.wild
-    in
-    t.count <- t.count - List.length dup;
-    b.wild <- kept @ [ stamp t entry ]
-  end;
-  t.count <- t.count + 1;
-  touch t
+let by_seq a b = Int.compare a.seq b.seq
 
 let touches ~strict ?out_port pattern ~priority (e : Flow_entry.t) =
   (if strict then priority = e.priority && Ofp_match.equal pattern e.pattern
@@ -130,161 +36,338 @@ let touches ~strict ?out_port pattern ~priority (e : Flow_entry.t) =
   | None -> true
   | Some p -> List.mem p (Action.outputs e.actions)
 
-let modify t ~strict pattern ~priority actions =
-  let hit = ref false in
-  let rewrite b =
-    let keys =
-      Mtbl.fold
-        (fun key s acc ->
-          if touches ~strict pattern ~priority s.entry then (key, s) :: acc
-          else acc)
-        b.exact []
-    in
-    List.iter
-      (fun (key, s) ->
-        hit := true;
-        Mtbl.replace b.exact key
-          { s with entry = { s.entry with Flow_entry.actions } })
-      keys;
-    b.wild <-
-      List.map
+(* [p] with [f] applied to every slot [pick] selects ([None] removes the
+   slot), and the selected slots in insertion order; [p] itself when
+   nothing is selected. [key], a fully-specified pattern, limits the search
+   to the chain under its hash: a pattern with no wildcard subsumes, and
+   equals, only itself. [wild_only] limits it to the wildcarded rules,
+   which is all a strict operation on a wildcarded pattern can touch. *)
+let edit ?key ?(wild_only = false) ~pick ~f p =
+  let hits = ref [] in
+  let picked s = pick s.entry in
+  let edit_chain chain =
+    if not (List.exists picked chain) then chain
+    else
+      List.filter_map
         (fun s ->
-          if touches ~strict pattern ~priority s.entry then begin
-            hit := true;
-            { s with entry = { s.entry with Flow_entry.actions } }
+          if picked s then begin
+            hits := s :: !hits;
+            f s
           end
-          else s)
-        b.wild
+          else Some s)
+        chain
   in
-  (if strict then
-     match find_bucket t priority with
-     | Some b -> rewrite b
-     | None -> ()
-   else List.iter rewrite t.buckets);
-  if !hit then touch t;
-  !hit
+  let edit_key h m =
+    match Imap.find_opt h m with
+    | None -> m
+    | Some chain -> (
+        let chain' = edit_chain chain in
+        if chain' == chain then m
+        else match chain' with [] -> Imap.remove h m | _ -> Imap.add h chain' m)
+  in
+  let exact =
+    match key with
+    | Some pattern -> edit_key (Ofp_match.hash pattern) p.exact
+    | None when wild_only -> p.exact
+    | None ->
+        Imap.fold
+          (fun h chain m -> if List.exists picked chain then edit_key h m else m)
+          p.exact p.exact
+  in
+  let wild = if Option.is_none key then edit_chain p.wild else p.wild in
+  match !hits with
+  | [] -> (p, [])
+  | hits -> ({ p with exact; wild }, List.sort by_seq hits)
+
+let is_empty p = Imap.is_empty p.exact && p.wild = []
+
+module Version = struct
+  type t = { prios : prio list; count : int; next_seq : int }
+
+  let empty = { prios = []; count = 0; next_seq = 0 }
+  let size v = v.count
+
+  let slots p =
+    Imap.fold (fun _ chain acc -> List.rev_append chain acc) p.exact p.wild
+    |> List.sort by_seq
+
+  let entries v =
+    List.concat_map (fun p -> List.map (fun s -> s.entry) (slots p)) v.prios
+
+  (* Put [p] in place of the priority it names, keeping the list
+     descending; an empty [p] leaves the priority out. The priorities above
+     it are copied, those below shared. *)
+  let replace prios p =
+    let rec go = function
+      | [] -> if is_empty p then [] else [ p ]
+      | q :: rest as all ->
+          if q.prio = p.prio then if is_empty p then rest else p :: rest
+          else if p.prio > q.prio then if is_empty p then all else p :: all
+          else q :: go rest
+    in
+    go prios
+
+  let find_prio v priority = List.find_opt (fun p -> p.prio = priority) v.prios
+
+  (* OF 1.0 Add semantics: an identical match+priority twin is replaced,
+     and the new entry goes last in its priority's insertion order. *)
+  let add v (entry : Flow_entry.t) =
+    let s = { seq = v.next_seq; entry } in
+    let twin s' = Ofp_match.equal s'.entry.Flow_entry.pattern entry.pattern in
+    let p =
+      Option.value
+        ~default:{ prio = entry.priority; exact = Imap.empty; wild = [] }
+        (find_prio v entry.priority)
+    in
+    let replaced = ref 0 in
+    let drop_twin chain =
+      let kept = List.filter (fun s' -> not (twin s')) chain in
+      replaced := List.length chain - List.length kept;
+      kept
+    in
+    let p =
+      if is_exact entry.pattern then
+        let h = Ofp_match.hash entry.pattern in
+        let chain = Option.value ~default:[] (Imap.find_opt h p.exact) in
+        { p with exact = Imap.add h (s :: drop_twin chain) p.exact }
+      else { p with wild = drop_twin p.wild @ [ s ] }
+    in
+    {
+      prios = replace v.prios p;
+      count = v.count + 1 - !replaced;
+      next_seq = v.next_seq + 1;
+    }
+
+  (* [v] with [edit] applied to the priority [only] names, or to every
+     priority without it, and the slots it touched in priority order; [v]
+     itself when it touched nothing. A priority left empty is dropped. *)
+  let edit_prios ?only v edit =
+    match only with
+    | Some priority -> (
+        match Option.map edit (find_prio v priority) with
+        | None | Some (_, []) -> (v, [])
+        | Some (p', hits) -> ({ v with prios = replace v.prios p' }, hits))
+    | None -> (
+        let hits = ref [] in
+        let prios =
+          List.filter_map
+            (fun p ->
+              match edit p with
+              | _, [] -> Some p
+              | p', h ->
+                  hits := h :: !hits;
+                  if is_empty p' then None else Some p')
+            v.prios
+        in
+        match !hits with
+        | [] -> (v, [])
+        | hits -> ({ v with prios }, List.concat (List.rev hits)))
+
+  (* What a modify or delete with this pattern can touch: one priority if
+     strict, and within a priority only the chain of a fully-specified
+     pattern, or only the wildcarded rules when strict. *)
+  let edit_touched v ~strict ?out_port pattern ~priority ~f =
+    let key = if is_exact pattern then Some pattern else None in
+    edit_prios
+      ?only:(if strict then Some priority else None)
+      v
+      (edit ?key ~wild_only:strict
+         ~pick:(touches ~strict ?out_port pattern ~priority)
+         ~f)
+
+  let modify v ~strict pattern ~priority actions =
+    let rewrite s = Some { s with entry = { s.entry with Flow_entry.actions } } in
+    fst (edit_touched v ~strict pattern ~priority ~f:rewrite)
+
+  (* An edit of [v] that removed the slots it touched: the new version
+     with its count, and the removed entries. *)
+  let removal v = function
+    | _, [] -> (v, [])
+    | v', gone ->
+        let removed = List.map (fun s -> s.entry) gone in
+        ({ v' with count = v.count - List.length removed }, removed)
+
+  let delete v ~strict ?out_port pattern ~priority =
+    removal v
+      (edit_touched v ~strict ?out_port pattern ~priority ~f:(fun _ -> None))
+
+  let apply v ~now (fm : Message.flow_mod) =
+    match fm.command with
+    | Add -> (add v (Flow_entry.of_flow_mod ~now fm), [])
+    | Modify | Modify_strict ->
+        let strict = fm.command = Modify_strict in
+        let v' = modify v ~strict fm.pattern ~priority:fm.priority fm.actions in
+        ((if v' == v then add v (Flow_entry.of_flow_mod ~now fm) else v'), [])
+    | Delete | Delete_strict ->
+        let strict = fm.command = Delete_strict in
+        delete v ~strict ?out_port:fm.out_port fm.pattern ~priority:fm.priority
+
+  (* The only fully-specified pattern a packet can match is its own exact
+     header, so one probe per priority's index replaces a scan of its exact
+     rules. The header is built and hashed at the first priority that has
+     an exact rule, and not at all when none has: a table of wildcarded
+     rules pays only their scan. *)
+  let lookup v ~now ~in_port pkt =
+    let live s = Flow_entry.live s.entry ~now in
+    let rec first_wild = function
+      | [] -> None
+      | s :: rest ->
+          if live s && Flow_entry.matches s.entry ~in_port pkt then Some s
+          else first_wild rest
+    in
+    let rec in_chain key = function
+      | [] -> None
+      | s :: rest ->
+          if Ofp_match.equal s.entry.Flow_entry.pattern key then
+            if live s then Some s else None
+          else in_chain key rest
+    in
+    (* [h < 0]: the header is not built yet ([Ofp_match.hash] is
+       non-negative). *)
+    let rec over key h = function
+      | [] -> None
+      | p :: rest when Imap.is_empty p.exact -> (
+          match first_wild p.wild with
+          | Some s -> Some s.entry
+          | None -> over key h rest)
+      | _ :: _ as prios when h < 0 ->
+          let key = Ofp_match.exact ~in_port pkt in
+          over key (Ofp_match.hash key) prios
+      | p :: rest -> (
+          let exact =
+            match Imap.find_opt h p.exact with
+            | Some chain -> in_chain key chain
+            | None -> None
+          in
+          match (exact, first_wild p.wild) with
+          | None, None -> over key h rest
+          | Some s, None | None, Some s -> Some s.entry
+          | Some a, Some b ->
+              Some (if a.seq <= b.seq then a.entry else b.entry))
+    in
+    over Ofp_match.any (-1) v.prios
+
+  let iter_slots f v =
+    List.iter
+      (fun p ->
+        Imap.iter (fun _ chain -> List.iter f chain) p.exact;
+        List.iter f p.wild)
+      v.prios
+
+  (* Expiry is rare against the per-tick scan, so the scan only reads:
+     the version is rebuilt only when some entry has timed out. *)
+  let expire v ~now =
+    let dead (e : Flow_entry.t) = not (Flow_entry.live e ~now) in
+    let dead_slot s = dead s.entry in
+    let dead_chain _ chain = List.exists dead_slot chain in
+    let any_dead =
+      List.exists
+        (fun p -> Imap.exists dead_chain p.exact || List.exists dead_slot p.wild)
+        v.prios
+    in
+    if not any_dead then (v, [])
+    else
+      let v', expired =
+        removal v (edit_prios v (edit ~pick:dead ~f:(fun _ -> None)))
+      in
+      ( v',
+        List.map
+          (fun e -> (e, Option.get (Flow_entry.expiry_reason e ~now)))
+          expired )
+
+  type horizon = { mutable at : float }
+
+  (* An entry's deadline is the earlier of its idle and hard expiries.
+     [last_used] only moves forward, so a horizon read before more traffic
+     is at worst early. Entries already past their deadline are left out:
+     they cannot revive, and would pin the horizon in the past. The
+     accumulator is a one-field float record, which OCaml stores unboxed,
+     so the walk allocates nothing per entry. *)
+  let next_expiry v ~now =
+    let h = { at = infinity } in
+    iter_slots
+      (fun { entry = e; _ } ->
+        let idle =
+          if e.idle_timeout > 0 then e.last_used +. float e.idle_timeout
+          else infinity
+        in
+        let hard =
+          if e.hard_timeout > 0 then e.installed_at +. float e.hard_timeout
+          else infinity
+        in
+        let d = if idle <= hard then idle else hard in
+        if d > now && d < h.at then h.at <- d)
+      v;
+    h.at
+
+  let fold_wild f v acc =
+    List.fold_left
+      (fun acc p -> List.fold_left (fun acc s -> f s.entry acc) acc p.wild)
+      acc v.prios
+
+  let find_exact v pattern ~priority =
+    match find_prio v priority with
+    | None -> None
+    | Some p ->
+        let chain =
+          if is_exact pattern then
+            Option.value ~default:[] (Imap.find_opt (Ofp_match.hash pattern) p.exact)
+          else p.wild
+        in
+        List.find_opt
+          (fun s -> Ofp_match.equal s.entry.Flow_entry.pattern pattern)
+          chain
+        |> Option.map (fun s -> s.entry)
+end
+
+type t = { mutable current : Version.t; mutable gen : int }
+
+let create () = { current = Version.empty; gen = 0 }
+let current t = t.current
+let size t = Version.size t.current
+let generation t = t.gen
+
+(* Every change to the rule set goes through here: the version swaps and
+   the generation bumps. *)
+let swap t v =
+  t.current <- v;
+  t.gen <- t.gen + 1
+
+let entries t = Version.entries t.current
+
+let clear t = swap t Version.empty
+let add t entry = swap t (Version.add t.current entry)
+
+let modify t ~strict pattern ~priority actions =
+  let v = Version.modify t.current ~strict pattern ~priority actions in
+  let hit = v != t.current in
+  if hit then swap t v;
+  hit
 
 let delete t ~strict ?out_port pattern ~priority =
-  let condemned = touches ~strict ?out_port pattern ~priority in
-  let gone = ref [] in
-  List.iter
-    (fun b ->
-      if (not strict) || b.prio = priority then begin
-        let dead =
-          Mtbl.fold
-            (fun key s acc -> if condemned s.entry then (key, s) :: acc else acc)
-            b.exact []
-        in
-        List.iter (fun (key, _) -> Mtbl.remove b.exact key) dead;
-        let dead_wild, kept =
-          List.partition (fun s -> condemned s.entry) b.wild
-        in
-        b.wild <- kept;
-        (* buckets iterate in priority order; seq restores insertion order
-           within the bucket, matching the old flat-list partition *)
-        gone :=
-          !gone
-          @ List.sort
-              (fun a b -> compare a.seq b.seq)
-              (List.map snd dead @ dead_wild)
-      end)
-    t.buckets;
-  let removed = List.map (fun s -> s.entry) !gone in
-  if removed <> [] then begin
-    t.count <- t.count - List.length removed;
-    drop_empty t;
-    touch t
-  end;
+  let v, removed =
+    Version.delete t.current ~strict ?out_port pattern ~priority
+  in
+  if removed <> [] then swap t v;
   removed
 
-let apply t ~now (fm : Message.flow_mod) =
-  match fm.command with
-  | Add ->
-      add t (Flow_entry.of_flow_mod ~now fm);
-      []
-  | Modify | Modify_strict ->
-      let strict = fm.command = Modify_strict in
-      if not (modify t ~strict fm.pattern ~priority:fm.priority fm.actions)
-      then add t (Flow_entry.of_flow_mod ~now fm);
-      []
-  | Delete | Delete_strict ->
-      let strict = fm.command = Delete_strict in
-      delete t ~strict ?out_port:fm.out_port fm.pattern ~priority:fm.priority
+let touched t ~strict ?out_port pattern ~priority =
+  snd (Version.delete t.current ~strict ?out_port pattern ~priority)
 
-let lookup t ~now ~in_port pkt =
-  let live e = Flow_entry.live e ~now in
-  (* The only fully-specified pattern a packet can match is its own exact
-     header, so one hash probe per bucket replaces the scan for the common
-     learning-switch/router rules. *)
-  let exact_key = Ofp_match.exact ~in_port pkt in
-  let rec over_buckets = function
-    | [] -> None
-    | b :: rest -> (
-        let exact_hit =
-          match Mtbl.find_opt b.exact exact_key with
-          | Some s when live s.entry -> Some s
-          | Some _ | None -> None
-        in
-        let wild_hit =
-          List.find_opt
-            (fun s -> live s.entry && Flow_entry.matches s.entry ~in_port pkt)
-            b.wild
-        in
-        match (exact_hit, wild_hit) with
-        | None, None -> over_buckets rest
-        | Some s, None | None, Some s -> Some s.entry
-        | Some a, Some b -> Some (if a.seq <= b.seq then a.entry else b.entry))
-  in
-  over_buckets t.buckets
+let apply t ~now fm =
+  let v, removed = Version.apply t.current ~now fm in
+  if v != t.current then swap t v;
+  removed
+
+let lookup t ~now ~in_port pkt = Version.lookup t.current ~now ~in_port pkt
 
 let expire t ~now =
-  let expired = ref [] in
-  List.iter
-    (fun b ->
-      let dead =
-        Mtbl.fold
-          (fun key s acc ->
-            match Flow_entry.expiry_reason s.entry ~now with
-            | Some reason -> (key, s, reason) :: acc
-            | None -> acc)
-          b.exact []
-      in
-      List.iter (fun (key, _, _) -> Mtbl.remove b.exact key) dead;
-      let dead_wild, kept =
-        List.partition_map
-          (fun s ->
-            match Flow_entry.expiry_reason s.entry ~now with
-            | Some reason -> Left (s, reason)
-            | None -> Right s)
-          b.wild
-      in
-      b.wild <- kept;
-      expired :=
-        !expired
-        @ List.sort
-            (fun (a, _) (b, _) -> compare a.seq b.seq)
-            (List.map (fun (_, s, r) -> (s, r)) dead @ dead_wild))
-    t.buckets;
-  let removed = List.map (fun (s, r) -> (s.entry, r)) !expired in
-  if removed <> [] then begin
-    t.count <- t.count - List.length removed;
-    drop_empty t;
-    touch t
-  end;
-  removed
+  let v, expired = Version.expire t.current ~now in
+  if expired <> [] then swap t v;
+  expired
 
 let find_exact t pattern ~priority =
-  match find_bucket t priority with
-  | None -> None
-  | Some b ->
-      if is_exact pattern then
-        Option.map (fun s -> s.entry) (Mtbl.find_opt b.exact pattern)
-      else
-        Option.map
-          (fun s -> s.entry)
-          (List.find_opt
-             (fun s -> Ofp_match.equal s.entry.Flow_entry.pattern pattern)
-             b.wild)
+  Version.find_exact t.current pattern ~priority
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%a@]"

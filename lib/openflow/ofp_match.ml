@@ -61,38 +61,31 @@ let exact ~in_port (p : Packet.t) =
 (* FNV-1a over the fields, same constants as [Checkpoint]'s chunk digest.
    Every field is an int under the type aliases, so folding (presence tag,
    value) pairs is a canonical serialization: two structurally-equal matches
-   always fold the same stream. *)
+   always fold the same stream. The steps are inlined so the running hash
+   stays an unboxed [Int64] and a hash allocates only its result: the exact
+   index hashes a packet's header on every table lookup. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
+let[@inline] mix h v = Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime
+let[@inline] field h = function None -> mix h 0 | Some v -> mix (mix h 1) v
 
 let hash64 m =
-  let h = ref fnv_offset in
-  let mix v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) fnv_prime in
-  let field = function
-    | None -> mix 0
-    | Some v ->
-        mix 1;
-        mix v
+  let h = field fnv_offset m.in_port in
+  let h = field h m.dl_src in
+  let h = field h m.dl_dst in
+  let h =
+    match m.dl_vlan with
+    | None -> mix h 0
+    | Some None -> mix (mix h 1) (-1)
+    | Some (Some vid) -> mix (mix h 2) vid
   in
-  field m.in_port;
-  field m.dl_src;
-  field m.dl_dst;
-  (match m.dl_vlan with
-  | None -> mix 0
-  | Some None ->
-      mix 1;
-      mix (-1)
-  | Some (Some vid) ->
-      mix 2;
-      mix vid);
-  field m.dl_type;
-  field m.nw_src;
-  field m.nw_dst;
-  field m.nw_proto;
-  field m.nw_tos;
-  field m.tp_src;
-  field m.tp_dst;
-  !h
+  let h = field h m.dl_type in
+  let h = field h m.nw_src in
+  let h = field h m.nw_dst in
+  let h = field h m.nw_proto in
+  let h = field h m.nw_tos in
+  let h = field h m.tp_src in
+  field h m.tp_dst
 
 let hash m = Int64.to_int (hash64 m) land max_int
 
