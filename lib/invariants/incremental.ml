@@ -22,12 +22,13 @@ type stats = {
   evictions : int;
 }
 
-(* A resident line is valid by construction: [refresh] drops, at once,
-   every line indexed under a switch it re-captures. A line is indexed
-   under the switches its trace visited plus its source host's attachment
-   switch (whose port decides whether the trace starts at all): a trace is
-   built hop by hop from the state of exactly those switches, so while none
-   is re-captured, re-tracing would retread the same hops. *)
+(* A resident line is valid by construction: [refresh] drops every line a
+   change or a timeout could alter. A line is indexed under the switches
+   its trace visited plus its source host's attachment switch (whose port
+   decides whether the trace starts at all): a trace is built hop by hop
+   from the state of exactly those switches, so while no hop's lookup
+   changes and none of their ports does, re-tracing would retread the same
+   hops. *)
 type line = {
   probe : Snapshot.probe;
   deps : Types.switch_id list;  (* sorted, unique *)
@@ -38,13 +39,20 @@ type line = {
 
 type pair = Topology.host * Topology.host
 
+(* A switch as the snapshot last captured it: its port and liveness
+   counter and its table's generation. *)
+type seen = { mutable cfg : int; mutable gen : int }
+
+type memo = {
+  invs : Checker.invariant list;
+  result : Checker.violation list;
+  expires : float;  (* the earliest expiry among the probes it read *)
+}
+
 type t = {
   net : Net.t;
   mutable snap : Snapshot.t;
-  versions : (Types.switch_id, int) Hashtbl.t;
-      (* last-seen Sw.version per switch *)
-  horizons : (Types.switch_id, float) Hashtbl.t;
-      (* earliest future instant a flow entry of the switch could expire *)
+  seen : (Types.switch_id, seen) Hashtbl.t;
   cache : (pair, line) Hashtbl.t;
   by_switch : (Types.switch_id, (pair, unit) Hashtbl.t) Hashtbl.t;
       (* reverse index: the resident lines that depend on each switch *)
@@ -60,8 +68,11 @@ type t = {
   mutable cache_words : int;
       (* summed [words] of all resident lines: 0 on an unbounded cache *)
   mutable clock : int;  (* monotonic use counter feeding [tick] *)
-  mutable memo_check : (Checker.invariant list * Checker.violation list) option;
-      (* last full-check result; valid until any switch is re-captured *)
+  mutable next_expiry : float;
+      (* at or before the expiry of every resident line *)
+  mutable memo_check : memo option;
+      (* last full-check result; valid until any switch is re-captured or
+         its own expiry *)
   observer : event -> unit;
   mutable hits : int;
   mutable misses : int;
@@ -73,18 +84,12 @@ type t = {
 
 let bytes_per_word = Sys.word_size / 8
 
-let record t sid ~now =
-  Hashtbl.replace t.versions sid (Sw.version (Net.switch t.net sid));
-  Hashtbl.replace t.horizons sid
-    (Flow_table.Version.next_expiry (Snapshot.table t.snap sid) ~now)
-
 let create ?(observer = fun _ -> ()) ?trace_cache_budget net =
   let t =
     {
       net;
       snap = Snapshot.of_net net;
-      versions = Hashtbl.create 32;
-      horizons = Hashtbl.create 32;
+      seen = Hashtbl.create 32;
       cache = Hashtbl.create 256;
       by_switch = Hashtbl.create 32;
       pending = Hashtbl.create 64;
@@ -96,6 +101,7 @@ let create ?(observer = fun _ -> ()) ?trace_cache_budget net =
           trace_cache_budget;
       cache_words = 0;
       clock = 0;
+      next_expiry = infinity;
       memo_check = None;
       observer;
       hits = 0;
@@ -106,8 +112,15 @@ let create ?(observer = fun _ -> ()) ?trace_cache_budget net =
       evictions = 0;
     }
   in
-  let now = Clock.now (Net.clock net) in
-  List.iter (fun sid -> record t sid ~now) (Topology.switches (Net.topology net));
+  List.iter
+    (fun sid ->
+      let sw = Net.switch net sid in
+      let gen = Flow_table.generation sw.Sw.table in
+      (* The first ask makes the table's ring: from here on its changes
+         are recorded. *)
+      ignore (Flow_table.changed_since sw.Sw.table ~gen);
+      Hashtbl.replace t.seen sid { cfg = sw.Sw.cfg_gen; gen })
+    (Topology.switches (Net.topology net));
   List.iter (fun h -> Hashtbl.replace t.hosts h ()) (Topology.hosts (Net.topology net));
   t
 
@@ -149,46 +162,110 @@ let drop_line t key line =
   List.iter (fun sid -> Hashtbl.remove (dependents t sid) key) line.deps;
   Hashtbl.replace t.pending key ()
 
-(* A switch is dirty when its forwarding-state version moved (rules, port
-   or liveness changes) or when the clock crossed its expiry horizon, in
-   which case some entry may have timed out with no version change. Both
-   re-capture the switch into the persistent snapshot and drop every line
-   indexed under it. *)
+let invalidate t key line =
+  drop_line t key line;
+  t.invalidations <- t.invalidations + 1;
+  t.observer Trace_invalidated
+
+(* Drop the resident lines indexed under [sid] that [stale] picks. *)
+let invalidate_under t sid stale =
+  let keys = Hashtbl.fold (fun k () acc -> k :: acc) (dependents t sid) [] in
+  List.iter
+    (fun key ->
+      let line = Hashtbl.find t.cache key in
+      if stale line then invalidate t key line)
+    keys
+
+(* A change to switch [sid]'s rules can alter the lookup of header [pkt]
+   arriving on [in_port] there only if the change's pattern matches that
+   header: an add or modify writes rules with that pattern, and a delete
+   removes only rules it subsumes, so a rule set that differs from the old
+   one only in rules not matching [pkt] answers the lookup the same way.
+   (An expiry removes only dead rules, which answer no lookup, so it has no
+   pattern.) A trace none of whose hops such a pattern matches is
+   therefore identical under the change. [patterns_at] maps a changed
+   switch to its changes' patterns; the screen's hypothetical flow-mods
+   and a re-capture's recorded changes both ask this. *)
+let hop_matched patterns_at probe =
+  List.exists
+    (fun (sid, in_port, pkt) ->
+      match Hashtbl.find_opt patterns_at sid with
+      | None -> false
+      | Some patterns ->
+          List.exists (fun p -> Ofp_match.matches p ~in_port pkt) patterns)
+    probe.Snapshot.path
+
+(* What changed on switch [sid] since the snapshot last captured it:
+   [None] if nothing; otherwise [Some (sid, Some patterns)] when its rules
+   alone changed, by the table's ring, and [Some (sid, None)] when the
+   change may alter any line through it: a port or liveness change, a
+   clear, or more changes than the ring holds. *)
+let change t sid =
+  let sw = Net.switch t.net sid in
+  let seen = Hashtbl.find t.seen sid in
+  let gen = Flow_table.generation sw.Sw.table in
+  if seen.cfg = sw.Sw.cfg_gen && seen.gen = gen then None
+  else begin
+    let patterns =
+      if seen.cfg = sw.Sw.cfg_gen then
+        Flow_table.changed_since sw.Sw.table ~gen:seen.gen
+      else None
+    in
+    seen.cfg <- sw.Sw.cfg_gen;
+    seen.gen <- gen;
+    Some (sid, patterns)
+  end
+
+(* Drop every resident line whose expiry the clock has reached and raise
+   [next_expiry] to the earliest one left; below it there is nothing to
+   drop. *)
+let drop_expired t ~now =
+  if now >= t.next_expiry then begin
+    let expired =
+      Hashtbl.fold
+        (fun key line acc ->
+          if line.probe.Snapshot.expires <= now then (key, line) :: acc
+          else acc)
+        t.cache []
+    in
+    List.iter (fun (key, line) -> invalidate t key line) expired;
+    t.next_expiry <-
+      Hashtbl.fold
+        (fun _ line acc -> Float.min acc line.probe.Snapshot.expires)
+        t.cache infinity
+  end
+
+(* A switch is dirty when its port and liveness counter or its table's
+   generation moved. It is re-captured into the persistent snapshot; the
+   lines through it that a changed pattern matches at one of their hops
+   there are dropped, or every line through it when its ports, its
+   liveness or more than the ring changed, or its table was cleared. A
+   line with an empty path (its host link was down) passes no table. Time
+   alone dirties no switch: a line goes when the clock reaches its probe's
+   expiry. *)
 let refresh t =
   let now = Clock.now (Net.clock t.net) in
-  let dirty =
-    List.filter
-      (fun sid ->
-        let version_moved =
-          match Hashtbl.find_opt t.versions sid with
-          | Some v -> v <> Sw.version (Net.switch t.net sid)
-          | None -> true
-        in
-        version_moved
-        ||
-        match Hashtbl.find_opt t.horizons sid with
-        | Some h -> now >= h
-        | None -> true)
-      (Topology.switches (Net.topology t.net))
-  in
-  (* Even with nothing dirty the snapshot's clock must advance: no entry of
-     a clean switch crosses its deadline before the horizon, so moving
-     [frozen_at] to [now] changes no lookup there. *)
-  t.snap <- Snapshot.refresh t.snap t.net ~dirty;
-  if dirty <> [] then t.memo_check <- None;
-  List.iter
-    (fun sid ->
-      record t sid ~now;
-      t.recaptures <- t.recaptures + 1;
-      t.observer (Switch_recaptured sid);
-      let keys = Hashtbl.fold (fun k () acc -> k :: acc) (dependents t sid) [] in
-      List.iter
-        (fun key ->
-          drop_line t key (Hashtbl.find t.cache key);
-          t.invalidations <- t.invalidations + 1;
-          t.observer Trace_invalidated)
-        keys)
-    dirty
+  let dirty = List.filter_map (change t) (Topology.switches (Net.topology t.net)) in
+  (* Even with nothing dirty the snapshot's clock must advance: the lines a
+     timeout between the two instants could alter are dropped below. *)
+  t.snap <- Snapshot.refresh t.snap t.net ~dirty:(List.map fst dirty);
+  if dirty <> [] then begin
+    t.memo_check <- None;
+    let changed = Hashtbl.create 4 in
+    List.iter
+      (fun (sid, patterns) ->
+        t.recaptures <- t.recaptures + 1;
+        t.observer (Switch_recaptured sid);
+        match patterns with
+        | None -> invalidate_under t sid (fun _ -> true)
+        | Some patterns -> Hashtbl.replace changed sid patterns)
+      dirty;
+    Hashtbl.iter
+      (fun sid _ ->
+        invalidate_under t sid (fun line -> hop_matched changed line.probe))
+      changed
+  end;
+  drop_expired t ~now
 
 let snapshot t = t.snap
 
@@ -245,6 +322,7 @@ let store_line t key probe deps =
   in
   let line = { probe; deps; words; tick = 0 } in
   touch_line t line;
+  t.next_expiry <- Float.min t.next_expiry probe.Snapshot.expires;
   Hashtbl.replace t.cache key line;
   Hashtbl.remove t.pending key;
   List.iter (fun sid -> Hashtbl.replace (dependents t sid) key ()) deps;
@@ -277,8 +355,11 @@ let probes_all_pairs invs =
     invs
 
 (* The steady-state fast path: when refresh re-captured nothing, every
-   switch is bit-identical to the previous check, so the previous violation
-   list — not just the traces behind it — is still the answer. A clean
+   switch holds the rules and ports of the previous check, and below the
+   earliest expiry among the probes that check read every lookup they made
+   still answers the same; so the previous violation list — not just the
+   traces behind it — is still the answer. The memo keeps that expiry
+   itself: a line the budget evicts takes its own with it. A clean
    back-to-back check is then one version scan over the switches. Several
    invariants request the same pair, so live checks also wrap the
    persistent cache in a per-call memo: each pair is looked up once per
@@ -287,10 +368,10 @@ let check ?invariants t =
   refresh t;
   let invs = Option.value ~default:Checker.default invariants in
   match t.memo_check with
-  | Some (invs', result) when invs' = invs ->
+  | Some m when m.invs = invs && Clock.now (Net.clock t.net) < m.expires ->
       t.memoized <- t.memoized + 1;
       t.observer Check_memoized;
-      result
+      m.result
   | _ ->
       let memo = Hashtbl.create 64 in
       let trace src dst =
@@ -303,26 +384,13 @@ let check ?invariants t =
       in
       let result = Checker.check_with ~invariants:invs ~trace t.snap in
       if probes_all_pairs invs then t.cold <- false;
-      t.memo_check <- Some (invs, result);
+      let expires =
+        Hashtbl.fold
+          (fun _ (probe : Snapshot.probe) acc -> Float.min acc probe.expires)
+          memo infinity
+      in
+      t.memo_check <- Some { invs; result; expires };
       result
-
-(* A flow-mod on switch [sid] can change the lookup of header [pkt]
-   arriving on [in_port] there only if its pattern matches that header:
-   adds and modifies write rules with that pattern, and deletes remove
-   only rules it subsumes, so a rule set that differs from the old one
-   only in rules not matching [pkt] answers the lookup the same way. A
-   trace none of whose hops such a mod matches is therefore identical
-   under the overlay, and so are its violations. *)
-let hop_matched mods_at probe =
-  List.exists
-    (fun (sid, in_port, pkt) ->
-      match Hashtbl.find_opt mods_at sid with
-      | None -> false
-      | Some fms ->
-          List.exists
-            (fun (fm : Message.flow_mod) -> Ofp_match.matches fm.pattern ~in_port pkt)
-            fms)
-    probe.Snapshot.path
 
 (* Only the affected pairs — those whose trace on the snapshot has a hop
    some mod matches — can differ between the snapshot and the overlay;
@@ -338,9 +406,9 @@ let check_flow_mods ?invariants t mods =
   let invs = Option.value ~default:Checker.default invariants in
   let mods_at = Hashtbl.create 4 in
   List.iter
-    (fun (sid, fm) ->
+    (fun (sid, (fm : Message.flow_mod)) ->
       let prev = Option.value ~default:[] (Hashtbl.find_opt mods_at sid) in
-      Hashtbl.replace mods_at sid (fm :: prev))
+      Hashtbl.replace mods_at sid (fm.pattern :: prev))
     mods;
   let modified = List.sort_uniq Int.compare (List.map fst mods) in
   (* pair -> its probe on the snapshot if affected, None if not *)

@@ -6,13 +6,21 @@
     persistent snapshot and a trace cache between checks and re-does only
     the work invalidated since the last call:
 
-    - each switch carries a monotonic {!Netsim.Sw.version}; the engine
-      re-captures (and re-shares everything else of) a switch only when its
-      version moved or a flow-entry timeout may have fired;
+    - each switch carries a port and liveness counter
+      ({!Netsim.Sw.t}[.cfg_gen]) and its table a generation
+      ({!Netsim.Flow_table.generation}); the engine re-captures (and
+      re-shares everything else of) a switch only when one of them moved;
     - each resident trace line is indexed under the switches it visited
-      and its source host's attachment switch; re-capturing a switch drops
-      every line indexed under it at once, and the dropped pairs become
-      pending until they are traced again.
+      and its source host's attachment switch. Re-capturing a switch whose
+      rules alone changed drops only the lines a changed pattern
+      ({!Netsim.Flow_table.changed_since}) matches at one of their hops
+      there; a port or liveness change, a clear, or more changes than the
+      table's ring holds drops every line indexed under it. Dropped pairs
+      become pending until they are traced again;
+    - each line expires with its probe ({!Snapshot.probe}[.expires]): time
+      moves no version, so the clock reaching a line's expiry drops it,
+      and the whole-check memo carries the earliest expiry among the
+      probes it read.
 
     Results are exactly those of the full {!Checker.check} on a fresh
     snapshot — the equivalence is exercised property-style in the test
@@ -28,8 +36,8 @@ type event =
   | Trace_hit  (** A resident trace line was used. *)
   | Trace_miss  (** A pair was traced, on the snapshot or an overlay. *)
   | Trace_invalidated
-      (** A resident line was dropped because a switch it depends on was
-          re-captured. *)
+      (** A resident line was dropped: a change on a switch it depends on
+          could alter it, or the clock reached its expiry. *)
   | Switch_recaptured of Types.switch_id
       (** A switch's state was re-frozen into the persistent snapshot. *)
   | Check_memoized
@@ -43,7 +51,7 @@ type event =
 type stats = {
   hits : int;
   misses : int;
-  invalidations : int;  (** Lines dropped by a re-capture. *)
+  invalidations : int;  (** Lines dropped by a change or an expiry. *)
   recaptures : int;
   memoized_checks : int;
   evictions : int;  (** Lines dropped by the byte budget (LRU order). *)
@@ -66,7 +74,8 @@ val check : ?invariants:Checker.invariant list -> t -> Checker.violation list
 (** Equal to [Checker.check ~invariants (Snapshot.of_net net)] at the
     network's current instant, reusing every resident line and tracing
     the rest. When no switch was re-captured since the previous call with
-    the same invariants, the previous result is returned whole. *)
+    the same invariants, and the clock is below the earliest expiry of
+    the probes that call read, the previous result is returned whole. *)
 
 val check_flow_mods :
   ?invariants:Checker.invariant list ->
@@ -84,8 +93,11 @@ val check_flow_mods :
     differential cancels. The screen:
 
     - refreshes: re-captures each dirty switch, which takes its flow
-      table's current version in O(1) and walks its rules once, without
-      allocating per rule, for the next expiry horizon;
+      table's current version in O(1) and walks no rule; drops the lines
+      a change could alter, at O(hops × changed patterns) for each line
+      through a switch whose rules alone changed; and, once the clock
+      reaches the earliest expiry among the resident lines, drops the
+      expired ones in one pass over the cache;
     - traces the pending pairs on the snapshot (on the first screen, when
       the invariants probe every host pair, every pair never traced);
     - tests the resident lines indexed under a modified switch, O(hops ×

@@ -54,7 +54,8 @@ let of_net net =
 
 (* Re-capture only the dirty switches, O(ports) each; every other
    per-switch state is shared structurally with the previous snapshot. The
-   incremental engine decides dirtiness from {!Netsim.Sw.version}. *)
+   incremental engine decides dirtiness from each switch's [cfg_gen] and
+   table generation. *)
 let refresh t net ~dirty =
   let switches =
     List.fold_left
@@ -91,6 +92,7 @@ type probe = {
   blackholed_at : Types.switch_id list;
   looped : bool;
   path : (Types.switch_id * Types.port_no * Packet.t) list;
+  expires : float;
 }
 
 let resolve s ~in_port (pkt, out) =
@@ -106,6 +108,7 @@ let trace t h pkt =
   let blackholed = ref [] in
   let looped = ref false in
   let path = ref [] in
+  let expires = ref infinity in
   let seen = Hashtbl.create 32 in
   let rec visit sid in_port pkt hops =
     let key = (sid, in_port, pkt) in
@@ -120,6 +123,7 @@ let trace t h pkt =
           with
           | None -> punted := sid :: !punted
           | Some entry ->
+              expires := Float.min !expires (Netsim.Flow_entry.deadline entry);
               let staged = Action.apply_staged entry.actions pkt in
               let copies = List.concat_map (resolve s ~in_port) staged in
               if copies = [] && Action.is_drop entry.actions then ()
@@ -149,4 +153,5 @@ let trace t h pkt =
     blackholed_at = List.sort_uniq compare !blackholed;
     looped = !looped;
     path = List.rev !path;
+    expires = !expires;
   }

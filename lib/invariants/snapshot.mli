@@ -23,8 +23,8 @@ val refresh : t -> Netsim.Net.t -> dirty:Types.switch_id list -> t
 (** A new snapshot at the network's current clock that re-captures only the
     [dirty] switches, in O(ports) each; every other switch's state is
     shared structurally with [t]. The caller (the incremental engine) is
-    responsible for naming every switch whose {!Netsim.Sw.version} moved
-    since [t] was taken. *)
+    responsible for naming every switch whose port and liveness counter
+    ([cfg_gen]) or table generation moved since [t] was taken. *)
 
 val topology : t -> Netsim.Topology.t
 
@@ -53,6 +53,12 @@ type probe = {
           rewrite). The switch's lookup for exactly that header and port
           decides the hop, which is what lets the incremental engine tell
           whether a flow-mod can change the trace. *)
+  expires : float;
+      (** The earliest {!Netsim.Flow_entry.deadline} among the entries the
+          hops matched ([infinity] if none). Until then the same rules
+          trace the packet the same way: each entry a hop found stays
+          live, and no entry that was dead comes back. Traffic only moves
+          a deadline later, so this is at worst early. *)
 }
 
 val trace : t -> Netsim.Topology.host -> Packet.t -> probe

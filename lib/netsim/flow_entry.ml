@@ -68,6 +68,18 @@ let live e ~now =
     ((e.hard_timeout > 0 && now -. e.installed_at >= float e.hard_timeout)
     || (e.idle_timeout > 0 && now -. e.last_used >= float e.idle_timeout))
 
+(* [since +. float timeout] rounds to within a float of the first instant
+   [live]'s subtraction fails, on either side of it; the float below the
+   earlier sum is never after the earlier of those instants. *)
+let deadline e =
+  let at since timeout =
+    if timeout <= 0 then infinity else since +. float timeout
+  in
+  let hard = at e.installed_at e.hard_timeout
+  and idle = at e.last_used e.idle_timeout in
+  let sum = if hard <= idle then hard else idle in
+  if sum = infinity then sum else Float.pred sum
+
 let duration e ~now = int_of_float (now -. e.installed_at)
 
 let to_flow_stat ~now e : Message.flow_stat =

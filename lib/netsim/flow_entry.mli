@@ -46,6 +46,13 @@ val live : t -> now:float -> bool
 (** [expiry_reason e ~now = None] without a polymorphic compare: the
     per-rule test of every lookup. *)
 
+val deadline : t -> float
+(** The instant the entry times out, at the earlier of its idle and hard
+    timeouts ([infinity] with both disabled), rounded down: [now <
+    deadline e] implies [live e ~now], and the entry times out within two
+    floats of it. Traffic ({!account}) can only move it later, and an
+    entry that is not live never becomes live again. *)
+
 val duration : t -> now:float -> int
 (** Whole seconds since installation. *)
 

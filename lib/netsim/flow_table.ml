@@ -247,13 +247,6 @@ module Version = struct
     in
     over Ofp_match.any (-1) v.prios
 
-  let iter_slots f v =
-    List.iter
-      (fun p ->
-        Imap.iter (fun _ chain -> List.iter f chain) p.exact;
-        List.iter f p.wild)
-      v.prios
-
   (* Expiry is rare against the per-tick scan, so the scan only reads:
      the version is rebuilt only when some entry has timed out. *)
   let expire v ~now =
@@ -275,31 +268,6 @@ module Version = struct
           (fun e -> (e, Option.get (Flow_entry.expiry_reason e ~now)))
           expired )
 
-  type horizon = { mutable at : float }
-
-  (* An entry's deadline is the earlier of its idle and hard expiries.
-     [last_used] only moves forward, so a horizon read before more traffic
-     is at worst early. Entries already past their deadline are left out:
-     they cannot revive, and would pin the horizon in the past. The
-     accumulator is a one-field float record, which OCaml stores unboxed,
-     so the walk allocates nothing per entry. *)
-  let next_expiry v ~now =
-    let h = { at = infinity } in
-    iter_slots
-      (fun { entry = e; _ } ->
-        let idle =
-          if e.idle_timeout > 0 then e.last_used +. float e.idle_timeout
-          else infinity
-        in
-        let hard =
-          if e.hard_timeout > 0 then e.installed_at +. float e.hard_timeout
-          else infinity
-        in
-        let d = if idle <= hard then idle else hard in
-        if d > now && d < h.at then h.at <- d)
-      v;
-    h.at
-
   let fold_wild f v acc =
     List.fold_left
       (fun acc p -> List.fold_left (fun acc s -> f s.entry acc) acc p.wild)
@@ -320,50 +288,88 @@ module Version = struct
         |> Option.map (fun s -> s.entry)
 end
 
-type t = { mutable current : Version.t; mutable gen : int }
+(* What each of the last [ring_size] changes could alter a lookup for:
+   slot [g mod ring_size] holds the patterns of the change that made
+   generation [g], or [None] for a clear. A table gets its ring on the
+   first {!changed_since}, so one nobody reads (a shadow table) keeps none.
+   A stored pattern is interned: an add's is its entry's own. On the
+   end-to-end benchmark's workloads a switch changes at most 31 times
+   between two captures (faults-k4's start-up installs; on microflow-k4,
+   1 to 3), so 32 slots never lap there. *)
+let ring_size = 32
 
-let create () = { current = Version.empty; gen = 0 }
+type t = {
+  mutable current : Version.t;
+  mutable gen : int;
+  mutable changes : Ofp_match.t list option array;  (* [||]: no ring yet *)
+}
+
+let create () = { current = Version.empty; gen = 0; changes = [||] }
 let current t = t.current
 let size t = Version.size t.current
 let generation t = t.gen
 
-(* Every change to the rule set goes through here: the version swaps and
-   the generation bumps. *)
-let swap t v =
+(* Every change to the rule set goes through here: the version swaps, the
+   generation bumps and the ring, if there is one, records what the change
+   could alter. *)
+let swap t v change =
   t.current <- v;
-  t.gen <- t.gen + 1
+  t.gen <- t.gen + 1;
+  if Array.length t.changes > 0 then
+    t.changes.(t.gen mod ring_size) <-
+      Option.map (List.map Ofp_match.intern) change
+
+(* Slots the ring has not written since it was made hold [None], so a walk
+   back past its making gives up as it does past a clear. *)
+let changed_since t ~gen =
+  let rec collect g acc =
+    if g = gen then Some acc
+    else
+      match t.changes.(g mod ring_size) with
+      | None -> None
+      | Some patterns -> collect (g - 1) (List.rev_append patterns acc)
+  in
+  if Array.length t.changes = 0 then begin
+    t.changes <- Array.make ring_size None;
+    None
+  end
+  else if gen < 0 || gen > t.gen || t.gen - gen > ring_size then None
+  else collect t.gen []
 
 let entries t = Version.entries t.current
 
-let clear t = swap t Version.empty
-let add t entry = swap t (Version.add t.current entry)
+let clear t = swap t Version.empty None
+let add t (entry : Flow_entry.t) =
+  swap t (Version.add t.current entry) (Some [ entry.pattern ])
 
 let modify t ~strict pattern ~priority actions =
   let v = Version.modify t.current ~strict pattern ~priority actions in
   let hit = v != t.current in
-  if hit then swap t v;
+  if hit then swap t v (Some [ pattern ]);
   hit
 
 let delete t ~strict ?out_port pattern ~priority =
   let v, removed =
     Version.delete t.current ~strict ?out_port pattern ~priority
   in
-  if removed <> [] then swap t v;
+  if removed <> [] then swap t v (Some [ pattern ]);
   removed
 
 let touched t ~strict ?out_port pattern ~priority =
   snd (Version.delete t.current ~strict ?out_port pattern ~priority)
 
-let apply t ~now fm =
+let apply t ~now (fm : Message.flow_mod) =
   let v, removed = Version.apply t.current ~now fm in
-  if v != t.current then swap t v;
+  if v != t.current then swap t v (Some [ fm.pattern ]);
   removed
 
 let lookup t ~now ~in_port pkt = Version.lookup t.current ~now ~in_port pkt
 
+(* An expire alters no lookup: an entry it removes was already dead, so it
+   answered no lookup at this instant or later. *)
 let expire t ~now =
   let v, expired = Version.expire t.current ~now in
-  if expired <> [] then swap t v;
+  if expired <> [] then swap t v (Some []);
   expired
 
 let find_exact t pattern ~priority =

@@ -19,15 +19,23 @@
       wildcarded pattern;
     - non-strict modify or delete: O(n) to find what it touches when its
       pattern has a wildcard, O(p log n) when it has none;
-    - expire and {!Version.next_expiry}: O(n), allocating nothing per
-      entry when nothing has expired;
+    - expire: O(n), allocating nothing per entry when nothing has
+      expired;
+    - {!changed_since}: O(changes since the generation asked about);
     - {!entries}: O(n log n).
 
     Entry records are shared between versions, not copied: the counters
     and idle-time refreshes of live traffic ({!Flow_entry.account}) are
     visible in every version holding the entry. A modify replaces the
     entries it touches with new records, so older versions keep the old
-    actions. *)
+    actions.
+
+    Once asked ({!changed_since}), the handle also records what each of
+    its last 32 changes could alter: the invariant engine re-captures a
+    switch and drops only the cached traces such a pattern matches.
+    Nothing walks a table for its next expiry ahead of time; a trace
+    takes its expiry from the entries it matched
+    ({!Flow_entry.deadline}). *)
 
 open Openflow
 
@@ -72,13 +80,6 @@ module Version : sig
   (** Highest-priority entry live at [now] that matches the packet; among
       equal priorities the first installed. Counters are NOT touched. *)
 
-  val next_expiry : t -> now:float -> float
-  (** The earliest deadline after [now] at which an entry could time out
-      ([infinity] if none): an entry's deadline is the earlier of its idle
-      and hard expiries, and entries already past theirs are skipped. Later
-      traffic can only push an idle deadline back, so the answer is at
-      worst early. *)
-
   val fold_wild : (Flow_entry.t -> 'a -> 'a) -> t -> 'a -> 'a
   (** Fold over the entries whose pattern has a wildcarded field, in
       {!entries} order. Every other entry matches one exact header. *)
@@ -100,6 +101,22 @@ val generation : t -> int
     that is whenever the rule set changes (add/modify/delete/clear/expire).
     Snapshot and invariant-cache layers compare generations to detect
     change without diffing rules. *)
+
+val changed_since : t -> gen:int -> Ofp_match.t list option
+(** The patterns of every change since generation [gen]: a lookup whose
+    header no returned pattern matches answers as it did at [gen], or
+    found an entry that has timed out since. The table keeps, in a ring,
+    one record for each of its last 32 changes: an add, modify or delete
+    records its pattern (interned), which subsumes every entry it
+    touches; an expire records nothing, as what it removes was already
+    dead and answered no lookup. [None] when a clear happened since
+    [gen], or when the ring no longer reaches back to it; [Some []] when
+    [gen] is the current generation.
+
+    The ring is made by the first call on a table, which answers [None]:
+    a table nobody asks about keeps no ring. Its size covers every
+    re-capture measured on the end-to-end benchmark's workloads (at most
+    31 changes between two captures of a switch, on faults-k4). *)
 
 val entries : t -> Flow_entry.t list
 (** [Version.entries (current t)]: built on each call. *)

@@ -72,12 +72,6 @@ let create ~id ~port_nos =
     slave_rejected = 0;
   }
 
-(* Forwarding-relevant configuration version: bumps on any port or liveness
-   change, and folds in the flow table's own mutation counter. Both terms
-   only grow, so equality of [version] across two instants means nothing
-   that affects forwarding behaviour changed in between. *)
-let version t = t.cfg_gen + Flow_table.generation t.table
-
 let set_up t ~up =
   if t.up <> up then begin
     t.up <- up;

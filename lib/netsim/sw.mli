@@ -33,7 +33,12 @@ type t = {
       (** Retransmitted state-altering messages whose effects were
           suppressed by the dedup window. *)
   mutable cfg_gen : int;
-      (** Port/liveness change counter; see {!version}. *)
+      (** Port/liveness change counter: bumps whenever a port's up/down
+          state or NO_FLOOD flag, or the switch's liveness, changes. It
+          only grows, so with the table's {!Flow_table.generation} equal
+          at two instants the switch forwards the same way at both: the
+          incremental invariant checker keys its re-captures on the
+          pair. *)
   mutable master : int option;
       (** Designated master controller id, if the cluster set one. *)
   mutable slave_rejected : int;
@@ -44,15 +49,8 @@ type t = {
 val create : id:Types.switch_id -> port_nos:Types.port_no list -> t
 (** A switch with the given wired ports, all initially up. *)
 
-val version : t -> int
-(** Monotonic forwarding-state version: changes whenever the flow table,
-    a port's up/down state or NO_FLOOD flag, or the switch's liveness
-    changes. Equal versions at two instants guarantee identical forwarding
-    behaviour, which is what the incremental invariant checker keys its
-    caches on. *)
-
 val set_up : t -> up:bool -> unit
-(** Change switch liveness, bumping {!version} on a real transition. The
+(** Change switch liveness, bumping [cfg_gen] on a real transition. The
     network layer uses this instead of writing the [up] field directly. *)
 
 val reset_dedup : t -> unit

@@ -131,6 +131,46 @@ let test_expired_entries_do_not_match () =
   T_util.checkb "dead entry ignored by lookup" true
     (Flow_table.lookup t ~now:10. ~in_port:1 pkt = None)
 
+(* The first ask makes the ring and answers None. From then on each
+   change records its pattern and an expiry records none; a clear, or more
+   changes than the ring holds, answers None. *)
+let test_changed_since () =
+  let t = Flow_table.create () in
+  let web = Ofp_match.make ~tp_dst:80 () and ssh = Ofp_match.make ~tp_dst:22 () in
+  T_util.checkb "the first ask answers None" true
+    (Flow_table.changed_since t ~gen:0 = None);
+  let g0 = Flow_table.generation t in
+  ignore
+    (Flow_table.apply t ~now:0.
+       (Message.flow_add ~hard_timeout:5 web [ Action.Output 1 ]));
+  Flow_table.add t (entry ssh [ Action.Output 2 ]);
+  T_util.checki "the timeout removes one" 1
+    (List.length (Flow_table.expire t ~now:10.));
+  T_util.checki "three changes" (g0 + 3) (Flow_table.generation t);
+  (match Flow_table.changed_since t ~gen:g0 with
+  | Some [ a; b ] ->
+      T_util.checkb "the add's pattern, then the other's" true
+        (Ofp_match.equal a web && Ofp_match.equal b ssh)
+  | _ -> Alcotest.fail "expected the two adds' patterns");
+  let g1 = Flow_table.generation t in
+  T_util.checkb "nothing since now" true
+    (Flow_table.changed_since t ~gen:g1 = Some []);
+  Flow_table.clear t;
+  T_util.checkb "past a clear: None" true
+    (Flow_table.changed_since t ~gen:g1 = None);
+  let g2 = Flow_table.generation t in
+  for port = 1 to 40 do
+    Flow_table.add t (entry (Ofp_match.make ~in_port:port ()) [ Action.Output 1 ])
+  done;
+  T_util.checkb "past the ring: None" true
+    (Flow_table.changed_since t ~gen:g2 = None);
+  match Flow_table.changed_since t ~gen:(Flow_table.generation t - 20) with
+  | Some recent ->
+      T_util.checkb "the last twenty adds" true
+        (List.equal Ofp_match.equal recent
+           (List.init 20 (fun i -> Ofp_match.make ~in_port:(21 + i) ())))
+  | None -> Alcotest.fail "the ring reaches twenty changes back"
+
 let prop_lookup_respects_priority =
   QCheck2.Test.make ~name:"lookup returns a maximal-priority match" ~count:200
     QCheck2.Gen.(
@@ -182,6 +222,7 @@ let suite =
     Alcotest.test_case "hard timeout" `Quick test_hard_timeout_expiry;
     Alcotest.test_case "idle timeout refresh" `Quick test_idle_timeout_refreshes;
     Alcotest.test_case "expired entries don't match" `Quick test_expired_entries_do_not_match;
+    Alcotest.test_case "changed_since reads the change ring" `Quick test_changed_since;
     QCheck_alcotest.to_alcotest prop_lookup_respects_priority;
     QCheck_alcotest.to_alcotest prop_delete_then_absent;
   ]

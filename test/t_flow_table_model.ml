@@ -335,6 +335,30 @@ let prop_interning_differential =
           (Flow_table.delete fresh ~strict:del_strict del_pattern
              ~priority:20))
 
+(* Entries installed at clock-like instants (sums of a tick), then used
+   once: before its deadline an entry is live, and within two floats
+   after it, it is not. *)
+let prop_deadline_bounds_liveness =
+  QCheck2.Test.make ~name:"an entry is live before its deadline and not soon after"
+    ~count:500
+    QCheck2.Gen.(
+      quad (int_range 0 400) (oneofl [ 0.1; 0.05; 0.0137; 1. /. 3. ])
+        (pair (oneofl [ 0; 1; 3; 30 ]) (oneofl [ 0; 1; 5; 60 ]))
+        (int_range 0 400))
+    (fun (ticks, step, (idle_timeout, hard_timeout), used) ->
+      let at n = List.fold_left ( +. ) 0. (List.init n (fun _ -> step)) in
+      let installed = at ticks in
+      let e =
+        Flow_entry.make ~idle_timeout ~hard_timeout ~now:installed
+          Ofp_match.any [ Action.Output 1 ]
+      in
+      Flow_entry.account e ~now:(installed +. at used)
+        (Packet.tcp ~src_host:1 ~dst_host:2 ());
+      let d = Flow_entry.deadline e in
+      d = infinity
+      || Flow_entry.live e ~now:(Float.pred d)
+         && not (Flow_entry.live e ~now:(Float.succ (Float.succ d))))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_model_agreement;
@@ -342,4 +366,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_snapshot_overlay_agreement;
     QCheck_alcotest.to_alcotest prop_captured_version_frozen;
     QCheck_alcotest.to_alcotest prop_interning_differential;
+    QCheck_alcotest.to_alcotest prop_deadline_bounds_liveness;
   ]

@@ -68,6 +68,7 @@ type op =
   | Port_mod of int * Message.port_mod
   | Fault of Net.fault
   | Advance of float
+  | Inject of Topology.host * Topology.host
 
 let gen_install_of actions =
   QCheck2.Gen.(
@@ -113,6 +114,7 @@ let gen_op =
             (fun (s, p) -> Fault (Net.Port_up (s, p)))
             (pair (int_range 1 3) (oneofl [ 1; 2; 100 ])) );
         (2, map (fun d -> Advance (float_of_int d *. 0.7)) (int_range 0 5));
+        (2, map (fun (s, d) -> Inject (s, d)) (pair (int_range 1 3) (int_range 1 3)));
       ])
 
 let apply_op net clock = function
@@ -122,6 +124,7 @@ let apply_op net clock = function
       ignore (Net.send net sid (Message.message (Message.Port_mod pm)))
   | Fault f -> Net.apply_fault net f
   | Advance d -> Clock.advance_by clock d
+  | Inject (src, dst) -> Net.inject net src (Checker.canonical_packet src dst)
 
 (* Invariants chosen to exercise every probe consumer: pair traces (loops,
    black holes, reachability, isolation) and rule scans (drop-all). The
@@ -314,6 +317,27 @@ let check_agrees msg eng net =
     (Incremental.check ~invariants:invs eng
     = Checker.check ~invariants:invs (Snapshot.of_net net))
 
+let to_h3 = Ofp_match.make ~dl_dst:(mac 3) ()
+
+(* The linear fabric with one rule per switch for the probes towards h3. *)
+let path_to_h3 () =
+  let _, net = make_net false in
+  install net 1 to_h3 [ Action.Output 1 ];
+  install net 2 to_h3 [ Action.Output 2 ];
+  install net 3 to_h3 [ Action.Output 100 ];
+  net
+
+(* The host pairs whose trace on the engine's snapshot visits [sid]. *)
+let pairs_through eng net sid =
+  List.filter
+    (fun (src, dst) ->
+      List.exists
+        (fun (s, _, _) -> s = sid)
+        (Snapshot.trace (Incremental.snapshot eng) src
+           (Checker.canonical_packet src dst))
+          .Snapshot.path)
+    (Checker.host_pairs (Net.topology net))
+
 let test_warm_cache_hits () =
   let _, net = make_net false in
   install net 1 (Ofp_match.make ~dl_dst:(mac 2) ()) [ Action.Output 1 ];
@@ -341,10 +365,7 @@ let test_warm_cache_hits () =
     (dirty.Incremental.invalidations > warm.Incremental.invalidations)
 
 let test_switch_reboot_invalidates () =
-  let _, net = make_net false in
-  install net 1 (Ofp_match.make ~dl_dst:(mac 3) ()) [ Action.Output 1 ];
-  install net 2 (Ofp_match.make ~dl_dst:(mac 3) ()) [ Action.Output 2 ];
-  install net 3 (Ofp_match.make ~dl_dst:(mac 3) ()) [ Action.Output 100 ];
+  let net = path_to_h3 () in
   let eng = Incremental.create net in
   check_agrees "warmed" eng net;
   Net.apply_fault net (Net.Switch_down 2);
@@ -366,7 +387,7 @@ let test_flow_timeout_invalidates () =
   let eng = Incremental.create net in
   check_agrees "path up while rules live" eng net;
   (* No flow-mod, no fault: only the clock moves. The engine must notice
-     the idle expiry on its own (the horizon mechanism) — a version-only
+     the idle expiry on its own (each line's expiry) — a version-only
      scheme would serve the stale reachable trace here. *)
   Clock.advance_by clock 5.0;
   check_agrees "agrees after idle expiry" eng net;
@@ -376,15 +397,10 @@ let test_flow_timeout_invalidates () =
        (Incremental.check ~invariants:invs eng))
 
 let test_hypothetical_mods_do_not_pollute () =
-  let _, net = make_net false in
-  install net 1 (Ofp_match.make ~dl_dst:(mac 3) ()) [ Action.Output 1 ];
-  install net 2 (Ofp_match.make ~dl_dst:(mac 3) ()) [ Action.Output 2 ];
-  install net 3 (Ofp_match.make ~dl_dst:(mac 3) ()) [ Action.Output 100 ];
+  let net = path_to_h3 () in
   let eng = Incremental.create net in
   check_agrees "warmed" eng net;
-  let harmful =
-    [ (2, Message.flow_delete (Ofp_match.make ~dl_dst:(mac 3) ())) ]
-  in
+  let harmful = [ (2, Message.flow_delete to_h3) ] in
   T_util.checkb "hypothetical delete flagged" true
     (Incremental.check_flow_mods ~invariants:invs eng harmful <> []);
   (* The overlay trace (unreachable) must not have replaced the persistent
@@ -404,11 +420,7 @@ let test_hypothetical_mods_do_not_pollute () =
    switch that matches the probes towards h3 re-traces exactly the pairs
    whose trace reaches that switch towards h3. *)
 let test_screen_retraces_matched_pairs () =
-  let _, net = make_net false in
-  let to_h3 = Ofp_match.make ~dl_dst:(mac 3) () in
-  install net 1 to_h3 [ Action.Output 1 ];
-  install net 2 to_h3 [ Action.Output 2 ];
-  install net 3 to_h3 [ Action.Output 100 ];
+  let net = path_to_h3 () in
   let eng = Incremental.create net in
   check_agrees "warmed" eng net;
   let screen mods =
@@ -426,21 +438,66 @@ let test_screen_retraces_matched_pairs () =
   T_util.checki "exact install re-traces nothing" 0
     (screen [ (2, Message.flow_add ~priority:100 microflow [ Action.Output 2 ]) ]);
   let through_s2_to_h3 =
-    List.filter
-      (fun (src, dst) ->
-        dst = 3
-        && List.exists
-             (fun (sid, _, _) -> sid = 2)
-             (Snapshot.trace (Incremental.snapshot eng) src
-                (Checker.canonical_packet src dst))
-               .Snapshot.path)
-      (Checker.host_pairs (Net.topology net))
+    List.filter (fun (_, dst) -> dst = 3) (pairs_through eng net 2)
   in
   T_util.checki "two pairs reach s2 towards h3" 2 (List.length through_s2_to_h3);
   T_util.checki "overlapping install re-traces exactly those pairs"
     (List.length through_s2_to_h3)
     (screen
        [ (2, Message.flow_add ~priority:100 to_h3 [ Action.Output 77 ]) ])
+
+(* Committing a rule re-captures its switch, but drops only the lines the
+   rule's pattern matches at a hop there. After a committed microflow rule
+   the next screen traces nothing and every line through s2 is still
+   resident; after a committed rule matching the probes towards h3,
+   exactly the lines that reach s2 towards h3 are gone. *)
+let test_recapture_keeps_unmatched_lines () =
+  let net = path_to_h3 () in
+  let eng = Incremental.create net in
+  check_agrees "warmed" eng net;
+  let resident = Incremental.cache_lines eng in
+  let through_s2 = pairs_through eng net 2 in
+  let screen_and_commit fm =
+    T_util.checkb "screen = full differential" true
+      (Incremental.check_flow_mods ~invariants:invs eng [ (2, fm) ]
+      = Checker.check_flow_mods ~invariants:invs (Snapshot.of_net net)
+          [ (2, fm) ]);
+    ignore (Net.send net 2 (Message.message (Message.Flow_mod fm)))
+  in
+  let microflow =
+    Message.flow_add ~priority:100
+      (Ofp_match.exact ~in_port:1
+         (Packet.tcp ~src_host:1 ~dst_host:3 ~sport:40000 ()))
+      [ Action.Output 2 ]
+  in
+  screen_and_commit microflow;
+  let before = Incremental.stats eng in
+  screen_and_commit microflow;
+  let after = Incremental.stats eng in
+  T_util.checki "the re-capture of s2 re-traced nothing"
+    before.Incremental.misses after.Incremental.misses;
+  T_util.checki "the re-capture of s2 dropped nothing"
+    before.Incremental.invalidations after.Incremental.invalidations;
+  T_util.checkb "s2 was re-captured" true
+    (after.Incremental.recaptures > before.Incremental.recaptures);
+  T_util.checkb "lines reach s2" true (through_s2 <> []);
+  T_util.checki "every line still resident" resident
+    (Incremental.cache_lines eng);
+  let towards_h3 = List.filter (fun (_, dst) -> dst = 3) through_s2 in
+  T_util.checki "two lines reach s2 towards h3" 2 (List.length towards_h3);
+  ignore
+    (Net.send net 2
+       (Message.message
+          (Message.Flow_mod (Message.flow_add ~priority:100 to_h3 [ Action.Output 2 ]))));
+  Incremental.refresh eng;
+  let dropped = Incremental.stats eng in
+  T_util.checki "exactly the lines towards h3 through s2 dropped"
+    (List.length towards_h3)
+    (dropped.Incremental.invalidations - after.Incremental.invalidations);
+  T_util.checki "the rest stay resident"
+    (resident - List.length towards_h3)
+    (Incremental.cache_lines eng);
+  check_agrees "agrees after the re-capture" eng net
 
 (* Partition, degrade, heal: the reliable layer replays shadow intent into
    the rebooted switch (PR "Reliable resync"); the runtime's engine must
@@ -483,6 +540,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flow_mods_equiv_under_budget;
     Alcotest.test_case "screen re-traces only matched pairs" `Quick
       test_screen_retraces_matched_pairs;
+    Alcotest.test_case "a re-capture keeps lines no change matches" `Quick
+      test_recapture_keeps_unmatched_lines;
     Alcotest.test_case "warm cache reuses traces" `Quick test_warm_cache_hits;
     Alcotest.test_case "switch reboot invalidates" `Quick
       test_switch_reboot_invalidates;
