@@ -15,15 +15,6 @@ module Runtime = Legosdn.Runtime
 module Recovery_policy = Legosdn.Recovery_policy
 module Crashpad = Legosdn.Crashpad
 
-let null_context : App_sig.context =
-  {
-    now = (fun () -> 0.);
-    switches = (fun () -> []);
-    switch_ports = (fun _ -> []);
-    links = (fun () -> []);
-    host_location = (fun _ -> None);
-  }
-
 let packet_in_event ?(sid = 1) ?(in_port = 100) src dst =
   Event.Packet_in
     ( sid,
@@ -92,7 +83,7 @@ let learning_switch_with_macs n =
     let ev =
       packet_in_event ~sid:1 ~in_port:(1 + (i mod 40)) i ((i mod 97) + 1)
     in
-    let inst', _ = App_sig.handle !inst null_context ev in
+    let inst', _ = App_sig.handle !inst App_sig.null_context ev in
     inst := inst'
   done;
   !inst
@@ -346,7 +337,7 @@ let steady_state_bytes make_ckpt =
   let feed src dst =
     if Checkpoint.due c then Checkpoint.take c !live;
     let ev = packet_in_event ~sid:1 ~in_port:src src dst in
-    let updated, _ = App_sig.handle !live null_context ev in
+    let updated, _ = App_sig.handle !live App_sig.null_context ev in
     live := updated;
     Checkpoint.record_applied c ev
   in
@@ -392,7 +383,9 @@ let bench_ckpt () =
                let restored = ref (App_sig.restore inst snap) in
                List.iter
                  (fun ev ->
-                   let updated, _ = App_sig.handle !restored null_context ev in
+                   let updated, _ =
+                     App_sig.handle !restored App_sig.null_context ev
+                   in
                    restored := updated)
                  journal))
   in

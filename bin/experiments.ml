@@ -498,17 +498,10 @@ let clone_exp () =
   let count_crashes (module A : App_sig.INTENT_APP) events =
     let crashes = ref 0 in
     let st = ref (A.init ()) in
-    let ctx : App_sig.context =
-      {
-        now = (fun () -> 0.);
-        switches = (fun () -> []);
-        switch_ports = (fun _ -> []);
-        links = (fun () -> []);
-        host_location = (fun _ -> None);
-      }
-    in
     for i = 1 to events do
-      match A.handle ctx !st (packet_in_event (1 + (i mod 3)) 2) with
+      match
+        A.handle App_sig.null_context !st (packet_in_event (1 + (i mod 3)) 2)
+      with
       | st', _ -> st := st'
       | exception _ -> incr crashes
     done;
@@ -533,15 +526,7 @@ let clone_exp () =
 
 let sts_exp () =
   section "E13" "STS-style minimal causal sequences (§5)";
-  let ctx : App_sig.context =
-    {
-      now = (fun () -> 0.);
-      switches = (fun () -> []);
-      switch_ports = (fun _ -> []);
-      links = (fun () -> []);
-      host_location = (fun _ -> None);
-    }
-  in
+  let ctx = App_sig.null_context in
   let module Cumulative = struct
     type state = { saw80 : bool; saw443 : bool }
 

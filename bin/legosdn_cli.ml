@@ -305,15 +305,7 @@ let minimize_trace trace_path app_name bug =
       let faulty = Apps.Faulty.wrap ~bug base in
       let trace = Workload.Trace_io.load trace_path in
       Printf.printf "loaded %d events from %s\n" (List.length trace) trace_path;
-      let ctx : App_sig.context =
-        {
-          now = (fun () -> 0.);
-          switches = (fun () -> []);
-          switch_ports = (fun _ -> []);
-          links = (fun () -> []);
-          host_location = (fun _ -> None);
-        }
-      in
+      let ctx = App_sig.null_context in
       if not (Legosdn.Sts.crashes_on (App_sig.to_legacy faulty) ctx trace) then begin
         Printf.printf "the trace does not crash %s with bug [%s]\n" app_name
           (Apps.Bug_model.describe bug);

@@ -7,55 +7,22 @@ open Controller
    the declared policy — per-switch shortest-path routes the runtime
    re-derives after every event it delivers (and Crash-Pad during
    recovery), and recompiles only when the routes or the switch set
-   changed. *)
+   changed. The app does no routing of its own: each route's port is the
+   context's [first_hop], which the controller computes once per source
+   switch and keeps until a switch or link changes, so a [policy] call
+   costs one lookup per (destination, switch). *)
 
 type state = Types.mac list  (* destinations seen, sorted *)
 
 let name = "policy_router"
 (* Packet-ins only: the routes themselves are derived from the *live*
-   topology (ctx links) at every reconcile, so the app has no need to
+   topology (ctx first_hop) at every reconcile, so the app has no need to
    watch link or switch events — a punted packet is precisely the signal
    that the compiled tables no longer cover the network. *)
 let subscriptions = [ Event.K_packet_in ]
 let init () = []
 
 let hosts_known st = List.length st
-
-(* Each switch's out-links over the live links, as (port, neighbour)
-   sorted ascending: the order a BFS tries them in. *)
-let adjacency links =
-  let adjacency = Hashtbl.create 16 in
-  List.iter
-    (fun (l : Event.link) ->
-      let existing =
-        Option.value (Hashtbl.find_opt adjacency l.Event.src_switch) ~default:[]
-      in
-      Hashtbl.replace adjacency l.Event.src_switch
-        ((l.Event.src_port, l.Event.dst_switch) :: existing))
-    links;
-  Hashtbl.filter_map_inplace
-    (fun _ ns -> Some (List.sort compare ns))
-    adjacency;
-  fun sid -> Option.value (Hashtbl.find_opt adjacency sid) ~default:[]
-
-(* One BFS from [src]: every switch it reaches, mapped to the port of [src]
-   through which that switch was first reached — its shortest-path first
-   hop, ties going to the lowest (port, neighbour). *)
-let first_hops neighbors src =
-  let hops = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  let reach port next =
-    if next <> src && not (Hashtbl.mem hops next) then begin
-      Hashtbl.replace hops next port;
-      Queue.push (next, port) queue
-    end
-  in
-  List.iter (fun (port, next) -> reach port next) (neighbors src);
-  while not (Queue.is_empty queue) do
-    let sid, port = Queue.pop queue in
-    List.iter (fun (_, next) -> reach port next) (neighbors sid)
-  done;
-  hops
 
 let flood_out sid (pi : Message.packet_in) =
   Command.packet_out ?buffer_id:pi.Message.pi_buffer_id
@@ -80,10 +47,6 @@ let handle _ctx (st : state) = function
    controller, where [handle] floods them. *)
 let policy ctx (st : state) =
   let switches = App_sig.switches ctx in
-  let neighbors = adjacency (App_sig.links ctx) in
-  let hops =
-    List.map (fun sw -> (sw, lazy (first_hops neighbors sw))) switches
-  in
   let routes =
     List.filter_map
       (fun mac ->
@@ -95,8 +58,7 @@ let policy ctx (st : state) =
                 (fun sw ->
                   let out =
                     if sw = dst_sid then Some dst_port
-                    else
-                      Hashtbl.find_opt (Lazy.force (List.assoc sw hops)) dst_sid
+                    else App_sig.first_hop ctx sw dst_sid
                   in
                   Option.map
                     (fun port ->

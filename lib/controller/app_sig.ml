@@ -5,13 +5,25 @@ type context = {
   switches : unit -> Types.switch_id list;
   switch_ports : Types.switch_id -> Types.port_no list;
   links : unit -> Event.link list;
+  first_hop : Types.switch_id -> Types.switch_id -> Types.port_no option;
   host_location : Types.mac -> (Types.switch_id * Types.port_no) option;
 }
+
+let null_context =
+  {
+    now = (fun () -> 0.);
+    switches = (fun () -> []);
+    switch_ports = (fun _ -> []);
+    links = (fun () -> []);
+    first_hop = (fun _ _ -> None);
+    host_location = (fun _ -> None);
+  }
 
 let now (c : context) = c.now ()
 let switches (c : context) = c.switches ()
 let switch_ports (c : context) sw = c.switch_ports sw
 let links (c : context) = c.links ()
+let first_hop (c : context) src dst = c.first_hop src dst
 let host_location (c : context) mac = c.host_location mac
 
 module type APP = sig

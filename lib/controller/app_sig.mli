@@ -28,16 +28,47 @@ type context = {
   switches : unit -> Types.switch_id list;  (** Connected switches. *)
   switch_ports : Types.switch_id -> Types.port_no list;
   links : unit -> Event.link list;  (** Live inter-switch links, both directions. *)
+  first_hop : Types.switch_id -> Types.switch_id -> Types.port_no option;
+      (** Shortest-path first hop over [links]; see {!first_hop}. *)
   host_location : Types.mac -> (Types.switch_id * Types.port_no) option;
       (** Device-manager lookup: last learned attachment of a MAC. *)
 }
 
+val null_context : context
+(** A context backed by nothing: time 0, no switches, ports, links, routes
+    or hosts. Build others from it with [{ null_context with ... }], for
+    apps that only need packet semantics and for tests. *)
+
 (** {1 Context accessors} *)
 
 val now : context -> float
+
 val switches : context -> Types.switch_id list
+(** The connected switches, ascending. The controller returns one shared
+    list until a switch connects or disconnects, so calling this per event
+    costs nothing. *)
+
 val switch_ports : context -> Types.switch_id -> Types.port_no list
+
 val links : context -> Event.link list
+(** Both directions of every live inter-switch link, sorted ascending
+    ([compare] on the record). Like {!switches}, one shared list until a
+    link is recorded or forgotten. *)
+
+val first_hop :
+  context -> Types.switch_id -> Types.switch_id -> Types.port_no option
+(** [first_hop ctx src dst] is the port of [src] through which a
+    breadth-first search over {!links} first reaches [dst]: the first hop
+    of a shortest path, counted in links. Among equally short paths the
+    search tries [src]'s out-links, and every later switch's, in ascending
+    (port, neighbour) order, and the first to reach [dst] wins. [None]
+    when [dst] is unreachable from [src], when [src = dst], and when
+    either switch has no live link.
+
+    The controller runs one search per source, on the first call for that
+    source after the links changed, and keeps its answers until they
+    change again: a call costs two integer-keyed table lookups, a search
+    O(links). *)
 
 val host_location :
   context -> Types.mac -> (Types.switch_id * Types.port_no) option

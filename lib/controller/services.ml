@@ -3,6 +3,62 @@ module Topology = Netsim.Topology
 module Net = Netsim.Net
 module Clock = Netsim.Clock
 
+(* Switch ids key the routing tables; [Int.hash] is not in OCaml 4.14. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x land max_int
+end)
+
+let first_hops (links : Event.link list) =
+  let adjacency = Itbl.create 16 in
+  List.iter
+    (fun (l : Event.link) ->
+      let existing =
+        Option.value (Itbl.find_opt adjacency l.src_switch) ~default:[]
+      in
+      Itbl.replace adjacency l.src_switch
+        ((l.src_port, l.dst_switch) :: existing))
+    links;
+  Itbl.filter_map_inplace (fun _ ns -> Some (List.sort compare ns)) adjacency;
+  let neighbors sid = Option.value (Itbl.find_opt adjacency sid) ~default:[] in
+  let bfs src =
+    let hops = Itbl.create 16 in
+    let queue = Queue.create () in
+    let reach port next =
+      if next <> src && not (Itbl.mem hops next) then begin
+        Itbl.replace hops next port;
+        Queue.push (next, port) queue
+      end
+    in
+    List.iter (fun (port, next) -> reach port next) (neighbors src);
+    while not (Queue.is_empty queue) do
+      let sid, port = Queue.pop queue in
+      List.iter (fun (_, next) -> reach port next) (neighbors sid)
+    done;
+    hops
+  in
+  let by_source = Itbl.create 16 in
+  fun src dst ->
+    let hops =
+      match Itbl.find_opt by_source src with
+      | Some hops -> hops
+      | None ->
+          let hops = bfs src in
+          Itbl.replace by_source src hops;
+          hops
+    in
+    Itbl.find_opt hops dst
+
+(* What apps read of the topology, derived from [connected] and [links]
+   on the first read after either changed. *)
+type view = {
+  switches : Types.switch_id list;
+  links : Event.link list;
+  first_hop : Types.switch_id -> Types.switch_id -> Types.port_no option;
+}
+
 type t = {
   clock : Clock.t;
   topo : Topology.t;  (* LLDP oracle only; never mutated here *)
@@ -11,6 +67,7 @@ type t = {
   links : (int * int, int * int) Hashtbl.t;
       (* live links, recorded in both directions *)
   hosts : (Types.mac, Types.switch_id * Types.port_no) Hashtbl.t;
+  mutable view : view option;
 }
 
 let create clock topo =
@@ -21,19 +78,37 @@ let create clock topo =
     port_state = Hashtbl.create 64;
     links = Hashtbl.create 32;
     hosts = Hashtbl.create 64;
+    view = None;
   }
 
-let connected_switches t =
-  Hashtbl.fold (fun sid _ acc -> sid :: acc) t.connected []
-  |> List.sort compare
+let link_event s1 p1 s2 p2 =
+  { Event.src_switch = s1; src_port = p1; dst_switch = s2; dst_port = p2 }
 
-let live_links t =
-  Hashtbl.fold
-    (fun (s1, p1) (s2, p2) acc ->
-      { Event.src_switch = s1; src_port = p1; dst_switch = s2; dst_port = p2 }
-      :: acc)
-    t.links []
-  |> List.sort compare
+let view t =
+  match t.view with
+  | Some v -> v
+  | None ->
+      let links =
+        Hashtbl.fold
+          (fun (s1, p1) (s2, p2) acc -> link_event s1 p1 s2 p2 :: acc)
+          t.links []
+        |> List.sort compare
+      in
+      let v =
+        {
+          switches =
+            Hashtbl.fold (fun sid _ acc -> sid :: acc) t.connected []
+            |> List.sort compare;
+          links;
+          first_hop = first_hops links;
+        }
+      in
+      t.view <- Some v;
+      v
+
+let connected_switches t = (view t).switches
+let live_links t = (view t).links
+let first_hop t src dst = (view t).first_hop src dst
 
 let host_location t mac = Hashtbl.find_opt t.hosts mac
 
@@ -42,12 +117,24 @@ let port_is_up t sid port =
   | Some up -> up
   | None -> false
 
-let link_event s1 p1 s2 p2 =
-  { Event.src_switch = s1; src_port = p1; dst_switch = s2; dst_port = p2 }
+(* The only writers of [connected] and [links], so the only places that
+   drop the view. *)
+let connect t sid (features : Message.features) =
+  Hashtbl.replace t.connected sid features;
+  t.view <- None;
+  List.iter
+    (fun (d : Message.port_desc) ->
+      Hashtbl.replace t.port_state (sid, d.port_no) d.up)
+    features.ports
+
+let disconnect t sid =
+  Hashtbl.remove t.connected sid;
+  t.view <- None
 
 let record_link t s1 p1 s2 p2 =
   Hashtbl.replace t.links (s1, p1) (s2, p2);
-  Hashtbl.replace t.links (s2, p2) (s1, p1)
+  Hashtbl.replace t.links (s2, p2) (s1, p1);
+  t.view <- None
 
 let forget_link t s1 p1 =
   match Hashtbl.find_opt t.links (s1, p1) with
@@ -55,6 +142,7 @@ let forget_link t s1 p1 =
   | Some (s2, p2) ->
       Hashtbl.remove t.links (s1, p1);
       Hashtbl.remove t.links (s2, p2);
+      t.view <- None;
       Some (s2, p2)
 
 (* The oracle's view of who is on the other side of a switch port,
@@ -83,16 +171,12 @@ let discover_links_around t sid =
         | Some { node = Topology.Host _; _ } | None -> None)
     (Topology.switch_ports t.topo sid)
 
-let on_switch_connected t sid (features : Message.features) =
-  Hashtbl.replace t.connected sid features;
-  List.iter
-    (fun (d : Message.port_desc) ->
-      Hashtbl.replace t.port_state (sid, d.port_no) d.up)
-    features.ports;
+let on_switch_connected t sid features =
+  connect t sid features;
   Event.Switch_up (sid, features) :: discover_links_around t sid
 
 let on_switch_disconnected t sid =
-  Hashtbl.remove t.connected sid;
+  disconnect t sid;
   (* Links die with the switch; report each once. *)
   let dead =
     Hashtbl.fold
@@ -168,13 +252,8 @@ let ingest t = function
    link events are in the log too, so [Switch_up]/[Port_status] must not
    re-run discovery here: the log already carries its results. *)
 let observe t = function
-  | Event.Switch_up (sid, (features : Message.features)) ->
-      Hashtbl.replace t.connected sid features;
-      List.iter
-        (fun (d : Message.port_desc) ->
-          Hashtbl.replace t.port_state (sid, d.port_no) d.up)
-        features.ports
-  | Event.Switch_down sid -> Hashtbl.remove t.connected sid
+  | Event.Switch_up (sid, features) -> connect t sid features
+  | Event.Switch_down sid -> disconnect t sid
   | Event.Port_status (sid, _reason, desc) ->
       Hashtbl.replace t.port_state (sid, desc.port_no) desc.up
   | Event.Link_up l ->
@@ -198,5 +277,6 @@ let context t : App_sig.context =
                    if port_is_up t sid d.port_no then Some d.port_no else None)
             |> List.sort compare);
     links = (fun () -> live_links t);
+    first_hop = (fun src dst -> first_hop t src dst);
     host_location = (fun mac -> host_location t mac);
   }

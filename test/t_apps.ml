@@ -177,7 +177,7 @@ let test_bug_probability_is_seed_deterministic () =
     let st = ref (M.init ()) in
     for i = 1 to 50 do
       match
-        M.handle T_util.null_context !st
+        M.handle App_sig.null_context !st
           (Event.Packet_in
              ( 1,
                {

@@ -24,7 +24,7 @@ let warmed_instance () =
   for src = 1 to 8 do
     for dst = 1 to 8 do
       let updated, _ =
-        App_sig.handle !inst T_util.null_context (packet_in src dst)
+        App_sig.handle !inst App_sig.null_context (packet_in src dst)
       in
       inst := updated
     done
@@ -163,7 +163,7 @@ let prop_restore_equivalence =
       let c =
         Checkpoint.create_delta ~chunk_size ~cadence:(Checkpoint.Every k) ()
       in
-      let ctx = T_util.null_context in
+      let ctx = App_sig.null_context in
       let live = ref (instance ()) in
       List.iter
         (fun e ->

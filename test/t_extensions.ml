@@ -15,7 +15,7 @@ let packet_in ?(sid = 1) src dst =
         pi_packet = T_util.tcp_packet src dst;
       } )
 
-let ctx = T_util.null_context
+let ctx = App_sig.null_context
 
 let run_app (module A : App_sig.APP) events =
   let _final_state, commands =

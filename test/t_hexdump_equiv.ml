@@ -57,12 +57,12 @@ let prop_recover_is_identity =
                 } )
           in
           Sandbox.prepare box;
-          match Sandbox.deliver box T_util.null_context ev with
+          match Sandbox.deliver box App_sig.null_context ev with
           | Sandbox.Done _ -> Sandbox.confirm box ev
           | _ -> ())
         pairs;
       let before = Sandbox.snapshot_bytes box in
-      let _ = Sandbox.recover box T_util.null_context in
+      let _ = Sandbox.recover box App_sig.null_context in
       Sandbox.snapshot_bytes box = before)
 
 let suite =

@@ -385,7 +385,8 @@ let test_panel_fresh_compile =
 (* ---------------- routes ---------------- *)
 
 (* The reference for [Policy_router]'s routes: a fresh BFS per (switch,
-   destination) pair, where the router runs one BFS per source switch. *)
+   destination) pair, where the router reads the controller's first hops
+   ([Services.first_hops], one BFS per source switch, kept). *)
 let per_pair_first_hop links src dst =
   let adjacency = Hashtbl.create 16 in
   List.iter
@@ -496,9 +497,10 @@ let one_bfs_prop (n, links, hosts) =
   let locations = List.map (fun (h, loc) -> (mac h, loc)) hosts in
   let ctx =
     {
-      T_util.null_context with
+      App_sig.null_context with
       switches = (fun () -> List.init n (fun i -> i + 1));
       links = (fun () -> links);
+      first_hop = Controller.Services.first_hops links;
       host_location =
         (fun m -> Option.join (List.assoc_opt m locations));
     }

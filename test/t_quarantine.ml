@@ -71,7 +71,7 @@ let test_deep_analyze_quarantines_causal_set () =
   in
   let minimal, calls =
     Quarantine.deep_analyze q ~app:"cumulative" (module Cumulative)
-      T_util.null_context ~history
+      App_sig.null_context ~history
   in
   T_util.checki "two causal events found" 2 (List.length minimal);
   T_util.checkb "oracle was consulted" true (calls > 0);
@@ -87,7 +87,7 @@ let test_deep_analyze_benign_history () =
   let q = Quarantine.create () in
   let minimal, calls =
     Quarantine.deep_analyze q ~app:"learning_switch"
-      (module Apps.Learning_switch : Controller.App_sig.APP) T_util.null_context
+      (module Apps.Learning_switch : Controller.App_sig.APP) App_sig.null_context
       ~history:[ packet_in 1 2 ]
   in
   T_util.checki "nothing found" 0 (List.length minimal);

@@ -19,7 +19,7 @@ let ls_sandbox ?(bug = None) ?(every = 1) () =
   let m = match bug with None -> base | Some b -> Apps.Faulty.wrap ~bug:b base in
   Sandbox.create ~ckpt:(Checkpoint.create ~every ()) m
 
-let ctx = T_util.null_context
+let ctx = App_sig.null_context
 
 let test_done_verdict_and_commands () =
   let box = ls_sandbox () in

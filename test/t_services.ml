@@ -91,6 +91,86 @@ let test_context_snapshot () =
     (Controller.App_sig.switches ctx);
   T_util.checkb "hub has ports" true (Controller.App_sig.switch_ports ctx 1 <> [])
 
+(* ---------------- the cached view ---------------- *)
+
+(* Faults on a 4-switch ring, drawn so that switches come up with and
+   without neighbours to discover, ports go down on switch and host
+   links, and links go down between neighbours and non-neighbours. *)
+let gen_view_fault =
+  QCheck.Gen.(
+    let sw = int_range 1 4 in
+    let port = oneofl [ 1; 2; 100 ] in
+    let node = map (fun s -> Topology.Switch s) sw in
+    oneof
+      [
+        map (fun s -> Net.Switch_down s) sw;
+        map (fun s -> Net.Switch_up s) sw;
+        map2 (fun s p -> Net.Port_down (s, p)) sw port;
+        map2 (fun s p -> Net.Port_up (s, p)) sw port;
+        map2 (fun a b -> Net.Link_down (a, b)) node node;
+        map2 (fun a b -> Net.Link_up (a, b)) node node;
+      ])
+
+let print_view_fault =
+  let node = function
+    | Topology.Switch s -> Printf.sprintf "s%d" s
+    | Topology.Host h -> Printf.sprintf "h%d" h
+  in
+  function
+  | Net.Switch_down s -> Printf.sprintf "s%d down" s
+  | Net.Switch_up s -> Printf.sprintf "s%d up" s
+  | Net.Port_down (s, p) -> Printf.sprintf "s%d:%d down" s p
+  | Net.Port_up (s, p) -> Printf.sprintf "s%d:%d up" s p
+  | Net.Link_down (a, b) -> Printf.sprintf "%s-%s down" (node a) (node b)
+  | Net.Link_up (a, b) -> Printf.sprintf "%s-%s up" (node a) (node b)
+  | Net.Channel_partition _ | Net.Channel_heal _ | Net.Channel_loss _ -> "?"
+
+(* Two services read their view after every fault: one ingests the
+   notifications, one observes the events the first dispatched. Each must
+   read what a fresh service that observes the whole log and builds its
+   view once reads: switches, links and the first hop of every pair. *)
+let cached_view_prop faults =
+  let clock, net, ingesting, events =
+    T_util.net_with_services (Topo_gen.ring 4)
+  in
+  let fresh () = Services.create clock (Net.topology net) in
+  let observing = fresh () in
+  List.iter (Services.observe observing) events;
+  let log = ref events in
+  let switches = [ 1; 2; 3; 4 ] in
+  let same_view s =
+    let scratch = fresh () in
+    List.iter (Services.observe scratch) !log;
+    Services.connected_switches s = Services.connected_switches scratch
+    && Services.live_links s = Services.live_links scratch
+    && List.for_all
+         (fun a ->
+           List.for_all
+             (fun b ->
+               Services.first_hop s a b = Services.first_hop scratch a b)
+             switches)
+         switches
+  in
+  List.for_all
+    (fun fault ->
+      Net.apply_fault net fault;
+      let events =
+        Net.poll net |> List.concat_map (Services.ingest ingesting)
+      in
+      List.iter (Services.observe observing) events;
+      log := !log @ events;
+      same_view ingesting && same_view observing)
+    faults
+
+let test_cached_view =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"cached view == fresh rebuild"
+       (QCheck.make
+          ~print:(fun faults ->
+            String.concat "; " (List.map print_view_fault faults))
+          QCheck.Gen.(list_size (int_range 1 25) gen_view_fault))
+       cached_view_prop)
+
 let suite =
   [
     Alcotest.test_case "handshake and discovery" `Quick test_handshake_produces_switch_up_and_links;
@@ -100,4 +180,5 @@ let suite =
     Alcotest.test_case "device manager learns hosts" `Quick test_host_learning;
     Alcotest.test_case "no learning on core ports" `Quick test_no_learning_on_core_ports;
     Alcotest.test_case "context view" `Quick test_context_snapshot;
+    test_cached_view;
   ]

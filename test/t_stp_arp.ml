@@ -192,7 +192,7 @@ let test_arp_floods_unknown () =
   let st = Apps.Arp_responder.init () in
   let request = Packet.arp_request ~src_host:1 ~dst_host:2 in
   let st, commands =
-    Apps.Arp_responder.handle T_util.null_context st (arp_event 1 100 request)
+    Apps.Arp_responder.handle App_sig.null_context st (arp_event 1 100 request)
   in
   T_util.checki "learned the requester" 1 (Apps.Arp_responder.bindings st);
   T_util.checki "flooded" 1 (Apps.Arp_responder.floods st);
@@ -206,12 +206,12 @@ let test_arp_answers_known () =
   let st = Apps.Arp_responder.init () in
   (* h2's request teaches the responder h2's binding... *)
   let st, _ =
-    Apps.Arp_responder.handle T_util.null_context st
+    Apps.Arp_responder.handle App_sig.null_context st
       (arp_event 2 100 (Packet.arp_request ~src_host:2 ~dst_host:1))
   in
   (* ...so h1 asking for h2 gets a direct reply out of its own port. *)
   let st, commands =
-    Apps.Arp_responder.handle T_util.null_context st
+    Apps.Arp_responder.handle App_sig.null_context st
       (arp_event 1 100 (Packet.arp_request ~src_host:1 ~dst_host:2))
   in
   T_util.checki "reply sent" 1 (Apps.Arp_responder.replies_sent st);
@@ -232,7 +232,7 @@ let test_arp_answers_known () =
 let test_arp_ignores_ip_traffic () =
   let st = Apps.Arp_responder.init () in
   let st, commands =
-    Apps.Arp_responder.handle T_util.null_context st
+    Apps.Arp_responder.handle App_sig.null_context st
       (arp_event 1 100 (T_util.tcp_packet 1 2))
   in
   T_util.checki "nothing learned from tcp" 0 (Apps.Arp_responder.bindings st);

@@ -73,7 +73,7 @@ let test_recorded_trace_feeds_sts () =
   end in
   let loaded = Trace_io.decode (Trace_io.encode sample_trace) in
   let minimal, _ =
-    Legosdn.Sts.minimize (module Bug) T_util.null_context loaded
+    Legosdn.Sts.minimize (module Bug) Controller.App_sig.null_context loaded
   in
   Alcotest.(check (list T_util.event_t)) "culprit recovered from disk format"
     [ Event.Switch_down 3 ] minimal

@@ -6,16 +6,6 @@ let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* A context backed by nothing: apps that only need packet semantics. *)
-let null_context : Controller.App_sig.context =
-  {
-    now = (fun () -> 0.);
-    switches = (fun () -> []);
-    switch_ports = (fun _ -> []);
-    links = (fun () -> []);
-    host_location = (fun _ -> None);
-  }
-
 (* A context over a live network's services. *)
 let context_of_services services = Controller.Services.context services
 
