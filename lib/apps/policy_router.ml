@@ -6,11 +6,13 @@ open Controller
    blackholes while tables converge. All rule installation happens through
    the declared policy — per-switch shortest-path routes the runtime
    re-derives after every event it delivers (and Crash-Pad during
-   recovery), and recompiles only when the routes or the switch set
-   changed. The app does no routing of its own: each route's port is the
-   context's [first_hop], which the controller computes once per source
-   switch and keeps until a switch or link changes, so a [policy] call
-   costs one lookup per (destination, switch). *)
+   recovery), and recompiles only the switches whose routes changed or
+   that joined the switch set. Each route is one row on its switch and
+   overlaps no other, so a new destination costs one flow-mod per switch
+   that routes it. The app does no routing of its own: each route's port
+   is the context's [first_hop], which the controller computes once per
+   source switch and keeps until a switch or link changes, so a [policy]
+   call costs one lookup per (destination, switch). *)
 
 type state = Types.mac list  (* destinations seen, sorted *)
 

@@ -83,48 +83,77 @@ let route_replies deps sandbox sid replies =
    tracks switch state, not app state: reboots, restores and re-syncs
    leave it alone because the rules stay in the switches. *)
 type intent_record = {
-  mutable tables : Policy.table list;  (* compiled intent as last installed *)
+  mutable shares : (Types.switch_id * (Policy.t * Policy.table option)) list;
+      (* Per switch of the last install, in its switch-list order: the
+         switch's share of the policy ([Policy.restrict]) and the table
+         compiled from it, [None] when the share compiles to no row. *)
   mutable source : (Policy.t * Types.switch_id list) option;
-      (* The policy and switch list [tables] were compiled from, when the
-         tables are exactly that compile; [None] after any other write. *)
+      (* The policy and switch list [shares] were taken from, when every
+         entry is exactly that compile; [None] after any other write. *)
 }
 
-let new_intent_record () = { tables = []; source = None }
-let intent_tables r = r.tables
+let new_intent_record () = { shares = []; source = None }
 
-(* The pruned record is no longer a compile of anything, so it drops its
-   source: the next reconcile recompiles even if policy and switches look
+let tables_of shares = List.filter_map (fun (_, (_, table)) -> table) shares
+let intent_tables r = tables_of r.shares
+
+(* The switch's table died with it, so its share goes too: the next
+   reconcile finds no share for it and recompiles its table in full. The
+   pruned record is no longer a compile of anything, so it drops its
+   source, and that reconcile runs even if policy and switches look
    unchanged, as they do after a reboot inside one poll round. *)
 let forget_switch r sid =
-  if r.tables <> [] then begin
-    r.tables <-
-      List.filter (fun (tbl : Policy.table) -> tbl.Policy.t_sw <> sid) r.tables;
+  if List.mem_assoc sid r.shares then begin
+    r.shares <- List.remove_assoc sid r.shares;
     r.source <- None
   end
 
 (* Compile the app's declared policy over the connected switches and diff
-   it against what the network holds. The candidate diff is installed
-   only after two independent checks: the compiled tables must agree with
-   the policy's denotation on a probe set covering every rule (forwarding
-   relation preserved), and the flow-mods must pass the invariant screen
-   of the one commit path. *)
+   it against what the network holds, switch by switch: a switch whose
+   share of the policy is the one its installed table came from keeps
+   that table and is neither compiled nor checked again. The changed
+   switches' diff is installed only after two independent checks: the
+   tables of the switches it touches must agree with the policy's
+   denotation on a probe set covering every rule (forwarding relation
+   preserved), and the flow-mods must pass the invariant screen of the
+   one commit path. *)
 let install_intent config deps record sandbox ctx ((pol, switches) as source) =
-  match Policy.compile ~switches pol with
+  match
+    List.map
+      (fun sw ->
+        let share = Policy.restrict sw pol in
+        match List.assoc_opt sw record.shares with
+        | Some ((installed, _) as entry) when installed = share ->
+            (sw, entry, false)
+        | _ -> (sw, (share, Policy.compile_share sw share), true))
+      switches
+  with
   | exception Policy.Uncompilable _ -> `Rejected
-  | tables -> (
+  | entries -> (
+      let recompiled =
+        List.filter_map
+          (fun (sw, entry, fresh) -> if fresh then Some (sw, entry) else None)
+          entries
+      in
+      let next = tables_of recompiled in
       let mods =
-        Policy.flow_mods ~prev:record.tables ~next:tables
+        Policy.flow_mods
+          ~prev:
+            (tables_of
+               (List.filter
+                  (fun (sw, _) -> List.mem_assoc sw recompiled)
+                  record.shares))
+          ~next
         (* Tables are declarative, idempotent state, so mods aimed at
-           switches that left the network (or whose channel is given up
-           on) are simply dropped — typically strict deletes for a dead
-           switch's rows, moot because its table died with it. Unlike an
-           app transaction there is no atomicity to lose: the next
+           switches whose channel is given up on are simply dropped. A
+           switch that left the network is not diffed at all: its table
+           died with it, and its entry leaves the record. Unlike an app
+           transaction there is no atomicity to lose: the next
            reconciliation re-derives whatever remains. *)
-        |> List.filter (fun (sid, _) ->
-               List.mem sid switches && not (deps.unreachable sid))
+        |> List.filter (fun (sid, _) -> not (deps.unreachable sid))
       in
       let installed () =
-        record.tables <- tables;
+        record.shares <- List.map (fun (sw, entry, _) -> (sw, entry)) entries;
         record.source <- Some source
       in
       if mods = [] then begin
@@ -134,8 +163,13 @@ let install_intent config deps record sandbox ctx ((pol, switches) as source) =
       end
       else
         let ports sid = App_sig.switch_ports ctx sid in
-        let probes = Policy.probes ~ports tables in
-        if not (Policy.agrees ~ports pol tables ~probes) then `Rejected
+        let sent =
+          List.filter
+            (fun (tbl : Policy.table) -> List.mem_assoc tbl.Policy.t_sw mods)
+            next
+        in
+        let probes = Policy.probes ~ports sent in
+        if not (Policy.agrees ~ports pol sent ~probes) then `Rejected
         else
           match
             Atomic_update.commit ~tracer:deps.tracer

@@ -71,10 +71,14 @@ type deps = {
 (** {1 Installed intent} *)
 
 type intent_record
-(** What the network holds for one application's declared intent: the
-    compiled tables last installed, and the policy and switch list they
-    were compiled from when they are exactly that compile. One record per
-    application: a panel drives one network, so its variants share one.
+(** What the network holds for one application's declared intent: for
+    each switch of the last install, its share of the policy
+    ({!Policy.restrict}) and the table compiled from that share; and the
+    policy and switch list they were all taken from, when the record is
+    exactly that compile. A reconcile recompiles, diffs and checks only
+    the switches whose share differs from the recorded one or has no
+    entry. One record per application: a panel drives one network, so
+    its variants share one.
     It mirrors switch state, not app state, so reboots, restores and
     re-syncs of the app leave it alone. Only intent reconciliation
     ({!reconcile_intent}, and the policy-derived compromise of
@@ -87,10 +91,11 @@ val intent_tables : intent_record -> Policy.table list
 (** The compiled intent as last installed ([[]] initially). *)
 
 val forget_switch : intent_record -> Types.switch_id -> unit
-(** The switch went down and took its flow table with it: drop its rows,
-    so the next reconciliation re-installs them when it returns. The
-    pruned record is no longer a compile, so that reconciliation
-    recompiles even if policy and switches look unchanged. *)
+(** The switch went down and took its flow table with it: drop its share
+    and its rows, so the next reconciliation recompiles its table and
+    re-installs it in full when it returns. The pruned record is no
+    longer a compile, so that reconciliation runs even if policy and
+    switches look unchanged. *)
 
 (** {1 Pipeline pieces}
 

@@ -293,9 +293,9 @@ end
    generation [g], or [None] for a clear. A table gets its ring on the
    first {!changed_since}, so one nobody reads (a shadow table) keeps none.
    A stored pattern is interned: an add's is its entry's own. On the
-   end-to-end benchmark's workloads a switch changes at most 31 times
-   between two captures (faults-k4's start-up installs; on microflow-k4,
-   1 to 3), so 32 slots never lap there. *)
+   end-to-end benchmark's workloads a switch changes at most 16 times
+   between two captures (faults-k4's intent installs; on microflow-k4, 1
+   or 2), so 32 slots never lap there. *)
 let ring_size = 32
 
 type t = {

@@ -116,7 +116,7 @@ val changed_since : t -> gen:int -> Ofp_match.t list option
     The ring is made by the first call on a table, which answers [None]:
     a table nobody asks about keeps no ring. Its size covers every
     re-capture measured on the end-to-end benchmark's workloads (at most
-    31 changes between two captures of a switch, on faults-k4). *)
+    16 changes between two captures of a switch, on faults-k4). *)
 
 val entries : t -> Flow_entry.t list
 (** [Version.entries (current t)]: built on each call. *)

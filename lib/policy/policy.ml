@@ -1,7 +1,9 @@
 (* NetKAT-style network policies: syntax, reference denotation, and a
    classifier-based compiler to prioritized OpenFlow 1.0 flow tables.
 
-   The compiler works per switch. Every policy constructor maps to a
+   The compiler works per switch, on that switch's share of the policy
+   ([restrict]), and gives each row a priority set by the later rows it
+   overlaps ([prioritize]). Every policy constructor maps to a
    *classifier*: an ordered, complete (first-match, catch-all-terminated)
    list of (pattern, action-set) rows. Composition is classifier algebra:
 
@@ -75,10 +77,6 @@ let at sw p = At (sw, p)
 let union_all = function
   | [] -> Drop
   | p :: ps -> List.fold_left union p ps
-
-let seq_all = function
-  | [] -> Filter True
-  | p :: ps -> List.fold_left seq p ps
 
 let ite b p q = Union (Seq (Filter b, p), Seq (Filter (Neg b), q))
 
@@ -229,15 +227,6 @@ type table = { t_sw : Types.switch_id; t_rows : row list }
 
 let empty_tables = []
 let table_rows ts = List.fold_left (fun n t -> n + List.length t.t_rows) 0 ts
-
-let pp_table fmt t =
-  Format.fprintf fmt "@[<v>table %a" Types.pp_switch t.t_sw;
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "@,  %5d %a -> %a" r.r_priority Ofp_match.pp
-        r.r_pattern Action.pp_list r.r_actions)
-    t.t_rows;
-  Format.fprintf fmt "@]"
 
 (* -- pattern algebra -- *)
 
@@ -568,39 +557,77 @@ let realize (pat : Ofp_match.t) (a : acts) : Action.t list =
 
 (* -- tables -- *)
 
+(* [pol] as switch [sw] sees it: an [At] for another switch is [Drop], a
+   [Drop] branch falls out of a [Union], and a [Seq] whose head drops is
+   [Drop]. Each rewrite keeps the denotation at [sw]. [compile] builds a
+   switch's table from this share and [agrees] evaluates a probe against
+   it, so [agrees] cannot catch a fault of [restrict]. t_policy can: its
+   differential compares [compile] with the denotation of the whole,
+   unrestricted policy, and its per-switch agreement property compares
+   [agrees] with a whole-policy check. *)
+let rec restrict sw = function
+  | At (s, p) -> if s = sw then restrict sw p else Drop
+  | Union (a, b) -> (
+      match (restrict sw a, restrict sw b) with
+      | Drop, p | p, Drop -> p
+      | a, b -> Union (a, b))
+  | Seq (a, b) -> (
+      match restrict sw a with Drop -> Drop | a -> Seq (a, restrict sw b))
+  | (Filter _ | Forward _ | Flood | Drop | Modify _) as p -> p
+
+(* Walking from the bottom, a row sits one above the highest later row it
+   overlaps, or at [base + 1] when it overlaps none. Two overlapping rows
+   therefore differ in priority, the earlier one higher, so the
+   highest-priority match is the first match; rows sharing a priority
+   match disjoint packets, and a stable sort by priority lists them in a
+   first-match order again. A new row that overlaps nothing, such as a
+   route to a new destination, moves no other row. *)
+let prioritize ~base rows =
+  let placed =
+    List.fold_left
+      (fun below (p, acts) ->
+        let d =
+          List.fold_left
+            (fun d r ->
+              let dr = r.r_priority - base in
+              if dr > d && Ofp_match.overlaps p r.r_pattern then dr else d)
+            0 below
+        in
+        { r_priority = base + 1 + d; r_pattern = Ofp_match.intern p;
+          r_actions = acts }
+        :: below)
+      [] (List.rev rows)
+  in
+  List.stable_sort (fun a b -> compare b.r_priority a.r_priority) placed
+
+let share_table ~base sw share =
+  let rows = classifier sw share in
+  let realized = List.map (fun (p, a) -> (p, realize p a)) rows in
+  (* Trailing all-drop rows transmit nothing and shadow nothing below
+     them: omit them so a pure-drop region punts instead of installing
+     a drop-everything rule. *)
+  let realized =
+    List.rev
+      (let rec strip = function
+         | (_, []) :: rest -> strip rest
+         | rows -> rows
+       in
+       strip (List.rev realized))
+  in
+  match realized with
+  | [] -> None
+  | rows ->
+      let n = List.length rows in
+      if n > 30000 then
+        uncompilable "policy compiles to %d rows on switch %d" n sw;
+      Some { t_sw = sw; t_rows = prioritize ~base rows }
+
+let compile_share sw share =
+  share_table ~base:Message.default_priority sw share
+
 let compile ?(priority_base = Message.default_priority) ~switches pol =
   List.filter_map
-    (fun sw ->
-      let rows = classifier sw pol in
-      let realized = List.map (fun (p, a) -> (p, realize p a)) rows in
-      (* Trailing all-drop rows transmit nothing and shadow nothing below
-         them: omit them so a pure-drop region punts instead of installing
-         a drop-everything rule. *)
-      let realized =
-        List.rev
-          (let rec strip = function
-             | (_, []) :: rest -> strip rest
-             | rows -> rows
-           in
-           strip (List.rev realized))
-      in
-      match realized with
-      | [] -> None
-      | rows ->
-          let n = List.length rows in
-          if n > 30000 then
-            uncompilable "policy compiles to %d rows on switch %d" n sw;
-          let rows =
-            List.mapi
-              (fun i (p, acts) ->
-                {
-                  r_priority = priority_base + n - i;
-                  r_pattern = Ofp_match.intern p;
-                  r_actions = acts;
-                })
-              rows
-          in
-          Some { t_sw = sw; t_rows = rows })
+    (fun sw -> share_table ~base:priority_base sw (restrict sw pol))
     switches
 
 let eval_table ~ports tbl ~in_port pkt =
@@ -614,22 +641,6 @@ let eval_table ~ports tbl ~in_port pkt =
       Action.apply_staged r.r_actions pkt
       |> List.concat_map (expand_out ~ports ~sw:tbl.t_sw ~in_port)
       |> List.sort_uniq compare
-
-(* [pol] as switch [sw] sees it: an [At] for another switch is [Drop], a
-   [Drop] branch falls out of a [Union], and a [Seq] whose head drops is
-   [Drop]. Each rewrite keeps the denotation at [sw], so a probe there
-   can be evaluated against the (much smaller) restriction. Deliberately
-   not shared with [compile]: [agrees] is the compiler's independent
-   check. *)
-let rec restrict sw = function
-  | At (s, p) -> if s = sw then restrict sw p else Drop
-  | Union (a, b) -> (
-      match (restrict sw a, restrict sw b) with
-      | Drop, p | p, Drop -> p
-      | a, b -> Union (a, b))
-  | Seq (a, b) -> (
-      match restrict sw a with Drop -> Drop | a -> Seq (a, restrict sw b))
-  | (Filter _ | Forward _ | Flood | Drop | Modify _) as p -> p
 
 let agrees ~ports pol tables ~probes =
   let restricted = Hashtbl.create 16 in
@@ -710,11 +721,16 @@ let flow_mods ~prev ~next =
     (fun sw ->
       let old_rows = rows_of sw prev in
       let new_rows = rows_of sw next in
-      let key r = (r.r_priority, r.r_pattern) in
+      (* Rows sharing a priority are common, so the pattern test is the
+         interned pointer check of [Ofp_match.equal], not a structural
+         compare of (priority, pattern) pairs. *)
+      let same_key a b =
+        a.r_priority = b.r_priority && Ofp_match.equal a.r_pattern b.r_pattern
+      in
       let adds =
         List.filter_map
           (fun r ->
-            match List.find_opt (fun o -> key o = key r) old_rows with
+            match List.find_opt (same_key r) old_rows with
             | Some o when o.r_actions = r.r_actions -> None
             | _ ->
                 Some
@@ -726,7 +742,7 @@ let flow_mods ~prev ~next =
       let dels =
         List.filter_map
           (fun o ->
-            if List.exists (fun r -> key r = key o) new_rows then None
+            if List.exists (same_key o) new_rows then None
             else
               Some
                 ( sw,

@@ -87,9 +87,6 @@ val at : Types.switch_id -> t -> t
 val union_all : t list -> t
 (** Union of a list; [Drop] when empty. *)
 
-val seq_all : t list -> t
-(** Sequence of a list; [Filter True] (pass) when empty. *)
-
 val ite : pred -> t -> t -> t
 (** [ite b p q] = [Union (Seq (Filter b, p), Seq (Filter (Neg b), q))]. *)
 
@@ -97,11 +94,8 @@ val conj : pred list -> pred
 val disj : pred list -> pred
 
 val pp : Format.formatter -> t -> unit
-val pp_pred : Format.formatter -> pred -> unit
 
 (** {1 Reference semantics} *)
-
-val eval_pred : pred -> in_port:Types.port_no -> Packet.t -> bool
 
 val denotation :
   ports:(Types.switch_id -> Types.port_no list) ->
@@ -133,21 +127,54 @@ type row = {
 }
 
 type table = { t_sw : Types.switch_id; t_rows : row list }
-(** Rows are listed highest-priority first and have pairwise-distinct
-    (pattern, priority) keys. A packet matching no row is not part of the
-    compiled forwarding relation (the switch punts it to the controller). *)
+(** Rows are listed with non-increasing priority, and the listing is a
+    first-match order: a packet's first matching row is the one it
+    takes. Any two rows whose patterns overlap have distinct priorities,
+    the earlier one higher, so the switch's highest-priority match is
+    that first match whatever order the rows were installed in; rows
+    that share a priority match disjoint packets. Patterns are pairwise
+    distinct. A packet matching no row is not part of the compiled
+    forwarding relation (the switch punts it to the controller). *)
+
+val restrict : Types.switch_id -> t -> t
+(** [restrict sw pol] is switch [sw]'s share of [pol]: [At] bundles for
+    other switches become [Drop], and [Drop] falls out of a [Union] and
+    ends a [Seq]. Its {!denotation} at [sw] is [pol]'s. {!compile} builds
+    [sw]'s table from this share and {!agrees} evaluates [sw]'s probes
+    against it. Two properties keep it checked: t_policy's differential
+    compares {!compile} with the denotation of the unrestricted policy,
+    and its per-switch agreement property compares {!agrees} with a
+    check against the whole policy. *)
 
 val compile :
   ?priority_base:int -> switches:Types.switch_id list -> t -> table list
-(** Compile a policy to one prioritized table per switch. All priorities
-    are strictly above [priority_base] (default
-    [Message.default_priority]), so compiled intent outranks rules
-    installed at the default priority by imperative apps. Trailing
-    drop-everything rows are omitted — an unmatched packet punts, which
-    transmits nothing, so the forwarding relation is unchanged and the
-    [No_drop_all] invariant is never tripped.
+(** Compile a policy to one prioritized table per switch, each from that
+    switch's share ({!restrict}) alone. All priorities are strictly above
+    [priority_base] (default [Message.default_priority]), so compiled
+    intent outranks rules installed at the default priority by
+    imperative apps. Trailing drop-everything rows are omitted — an
+    unmatched packet punts, which transmits nothing, so the forwarding
+    relation is unchanged and the [No_drop_all] invariant is never
+    tripped.
+
+    Priorities: walking a switch's rows from the last, a row gets
+    [priority_base + 1 + d], where [d] is the largest [priority -
+    priority_base] among the later rows its pattern overlaps, or [0]
+    when it overlaps none; the rows are then listed by priority, highest
+    first (see {!table}). A row's priority thus depends only on the
+    later rows it overlaps and their priorities: a new row that overlaps
+    no other, such as a route to a new destination, moves no existing
+    row, and the diff ({!flow_mods}) is one add. The highest priority is
+    at most [priority_base] plus the switch's row count.
 
     Raises {!Uncompilable} if some row has no action-list realization. *)
+
+val compile_share : Types.switch_id -> t -> table option
+(** [compile_share sw (restrict sw pol)] is the table {!compile} builds
+    for [sw] (at the default base), [None] when the share compiles to no
+    row. A switch's table is a function of its share alone, so a caller
+    that kept the share a table came from recompiles only the switches
+    whose share changed. Raises {!Uncompilable} like {!compile}. *)
 
 val eval_table :
   ports:(Types.switch_id -> Types.port_no list) ->
@@ -167,9 +194,11 @@ val agrees :
   bool
 (** Does the compiled forwarding relation match {!denotation} on every
     probe? A switch with no table forwards nothing. The policy is
-    restricted once per probed switch ([At] bundles for other switches
-    dropped, which keeps the denotation there), so a probe costs what
-    its own switch's share of the policy costs, not the whole policy. *)
+    {!restrict}ed once per probed switch, so a probe costs what its own
+    switch's share of the policy costs, not the whole policy. Only the
+    probed switches' tables are read: checking the tables of the
+    switches an install changes takes those tables and their
+    {!probes}. *)
 
 val probes :
   ports:(Types.switch_id -> Types.port_no list) ->
@@ -194,4 +223,3 @@ val flow_mods :
 
 val empty_tables : table list
 val table_rows : table list -> int
-val pp_table : Format.formatter -> table -> unit

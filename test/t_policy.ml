@@ -255,6 +255,155 @@ let test_agreement_not_vacuous () =
     true
     (!mismatched_disagreements > 0)
 
+(* ---------------- priorities ---------------- *)
+
+(* The differential above evaluates rows in list order and never reads a
+   priority; a switch answers with its highest-priority match. So every
+   table must list its rows with non-increasing priority and give any two
+   overlapping rows distinct priorities, the earlier one higher; and a
+   flow table loaded with the rows in reverse list order, so insertion
+   order cannot stand in for priority, must answer each located packet
+   with the first matching row in list order, or with nothing. *)
+
+let priorities_ordered (tbl : Policy.table) =
+  let rec go = function
+    | [] -> true
+    | (r : Policy.row) :: rest ->
+        List.for_all
+          (fun (s : Policy.row) ->
+            r.r_priority > s.r_priority
+            || r.r_priority = s.r_priority
+               && not (Ofp_match.overlaps r.r_pattern s.r_pattern))
+          rest
+        && go rest
+  in
+  go tbl.t_rows
+
+let loaded_in_reverse (tbl : Policy.table) =
+  let ft = Netsim.Flow_table.create () in
+  List.iter
+    (fun (r : Policy.row) ->
+      ignore
+        (Netsim.Flow_table.apply ft ~now:0.
+           (Message.flow_add ~priority:r.r_priority r.r_pattern r.r_actions)))
+    (List.rev tbl.t_rows);
+  Netsim.Flow_table.current ft
+
+let first_match_prop (pol, located) =
+  match Policy.compile ~switches pol with
+  | exception Policy.Uncompilable _ -> true
+  | tables ->
+      List.for_all
+        (fun (tbl : Policy.table) ->
+          priorities_ordered tbl
+          || QCheck.Test.fail_reportf
+               "@[<v>policy: %a@,s%d lists rows out of priority order@]"
+               Policy.pp pol tbl.t_sw)
+        tables
+      && List.for_all
+           (fun (sw, in_port, pkt) ->
+             let want, got =
+               match List.find_opt (fun t -> t.Policy.t_sw = sw) tables with
+               | None -> (None, None)
+               | Some tbl ->
+                   ( List.find_opt
+                       (fun (r : Policy.row) ->
+                         Ofp_match.matches r.r_pattern ~in_port pkt)
+                       tbl.t_rows,
+                     Netsim.Flow_table.Version.lookup (loaded_in_reverse tbl)
+                       ~now:0. ~in_port pkt )
+             in
+             match (want, got) with
+             | None, None -> true
+             | Some r, Some e
+               when Ofp_match.equal r.r_pattern e.Netsim.Flow_entry.pattern
+                    && r.r_actions = e.actions ->
+                 true
+             | _ ->
+                 QCheck.Test.fail_reportf
+                   "@[<v>policy: %a@,sw=%d in_port=%d@,pkt: %a@,first match: \
+                    %s@,lookup: %s@]"
+                   Policy.pp pol sw in_port Packet.pp pkt
+                   (match want with
+                   | None -> "none"
+                   | Some r -> Format.asprintf "%a" Ofp_match.pp r.r_pattern)
+                   (match got with
+                   | None -> "none"
+                   | Some e -> Format.asprintf "%a" Ofp_match.pp e.pattern))
+           located
+
+let test_first_match =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400
+       ~name:"installed table answers as its first matching row"
+       (QCheck.make ~print:print_case gen_case)
+       first_match_prop)
+
+(* ---------------- proportional installs ---------------- *)
+
+(* policy_router's intent: per destination, every switch that routes it
+   forwards traffic to its MAC out one port. Adding a destination must
+   cost one add on each switch that routes it and move no installed row,
+   wherever its MAC sorts among the router's known ones. Priorities by
+   position would move every row above the new one: 2n + 1 flow-mods per
+   switch for a destination that sorts last. *)
+let test_new_destination_adds_one_row () =
+  let fabric = [ 1; 2; 3; 4 ] in
+  let route (h, unrouted) =
+    let dst = (h mod 4) + 1 in
+    Policy.union_all
+      (List.filter_map
+         (fun sw ->
+           if List.mem sw unrouted then None
+           else
+             let out = if sw = dst then 100 else if sw < dst then 2 else 1 in
+             Some
+               (Policy.at sw
+                  (Policy.seq
+                     (Policy.filter
+                        (Policy.Test (Policy.Dl_dst (Types.mac_of_host h))))
+                     (Policy.forward out))))
+         fabric)
+  in
+  let compile dests =
+    Policy.compile ~switches:fabric
+      (Policy.union_all (List.map route (List.sort compare dests)))
+  in
+  let rows tables =
+    List.concat_map
+      (fun t ->
+        List.map
+          (fun (r : Policy.row) ->
+            (t.Policy.t_sw, r.r_priority, r.r_pattern, r.r_actions))
+          t.Policy.t_rows)
+      tables
+  in
+  (* (host, switches with no route to it) *)
+  let known = [ (1, []); (2, []); (3, [ 1 ]); (5, []); (6, []); (7, []) ] in
+  let prev = compile known in
+  List.iter
+    (fun ((h, unrouted) as added) ->
+      let next = compile (added :: known) in
+      let mods = Policy.flow_mods ~prev ~next in
+      Alcotest.(check (list int))
+        (Printf.sprintf "host %d: one flow-mod per switch that routes it" h)
+        (List.filter (fun sw -> not (List.mem sw unrouted)) fabric)
+        (List.map fst mods);
+      List.iter
+        (fun (_, fm) ->
+          Alcotest.(check bool) "an add, no delete" true
+            (fm.Message.command = Message.Add);
+          Alcotest.(check bool) "for the new destination" true
+            (fm.Message.pattern.Ofp_match.dl_dst = Some (Types.mac_of_host h)))
+        mods;
+      List.iter
+        (fun row ->
+          Alcotest.(check bool)
+            "an installed row keeps its priority, pattern and actions" true
+            (List.mem row (rows next)))
+        (rows prev))
+    [ (4, [ 4 ]); (8, [ 2 ]) ]
+
 (* ---------------- units ---------------- *)
 
 let probe_agreement pol =
@@ -395,6 +544,9 @@ let suite =
     test_per_switch_agreement;
     Alcotest.test_case "mismatched tables disagree" `Quick
       test_agreement_not_vacuous;
+    test_first_match;
+    Alcotest.test_case "a new destination adds one row per switch" `Quick
+      test_new_destination_adds_one_row;
     Alcotest.test_case "firewall shape" `Quick test_firewall_shape;
     Alcotest.test_case "priorities above default" `Quick
       test_priorities_above_default;
