@@ -362,10 +362,22 @@ let bench_ckpt () =
         Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) ())
   in
   let inst = learning_switch_with_macs 1_000 in
+  (* A take of the instance a store's image came from keeps that image, so
+     the take rows alternate between two physically distinct, byte-equal
+     copies: every run serializes, as a take of a changed state does. *)
+  let copies = [| inst; App_sig.restore inst (App_sig.snapshot inst) |] in
+  let alternating c =
+    let i = ref 0 in
+    fun () ->
+      i := 1 - !i;
+      Checkpoint.take c copies.(!i)
+  in
   let full = Checkpoint.create ~every:1 () in
   Checkpoint.take full inst;
   let delta = Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) () in
   Checkpoint.take delta inst;
+  let unchanged = Checkpoint.create ~every:1 () in
+  Checkpoint.take unchanged inst;
   let restore_test n =
     let c = Checkpoint.create_delta ~cadence:(Checkpoint.Every 100_000) () in
     Checkpoint.take c inst;
@@ -390,12 +402,14 @@ let bench_ckpt () =
                  journal))
   in
   ( [
-      Test.make ~name:"take-full-1000-macs"
-        (Staged.stage (fun () -> Checkpoint.take full inst));
+      Test.make ~name:"take-full-1000-macs" (Staged.stage (alternating full));
       (* Steady state for the delta store: every chunk hits, so this
          measures the chunking + digest walk rather than storage. *)
       Test.make ~name:"take-delta-1000-macs"
-        (Staged.stage (fun () -> Checkpoint.take delta inst));
+        (Staged.stage (alternating delta));
+      (* The same instance every run: the kept image's bookkeeping. *)
+      Test.make ~name:"take-unchanged-1000-macs"
+        (Staged.stage (fun () -> Checkpoint.take unchanged inst));
     ]
     @ List.map restore_test [ 0; 16; 64; 256 ],
     [
@@ -937,10 +951,11 @@ type group = {
           setup work (traffic population, world builds) of the others. *)
   ratios : (string * string * string) list;  (** key, numerator, denominator *)
   floors : floor list;
+  slices : int;  (** turns the quota is measured in; see {!measure} *)
 }
 
-let group ?(ratios = []) ?(floors = []) id title setup =
-  { id; title; setup; ratios; floors }
+let group ?(ratios = []) ?(floors = []) ?(slices = 1) id title setup =
+  { id; title; setup; ratios; floors; slices }
 
 let timed tests () = (tests (), [])
 
@@ -981,7 +996,7 @@ let groups =
         ]
       ~floors:[ At_least ("ckpt-bytes-ratio-full-over-delta", 3.0) ];
     group "failover" "replicated cluster: fail-over + replication cost (E24)"
-      bench_failover
+      bench_failover ~slices:4
       ~ratios:
         [
           ( "failover-replication-overhead",
@@ -1064,16 +1079,47 @@ type row = {
   flagged : bool;  (** r² below [--min-r2], or not a number *)
 }
 
-(* All measurement progress goes to stderr so that stdout carries nothing
+(* A group measures its tests in [slices] turns: each turn gives every
+   test a slice of its quota, starting at the run count where its last
+   slice stopped. The samples are those one uninterrupted measurement
+   would take, but every test's samples span the same stretch of wall
+   time, so a host that slows down for a while slows all of the group's
+   rows alike and the ratios between them hold still. Slicing lowered
+   the `dispatch` group's fits, so only a group whose floor compares two
+   short rows asks for more than one (E29).
+
+   All measurement progress goes to stderr so that stdout carries nothing
    but the JSON when [--json -] is used (and so that [--json FILE] runs
    can be piped or captured without interleaved progress lines). *)
-let measure ~quota id tests =
+let measure ~quota ~slices id tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:id tests) in
+  let slice start =
+    Benchmark.cfg ~start ~limit:1000
+      ~quota:(Time.second (quota /. float slices))
+      ~kde:None ()
+  in
+  let raw = Hashtbl.create 16 in
+  for _ = 1 to slices do
+    List.iter
+      (fun elt ->
+        let name = Test.Elt.name elt in
+        let prior = Hashtbl.find_opt raw name in
+        let start =
+          match prior with
+          | Some { Benchmark.lr; _ } when Array.length lr > 0 ->
+              int_of_float (Measurement_raw.run lr.(Array.length lr - 1)) + 1
+          | Some _ | None -> 1
+        in
+        let b = Benchmark.run (slice start) [ instance ] elt in
+        Hashtbl.replace raw name
+          (match prior with
+          | None -> b
+          | Some p -> { p with lr = Array.append p.Benchmark.lr b.lr }))
+      (Test.elements (Test.make_grouped ~name:id tests))
+  done;
   (* Bechamel reports "<group>/<test>"; keep the bare test name so
      consumers can address tests without knowing their group. *)
   let prefix = String.length id + 1 in
@@ -1110,7 +1156,9 @@ let run_group ~quota ~min_r2 g =
   let rec attempt q tries best =
     let tests, counters = g.setup () in
     let best =
-      match tests with [] -> [] | _ -> merge best (measure ~quota:q g.id tests)
+      match tests with
+      | [] -> []
+      | _ -> merge best (measure ~quota:q ~slices:g.slices g.id tests)
     in
     if List.exists flagged best && tries < 3 then begin
       Printf.eprintf

@@ -44,16 +44,17 @@ type node = {
   mutable last_dispatched : int;
 }
 
-type link = { ch : Channel.t; inflight : Raft.msg Event_queue.t }
+type link = { dst : int; ch : Channel.t; inflight : Raft.msg Event_queue.t }
 
 type t = {
   net : Net.t;
   modules : Controller.App_sig.app list;
   config : Runtime.config;
   nodes : node array;
-  (* (src, dst) directed links in a fixed iteration order: hashtable
-     iteration order must never decide delivery order. *)
-  links : ((int * int) * link) list;
+  (* Every directed (src, dst) link, src-major, dst ascending, self-links
+     left out: a fixed iteration order (hashtable iteration order must
+     never decide delivery order) that {!link} indexes directly. *)
+  links : link array;
   xfer : State_transfer.t;
   mutable latest : State_transfer.snapshot option;
   sync_every : int;
@@ -75,14 +76,16 @@ let now t = Clock.now (Net.clock t.net)
 (* Byte cost of one peer message, for the replication-overhead metric:
    replicated events are priced at their AppVisor wire encoding (the
    bytes a real deployment would ship), plus a small fixed header per
-   message. *)
+   message. An entry is priced once, when the leader appends it
+   ({!append}), however many peers and retransmissions carry it. *)
 let msg_bytes = function
   | Raft.Request_vote _ | Raft.Vote _ | Raft.Append_reply _ -> 16
   | Raft.Append_entries { entries; _ } ->
       32
-      + List.fold_left
-          (fun acc (e : Raft.entry) -> acc + Wire.event_size e.Raft.event)
-          0 entries
+      + List.fold_left (fun acc (e : Raft.entry) -> acc + e.Raft.size) 0 entries
+
+let append node ev =
+  ignore (Raft.append node.raft ~size:(Wire.event_size ev) ev)
 
 let create ?(config = Runtime.default_config) ?(sync_every = 8)
     ?(peer_channel = Channel.perfect) ?(on_runtime = fun _ -> ()) ~seed net
@@ -107,23 +110,24 @@ let create ?(config = Runtime.default_config) ?(sync_every = 8)
         })
   in
   let links =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun j ->
-            if i = j then None
-            else
-              Some
-                ( (i, j),
-                  {
-                    ch =
-                      Channel.create ~config:peer_channel
-                        ~seed:((seed * 65537) + (i * 257) + j)
-                        ();
-                    inflight = Event_queue.create ();
-                  } ))
-          ids)
-      ids
+    Array.of_list
+      (List.concat_map
+         (fun i ->
+           List.filter_map
+             (fun j ->
+               if i = j then None
+               else
+                 Some
+                   {
+                     dst = j;
+                     ch =
+                       Channel.create ~config:peer_channel
+                         ~seed:((seed * 65537) + (i * 257) + j)
+                         ();
+                     inflight = Event_queue.create ();
+                   })
+             ids)
+         ids)
   in
   {
     net;
@@ -149,7 +153,8 @@ let create ?(config = Runtime.default_config) ?(sync_every = 8)
 
 let set_tracer t tracer = t.tracer <- tracer
 
-let link t i j = List.assoc (i, j) t.links
+let link t i j =
+  t.links.((i * (Array.length t.nodes - 1)) + if j < i then j else j - 1)
 
 (* Offer one peer message to its directed channel: the seeded fault model
    decides loss, duplication and delay, exactly as on the southbound. *)
@@ -157,12 +162,12 @@ let transmit t ~now:at src dst msg =
   if t.nodes.(dst).alive then begin
     t.replication_msgs <- t.replication_msgs + 1;
     t.replication_bytes <- t.replication_bytes + msg_bytes msg;
-    match Channel.forward (link t src dst).ch with
+    let l = link t src dst in
+    match Channel.forward l.ch with
     | None -> ()
     | Some delays ->
         List.iter
-          (fun d ->
-            Event_queue.push (link t src dst).inflight ~time:(at +. d) msg)
+          (fun d -> Event_queue.push l.inflight ~time:(at +. d) msg)
           delays
   end
 
@@ -179,14 +184,16 @@ let pump t ~now:at =
   while !continue_ && !rounds < 64 do
     incr rounds;
     continue_ := false;
-    List.iter
-      (fun ((_, dst), l) ->
-        List.iter
-          (fun (_, msg) ->
-            continue_ := true;
-            let n = t.nodes.(dst) in
-            if n.alive then route t ~now:at n.node_id (Raft.receive n.raft ~now:at msg))
-          (Event_queue.drain_until l.inflight ~time:at))
+    Array.iter
+      (fun l ->
+        if not (Event_queue.is_empty l.inflight) then
+          List.iter
+            (fun (_, msg) ->
+              continue_ := true;
+              let n = t.nodes.(l.dst) in
+              if n.alive then
+                route t ~now:at n.node_id (Raft.receive n.raft ~now:at msg))
+            (Event_queue.drain_until l.inflight ~time:at))
       t.links
   done
 
@@ -210,7 +217,9 @@ let election_pass t ~now:at =
   let by_deadline =
     List.sort
       (fun a b ->
-        compare (Raft.deadline a.raft, a.node_id) (Raft.deadline b.raft, b.node_id))
+        match Float.compare (Raft.deadline a.raft) (Raft.deadline b.raft) with
+        | 0 -> Int.compare a.node_id b.node_id
+        | c -> c)
       (Array.to_list t.nodes)
   in
   List.iter
@@ -242,9 +251,10 @@ let maybe_ship t node rt =
   then begin
     let snap = State_transfer.ship t.xfer ~commit_index:node.last_dispatched rt in
     t.latest <- Some snap;
-    Obs.Tracer.instant t.tracer
-      ~attrs:[ ("commit", string_of_int node.last_dispatched) ]
-      Obs.Span.State_transfer
+    if Obs.Tracer.enabled t.tracer then
+      Obs.Tracer.instant t.tracer
+        ~attrs:[ ("commit", string_of_int node.last_dispatched) ]
+        Obs.Span.State_transfer
   end
 
 (* Dispatch every committed-but-undispatched entry, in log order. The
@@ -315,7 +325,7 @@ let install_leader t ~now:at node =
      re-dispatch) its predecessor's tail — the standard Raft trick. It
      sits after the inherited entries, so re-dispatched xids still line
      up with the predecessor's sequence. *)
-  ignore (Raft.append node.raft (Event.Tick at));
+  append node (Event.Tick at);
   if is_failover then begin
     t.n_failovers <- t.n_failovers + 1;
     match t.kill_time with
@@ -375,12 +385,14 @@ let leader_io t ~now:at =
                       (fun ev ->
                         if node.alive && !budget > 0 then begin
                           decr budget;
-                          ignore (Raft.append node.raft ev)
+                          append node ev
                         end)
                       events;
-                    Obs.Tracer.instant t.tracer
-                      ~attrs:[ ("events", string_of_int (List.length events)) ]
-                      Obs.Span.Replicate;
+                    if Obs.Tracer.enabled t.tracer then
+                      Obs.Tracer.instant t.tracer
+                        ~attrs:
+                          [ ("events", string_of_int (List.length events)) ]
+                        Obs.Span.Replicate;
                     replicate t ~now:at node;
                     dispatch_committed t node;
                     go ()
@@ -413,7 +425,7 @@ let tick t =
                through the log, so followers replay the exact event
                sequence — ticks included — and a run is reproducible
                from the log alone. *)
-            ignore (Raft.append node.raft (Event.Tick at));
+            append node (Event.Tick at);
             replicate t ~now:at node;
             dispatch_committed t node)
     t.nodes;

@@ -11,7 +11,7 @@
    persistence (a killed controller never rejoins — crash-stop, not
    crash-recovery), and no membership changes. *)
 
-type entry = { term : int; event : Controller.Event.t }
+type entry = { term : int; event : Controller.Event.t; size : int }
 
 type role = Follower | Candidate | Leader
 
@@ -40,7 +40,7 @@ type msg =
 
 type t = {
   id : int;
-  peers : int list;  (* every other node *)
+  peers : int array;  (* every other node *)
   quorum : int;  (* majority of the full cluster, self included *)
   (* 1-based log in a growable array; log.(i-1) is entry i. *)
   mutable log : entry array;
@@ -57,8 +57,10 @@ type t = {
   rng : Random.State.t;
   lo : float;
   hi : float;
-  next_index : (int, int) Hashtbl.t;
-  match_index : (int, int) Hashtbl.t;
+  (* A leader's view of each peer, slot k for [peers.(k)]; -1 until this
+     node first leads. *)
+  next_index : int array;
+  match_index : int array;
   mutable votes : int list;
   mutable n_elections : int;
 }
@@ -72,10 +74,11 @@ let reset_timer t ~now =
 let create ~id ~peers ~seed ~lo ~hi ~now =
   if hi <= lo || lo <= 0. then
     invalid_arg "Raft.create: need 0 < election_lo < election_hi";
+  let others = Array.of_list (List.filter (fun p -> p <> id) peers) in
   let t =
     {
       id;
-      peers = List.filter (fun p -> p <> id) peers;
+      peers = others;
       quorum = (List.length peers / 2) + 1;
       log = [||];
       len = 0;
@@ -88,14 +91,23 @@ let create ~id ~peers ~seed ~lo ~hi ~now =
       rng = Random.State.make [| 0xC10; seed; id |];
       lo;
       hi;
-      next_index = Hashtbl.create 8;
-      match_index = Hashtbl.create 8;
+      next_index = Array.make (Array.length others) (-1);
+      match_index = Array.make (Array.length others) (-1);
       votes = [];
       n_elections = 0;
     }
   in
   t.timeout <- draw_timeout t;
   t
+
+(* The slot of [peer] in [t.peers], -1 for a node outside the cluster. *)
+let slot t peer =
+  let rec go k =
+    if k = Array.length t.peers then -1
+    else if t.peers.(k) = peer then k
+    else go (k + 1)
+  in
+  go 0
 
 let id t = t.id
 let role t = t.state
@@ -126,14 +138,14 @@ let entries_from t i =
   let rec take k acc = if k < i then acc else take (k - 1) (entry t k :: acc) in
   take t.len []
 
-let append t event =
+let append t ~size event =
   if t.state <> Leader then invalid_arg "Raft.append: not leader";
-  push t { term = t.current_term; event };
+  push t { term = t.current_term; event; size };
   t.len
 
-(* One Append_entries for one peer, from its next_index. *)
-let append_for t peer =
-  let next = try Hashtbl.find t.next_index peer with Not_found -> t.len + 1 in
+(* One Append_entries for the peer in slot [k], from its next_index. *)
+let append_for t k =
+  let next = if t.next_index.(k) < 0 then t.len + 1 else t.next_index.(k) in
   let prev_index = next - 1 in
   let prev_term = if prev_index = 0 then 0 else (entry t prev_index).term in
   Append_entries
@@ -146,7 +158,8 @@ let append_for t peer =
       commit = t.commit;
     }
 
-let heartbeats t = List.map (fun p -> (p, append_for t p)) t.peers
+let heartbeats t =
+  List.init (Array.length t.peers) (fun k -> (t.peers.(k), append_for t k))
 
 let become_follower t term =
   t.current_term <- term;
@@ -156,11 +169,8 @@ let become_follower t term =
 
 let become_leader t =
   t.state <- Leader;
-  List.iter
-    (fun p ->
-      Hashtbl.replace t.next_index p (t.len + 1);
-      Hashtbl.replace t.match_index p 0)
-    t.peers;
+  Array.fill t.next_index 0 (Array.length t.peers) (t.len + 1);
+  Array.fill t.match_index 0 (Array.length t.peers) 0;
   heartbeats t
 
 (* Majority-replicated and of the current term: the Raft commit rule —
@@ -171,14 +181,9 @@ let advance_commit t =
   let committed = ref false in
   while (not !committed) && !n > t.commit do
     let replicas =
-      1
-      + List.length
-          (List.filter
-             (fun p ->
-               match Hashtbl.find_opt t.match_index p with
-               | Some m -> m >= !n
-               | None -> false)
-             t.peers)
+      Array.fold_left
+        (fun acc m -> if m >= !n then acc + 1 else acc)
+        1 t.match_index
     in
     if replicas >= t.quorum && (entry t !n).term = t.current_term then begin
       t.commit <- !n;
@@ -206,7 +211,7 @@ let start_election t ~now =
               last_index = t.len;
               last_term = last_term t;
             } ))
-      t.peers
+      (Array.to_list t.peers)
 
 let tick t ~now =
   match t.state with
@@ -302,23 +307,21 @@ let receive t ~now msg =
       end
   | Append_reply { term; follower; success; match_index } ->
       if term > t.current_term then become_follower t term
-      else if t.state = Leader && term = t.current_term then
+      else if t.state = Leader && term = t.current_term then begin
+        let k = slot t follower in
         if success then begin
-          let prev =
-            match Hashtbl.find_opt t.match_index follower with
-            | Some m -> m
-            | None -> 0
-          in
-          Hashtbl.replace t.match_index follower (max prev match_index);
-          Hashtbl.replace t.next_index follower (max prev match_index + 1);
+          if k >= 0 then begin
+            let prev = max 0 t.match_index.(k) in
+            t.match_index.(k) <- max prev match_index;
+            t.next_index.(k) <- max prev match_index + 1
+          end;
           advance_commit t
         end
-        else begin
+        else if k >= 0 then begin
           let next =
-            match Hashtbl.find_opt t.next_index follower with
-            | Some n -> n
-            | None -> t.len + 1
+            if t.next_index.(k) < 0 then t.len + 1 else t.next_index.(k)
           in
-          Hashtbl.replace t.next_index follower (max 1 (next - 1))
-        end;
+          t.next_index.(k) <- max 1 (next - 1)
+        end
+      end;
       []

@@ -7,7 +7,10 @@
     virtual clock). Crash-stop, no persistence, no membership changes:
     a killed controller never rejoins. *)
 
-type entry = { term : int; event : Controller.Event.t }
+type entry = { term : int; event : Controller.Event.t; size : int }
+(** [size] is what the caller says the entry weighs (the cluster passes
+    its event's wire size). It is fixed at {!append} and carried
+    unchanged to every replica. *)
 
 type role = Follower | Candidate | Leader
 
@@ -63,7 +66,7 @@ val deadline : t -> float
 val entry : t -> int -> entry
 (** 1-based. Raises [Invalid_argument] outside [1, last_index]. *)
 
-val append : t -> Controller.Event.t -> int
+val append : t -> size:int -> Controller.Event.t -> int
 (** Leader-only: append an entry under the current term; returns its
     index. Raises [Invalid_argument] on a non-leader. *)
 

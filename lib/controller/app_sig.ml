@@ -70,9 +70,9 @@ let name (Instance ((module A), _)) = A.name
 let subscriptions (Instance ((module A), _)) = A.subscriptions
 let subscribes_to inst kind = List.mem kind (subscriptions inst)
 
-let handle (Instance ((module A), st)) ctx event =
+let handle (Instance ((module A), st) as inst) ctx event =
   let st', commands = A.handle ctx st event in
-  (Instance ((module A), st'), commands)
+  ((if st' == st then inst else Instance ((module A), st')), commands)
 
 let policy_of (Instance ((module A), st)) ctx = A.policy ctx st
 

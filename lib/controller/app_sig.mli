@@ -142,7 +142,16 @@ val subscribes_to : instance -> Event.kind -> bool
 val handle : instance -> context -> Event.t -> instance * Command.t list
 (** Functional step: the returned instance carries the new state; the input
     instance is unchanged (so a runtime can keep the old one as a
-    snapshot). Exceptions from the app propagate. *)
+    snapshot). When the app hands back a state physically equal to the
+    one it was given, the input instance itself is returned, so [==] on
+    instances says "no event changed the state since". Exceptions from the
+    app propagate.
+
+    Both uses rest on one purity contract: a state holds no mutable data,
+    so no event can change a state in place. [Sandbox.revert_last]
+    relies on it to go back to the previous instance, and
+    [Checkpoint.take] to keep the image of an instance it has
+    already serialized. *)
 
 val policy_of : instance -> context -> Policy.t option
 (** The instance's declared intent for its current state ([None] for

@@ -99,6 +99,19 @@ module Chunk_store = struct
         written_bytes;
       } )
 
+  (* The references a fresh [store] would take are the ones releasing
+     [m] would then drop, so keeping [m] moves no refcount. *)
+  let store_again t m =
+    let n = Array.length m.keys in
+    t.n_hits <- t.n_hits + n;
+    t.n_deduped <- t.n_deduped + m.total;
+    {
+      hits = n;
+      misses = 0;
+      deduped_bytes = m.total;
+      written_bytes = manifest_overhead n;
+    }
+
   let release t m =
     Array.iter
       (fun key ->
@@ -151,6 +164,7 @@ type t = {
   store : Chunk_store.t option;  (* None = full-blob storage *)
   observer : (notification -> unit) option;
   mutable latest : stored option;
+  mutable source : App_sig.instance option;  (* what [latest] was taken of *)
   mutable journal : Event.t list;  (* newest first *)
   mutable journal_len : int;
   mutable taken : int;
@@ -175,6 +189,7 @@ let make ?observer ~store when_due =
     store;
     observer;
     latest = None;
+    source = None;
     journal = [];
     journal_len = 0;
     taken = 0;
@@ -194,7 +209,7 @@ let cadence t = t.when_due
 let every t =
   match t.when_due with Every k -> k | Adaptive { max_events; _ } -> max_events
 
-let is_delta t = t.store <> None
+let is_delta t = Option.is_some t.store
 
 let notify t n = match t.observer with None -> () | Some f -> f n
 
@@ -210,44 +225,56 @@ let due t =
              && float_of_int (t.journal_len * replay_cost_per_event)
                 >= t.est_write)
 
-let take t inst =
+let full_write logical =
+  { Chunk_store.hits = 0; misses = 0; deduped_bytes = 0; written_bytes = logical }
+
+let serialize t inst =
   let snap = App_sig.snapshot inst in
   let logical = Bytes.length snap in
-  (match t.store with
-  | None ->
-      t.latest <- Some (Blob snap);
-      t.last_write <- logical;
-      notify t
-        (Took
-           {
-             delta = false;
-             logical;
-             written = logical;
-             chunk_hits = 0;
-             chunk_misses = 0;
-             deduped = 0;
-           })
-  | Some store ->
-      let manifest, w = Chunk_store.store store snap in
-      (* Store the new snapshot before releasing the old one: chunks the
-         two share must keep a reference across the swap, or the store
-         would evict and immediately re-write them. *)
-      let previous = t.latest in
-      t.latest <- Some (Chunked manifest);
-      (match previous with
-      | Some (Chunked m) -> Chunk_store.release store m
-      | Some (Blob _) | None -> ());
-      t.last_write <- w.Chunk_store.written_bytes;
-      notify t
-        (Took
-           {
-             delta = true;
-             logical;
-             written = w.Chunk_store.written_bytes;
-             chunk_hits = w.Chunk_store.hits;
-             chunk_misses = w.Chunk_store.misses;
-             deduped = w.Chunk_store.deduped_bytes;
-           }));
+  let stored, w =
+    match t.store with
+    | None -> (Blob snap, full_write logical)
+    | Some store ->
+        let manifest, w = Chunk_store.store store snap in
+        (* Store the new snapshot before releasing the old one: chunks the
+           two share must keep a reference across the swap, or the store
+           would evict and immediately re-write them. *)
+        (match t.latest with
+        | Some (Chunked m) -> Chunk_store.release store m
+        | Some (Blob _) | None -> ());
+        (Chunked manifest, w)
+  in
+  t.latest <- Some stored;
+  t.source <- Some inst;
+  (logical, w)
+
+(* States are immutable (App_sig's purity contract), so the instance the
+   stored image was taken of would serialize to that image again. *)
+let keep t stored =
+  match (stored, t.store) with
+  | Blob snap, _ ->
+      let logical = Bytes.length snap in
+      (logical, full_write logical)
+  | Chunked m, Some store -> (m.total, Chunk_store.store_again store m)
+  | Chunked _, None -> assert false
+
+let take t inst =
+  let logical, w =
+    match (t.latest, t.source) with
+    | Some stored, Some source when source == inst -> keep t stored
+    | _ -> serialize t inst
+  in
+  t.last_write <- w.Chunk_store.written_bytes;
+  notify t
+    (Took
+       {
+         delta = is_delta t;
+         logical;
+         written = w.Chunk_store.written_bytes;
+         chunk_hits = w.Chunk_store.hits;
+         chunk_misses = w.Chunk_store.misses;
+         deduped = w.Chunk_store.deduped_bytes;
+       });
   t.journal <- [];
   t.journal_len <- 0;
   t.taken <- t.taken + 1;

@@ -45,6 +45,14 @@ module Chunk_store : sig
 
   val store : t -> bytes -> manifest * write
 
+  val store_again : t -> manifest -> write
+  (** What {!store} of the bytes [m] holds would account while [m] is
+      still held: every chunk is present, so each one hits and only the
+      manifest overhead is written. Nothing is stored and no reference
+      taken: the caller keeps [m] in place of the manifest that store
+      would return, and does not release it. The lifetime statistics
+      rise as that store would raise them. *)
+
   val release : t -> manifest -> unit
   (** Drop the manifest's chunk references; unreferenced chunks are
       evicted. The manifest must not be materialized afterwards. *)
@@ -120,7 +128,23 @@ val due : t -> bool
     the first snapshot. *)
 
 val take : t -> Controller.App_sig.instance -> unit
-(** Snapshot the instance's state now and clear the replay journal. *)
+(** Snapshot the instance's state now and clear the replay journal.
+
+    A take of the very instance ([==]) the stored image was taken of
+    keeps that image instead of serializing the state again, as CRIU's
+    incremental dumps skip pages no write touched. It is sound because
+    states are immutable ({!Controller.App_sig}'s purity contract): the
+    instance would serialize to the stored bytes, and
+    {!Controller.App_sig.handle} returns its input instance exactly when
+    the app hands back its state unchanged. A restored, rebooted or
+    shipped state is a new instance, so it is serialized in full.
+
+    The accounting is what a fresh serialization would report, so no
+    counter can tell the two apart: a full store writes [logical] bytes;
+    a delta store finds every chunk already stored, so it counts each as
+    a hit, [deduped = logical], and writes the manifest overhead. The
+    store's hit and dedup totals rise by as much, and no chunk's
+    refcount moves. *)
 
 val record_applied : t -> Controller.Event.t -> unit
 (** Note that the application successfully processed this event after the

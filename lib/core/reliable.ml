@@ -388,12 +388,19 @@ let observe t = function
 (* Shadow tables travel with replica state transfer: a fail-over
    controller that starts from empty shadows would count every rule the
    old leader installed as "extra" divergence and could never resync a
-   rebooted switch. Export/import move the full intent, entry by entry. *)
-let export_shadows t =
+   rebooted switch. A capture takes each table's immutable version, so a
+   ship costs one pair per switch; import moves the full intent back,
+   entry by entry. *)
+let capture_shadows t =
   Hashtbl.fold
-    (fun sid table acc -> (sid, Flow_table.entries table) :: acc)
+    (fun sid table acc -> (sid, Flow_table.current table) :: acc)
     t.shadows []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let export_shadows t =
+  List.map
+    (fun (sid, v) -> (sid, Flow_table.Version.entries v))
+    (capture_shadows t)
 
 let import_shadows t shadows =
   Hashtbl.reset t.shadows;

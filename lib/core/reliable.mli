@@ -117,9 +117,14 @@ val pending_count : t -> int
 val shadow : t -> Types.switch_id -> Netsim.Flow_table.t option
 (** The intended rule set for one switch, if any intent was recorded. *)
 
+val capture_shadows :
+  t -> (Types.switch_id * Netsim.Flow_table.Version.t) list
+(** Every shadow table's current version, sorted by switch id: O(1) per
+    switch, and later changes to the tables leave it as it was. Replica
+    state transfer ships this. *)
+
 val export_shadows : t -> (Types.switch_id * Netsim.Flow_entry.t list) list
-(** All shadow tables as entry lists, sorted by switch id — the portable
-    form replica state transfer ships to a follower controller. *)
+(** {!capture_shadows} as entry lists. *)
 
 val import_shadows :
   t -> (Types.switch_id * Netsim.Flow_entry.t list) list -> unit

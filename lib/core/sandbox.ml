@@ -8,6 +8,8 @@ type verdict =
 type t = {
   mutable inst : App_sig.instance;
   mutable prev_inst : App_sig.instance option;  (* state before last deliver *)
+  mutable serialized : (App_sig.instance * bytes) option;
+      (* the last [snapshot_bytes] and the instance it serialized *)
   ckpt : Checkpoint.t;
   mutable is_alive : bool;
   mutable n_events : int;
@@ -20,6 +22,7 @@ let create ~ckpt m =
   {
     inst = App_sig.instantiate m;
     prev_inst = None;
+    serialized = None;
     ckpt;
     is_alive = true;
     n_events = 0;
@@ -162,7 +165,15 @@ let declared_policy t ctx =
   | p -> p
   | exception _ -> None
 
-let snapshot_bytes t = App_sig.snapshot t.inst
+(* States are immutable, so an instance serializes to the same bytes
+   every time it is asked. *)
+let snapshot_bytes t =
+  match t.serialized with
+  | Some (inst, bytes) when inst == t.inst -> bytes
+  | _ ->
+      let bytes = App_sig.snapshot t.inst in
+      t.serialized <- Some (t.inst, bytes);
+      bytes
 
 let restore_bytes t snapshot =
   t.inst <- App_sig.restore t.inst snapshot;

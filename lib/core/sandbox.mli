@@ -102,7 +102,9 @@ val declared_policy : t -> App_sig.context -> Policy.t option
 
 val snapshot_bytes : t -> bytes
 (** A serialized snapshot of the current state (does not touch the
-    checkpoint store) — for shipping state elsewhere, e.g. to a cluster replica. *)
+    checkpoint store) — for shipping state elsewhere, e.g. to a cluster replica.
+    Until an event changes the state, every call returns the same bytes
+    ([==]) without serializing again, so a caller must not mutate them. *)
 
 val restore_bytes : t -> bytes -> unit
 (** Overwrite the application state with a snapshot taken earlier from the

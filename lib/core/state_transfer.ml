@@ -11,15 +11,16 @@ type snapshot = {
   commit_index : int;
   next_xid : int;
   apps : (string * Chunk_store.manifest) list;
-  shadows : (Openflow.Types.switch_id * Netsim.Flow_entry.t list) list;
+  shadows : (Openflow.Types.switch_id * Netsim.Flow_table.Version.t) list;
   pending : (Openflow.Types.switch_id * Openflow.Message.t) list;
 }
 
 type t = {
   store : Chunk_store.t;
-  (* app -> manifest of the latest ship; kept so superseded manifests can
-     be released only after their successors hold the shared chunks. *)
-  mutable shipped : (string * Chunk_store.manifest) list;
+  (* app -> the bytes of the latest ship and their manifest; kept so
+     superseded manifests can be released only after their successors
+     hold the shared chunks, and so unchanged bytes keep their manifest. *)
+  mutable shipped : (string * (bytes * Chunk_store.manifest)) list;
   mutable n_ships : int;
   mutable n_shipped_bytes : int;
 }
@@ -28,28 +29,42 @@ let create () =
   { store = Chunk_store.create (); shipped = []; n_ships = 0; n_shipped_bytes = 0 }
 
 let ship t ~commit_index rt =
-  let apps =
+  let previous = t.shipped in
+  let shipped =
     List.map
       (fun box ->
-        let manifest, w = Chunk_store.store t.store (Sandbox.snapshot_bytes box) in
+        let name = Sandbox.name box in
+        let snap = Sandbox.snapshot_bytes box in
+        (* [Sandbox.snapshot_bytes] returns the same bytes for a state no
+           event changed: ship the manifest they were stored under again. *)
+        let manifest, w =
+          match List.assoc_opt name previous with
+          | Some (image, m) when image == snap ->
+              (m, Chunk_store.store_again t.store m)
+          | _ -> Chunk_store.store t.store snap
+        in
         t.n_shipped_bytes <- t.n_shipped_bytes + w.Chunk_store.written_bytes;
-        (Sandbox.name box, manifest))
+        (name, (snap, manifest)))
       (Runtime.sandboxes rt)
   in
   (* Release the superseded manifests only after the fresh ones hold
      their references, so chunks shared across ships survive the swap. *)
-  let previous = t.shipped in
-  t.shipped <- apps;
-  List.iter (fun (_, m) -> Chunk_store.release t.store m) previous;
+  t.shipped <- shipped;
+  List.iter
+    (fun (_, (_, m)) ->
+      if not (List.exists (fun (_, (_, kept)) -> kept == m) shipped) then
+        Chunk_store.release t.store m)
+    previous;
   t.n_ships <- t.n_ships + 1;
   let next_xid =
     match Runtime.netlog rt with Some nl -> Netlog.next_xid nl | None -> 1
   in
   let shadows, pending =
     match Runtime.reliable rt with
-    | Some rel -> (Reliable.export_shadows rel, Reliable.export_pending rel)
+    | Some rel -> (Reliable.capture_shadows rel, Reliable.export_pending rel)
     | None -> ([], [])
   in
+  let apps = List.map (fun (name, (_, m)) -> (name, m)) shipped in
   { commit_index; next_xid; apps; shadows; pending }
 
 let restore t snapshot rt =
@@ -62,7 +77,10 @@ let restore t snapshot rt =
     (Runtime.sandboxes rt);
   match Runtime.reliable rt with
   | Some rel ->
-      Reliable.import_shadows rel snapshot.shadows;
+      Reliable.import_shadows rel
+        (List.map
+           (fun (sid, v) -> (sid, Netsim.Flow_table.Version.entries v))
+           snapshot.shadows);
       Reliable.import_pending rel snapshot.pending
   | None -> ()
 

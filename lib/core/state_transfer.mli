@@ -21,7 +21,9 @@ type snapshot = {
           regenerate byte-identical xids (switch-side dedup then absorbs
           duplicates) and fresh commands never collide. *)
   apps : (string * Chunk_store.manifest) list;
-  shadows : (Openflow.Types.switch_id * Netsim.Flow_entry.t list) list;
+  shadows : (Openflow.Types.switch_id * Netsim.Flow_table.Version.t) list;
+      (** The reliable layer's shadow tables as captured versions (O(1)
+          per switch at ship time); {!restore} imports their entries. *)
   pending : (Openflow.Types.switch_id * Openflow.Message.t) list;
       (** The shipper's un-acked send queue (FIFO): commands whose wire
           delivery was still outstanding at ship time. The successor

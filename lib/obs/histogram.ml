@@ -3,8 +3,6 @@ type t = {
   factor : float;
   mutable counts : int array;  (* grown on demand *)
   mutable total : int;
-  mutable sum : float;
-  mutable min_v : float;
   mutable max_v : float;
 }
 
@@ -16,8 +14,6 @@ let create ?(min_bound = 1e-9) ?(factor = 2.) () =
     factor;
     counts = Array.make 8 0;
     total = 0;
-    sum = 0.;
-    min_v = nan;
     max_v = nan;
   }
 
@@ -54,14 +50,9 @@ let observe t x =
   ensure t i;
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. x;
-  if Float.is_nan t.min_v || x < t.min_v then t.min_v <- x;
   if Float.is_nan t.max_v || x > t.max_v then t.max_v <- x
 
 let count t = t.total
-let sum t = t.sum
-let min_seen t = t.min_v
-let max_seen t = t.max_v
 
 let quantile t q =
   if t.total = 0 then 0.
@@ -76,35 +67,9 @@ let quantile t q =
     bound_of t !i
   end
 
-let buckets t =
-  let out = ref [] in
-  Array.iteri
-    (fun i c -> if c > 0 then out := (bound_of t i, c) :: !out)
-    t.counts;
-  List.rev !out
-
-let merge_into ~dst t =
-  if dst.min_bound <> t.min_bound || dst.factor <> t.factor then
-    invalid_arg "Histogram.merge_into: bucket layouts differ";
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        ensure dst i;
-        dst.counts.(i) <- dst.counts.(i) + c
-      end)
-    t.counts;
-  dst.total <- dst.total + t.total;
-  dst.sum <- dst.sum +. t.sum;
-  if not (Float.is_nan t.min_v) then
-    if Float.is_nan dst.min_v || t.min_v < dst.min_v then dst.min_v <- t.min_v;
-  if not (Float.is_nan t.max_v) then
-    if Float.is_nan dst.max_v || t.max_v > dst.max_v then dst.max_v <- t.max_v
-
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.;
-  t.min_v <- nan;
   t.max_v <- nan
 
 let pp fmt t =

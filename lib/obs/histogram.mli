@@ -15,12 +15,6 @@ val observe : t -> float -> unit
 (** Record one sample. Negative samples are clamped into bucket 0. *)
 
 val count : t -> int
-val sum : t -> float
-val min_seen : t -> float
-(** [nan] while empty. *)
-
-val max_seen : t -> float
-(** [nan] while empty. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0,1]: the upper bound of the bucket holding
@@ -28,13 +22,6 @@ val quantile : t -> float -> float
     an empty histogram. The bucket holding the sample also holds the true
     quantile, so [true_q <= quantile t q <= factor * true_q] for samples
     above [min_bound]. *)
-
-val buckets : t -> (float * int) list
-(** Non-empty buckets as [(upper_bound, count)], ascending. *)
-
-val merge_into : dst:t -> t -> unit
-(** Add [t]'s samples into [dst] (same [min_bound] and [factor] required;
-    raises [Invalid_argument] otherwise). *)
 
 val clear : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -174,14 +174,22 @@ let instant t ?(attrs = []) kind =
           attrs;
         }
 
+(* [clear] empties the ring and rewinds [w] to slot 0, so until the ring
+   wraps the spans recorded since are exactly slots [0, w); after a wrap
+   every slot holds one. *)
+let used st =
+  if st.n_recorded < Array.length st.ring then st.w else Array.length st.ring
+
 let spans = function
   | Noop -> []
   | On st ->
       let n = Array.length st.ring in
+      let used = used st in
+      let first = st.w - used + n in
       let out = ref [] in
-      (* Oldest-first: slots [w .. w+n-1] mod n, skipping empties. *)
-      for i = n - 1 downto 0 do
-        match st.ring.((st.w + i) mod n) with
+      (* Oldest-first: the [used] slots that end just before [w]. *)
+      for i = used - 1 downto 0 do
+        match st.ring.((first + i) mod n) with
         | Some s -> out := s :: !out
         | None -> ()
       done;
@@ -197,7 +205,7 @@ let histogram t kind =
 let clear = function
   | Noop -> ()
   | On st ->
-      Array.fill st.ring 0 (Array.length st.ring) None;
+      Array.fill st.ring 0 (used st) None;
       st.w <- 0;
       st.n_recorded <- 0;
       st.n_dropped <- 0;

@@ -46,7 +46,9 @@ val instant : t -> ?attrs:(string * string) list -> Span.kind -> unit
 (** Record a zero-duration span (cache hit, retransmission, ...). *)
 
 val spans : t -> Span.t list
-(** Completed spans, oldest first. [[]] on {!noop}. *)
+(** Completed spans, oldest first. [[]] on {!noop}. Until the ring wraps
+    this reads only the slots written since the last {!clear}; after a
+    wrap, every slot. *)
 
 val open_count : t -> int
 (** Currently-open spans — 0 at any quiescent point. *)
@@ -62,7 +64,8 @@ val histogram : t -> Span.kind -> Histogram.t option
 
 val clear : t -> unit
 (** Drop completed and open spans and histogram contents; ids keep
-    counting from where they were. *)
+    counting from where they were. Empties only the ring slots written
+    since the last clear, or the whole ring once it has wrapped. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Per-kind table: spans recorded, p50/p95/p99 wall duration. *)

@@ -576,13 +576,14 @@ let rec restrict sw = function
   | (Filter _ | Forward _ | Flood | Drop | Modify _) as p -> p
 
 (* Walking from the bottom, a row sits one above the highest later row it
-   overlaps, or at [base + 1] when it overlaps none. Two overlapping rows
-   therefore differ in priority, the earlier one higher, so the
-   highest-priority match is the first match; rows sharing a priority
-   match disjoint packets, and a stable sort by priority lists them in a
-   first-match order again. A new row that overlaps nothing, such as a
-   route to a new destination, moves no other row. *)
-let prioritize ~base rows =
+   overlaps, or at [Message.default_priority + 1] when it overlaps none.
+   Two overlapping rows therefore differ in priority, the earlier one
+   higher, so the highest-priority match is the first match; rows sharing
+   a priority match disjoint packets, and a stable sort by priority lists
+   them in a first-match order again. A new row that overlaps nothing,
+   such as a route to a new destination, moves no other row. *)
+let prioritize rows =
+  let base = Message.default_priority in
   let placed =
     List.fold_left
       (fun below (p, acts) ->
@@ -600,7 +601,7 @@ let prioritize ~base rows =
   in
   List.stable_sort (fun a b -> compare b.r_priority a.r_priority) placed
 
-let share_table ~base sw share =
+let compile_share sw share =
   let rows = classifier sw share in
   let realized = List.map (fun (p, a) -> (p, realize p a)) rows in
   (* Trailing all-drop rows transmit nothing and shadow nothing below
@@ -620,15 +621,10 @@ let share_table ~base sw share =
       let n = List.length rows in
       if n > 30000 then
         uncompilable "policy compiles to %d rows on switch %d" n sw;
-      Some { t_sw = sw; t_rows = prioritize ~base rows }
+      Some { t_sw = sw; t_rows = prioritize rows }
 
-let compile_share sw share =
-  share_table ~base:Message.default_priority sw share
-
-let compile ?(priority_base = Message.default_priority) ~switches pol =
-  List.filter_map
-    (fun sw -> share_table ~base:priority_base sw (restrict sw pol))
-    switches
+let compile ~switches pol =
+  List.filter_map (fun sw -> compile_share sw (restrict sw pol)) switches
 
 let eval_table ~ports tbl ~in_port pkt =
   match

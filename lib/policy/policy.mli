@@ -146,32 +146,30 @@ val restrict : Types.switch_id -> t -> t
     and its per-switch agreement property compares {!agrees} with a
     check against the whole policy. *)
 
-val compile :
-  ?priority_base:int -> switches:Types.switch_id list -> t -> table list
+val compile : switches:Types.switch_id list -> t -> table list
 (** Compile a policy to one prioritized table per switch, each from that
     switch's share ({!restrict}) alone. All priorities are strictly above
-    [priority_base] (default [Message.default_priority]), so compiled
-    intent outranks rules installed at the default priority by
-    imperative apps. Trailing drop-everything rows are omitted — an
+    [Message.default_priority], so compiled intent outranks rules
+    installed at the default priority by imperative apps. Trailing drop-everything rows are omitted — an
     unmatched packet punts, which transmits nothing, so the forwarding
     relation is unchanged and the [No_drop_all] invariant is never
     tripped.
 
     Priorities: walking a switch's rows from the last, a row gets
-    [priority_base + 1 + d], where [d] is the largest [priority -
-    priority_base] among the later rows its pattern overlaps, or [0]
-    when it overlaps none; the rows are then listed by priority, highest
+    [Message.default_priority + 1 + d], where [d] is the largest
+    [priority - Message.default_priority] among the later rows its
+    pattern overlaps, or [0] when it overlaps none; the rows are then listed by priority, highest
     first (see {!table}). A row's priority thus depends only on the
     later rows it overlaps and their priorities: a new row that overlaps
     no other, such as a route to a new destination, moves no existing
     row, and the diff ({!flow_mods}) is one add. The highest priority is
-    at most [priority_base] plus the switch's row count.
+    at most [Message.default_priority] plus the switch's row count.
 
     Raises {!Uncompilable} if some row has no action-list realization. *)
 
 val compile_share : Types.switch_id -> t -> table option
 (** [compile_share sw (restrict sw pol)] is the table {!compile} builds
-    for [sw] (at the default base), [None] when the share compiles to no
+    for [sw], [None] when the share compiles to no
     row. A switch's table is a function of its share alone, so a caller
     that kept the share a table came from recompiles only the switches
     whose share changed. Raises {!Uncompilable} like {!compile}. *)

@@ -189,6 +189,190 @@ let prop_restore_equivalence =
             journal;
           Bytes.equal (App_sig.snapshot !restored) (App_sig.snapshot !live))
 
+(* ---- a take of an unchanged state ---- *)
+
+let blob_of c =
+  match Checkpoint.restore_point c with
+  | Some (snap, _) -> snap
+  | None -> Alcotest.fail "restore point expected"
+
+let test_unchanged_state_keeps_image () =
+  let inst = warmed_instance () in
+  (* Source 1 was learned on port 100: seeing it there again changes
+     nothing, seeing it on port 7 moves it. *)
+  let same, _ = App_sig.handle inst App_sig.null_context (packet_in 1 2) in
+  T_util.checkb "an unchanged state keeps its instance" true (same == inst);
+  let moved, _ =
+    App_sig.handle inst App_sig.null_context (packet_in ~in_port:7 1 2)
+  in
+  T_util.checkb "a changed state gets a new instance" false (moved == inst);
+  let c = Checkpoint.create ~every:1 () in
+  Checkpoint.take c inst;
+  let image = blob_of c in
+  Checkpoint.take c same;
+  T_util.checkb "the image is kept" true (blob_of c == image);
+  T_util.checki "and accounted as a fresh take" (2 * Bytes.length image)
+    (Checkpoint.bytes_written c);
+  Checkpoint.take c moved;
+  T_util.checkb "a changed state is serialized again" false
+    (blob_of c == image);
+  T_util.checkb "into its own bytes" true
+    (Bytes.equal (blob_of c) (App_sig.snapshot moved))
+
+(* A store that keeps its image for an unchanged instance must be
+   indistinguishable from one that serializes every take. Store [a] is fed
+   the live instance; its twin [b] a fresh byte-equal copy at each take,
+   which is never the instance its image came from. Few hosts, two ports
+   and ticks make the learning switch's state stay put for long stretches;
+   restores and reboots hand the store new instances of old states. *)
+type step =
+  | Pkt of int * int * int  (* src, dst, in_port *)
+  | Idle  (* a tick: the learning switch ignores it *)
+  | Down of int  (* a switch leaves *)
+  | Restore  (* checkpoint restore and journal replay, as in recovery *)
+  | Reboot
+  | Take_now  (* an unconditional take *)
+
+let pp_step = function
+  | Pkt (s, d, p) -> Printf.sprintf "pkt %d>%d@%d" s d p
+  | Idle -> "idle"
+  | Down sw -> Printf.sprintf "down %d" sw
+  | Restore -> "restore"
+  | Reboot -> "reboot"
+  | Take_now -> "take"
+
+let gen_steps =
+  QCheck2.Gen.(
+    list_size (int_range 1 60)
+      (frequency
+         [
+           ( 8,
+             map3
+               (fun s d p -> Pkt (s, d, p))
+               (int_range 1 3) (int_range 1 3) (int_range 1 2) );
+           (2, return Idle);
+           (1, map (fun sw -> Down sw) (int_range 1 2));
+           (1, return Restore);
+           (1, return Reboot);
+           (1, return Take_now);
+         ]))
+
+let stores =
+  [
+    ("full every 1", fun observer -> Checkpoint.create ~observer ~every:1 ());
+    ("full every 3", fun observer -> Checkpoint.create ~observer ~every:3 ());
+    ( "delta every 1",
+      fun observer ->
+        Checkpoint.create_delta ~chunk_size:16 ~observer
+          ~cadence:(Checkpoint.Every 1) () );
+    ( "delta adaptive",
+      fun observer ->
+        Checkpoint.create_delta ~chunk_size:16 ~observer
+          ~cadence:
+            (Checkpoint.Adaptive
+               { replay_cost_per_event = 40; min_events = 1; max_events = 6 })
+          () );
+  ]
+
+(* Takes of the instance the previous take was of: the reuse path's
+   opportunities, across every case the property runs. *)
+let reused_takes = ref 0
+
+let reuse_matches_fresh (store, steps) =
+  let make = List.assoc store stores in
+  let seen_a = ref [] and seen_b = ref [] in
+  let a = make (fun n -> seen_a := n :: !seen_a) in
+  let b = make (fun n -> seen_b := n :: !seen_b) in
+  let full = not (Checkpoint.is_delta a) in
+  let ctx = App_sig.null_context in
+  let live = ref (instance ()) in
+  let last_taken = ref None in
+  let take () =
+    let unchanged =
+      match !last_taken with Some i -> i == !live | None -> false
+    in
+    let before = if full && unchanged then Some (blob_of a) else None in
+    Checkpoint.take a !live;
+    Checkpoint.take b (App_sig.restore !live (App_sig.snapshot !live));
+    last_taken := Some !live;
+    if unchanged then incr reused_takes;
+    match before with
+    | Some image when blob_of a != image ->
+        QCheck2.Test.fail_report "an unchanged state's image was not kept"
+    | _ -> ()
+  in
+  (* Both stores' restore points, which must be equal and hold what the
+     last take was of; [a]'s is returned. The twin alone cannot show that
+     [a] kept the right image, since it runs the same [take]. *)
+  let restore_points () =
+    let pa = Checkpoint.restore_point a and pb = Checkpoint.restore_point b in
+    (match (pa, pb, !last_taken) with
+    | Some (sa, ja), Some (sb, jb), Some taken
+      when Bytes.equal sa sb
+           && List.equal Event.equal ja jb
+           && Bytes.equal sa (App_sig.snapshot taken) ->
+        ()
+    | None, None, None -> ()
+    | _ -> QCheck2.Test.fail_report "restore points differ");
+    pa
+  in
+  let deliver ev =
+    if Checkpoint.due a <> Checkpoint.due b then
+      QCheck2.Test.fail_report "the twins disagree on due";
+    if Checkpoint.due a then take ();
+    let updated, _ = App_sig.handle !live ctx ev in
+    live := updated;
+    Checkpoint.record_applied a ev;
+    Checkpoint.record_applied b ev
+  in
+  List.iter
+    (function
+      | Pkt (src, dst, in_port) -> deliver (packet_in ~in_port src dst)
+      | Idle -> deliver (tick 1.)
+      | Down sw -> deliver (Event.Switch_down sw)
+      | Restore -> (
+          match restore_points () with
+          | None -> ()
+          | Some (snap, journal) ->
+              live := App_sig.restore !live snap;
+              List.iter
+                (fun ev -> live := fst (App_sig.handle !live ctx ev))
+                journal;
+              take ())
+      | Reboot -> live := App_sig.reboot !live
+      | Take_now -> take ())
+    steps;
+  let counters c =
+    [
+      Checkpoint.bytes_written c;
+      Checkpoint.chunk_hits c;
+      Checkpoint.chunk_misses c;
+      Checkpoint.chunk_bytes_deduped c;
+      Checkpoint.journal_length c;
+      Checkpoint.snapshots_taken c;
+      Checkpoint.last_snapshot_bytes c;
+      Checkpoint.last_write_bytes c;
+    ]
+  in
+  ignore (restore_points ());
+  (!seen_a = !seen_b
+     || QCheck2.Test.fail_report "notification streams differ")
+  && (counters a = counters b || QCheck2.Test.fail_report "counters differ")
+
+let prop_reuse_matches_fresh =
+  QCheck2.Test.make ~name:"reused image == fresh serialization" ~count:300
+    ~print:(fun (store, steps) ->
+      store ^ ": " ^ String.concat "; " (List.map pp_step steps))
+    QCheck2.Gen.(pair (oneofl (List.map fst stores)) gen_steps)
+    reuse_matches_fresh
+
+(* Runs after the property: unless some take met the instance its image
+   came from, the property compared two fresh serializations. *)
+let test_reuse_not_vacuous () =
+  T_util.checkb
+    (Printf.sprintf "%d takes of an unchanged instance" !reused_takes)
+    true (!reused_takes > 0)
+
 let suite =
   [
     Alcotest.test_case "due before first event" `Quick test_due_before_first_event;
@@ -201,4 +385,8 @@ let suite =
     Alcotest.test_case "delta vs full bytes" `Quick test_delta_vs_full_bytes;
     Alcotest.test_case "adaptive cadence" `Quick test_adaptive_cadence;
     QCheck_alcotest.to_alcotest prop_restore_equivalence;
+    Alcotest.test_case "a take of an unchanged state keeps its image" `Quick
+      test_unchanged_state_keeps_image;
+    QCheck_alcotest.to_alcotest prop_reuse_matches_fresh;
+    Alcotest.test_case "reuse path ran" `Quick test_reuse_not_vacuous;
   ]

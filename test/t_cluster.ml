@@ -97,6 +97,42 @@ let test_kill_leader_fails_over () =
   drive clock net c [ (3, 2) ];
   T_util.checkb "post-failover events commit" true (Cluster.commit_index c > before)
 
+(* A successor restored from a state transfer holds its predecessor's
+   intent: the shipped shadow tables, plus what it re-dispatched. Enough
+   traffic precedes the kill for a ship to carry rules. *)
+let test_successor_inherits_shadows () =
+  let clock, net, c = fresh () in
+  drive clock net c [ (1, 2); (2, 1); (1, 3); (3, 1); (2, 3); (3, 2) ];
+  T_util.checkb "a ship preceded the kill" true (Cluster.transfers_shipped c > 0);
+  Cluster.arm_kill c;
+  drive clock net c [ (1, 2); (2, 3) ];
+  settle clock net c 3;
+  T_util.checki "a successor took over" 1 (Cluster.failovers c);
+  match Option.bind (Cluster.leader_runtime c) Runtime.reliable with
+  | Some rel ->
+      T_util.checki "successor's shadow tables match the switches" 0
+        (Legosdn.Reliable.divergence rel)
+  | None -> Alcotest.fail "successor has no reliable layer"
+
+(* With perfect peer channels and one leader, each log entry reaches each
+   follower exactly once, so the replication bytes are every entry's
+   wire size twice over plus a 16- or 32-byte header per message. *)
+let test_replication_bytes_price_entries () =
+  let clock, net, c = fresh () in
+  drive clock net c [ (1, 2); (2, 1); (1, 3); (3, 1) ];
+  settle clock net c 2;
+  let log = Cluster.node_log c (Option.get (Cluster.leader c)) in
+  let payload =
+    List.fold_left
+      (fun acc (e : Raft.entry) -> acc + Legosdn.Wire.event_size e.Raft.event)
+      0 log
+  in
+  let headers = Cluster.replication_bytes c - (2 * payload) in
+  let msgs = Cluster.replication_msgs c in
+  T_util.checkb "entries replicated" true (List.length log > 4);
+  T_util.checkb "16 or 32 header bytes per message" true
+    (headers mod 16 = 0 && headers >= 16 * msgs && headers <= 32 * msgs)
+
 let test_followers_keep_sandboxes_warm () =
   let clock, net, c = fresh () in
   (* Enough traffic to cross the state-transfer cadence. *)
@@ -105,6 +141,47 @@ let test_followers_keep_sandboxes_warm () =
   settle clock net c 2;
   T_util.checkb "state transfers shipped" true (Cluster.transfers_shipped c > 0);
   T_util.checkb "transfer bytes accounted" true (Cluster.transfer_bytes c > 0)
+
+(* A ship of a state no event changed re-ships its manifest, accounted as
+   a fresh ship of the same bytes. The twin runtime holds the same states
+   as new instances (a restore of its own bytes), so its second ship
+   chunks them again; both must ship the same bytes and the same state. *)
+let test_unchanged_ship_keeps_manifest () =
+  let world () =
+    let clock = Clock.create () in
+    let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
+    let rt = Runtime.create net apps in
+    List.iter
+      (fun (src, dst) ->
+        Clock.advance_by clock 0.5;
+        Net.inject net src (T_util.tcp_packet src dst);
+        Runtime.step rt)
+      [ (1, 2); (2, 3); (3, 1) ];
+    (net, rt)
+  in
+  let module X = Legosdn.State_transfer in
+  let _, rt = world () and net', twin = world () in
+  let xfer = X.create () and xfer' = X.create () in
+  let first = X.ship xfer ~commit_index:1 rt in
+  ignore (X.ship xfer' ~commit_index:1 twin);
+  let second = X.ship xfer ~commit_index:2 rt in
+  List.iter
+    (fun box -> Sandbox.restore_bytes box (Sandbox.snapshot_bytes box))
+    (Runtime.sandboxes twin);
+  ignore (X.ship xfer' ~commit_index:2 twin);
+  T_util.checkb "the manifests are kept" true
+    (List.for_all2 (fun (_, a) (_, b) -> a == b) first.X.apps second.X.apps);
+  T_util.checki "and shipped as a fresh ship" (X.shipped_bytes xfer')
+    (X.shipped_bytes xfer);
+  let restored = Runtime.create net' apps in
+  X.restore xfer second restored;
+  let states rt =
+    List.map
+      (fun b -> (Sandbox.name b, Sandbox.snapshot_bytes b))
+      (Runtime.sandboxes rt)
+  in
+  T_util.checkb "the kept manifests restore the state" true
+    (states restored = states rt)
 
 (* Replay a committed log prefix through fresh sandboxes, mirroring the
    dispatch path: a context replica observes each entry first, then every
@@ -237,8 +314,14 @@ let suite =
     Alcotest.test_case "one leader after settling" `Quick test_election_converges;
     Alcotest.test_case "dispatch is commit-gated" `Quick test_commit_gated_dispatch;
     Alcotest.test_case "leader kill fails over" `Quick test_kill_leader_fails_over;
+    Alcotest.test_case "a successor inherits its predecessor's shadows" `Quick
+      test_successor_inherits_shadows;
+    Alcotest.test_case "replication bytes price each entry once per peer"
+      `Quick test_replication_bytes_price_entries;
     Alcotest.test_case "state transfers keep followers warm" `Quick
       test_followers_keep_sandboxes_warm;
+    Alcotest.test_case "a ship of an unchanged state keeps its manifest"
+      `Quick test_unchanged_ship_keeps_manifest;
     QCheck_alcotest.to_alcotest prop_replay_equals_leader_state;
     Alcotest.test_case "leader steps down mid-poll" `Quick
       test_leader_steps_down_mid_poll;

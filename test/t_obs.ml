@@ -327,6 +327,101 @@ let prop_quantile_bounds =
          above it (samples sit above min_bound by construction). *)
       true_q <= bound && bound <= (2.0 *. true_q) +. 1e-12)
 
+(* ---------------- tracer drain vs a full-ring walk (qcheck) ---------------- *)
+
+(* The reference keeps its own ring of (id, kind) with the tracer's
+   push-and-evict rule and reads it by walking every slot from the write
+   pointer, oldest first: the walk [spans] made before it learned to read
+   only the slots written since the last clear. Capacities of 1 to 8
+   against up to 80 operations make most cases wrap. *)
+type tracer_op =
+  | Start of Obs.Span.kind
+  | Finish of int  (* an index into the open stack; past it, an unknown id *)
+  | Instant of Obs.Span.kind
+  | Clear
+
+let pp_tracer_op = function
+  | Start k -> "start " ^ Obs.Span.kind_name k
+  | Finish i -> Printf.sprintf "finish #%d" i
+  | Instant k -> "instant " ^ Obs.Span.kind_name k
+  | Clear -> "clear"
+
+let spans_match_full_walk (capacity, ops) =
+  let tr = fresh_tracer ~capacity () in
+  let ring = Array.make capacity None in
+  let w = ref 0 and dropped = ref 0 and next_id = ref 1 in
+  let stack = ref [] in
+  let push span =
+    if ring.(!w) <> None then incr dropped;
+    ring.(!w) <- Some span;
+    w := (!w + 1) mod capacity
+  in
+  let full_walk () =
+    List.filter_map (fun i -> ring.((!w + i) mod capacity))
+      (List.init capacity Fun.id)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Start kind ->
+          let id = Obs.Tracer.start tr kind in
+          if id <> !next_id then QCheck2.Test.fail_report "unexpected span id";
+          incr next_id;
+          stack := (id, kind) :: !stack
+      | Finish i ->
+          let id =
+            match List.nth_opt !stack i with Some (id, _) -> id | None -> -7
+          in
+          Obs.Tracer.finish tr id;
+          if List.mem_assoc id !stack then begin
+            let rec pop = function
+              | ((top, _) as span) :: rest ->
+                  push span;
+                  if top = id then rest else pop rest
+              | [] -> []
+            in
+            stack := pop !stack
+          end
+      | Instant kind ->
+          Obs.Tracer.instant tr kind;
+          push (!next_id, kind);
+          incr next_id
+      | Clear ->
+          Obs.Tracer.clear tr;
+          Array.fill ring 0 capacity None;
+          w := 0;
+          dropped := 0;
+          stack := []);
+      let got =
+        List.map
+          (fun (s : Obs.Span.t) -> (s.Obs.Span.id, s.Obs.Span.kind))
+          (Obs.Tracer.spans tr)
+      in
+      (got = full_walk () && Obs.Tracer.dropped tr = !dropped)
+      || QCheck2.Test.fail_reportf "after %s: spans [%s], dropped %d"
+           (pp_tracer_op op)
+           (String.concat "; " (List.map (fun (id, _) -> string_of_int id) got))
+           (Obs.Tracer.dropped tr))
+    ops
+
+let prop_spans_match_full_walk =
+  QCheck2.Test.make ~name:"tracer spans == full-ring walk" ~count:300
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat "; " (List.map pp_tracer_op ops)))
+    QCheck2.Gen.(
+      let kind = oneofl Obs.Span.all_kinds in
+      pair (int_range 1 8)
+        (list_size (int_range 0 80)
+           (frequency
+              [
+                (4, map (fun k -> Start k) kind);
+                (4, map (fun i -> Finish i) (int_range 0 3));
+                (4, map (fun k -> Instant k) kind);
+                (1, return Clear);
+              ])))
+    spans_match_full_walk
+
 let suite =
   [
     Alcotest.test_case "nesting and auto-close" `Quick
@@ -347,4 +442,5 @@ let suite =
     Alcotest.test_case "metric reads register nothing" `Quick
       test_metrics_reads_register_nothing;
     QCheck_alcotest.to_alcotest prop_quantile_bounds;
+    QCheck_alcotest.to_alcotest prop_spans_match_full_walk;
   ]

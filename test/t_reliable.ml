@@ -167,6 +167,48 @@ let test_probe_waits_full_interval () =
   Reliable.tick rel;
   T_util.checkb "probed and healed" false (Reliable.is_degraded rel 1)
 
+(* ---- shadow capture ---- *)
+
+let entry_keys entries =
+  List.map
+    (fun (e : Flow_entry.t) -> (e.pattern, e.priority, e.actions))
+    entries
+
+let shadow_keys shadows =
+  List.map (fun (sid, entries) -> (sid, entry_keys entries)) shadows
+
+let test_capture_is_a_snapshot () =
+  let _, _, rel = fresh () in
+  let install ~xid sid tp =
+    ignore
+      (Reliable.send rel sid
+         (Message.message ~xid
+            (Message.Flow_mod
+               (Message.flow_add (Ofp_match.make ~tp_src:tp ())
+                  [ Action.Output 2 ]))))
+  in
+  install ~xid:1 2 10;
+  install ~xid:2 1 11;
+  install ~xid:3 1 12;
+  let captured = Reliable.capture_shadows rel in
+  let as_entries =
+    List.map (fun (sid, v) -> (sid, Flow_table.Version.entries v)) captured
+  in
+  let before = Reliable.export_shadows rel in
+  T_util.checkb "export is the capture's entries" true
+    (shadow_keys as_entries = shadow_keys before);
+  T_util.checkb "sorted by switch" true (List.map fst captured = [ 1; 2 ]);
+  install ~xid:4 2 13;
+  T_util.checkb "a later install changes the export" false
+    (shadow_keys (Reliable.export_shadows rel) = shadow_keys before);
+  T_util.checkb "and leaves the capture as it was" true
+    (shadow_keys
+       (List.map (fun (sid, v) -> (sid, Flow_table.Version.entries v)) captured)
+    = shadow_keys before);
+  Reliable.import_shadows rel as_entries;
+  T_util.checkb "importing the capture restores it" true
+    (shadow_keys (Reliable.export_shadows rel) = shadow_keys before)
+
 let suite =
   [
     Alcotest.test_case "backoff schedule values" `Quick
@@ -181,4 +223,6 @@ let suite =
       test_circuit_breaker_transitions;
     Alcotest.test_case "half-open probe waits its interval" `Quick
       test_probe_waits_full_interval;
+    Alcotest.test_case "a shadow capture is a snapshot" `Quick
+      test_capture_is_a_snapshot;
   ]
