@@ -156,23 +156,24 @@ let txn_commands n =
             (Openflow.Ofp_match.make ~tp_src:(i + 1) ())
             [ Openflow.Action.Output 1 ] ))
 
-let engine_bench name engine n finish =
+let engine_bench (type e) (module E : Legosdn.Txn_engine.S with type t = e)
+    (engine : e) name n finish =
   let cmds = txn_commands n in
   Test.make ~name
     (Staged.stage (fun () ->
-         let txn = engine.Legosdn.Txn_engine.begin_txn ~app:"bench" in
-         List.iter (fun c -> ignore (txn.Legosdn.Txn_engine.apply c)) cmds;
+         let txn = E.begin_txn engine ~app:"bench" in
+         List.iter (fun c -> ignore (E.apply engine txn c)) cmds;
          match finish with
          | `Commit ->
-             txn.Legosdn.Txn_engine.commit ();
+             E.commit engine txn;
              (* Leave the table as found so iterations stay uniform. *)
-             let cleanup = engine.Legosdn.Txn_engine.begin_txn ~app:"clean" in
+             let cleanup = E.begin_txn engine ~app:"clean" in
              ignore
-               (cleanup.Legosdn.Txn_engine.apply
+               (E.apply engine cleanup
                   (Command.Flow
                      (1, Openflow.Message.flow_delete Openflow.Ofp_match.any)));
-             cleanup.Legosdn.Txn_engine.commit ()
-         | `Abort -> txn.Legosdn.Txn_engine.abort ()))
+             E.commit engine cleanup
+         | `Abort -> E.abort engine txn))
 
 let bench_netlog () =
   List.concat_map
@@ -181,13 +182,15 @@ let bench_netlog () =
         Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 2)
       in
       ignore (Net.poll net);
-      let netlog = Legosdn.Netlog.engine (Legosdn.Netlog.create net) in
-      let buffer = Legosdn.Delay_buffer.engine (Legosdn.Delay_buffer.create net) in
+      let netlog = engine_bench (module Legosdn.Netlog) (Legosdn.Netlog.create net) in
+      let buffer =
+        engine_bench (module Legosdn.Delay_buffer) (Legosdn.Delay_buffer.create net)
+      in
       [
-        engine_bench (Printf.sprintf "netlog-commit-%d" n) netlog n `Commit;
-        engine_bench (Printf.sprintf "netlog-abort-%d" n) netlog n `Abort;
-        engine_bench (Printf.sprintf "buffer-commit-%d" n) buffer n `Commit;
-        engine_bench (Printf.sprintf "buffer-abort-%d" n) buffer n `Abort;
+        netlog (Printf.sprintf "netlog-commit-%d" n) n `Commit;
+        netlog (Printf.sprintf "netlog-abort-%d" n) n `Abort;
+        buffer (Printf.sprintf "buffer-commit-%d" n) n `Commit;
+        buffer (Printf.sprintf "buffer-abort-%d" n) n `Abort;
       ])
     [ 1; 16; 64 ]
 
@@ -1054,7 +1057,7 @@ let groups =
           At_most ("verified-compromise-linear-8", 0.1);
         ];
     group "nversion" "N-version voting panels: solo vs panel vs shed (E28)"
-      bench_nversion
+      bench_nversion ~slices:4
       ~ratios:
         [
           ( "nversion-panel-overhead",

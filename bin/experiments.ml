@@ -374,19 +374,20 @@ let netlog_exp () =
 
 let ablation_buffer () =
   section "E9" "ablation: NetLog vs the prototype's delay buffer (§4.1)";
-  let run engine_of =
+  let run (type e) name (module E : Legosdn.Txn_engine.S with type t = e)
+      (create : Net.t -> e) =
     let net = Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 2) in
     ignore (Net.poll net);
-    let engine = engine_of net in
+    let engine = create net in
     (* A transaction that installs then reads. *)
-    let txn = engine.Legosdn.Txn_engine.begin_txn ~app:"probe" in
+    let txn = E.begin_txn engine ~app:"probe" in
     ignore
-      (txn.Legosdn.Txn_engine.apply
+      (E.apply engine txn
          (Command.Flow
             (1, Openflow.Message.flow_add Openflow.Ofp_match.any [ Openflow.Action.Output 1 ])));
     let visible_mid_txn = Flow_table.size (Net.switch net 1).Sw.table = 1 in
     let replies =
-      txn.Legosdn.Txn_engine.apply
+      E.apply engine txn
         (Command.Stats (1, Openflow.Message.Flow_stats_request Openflow.Ofp_match.any))
     in
     let read_sees_own_write =
@@ -397,15 +398,14 @@ let ablation_buffer () =
           l <> []
       | _ -> false
     in
-    txn.Legosdn.Txn_engine.abort ();
+    E.abort engine txn;
     let clean_after_abort = Flow_table.size (Net.switch net 1).Sw.table = 0 in
-    (engine.Legosdn.Txn_engine.engine_name, visible_mid_txn, read_sees_own_write,
-     clean_after_abort)
+    (name, visible_mid_txn, read_sees_own_write, clean_after_abort)
   in
   let results =
     [
-      run (fun net -> Legosdn.Netlog.engine (Legosdn.Netlog.create net));
-      run (fun net -> Legosdn.Delay_buffer.engine (Legosdn.Delay_buffer.create net));
+      run "netlog" (module Legosdn.Netlog) (fun net -> Legosdn.Netlog.create net);
+      run "delay-buffer" (module Legosdn.Delay_buffer) Legosdn.Delay_buffer.create;
     ]
   in
   row "  %-14s| %-22s| %-22s| %s\n" "engine" "rules live mid-txn"
@@ -712,7 +712,7 @@ let atomic_exp () =
   section "E17" "atomic network updates (§3.4, after Katta et al.)";
   let net = Net.create (Clock.create ()) (Topo_gen.linear ~hosts_per_switch:1 3) in
   ignore (Net.poll net);
-  let engine = Legosdn.Netlog.engine (Legosdn.Netlog.create net) in
+  let netlog = Legosdn.Netlog.create net in
   let checker = Invariants.Incremental.create net in
   let mac h = Openflow.Types.mac_of_host h in
   let good =
@@ -735,10 +735,10 @@ let atomic_exp () =
       (fun acc sid -> acc + Flow_table.size (Net.switch net sid).Sw.table)
       0 [ 1; 2; 3 ]
   in
-  let o1 = Legosdn.Atomic_update.apply ~checker ~engine ~app:"operator" bad in
+  let o1 = Legosdn.Atomic_update.apply ~checker ~netlog ~app:"operator" bad in
   row "  3-rule update incl. black-holing rule : %s (rules installed: %d)\n"
     (Legosdn.Atomic_update.describe o1) (count_rules ());
-  let o2 = Legosdn.Atomic_update.apply ~checker ~engine ~app:"operator" good in
+  let o2 = Legosdn.Atomic_update.apply ~checker ~netlog ~app:"operator" good in
   row "  2-rule clean path update              : %s (rules installed: %d)\n"
     (Legosdn.Atomic_update.describe o2) (count_rules ())
 

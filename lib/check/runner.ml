@@ -218,7 +218,6 @@ let config_of ?(dispatch = Runtime.Sequential) spec =
         Crashpad.default_config with
         Crashpad.policy = Recovery_policy.uniform spec.Spec.policy;
       };
-    engine = Runtime.Netlog_engine;
     reliable =
       {
         Reliable.enabled = spec.Spec.reliable;

@@ -465,8 +465,6 @@ let active_runtime t =
   match leader_runtime t with Some rt -> Some rt | None -> t.last_runtime
 
 let node_alive t i = t.nodes.(i).alive
-let node_role t i = Raft.role t.nodes.(i).raft
-let node_term t i = Raft.term t.nodes.(i).raft
 let node_commit t i = Raft.commit_index t.nodes.(i).raft
 let node_last_dispatched t i = t.nodes.(i).last_dispatched
 

@@ -59,8 +59,6 @@ val arm_kill : t -> unit
 
 val nodes : t -> int
 val node_alive : t -> int -> bool
-val node_role : t -> int -> Raft.role
-val node_term : t -> int -> int
 val node_commit : t -> int -> int
 val node_last_dispatched : t -> int -> int
 

@@ -10,7 +10,7 @@ type refusal =
 
 type outcome = Committed | Rolled_back of refusal
 type budget = { limits : Resources.limits; state_bytes : unit -> int }
-type txn = Opened of Txn_engine.txn | Deferred of Txn_engine.t
+type txn = Opened of Netlog.txn | Deferred
 
 type replies =
   | Route of (Types.switch_id -> Message.t list -> unit)
@@ -39,8 +39,7 @@ let screen ?(tracer = Obs.Tracer.noop) ?budget ?(invariants = Checker.default)
   if breaches <> [] then Some (Over_limits breaches)
   else
     (* Hypothetical: the checker applies the mods to its own snapshot, so
-       the screen works the same whether the engine applies eagerly
-       (NetLog) or buffers until commit (delay buffer). *)
+       the screen runs before NetLog applies anything. *)
     let violations =
       match flow_mods commands with
       | [] -> []
@@ -71,10 +70,10 @@ let first_error sid replies =
     replies
 
 let commit ?(tracer = Obs.Tracer.noop) ?budget ?invariants ?unreachable
-    ~checker ~replies ~app txn commands =
+    ~checker ~netlog ~replies ~app txn commands =
   match screen ~tracer ?budget ?invariants ?unreachable ~checker commands with
   | Some refusal ->
-      (match txn with Opened txn -> txn.Txn_engine.abort () | Deferred _ -> ());
+      (match txn with Opened txn -> Netlog.abort netlog txn | Deferred -> ());
       Rolled_back refusal
   | None ->
       let attrs =
@@ -86,13 +85,13 @@ let commit ?(tracer = Obs.Tracer.noop) ?budget ?invariants ?unreachable
           let txn =
             match txn with
             | Opened txn -> txn
-            | Deferred engine -> engine.Txn_engine.begin_txn ~app
+            | Deferred -> Netlog.begin_txn netlog ~app
           in
           let rejection = ref None in
           List.iter
             (fun cmd ->
               if !rejection = None then
-                let answers = txn.Txn_engine.apply cmd in
+                let answers = Netlog.apply netlog txn cmd in
                 match (switch_of_command cmd, replies) with
                 | Some sid, Route route -> route sid answers
                 | Some sid, Reject_errors -> rejection := first_error sid answers
@@ -100,15 +99,15 @@ let commit ?(tracer = Obs.Tracer.noop) ?budget ?invariants ?unreachable
             commands;
           match !rejection with
           | Some refusal ->
-              txn.Txn_engine.abort ();
+              Netlog.abort netlog txn;
               Rolled_back refusal
           | None ->
-              txn.Txn_engine.commit ();
+              Netlog.commit netlog txn;
               Committed)
 
-let apply ?tracer ?invariants ~checker ~engine ~app updates =
-  commit ?tracer ?invariants ~checker ~replies:Reject_errors ~app
-    (Deferred engine)
+let apply ?tracer ?invariants ~checker ~netlog ~app updates =
+  commit ?tracer ?invariants ~checker ~netlog ~replies:Reject_errors ~app
+    Deferred
     (List.map (fun (sid, fm) -> Command.Flow (sid, fm)) updates)
 
 let describe = function

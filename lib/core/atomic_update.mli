@@ -43,10 +43,10 @@ val screen :
 (** Which transaction the commands go into; this decides which closed
     transaction, if any, a refusal hands NetLog's close hook. *)
 type txn =
-  | Opened of Txn_engine.txn
+  | Opened of Netlog.txn
       (** Opened by the caller before the commands existed (an app
           delivery). A refusal aborts it: one aborted, empty entry. *)
-  | Deferred of Txn_engine.t
+  | Deferred
       (** Opened only once the screens pass: a refusal leaves no entry. *)
 
 type replies =
@@ -60,6 +60,7 @@ val commit :
   ?invariants:Invariants.Checker.invariant list ->
   ?unreachable:(Types.switch_id -> bool) ->
   checker:Invariants.Incremental.t ->
+  netlog:Netlog.t ->
   replies:replies ->
   app:string ->
   txn ->
@@ -73,7 +74,7 @@ val apply :
   ?tracer:Obs.Tracer.t ->
   ?invariants:Invariants.Checker.invariant list ->
   checker:Invariants.Incremental.t ->
-  engine:Txn_engine.t ->
+  netlog:Netlog.t ->
   app:string ->
   (Types.switch_id * Message.flow_mod) list ->
   outcome

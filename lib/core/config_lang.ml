@@ -45,7 +45,6 @@ let kind_of_name name =
 type builder = {
   mutable checkpoint_every : int;
   mutable checkpoint_mode : Runtime.ckpt_mode;
-  mutable engine : Runtime.engine_kind;
   mutable quarantine_threshold : int option;
   mutable timing : Detector.timing;
   mutable limits : Resources.limits;
@@ -66,7 +65,6 @@ let fresh_builder () =
   {
     checkpoint_every = Runtime.default_config.Runtime.checkpoint_every;
     checkpoint_mode = Runtime.default_config.Runtime.checkpoint_mode;
-    engine = Runtime.default_config.Runtime.engine;
     quarantine_threshold = None;
     timing = Detector.default_timing;
     limits = Resources.unlimited;
@@ -168,12 +166,6 @@ let directive b lineno toks =
           err
             "bad workload directive (need rate > 0, alpha > 1, diurnal in \
              [0,1], period > 0, churn >= 0)")
-  | [ "engine"; "netlog" ] ->
-      b.engine <- Runtime.Netlog_engine;
-      Ok ()
-  | [ "engine"; "delay-buffer" ] ->
-      b.engine <- Runtime.Delay_buffer_engine;
-      Ok ()
   | [ "reliable"; "on" ] ->
       b.reliable <- { b.reliable with Reliable.enabled = true };
       Ok ()
@@ -332,7 +324,6 @@ let parse text =
         {
           Runtime.checkpoint_every = b.checkpoint_every;
           checkpoint_mode = b.checkpoint_mode;
-          engine = b.engine;
           reliable = b.reliable;
           cluster = b.cluster;
           dispatch = b.dispatch;
@@ -369,10 +360,6 @@ let print (config : Runtime.config) =
     | Runtime.Ckpt_full -> "full"
     | Runtime.Ckpt_delta -> "delta"
     | Runtime.Ckpt_delta_adaptive -> "delta-adaptive");
-  line "engine %s"
-    (match config.Runtime.engine with
-    | Runtime.Netlog_engine -> "netlog"
-    | Runtime.Delay_buffer_engine -> "delay-buffer");
   (match config.Runtime.dispatch with
   | Runtime.Sequential -> line "dispatch seq"
   | Runtime.Batched { max_batch } -> line "dispatch batched batch %d" max_batch);

@@ -4,11 +4,10 @@
     This grows the paper's per-app compromise policy language (§3.3: the
     [app] and [default] lines) into the full set of operator-tunable knobs
     the paper discusses: the checkpoint cadence (§5), the quarantine
-    threshold for multi-transaction failures (§5), the transaction engine
-    (§4.1), detection timing, per-app resource limits (§3.4) and the set
-    of "No-Compromise" network invariants (§5). A file of policy lines
-    alone is a valid configuration: {!Runtime.default_config} with that
-    policy.
+    threshold for multi-transaction failures (§5), detection timing,
+    per-app resource limits (§3.4) and the set of "No-Compromise" network
+    invariants (§5). A file of policy lines alone is a valid
+    configuration: {!Runtime.default_config} with that policy.
 
     Grammar — one directive per line, [#] starts a comment; every directive
     is optional and defaults to {!Runtime.default_config}:
@@ -16,8 +15,11 @@
     {v
     checkpoint every 5
     checkpoint mode delta                # or: full | delta-adaptive
-    engine netlog                        # or: delay-buffer
     dispatch batched batch 64            # or: dispatch seq | dispatch batched
+    reliable on timeout 0.05 retries 8   # or bare: reliable on | reliable off
+    replicas 3                           # odd controller-cluster size
+    election timeout 0.15 0.3
+    intent on                            # or: intent off
     trace-cache budget 1048576           # bytes; or: trace-cache unbounded
     workload trace seed 7 rate 40 alpha 1.5 diurnal 0.5 period 60 churn 0.1
                                          # or bare: workload trace (defaults)

@@ -26,7 +26,7 @@ let default_config =
   }
 
 type deps = {
-  engine : Txn_engine.t;
+  netlog : Netlog.t;
   incremental : Invariants.Incremental.t;
   context : unit -> App_sig.context;
   links_of : Types.switch_id -> Event.link list;
@@ -174,9 +174,9 @@ let install_intent config deps record sandbox ctx ((pol, switches) as source) =
           match
             Atomic_update.commit ~tracer:deps.tracer
               ~invariants:config.invariants ~checker:deps.incremental
+              ~netlog:deps.netlog
               ~replies:(Atomic_update.Route (fun _ _ -> ()))
-              ~app:(Sandbox.name sandbox)
-              (Atomic_update.Deferred deps.engine)
+              ~app:(Sandbox.name sandbox) Atomic_update.Deferred
               (List.map (fun (sid, fm) -> Command.Flow (sid, fm)) mods)
           with
           | Atomic_update.Rolled_back _ -> `Rejected
@@ -238,7 +238,7 @@ let commit_output config deps ~txn ~event ~revert ~contain owner commands =
   match
     Atomic_update.commit ~tracer:deps.tracer ~budget
       ~invariants:config.invariants ~unreachable:deps.unreachable
-      ~checker:deps.incremental
+      ~checker:deps.incremental ~netlog:deps.netlog
       ~replies:(Atomic_update.Route (route_replies deps owner))
       ~app:(Sandbox.name owner) (Atomic_update.Opened txn) commands
   with
@@ -277,7 +277,7 @@ let attempt config deps record sandbox event :
     (unit, Detector.failure * int) result =
   if not deps.batched_checkpoints then
     Sandbox.prepare ~tracer:deps.tracer sandbox;
-  let txn = deps.engine.Txn_engine.begin_txn ~app:(Sandbox.name sandbox) in
+  let txn = Netlog.begin_txn deps.netlog ~app:(Sandbox.name sandbox) in
   match deliver deps sandbox event with
   | Ok commands -> (
       match
@@ -302,10 +302,13 @@ let attempt config deps record sandbox event :
              with it. *)
           (match failure with
           | Detector.Fail_stop { partial; _ } ->
-              List.iter (fun cmd -> ignore (txn.Txn_engine.apply cmd)) partial
+              List.iter
+                (fun cmd -> ignore (Netlog.apply deps.netlog txn cmd))
+                partial
           | _ -> ());
-          let rolled_back = List.length (txn.Txn_engine.issued ()) in
-          txn.Txn_engine.abort ();
+          let undone = Netlog.ops_rolled_back deps.netlog in
+          Netlog.abort deps.netlog txn;
+          let rolled_back = Netlog.ops_rolled_back deps.netlog - undone in
           recover config deps ~app:(Sandbox.name sandbox) failure [ sandbox ];
           Error (failure, rolled_back))
 

@@ -43,7 +43,9 @@ val default_config : config
 
 (** What Crash-Pad needs from its host runtime. *)
 type deps = {
-  engine : Txn_engine.t;
+  netlog : Netlog.t;
+      (** Every delivery, elected output and intent install runs in one
+          of its transactions. *)
   incremental : Invariants.Incremental.t;
       (** The runtime's incremental invariant checker: every commit's
           flow-mods are screened through it ({!Atomic_update.screen}). *)
@@ -109,15 +111,15 @@ val attempt : config -> deps -> intent_record -> Sandbox.t -> Event.t ->
 (** Deliver one event inside a fresh transaction: prepare (unless
     [batched_checkpoints]), begin, deliver, {!commit_output}, confirm,
     reconcile intent against the app's record. [Error (failure,
-    rolled_back)] means the transaction aborted and the sandbox state has
-    already been repaired. *)
+    rolled_back)] means the transaction aborted, NetLog ran [rolled_back]
+    undos, and the sandbox state has already been repaired. *)
 
 val deliver :
   deps -> Sandbox.t -> Event.t -> (Command.t list, Detector.failure) result
 (** Deliver one event under an [App_handle] span. *)
 
 val commit_output :
-  config -> deps -> txn:Txn_engine.txn -> event:Event.t ->
+  config -> deps -> txn:Netlog.txn -> event:Event.t ->
   revert:Sandbox.t list -> contain:Sandbox.t list -> Sandbox.t ->
   Command.t list -> [ `Committed | `Contained | `Failed of Detector.failure ]
 (** {!Atomic_update.commit} of the owner's output into [txn], opened

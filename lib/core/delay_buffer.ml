@@ -2,87 +2,48 @@ open Openflow
 module Net = Netsim.Net
 module Command = Controller.Command
 
-type t = {
-  network : Net.t;
-  mutable next_xid : int;
-  mutable n_committed : int;
-  mutable n_aborted : int;
-  mutable n_buffered : int;
-  mutable n_discarded : int;
+type t = { network : Net.t; mutable next_xid : int }
+
+type txn = {
+  mutable buffered : Command.t list;  (* newest first *)
+  mutable closed : bool;
 }
 
-let create network =
-  {
-    network;
-    next_xid = 1;
-    n_committed = 0;
-    n_aborted = 0;
-    n_buffered = 0;
-    n_discarded = 0;
-  }
-
-let committed t = t.n_committed
-let aborted t = t.n_aborted
-let ops_buffered t = t.n_buffered
-let ops_discarded t = t.n_discarded
-
-let fresh_xid t =
-  let x = t.next_xid in
-  t.next_xid <- t.next_xid + 1;
-  x
+let create network = { network; next_xid = 1 }
 
 let send t sid payload =
-  Net.send t.network sid (Message.message ~xid:(fresh_xid t) payload)
+  let xid = t.next_xid in
+  t.next_xid <- xid + 1;
+  Net.send t.network sid (Message.message ~xid payload)
 
-let engine t : Txn_engine.t =
-  {
-    engine_name = "delay-buffer";
-    begin_txn =
-      (fun ~app:_ ->
-        let buffered = ref [] (* newest first *) in
-        let closed = ref false in
-        let applied = ref [] in
-        {
-          Txn_engine.apply =
-            (fun cmd ->
-              if !closed then
-                invalid_arg "Delay_buffer.apply: transaction already closed";
-              applied := cmd :: !applied;
-              match cmd with
-              | Command.Flow _ | Command.Packet _ | Command.Port _ ->
-                  t.n_buffered <- t.n_buffered + 1;
-                  buffered := cmd :: !buffered;
-                  []
-              | Command.Stats (sid, req) ->
-                  (* Reads bypass the buffer — and therefore do not see the
-                     transaction's own writes; the prototype's known flaw. *)
-                  send t sid (Message.Stats_request req)
-              | Command.Log _ -> []);
-          commit =
-            (fun () ->
-              if not !closed then begin
-                closed := true;
-                t.n_committed <- t.n_committed + 1;
-                List.iter
-                  (fun cmd ->
-                    match cmd with
-                    | Command.Flow (sid, fm) ->
-                        ignore (send t sid (Message.Flow_mod fm))
-                    | Command.Packet (sid, po) ->
-                        ignore (send t sid (Message.Packet_out po))
-                    | Command.Port (sid, pm) ->
-                        ignore (send t sid (Message.Port_mod pm))
-                    | Command.Stats _ | Command.Log _ -> ())
-                  (List.rev !buffered)
-              end);
-          abort =
-            (fun () ->
-              if not !closed then begin
-                closed := true;
-                t.n_aborted <- t.n_aborted + 1;
-                t.n_discarded <- t.n_discarded + List.length !buffered;
-                buffered := []
-              end);
-          issued = (fun () -> List.rev !applied);
-        });
-  }
+let begin_txn _ ~app:_ = { buffered = []; closed = false }
+
+let apply t txn cmd =
+  if txn.closed then invalid_arg "Delay_buffer.apply: transaction already closed";
+  match cmd with
+  | Command.Flow _ | Command.Packet _ | Command.Port _ ->
+      txn.buffered <- cmd :: txn.buffered;
+      []
+  | Command.Stats (sid, req) ->
+      (* Reads bypass the buffer — and therefore do not see the
+         transaction's own writes; the prototype's known flaw. *)
+      send t sid (Message.Stats_request req)
+  | Command.Log _ -> []
+
+let commit t txn =
+  if not txn.closed then begin
+    txn.closed <- true;
+    List.iter
+      (function
+        | Command.Flow (sid, fm) -> ignore (send t sid (Message.Flow_mod fm))
+        | Command.Packet (sid, po) -> ignore (send t sid (Message.Packet_out po))
+        | Command.Port (sid, pm) -> ignore (send t sid (Message.Port_mod pm))
+        | Command.Stats _ | Command.Log _ -> ())
+      (List.rev txn.buffered)
+  end
+
+let abort _ txn =
+  if not txn.closed then begin
+    txn.closed <- true;
+    txn.buffered <- []
+  end

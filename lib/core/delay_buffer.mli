@@ -7,15 +7,10 @@
     handler duration, reads (statistics) run against a network that does
     not yet contain the transaction's own writes, and nothing protects
     against byzantine rules that are only detectable after installation.
-    Kept as the E9 ablation baseline. *)
+    Kept as the E9 ablation baseline; the runtime never runs on it. *)
 
 type t
 
 val create : Netsim.Net.t -> t
 
-val committed : t -> int
-val aborted : t -> int
-val ops_buffered : t -> int
-val ops_discarded : t -> int
-
-val engine : t -> Txn_engine.t
+include Txn_engine.S with type t := t

@@ -48,7 +48,6 @@ type t = {
   mutable next_xid : int;
   mutable n_committed : int;
   mutable n_aborted : int;
-  mutable n_ops : int;
   mutable n_rolled_back : int;
   mutable on_close : journal_entry -> unit;
   mutable tracer : Obs.Tracer.t;
@@ -71,7 +70,6 @@ let create ?transport ?(xid_base = 1) ?metrics network =
     next_xid = xid_base;
     n_committed = 0;
     n_aborted = 0;
-    n_ops = 0;
     n_rolled_back = 0;
     on_close = ignore;
     tracer = Obs.Tracer.noop;
@@ -80,12 +78,10 @@ let create ?transport ?(xid_base = 1) ?metrics network =
 let set_tracer t tracer = t.tracer <- tracer
 let set_close_hook t f = t.on_close <- f
 
-let net t = t.network
 let cache t = t.counter_cache
 let next_xid t = t.next_xid
 let committed t = t.n_committed
 let aborted t = t.n_aborted
-let ops_applied t = t.n_ops
 let ops_rolled_back t = t.n_rolled_back
 
 let begin_txn _t ~app = { app; undos = []; applied = []; closed = false }
@@ -147,7 +143,6 @@ let flow_mod_undos t sid (fm : Message.flow_mod) =
 
 let apply t txn cmd =
   if txn.closed then invalid_arg "Netlog.apply: transaction already closed";
-  t.n_ops <- t.n_ops + 1;
   let xid = fresh_xid t in
   let replies =
     match cmd with
@@ -292,19 +287,3 @@ let abort t txn =
       };
     txn.undos <- []
   end
-
-let issued txn = List.rev txn.applied
-
-let engine t : Txn_engine.t =
-  {
-    engine_name = "netlog";
-    begin_txn =
-      (fun ~app ->
-        let txn = begin_txn t ~app in
-        {
-          Txn_engine.apply = (fun cmd -> apply t txn cmd);
-          commit = (fun () -> commit t txn);
-          abort = (fun () -> abort t txn);
-          issued = (fun () -> issued txn);
-        });
-  }

@@ -28,7 +28,6 @@ val create :
     command with a retransmission. [metrics] receives counter-cache
     eviction counts. *)
 
-val net : t -> Netsim.Net.t
 val cache : t -> Counter_cache.t
 
 val set_tracer : t -> Obs.Tracer.t -> unit
@@ -41,7 +40,6 @@ val next_xid : t -> int
 (** Lifetime statistics. *)
 val committed : t -> int
 val aborted : t -> int
-val ops_applied : t -> int
 val ops_rolled_back : t -> int
 
 (** One closed transaction, as the close hook receives it. *)
@@ -61,6 +59,8 @@ val set_close_hook : t -> (journal_entry -> unit) -> unit
     with the same commands, in the same order, so those tests set a hook
     that collects the entries. *)
 
+(** {1 Transactions} These four satisfy {!Txn_engine.S}. *)
+
 type txn
 
 val begin_txn : t -> app:string -> txn
@@ -78,8 +78,3 @@ val abort : t -> txn -> unit
     are removed; rules it removed are restored with their remaining
     timeouts, their counters banked in the cache; rewritten action lists
     are rewritten back. *)
-
-val issued : txn -> Controller.Command.t list
-(** Commands applied so far, oldest first. *)
-
-val engine : t -> Txn_engine.t

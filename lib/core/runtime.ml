@@ -2,7 +2,6 @@ open Controller
 module Net = Netsim.Net
 module Clock = Netsim.Clock
 
-type engine_kind = Netlog_engine | Delay_buffer_engine
 type ckpt_mode = Ckpt_full | Ckpt_delta | Ckpt_delta_adaptive
 
 type cluster_config = {
@@ -45,7 +44,6 @@ type config = {
   checkpoint_every : int;
   checkpoint_mode : ckpt_mode;
   crashpad : Crashpad.config;
-  engine : engine_kind;
   reliable : Reliable.config;
   cluster : cluster_config;
   dispatch : dispatch_mode;
@@ -59,7 +57,6 @@ let default_config =
     checkpoint_every = 1;
     checkpoint_mode = Ckpt_full;
     crashpad = Crashpad.default_config;
-    engine = Netlog_engine;
     reliable = Reliable.default_config;
     cluster = default_cluster_config;
     dispatch = Sequential;
@@ -74,9 +71,8 @@ type t = {
   mutable context_services : Services.t option;
   units : Voter.t list;  (* one per application *)
   boxes : Sandbox.t list;  (* every sandbox, panel variants included *)
-  netlog_instance : Netlog.t option;
-  reliable_layer : Reliable.t option;
-  engine : Txn_engine.t;
+  netlog_instance : Netlog.t;
+  reliable_layer : Reliable.t;
   incremental_checker : Invariants.Incremental.t;
   metrics_store : Metrics.t;
   ticket_store : Ticket.store;
@@ -122,35 +118,28 @@ let create ?(config = default_config) ?xid_base ?controller_id
   let obs_hub = Obs.Hub.create () in
   let tracer_cell = ref Obs.Tracer.noop in
   ignore (Obs.Hub.subscribe obs_hub (bridge_delivery_to_tracer tracer_cell));
-  let reliable_layer, netlog_instance, engine =
-    match config.engine with
-    | Netlog_engine ->
-        (* NetLog speaks to switches through the reliable layer, so every
-           transaction command — rollback traffic included — is
-           barrier-acked and retransmitted over a lossy channel. *)
-        let rel =
-          Reliable.create ~config:config.reliable ?controller_id
-            ~metrics:metrics_store
-            ~notify:(fun d -> Obs.Hub.emit obs_hub (Obs.Hub.Delivery d))
-            network
-        in
-        let transport =
-          match southbound_gate with
-          | None -> Reliable.send rel
-          | Some gate ->
-              (* The cluster's controlled-kill hook: a closed gate
-                 black-holes the send (as a crashed process would) without
-                 raising — an exception here would unwind through the
-                 transaction engine and be misread as an app failure. *)
-              fun sid msg ->
-                if gate sid msg then Reliable.send rel sid msg else []
-        in
-        let nl =
-          Netlog.create ~transport ?xid_base ~metrics:metrics_store network
-        in
-        (Some rel, Some nl, Netlog.engine nl)
-    | Delay_buffer_engine ->
-        (None, None, Delay_buffer.engine (Delay_buffer.create network))
+  (* NetLog speaks to switches through the reliable layer, so every
+     transaction command — rollback traffic included — is barrier-acked
+     and retransmitted over a lossy channel. *)
+  let reliable_layer =
+    Reliable.create ~config:config.reliable ?controller_id
+      ~metrics:metrics_store
+      ~notify:(fun d -> Obs.Hub.emit obs_hub (Obs.Hub.Delivery d))
+      network
+  in
+  let transport =
+    match southbound_gate with
+    | None -> Reliable.send reliable_layer
+    | Some gate ->
+        (* The cluster's controlled-kill hook: a closed gate black-holes
+           the send (as a crashed process would) without raising — an
+           exception here would unwind through the transaction and be
+           misread as an app failure. *)
+        fun sid msg ->
+          if gate sid msg then Reliable.send reliable_layer sid msg else []
+  in
+  let netlog_instance =
+    Netlog.create ~transport ?xid_base ~metrics:metrics_store network
   in
   let incremental_checker =
     let observer ev =
@@ -236,7 +225,6 @@ let create ?(config = default_config) ?xid_base ?controller_id
     boxes;
     netlog_instance;
     reliable_layer;
-    engine;
     incremental_checker;
     metrics_store;
     ticket_store = Ticket.store ();
@@ -255,8 +243,8 @@ let voters t = t.units
 let metrics t = t.metrics_store
 let tickets t = Ticket.all t.ticket_store
 let ticket_store t = t.ticket_store
-let netlog t = t.netlog_instance
-let reliable t = t.reliable_layer
+let netlog t = Some t.netlog_instance
+let reliable t = Some t.reliable_layer
 let incremental t = t.incremental_checker
 let events_processed t = Metrics.get t.metrics_store Metrics.events
 let events_shed t = t.n_shed
@@ -268,9 +256,7 @@ let tracer t = !(t.tracer_cell)
 
 let set_tracer t tracer =
   t.tracer_cell := tracer;
-  match t.netlog_instance with
-  | Some nl -> Netlog.set_tracer nl tracer
-  | None -> ()
+  Netlog.set_tracer t.netlog_instance tracer
 
 (* The service state applications see through their context. Normally the
    ingesting services; the cluster layer overrides it with a replica built
@@ -288,7 +274,7 @@ let links_of t sid =
 
 let deps ?(batched_checkpoints = false) t : Crashpad.deps =
   {
-    engine = t.engine;
+    netlog = t.netlog_instance;
     incremental = t.incremental_checker;
     context = (fun () -> Services.context (ctx_services t));
     links_of = (fun sid -> links_of t sid);
@@ -297,11 +283,7 @@ let deps ?(batched_checkpoints = false) t : Crashpad.deps =
     now = (fun () -> now t);
     enqueue_reply =
       (fun app ev -> t.reply_backlog <- t.reply_backlog @ [ (app, ev) ]);
-    unreachable =
-      (fun sid ->
-        match t.reliable_layer with
-        | Some rel -> Reliable.is_degraded rel sid
-        | None -> false);
+    unreachable = Reliable.is_degraded t.reliable_layer;
     tracer = !(t.tracer_cell);
     batched_checkpoints;
   }
@@ -354,9 +336,7 @@ let batch_amortizes_checkpoints t =
    the whole thing, so flow-mods to a fault-free switch share a single
    barrier. *)
 let dispatch_batch t batch =
-  (match t.reliable_layer with
-  | Some rel -> Reliable.begin_batch rel
-  | None -> ());
+  Reliable.begin_batch t.reliable_layer;
   let tracer = !(t.tracer_cell) in
   let attrs =
     if Obs.Tracer.enabled tracer then
@@ -368,9 +348,7 @@ let dispatch_batch t batch =
       if batched_checkpoints then
         List.iter (fun box -> Sandbox.prepare ~tracer box) t.boxes;
       List.iter (dispatch_with t (deps ~batched_checkpoints t)) batch);
-  match t.reliable_layer with
-  | Some rel -> Reliable.end_batch rel
-  | None -> ()
+  Reliable.end_batch t.reliable_layer
 
 (* What the dispatch mode decides: how many events one dispatch takes,
    and whether they go out one by one or as a batch. *)
@@ -381,11 +359,6 @@ let dispatch_events t events =
   match t.cfg.dispatch with
   | Sequential -> List.iter (dispatch_event t) events
   | Batched _ -> dispatch_batch t events
-
-let observe_reliable t notifications =
-  match t.reliable_layer with
-  | None -> ()
-  | Some rel -> List.iter (Reliable.observe rel) notifications
 
 (* A switch that disconnects takes its flow table with it: prune its
    entries from every application's installed-intent record so that when
@@ -412,7 +385,7 @@ let poll_events t =
   match Net.poll t.network with
   | [] -> []
   | notifications ->
-      observe_reliable t notifications;
+      List.iter (Reliable.observe t.reliable_layer) notifications;
       let events =
         List.concat_map (Services.ingest t.services_state) notifications
       in
@@ -433,9 +406,7 @@ let rec take n = function
    can multiply packet-ins exponentially), the excess is shed the way an
    overloaded controller connection would shed it. *)
 let step t =
-  (match t.reliable_layer with
-  | Some rel -> Reliable.tick rel
-  | None -> ());
+  Reliable.tick t.reliable_layer;
   let budget = ref Monolithic.storm_guard_events in
   let rec dispatch_round = function
     | [] -> ()
@@ -460,9 +431,7 @@ let step t =
    own. [step] never meets one, because [Services.ingest] never yields a
    Tick. *)
 let tick t =
-  (match t.reliable_layer with
-  | Some rel -> Reliable.tick rel
-  | None -> ());
+  Reliable.tick t.reliable_layer;
   dispatch_events t [ Event.Tick (now t) ]
 
 let upgrade_controller t =

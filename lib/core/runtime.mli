@@ -10,8 +10,6 @@
 
 open Controller
 
-type engine_kind = Netlog_engine | Delay_buffer_engine
-
 (** How each sandbox's checkpoint store is configured. *)
 type ckpt_mode =
   | Ckpt_full  (** Full snapshot blobs, fixed every-k cadence. *)
@@ -81,9 +79,9 @@ type config = {
   checkpoint_every : int;  (** k: checkpoint every k events (§5). *)
   checkpoint_mode : ckpt_mode;
   crashpad : Crashpad.config;
-  engine : engine_kind;
   reliable : Reliable.config;
-      (** Southbound reliable-delivery settings (NetLog engine only). *)
+      (** Southbound reliable-delivery settings: NetLog sends every
+          command through this layer. *)
   cluster : cluster_config;
   dispatch : dispatch_mode;
   trace_cache_budget : int option;
@@ -102,9 +100,9 @@ type config = {
 }
 
 val default_config : config
-(** k = 1, full checkpoints, Crash-Pad defaults, NetLog engine, reliable
-    delivery on, single controller, sequential dispatch, unbounded trace
-    cache, no generated workload. *)
+(** k = 1, full checkpoints, Crash-Pad defaults, reliable delivery on,
+    single controller, sequential dispatch, unbounded trace cache, no
+    generated workload. *)
 
 type t
 
@@ -134,8 +132,8 @@ val create :
     [southbound_gate] interposes on the NetLog transport: a send for which
     the gate returns [false] is silently black-holed — the wire behaviour
     of a controller process that died mid-transaction. The cluster layer
-    uses it to kill a leader at a precise point without raising through the
-    transaction engine. *)
+    uses it to kill a leader at a precise point without raising through
+    NetLog. *)
 
 val step : t -> unit
 (** Drain southbound notifications and dispatch the resulting events,
@@ -192,10 +190,12 @@ val metrics : t -> Metrics.t
 val tickets : t -> Ticket.t list
 val ticket_store : t -> Ticket.store
 val netlog : t -> Netlog.t option
-(** The NetLog instance, when the NetLog engine is in use. *)
+(** The NetLog instance every transaction runs in. Always [Some]: the
+    option type stays until every caller drops its [None] arm. *)
 
 val reliable : t -> Reliable.t option
-(** The reliable-delivery layer, when the NetLog engine is in use. *)
+(** The reliable-delivery layer NetLog sends through. Always [Some], for
+    the same reason as {!netlog}. *)
 
 val incremental : t -> Invariants.Incremental.t
 (** The incremental invariant checker that screens every transaction's

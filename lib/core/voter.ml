@@ -154,7 +154,7 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
   (* The transaction is opened before any delivery and commands are held
      in it only after the election: nothing a variant emits can reach the
      network before the vote. *)
-  let txn = deps.engine.Txn_engine.begin_txn ~app:t.vname in
+  let txn = Netlog.begin_txn deps.netlog ~app:t.vname in
   let results =
     List.map (fun v -> (v, Crashpad.deliver deps v.box event)) live
   in
@@ -178,7 +178,7 @@ let panel_dispatch (cfg : Crashpad.config) (deps : Crashpad.deps) t event =
         | (_, failure) :: _ -> failure
         | [] -> Detector.Hang (* unreachable: the gate checked a live primary *)
       in
-      txn.Txn_engine.abort ();
+      Netlog.abort deps.netlog txn;
       let attrs =
         if Obs.Tracer.enabled tracer then
           [ ("phase", "replay"); ("app", t.vname) ]

@@ -188,7 +188,6 @@ let encode_commands cmds = encode ~capacity:128 put_commands cmds
 let decode_commands b = get_commands (Buf.reader b)
 
 let event_size ev = Bytes.length (encode_event ev)
-let commands_size cmds = Bytes.length (encode_commands cmds)
 
 let roundtrip_event ev = decode_event (encode_event ev)
 let roundtrip_commands cmds = decode_commands (encode_commands cmds)

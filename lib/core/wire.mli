@@ -19,7 +19,6 @@ val encode_commands : Controller.Command.t list -> bytes
 val decode_commands : bytes -> Controller.Command.t list
 
 val event_size : Controller.Event.t -> int
-val commands_size : Controller.Command.t list -> int
 
 val roundtrip_event : Controller.Event.t -> Controller.Event.t
 (** [decode_event (encode_event e)] — one hop across the boundary. *)

@@ -494,9 +494,3 @@ let stats t =
     memoized_checks = t.memoized;
     evictions = t.evictions;
   }
-
-let pp_stats fmt (s : stats) =
-  Format.fprintf fmt
-    "trace cache: %d hits, %d misses (%d after invalidation); %d switch \
-     re-captures; %d whole-check memo hits; %d evictions"
-    s.hits s.misses s.invalidations s.recaptures s.memoized_checks s.evictions

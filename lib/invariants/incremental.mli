@@ -135,5 +135,3 @@ val cache_bytes : t -> int
 
 val cache_lines : t -> int
 (** Number of cached (src, dst) trace lines currently resident. *)
-
-val pp_stats : Format.formatter -> stats -> unit

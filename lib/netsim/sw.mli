@@ -104,8 +104,6 @@ type forward_result = {
   matched : bool;  (** Whether some flow entry matched. *)
 }
 
-val empty_forward : forward_result
-
 val process_packet :
   t -> now:float -> in_port:Types.port_no -> Packet.t -> forward_result
 (** Run the packet through the flow table, updating entry and port rx

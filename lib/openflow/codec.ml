@@ -447,5 +447,3 @@ let decode_at r : Message.t =
   with Buf.Underflow -> fail "truncated message"
 
 let decode b = decode_at (Buf.reader b)
-
-let encoded_size m = Bytes.length (encode m)

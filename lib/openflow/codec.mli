@@ -24,6 +24,3 @@ val decode : bytes -> Message.t
 val decode_at : Buf.reader -> Message.t
 (** Parse one frame from a stream position (for framed streams carrying
     several messages back to back). *)
-
-val encoded_size : Message.t -> int
-(** Byte length of the encoded frame, without materializing it twice. *)

@@ -156,9 +156,6 @@ val is_state_altering : payload -> bool
 (** True for messages that change switch state (flow-mods, packet-outs and
     port-mods): the class NetLog must be able to invert or compensate. *)
 
-val payload_kind : payload -> string
-(** Constructor name, for logs and tickets. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_payload : Format.formatter -> payload -> unit

@@ -321,8 +321,6 @@ end)
 
 let pool = Pool.create 4096
 let interning = ref true
-let intern_hits = ref 0
-let intern_inserts = ref 0
 
 let set_interning on = interning := on
 let interning_enabled () = !interning
@@ -331,19 +329,7 @@ let intern m =
   if not !interning then m
   else
     match Pool.find_opt pool m with
-    | Some shared ->
-        incr intern_hits;
-        shared
+    | Some shared -> shared
     | None ->
         Pool.add pool m;
-        incr intern_inserts;
         m
-
-type intern_stats = { hits : int; inserts : int; live : int }
-
-let intern_stats () =
-  { hits = !intern_hits; inserts = !intern_inserts; live = Pool.count pool }
-
-let reset_intern_stats () =
-  intern_hits := 0;
-  intern_inserts := 0

@@ -94,12 +94,3 @@ val set_interning : bool -> unit
     and differential tests. Already-interned values stay shared. *)
 
 val interning_enabled : unit -> bool
-
-type intern_stats = {
-  hits : int;  (** [intern] calls answered by an existing pool entry. *)
-  inserts : int;  (** [intern] calls that added a new pattern. *)
-  live : int;  (** Distinct patterns currently alive in the pool. *)
-}
-
-val intern_stats : unit -> intern_stats
-val reset_intern_stats : unit -> unit

@@ -5,7 +5,6 @@ type ip = int
 type xid = int
 type queue_id = int
 
-let port_max = 0xff00
 let port_in_port = 0xfff8
 let port_flood = 0xfffb
 let port_all = 0xfffc

@@ -25,9 +25,6 @@ type queue_id = int
 
 (** {1 Reserved port numbers (OF 1.0 §5.2.1)} *)
 
-val port_max : port_no
-(** Highest usable physical port number (0xff00). *)
-
 val port_in_port : port_no
 val port_flood : port_no
 val port_all : port_no
@@ -43,7 +40,6 @@ val mac_is_broadcast : mac -> bool
 val mac_of_host : int -> mac
 (** Deterministic MAC for simulated host [i] (vendor prefix 02:00:00). *)
 
-val ip_of_octets : int -> int -> int -> int -> ip
 val ip_of_host : int -> ip
 (** Deterministic 10.0.x.y address for simulated host [i]. *)
 

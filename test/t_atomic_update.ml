@@ -14,8 +14,8 @@ let setup () =
   { net; nl = Netlog.create net; checker = Invariants.Incremental.create net }
 
 let apply ?invariants w updates =
-  Atomic_update.apply ?invariants ~checker:w.checker
-    ~engine:(Netlog.engine w.nl) ~app:"op" updates
+  Atomic_update.apply ?invariants ~checker:w.checker ~netlog:w.nl ~app:"op"
+    updates
 
 let mac h = Types.mac_of_host h
 
@@ -149,15 +149,14 @@ let test_refusals_and_the_journal () =
           let journal = ref [] in
           Netlog.set_close_hook w.nl (fun e -> journal := e :: !journal);
           fault w.net;
-          let engine = Netlog.engine w.nl in
           let txn =
-            if opened then Atomic_update.Opened (engine.Legosdn.Txn_engine.begin_txn ~app:"op")
-            else Atomic_update.Deferred engine
+            if opened then Atomic_update.Opened (Netlog.begin_txn w.nl ~app:"op")
+            else Atomic_update.Deferred
           in
           Alcotest.(check string) label name
             (refusal
                (Atomic_update.commit ?budget ~unreachable ~checker:w.checker
-                  ~replies:Atomic_update.Reject_errors ~app:"op" txn commands));
+                  ~netlog:w.nl ~replies:Atomic_update.Reject_errors ~app:"op" txn commands));
           T_util.checkb (label ^ ": nothing installed") true
             (List.for_all (empty w) [ 1; 2; 3 ]);
           Alcotest.(check (list (pair bool bool)))

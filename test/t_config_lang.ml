@@ -13,7 +13,6 @@ let example =
   {|
 # production config
 checkpoint every 5
-engine netlog
 replicas 3
 election timeout 0.1 0.25
 quarantine threshold 3
@@ -33,7 +32,6 @@ default => absolute
 let test_parse_full_example () =
   let c = Config_lang.parse_exn example in
   T_util.checki "checkpoint k" 5 c.Runtime.checkpoint_every;
-  T_util.checkb "engine" true (c.Runtime.engine = Runtime.Netlog_engine);
   T_util.checki "replicas" 3 c.Runtime.cluster.Runtime.replicas;
   Alcotest.(check (float 1e-9)) "election lo" 0.1
     c.Runtime.cluster.Runtime.election_lo;
@@ -71,7 +69,6 @@ let test_parse_full_example () =
 let test_empty_is_default () =
   let c = Config_lang.parse_exn "" in
   T_util.checki "default k" 1 c.Runtime.checkpoint_every;
-  T_util.checkb "default engine" true (c.Runtime.engine = Runtime.Netlog_engine);
   T_util.checkb "no quarantine" true (c.Runtime.crashpad.Crashpad.quarantine = None);
   T_util.checkb "default single controller" true
     (c.Runtime.cluster = Runtime.default_cluster_config);
@@ -132,14 +129,22 @@ let test_errors_located () =
       match Config_lang.parse text with
       | Ok _ -> Alcotest.failf "%s should be rejected (%s)" text what
       | Error e -> T_util.checkb "line recorded" true (e.Config_lang.line >= 1))
-    cases
+    cases;
+  (* The runtime has one transaction engine, so no directive picks one. *)
+  List.iter
+    (fun text ->
+      match Config_lang.parse text with
+      | Error { Config_lang.line = 1; message } ->
+          T_util.checkb (text ^ " is no directive") true
+            (String.starts_with ~prefix:"cannot parse directive" message)
+      | Error _ | Ok _ -> Alcotest.failf "%s should be an unknown directive" text)
+    [ "engine netlog"; "engine delay-buffer" ]
 
 (* Semantic equality for configs: quarantine compares by presence and
    threshold (the store is a fresh value each parse). *)
 let config_equiv (a : Runtime.config) (b : Runtime.config) =
   a.Runtime.checkpoint_every = b.Runtime.checkpoint_every
   && a.Runtime.checkpoint_mode = b.Runtime.checkpoint_mode
-  && a.Runtime.engine = b.Runtime.engine
   && Recovery_policy.equal a.Runtime.crashpad.Crashpad.policy
        b.Runtime.crashpad.Crashpad.policy
   && a.Runtime.crashpad.Crashpad.invariants
@@ -170,7 +175,6 @@ let config_gen =
     let* mode =
       oneofl [ Runtime.Ckpt_full; Runtime.Ckpt_delta; Runtime.Ckpt_delta_adaptive ]
     in
-    let* engine = oneofl [ Runtime.Netlog_engine; Runtime.Delay_buffer_engine ] in
     let* quarantine = opt (int_range 1 5) in
     let* state_limit = opt (int_range 1 1_000_000) in
     let* cmd_limit = opt (int_range 1 512) in
@@ -253,7 +257,6 @@ let config_gen =
         Runtime.checkpoint_every = k;
         checkpoint_mode = mode;
         dispatch;
-        engine;
         trace_cache_budget;
         workload;
         nversion;

@@ -81,43 +81,6 @@ let prop_connected_switch_registry =
           Services.connected_switches services = alive)
         faults)
 
-let test_atomic_update_on_delay_buffer () =
-  let clock = Clock.create () in
-  let net = Net.create clock (Topo_gen.linear ~hosts_per_switch:1 3) in
-  ignore (Net.poll net);
-  let engine = Legosdn.Delay_buffer.engine (Legosdn.Delay_buffer.create net) in
-  let checker = Invariants.Incremental.create net in
-  let mac h = Openflow.Types.mac_of_host h in
-  let good =
-    [
-      (1, Openflow.Message.flow_add
-            (Openflow.Ofp_match.make ~dl_dst:(mac 2) ())
-            [ Openflow.Action.Output 1 ]);
-      (2, Openflow.Message.flow_add
-            (Openflow.Ofp_match.make ~dl_dst:(mac 2) ())
-            [ Openflow.Action.Output 100 ]);
-    ]
-  in
-  (match Legosdn.Atomic_update.apply ~checker ~engine ~app:"op" good with
-  | Legosdn.Atomic_update.Committed -> ()
-  | other ->
-      Alcotest.failf "buffered commit failed: %s"
-        (Legosdn.Atomic_update.describe other));
-  T_util.checkb "rules flushed at commit" true (T_util.reachable net 1 2);
-  (* The hypothetical screen vetoes bad batches before buffering flushes. *)
-  let bad =
-    (3, Openflow.Message.flow_add
-          (Openflow.Ofp_match.make ~dl_dst:(mac 1) ())
-          [ Openflow.Action.Output 88 ])
-    :: good
-  in
-  match Legosdn.Atomic_update.apply ~checker ~engine ~app:"op" bad with
-  | Legosdn.Atomic_update.Rolled_back (Legosdn.Atomic_update.Invariant_broken _) ->
-      T_util.checki "nothing new installed" 0
-        (Flow_table.size (Net.switch net 3).Sw.table)
-  | other ->
-      Alcotest.failf "expected veto, got %s" (Legosdn.Atomic_update.describe other)
-
 let test_standby_under_live_faults () =
   let clock = Clock.create () in
   let net = Net.create clock (Topo_gen.ring ~hosts_per_switch:1 4) in
@@ -158,8 +121,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_services_track_topology;
     QCheck_alcotest.to_alcotest prop_connected_switch_registry;
-    Alcotest.test_case "atomic update on delay buffer" `Quick
-      test_atomic_update_on_delay_buffer;
     Alcotest.test_case "standby under live faults" `Quick
       test_standby_under_live_faults;
   ]

@@ -6,6 +6,7 @@ module Crashpad = Legosdn.Crashpad
 module Recovery_policy = Legosdn.Recovery_policy
 module Metrics = Legosdn.Metrics
 module Ticket = Legosdn.Ticket
+module Netlog = Legosdn.Netlog
 module Resources = Legosdn.Resources
 module Event = Controller.Event
 module Command = Controller.Command
@@ -96,6 +97,32 @@ let test_partial_crash_rolled_back () =
   let tickets = Runtime.tickets rt in
   T_util.checkb "rollback recorded in ticket" true
     (List.exists (fun t -> t.Ticket.rolled_back_ops > 0) tickets)
+
+let test_ticket_counts_undos () =
+  (* The crash lets the whole output of the second packet-in out: a
+     flow-add and a packet-out. A packet on the wire has no inverse, so
+     the abort runs one undo, and that is what the ticket reports. *)
+  let bug =
+    Apps.Bug_model.make
+      (Apps.Bug_model.On_nth_of_kind (Event.K_packet_in, 2))
+      (Apps.Bug_model.Crash_partial 1.0)
+  in
+  let net, rt =
+    fresh
+      ~config:(with_policy (Recovery_policy.uniform Recovery_policy.Absolute))
+      [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Flooder)) ]
+  in
+  let undos = ref [] in
+  Netlog.set_close_hook (Option.get (Runtime.netlog rt)) (fun e ->
+      if not e.Netlog.je_committed then undos := e.Netlog.je_rolled_back :: !undos);
+  Runtime.dispatch_event rt (packet_in_event ~sid:1 1 2);
+  Runtime.dispatch_event rt (packet_in_event ~sid:2 2 1);
+  T_util.checki "escaped add rolled back" 0
+    (Flow_table.size (Net.switch net 2).Sw.table);
+  Alcotest.(check (list int)) "one aborted transaction, one undo" [ 1 ] !undos;
+  match Runtime.tickets rt with
+  | [ t ] -> T_util.checki "ticket counts the undo" 1 t.Ticket.rolled_back_ops
+  | ts -> Alcotest.failf "expected one ticket, got %d" (List.length ts)
 
 let test_byzantine_loop_blocked () =
   let bug =
@@ -335,53 +362,6 @@ let test_runtime_never_dies () =
   T_util.checki "the healthy app processed everything" 13
     (Sandbox.events_handled fw)
 
-let test_delay_buffer_engine_end_to_end () =
-  (* The whole runtime on the prototype's §4.1 engine: a partial crash
-     leaves nothing behind (the buffer never flushed), and healthy events
-     commit at transaction end. *)
-  let config =
-    {
-      (with_policy (Recovery_policy.uniform Recovery_policy.Absolute)) with
-      Runtime.engine = Runtime.Delay_buffer_engine;
-    }
-  in
-  let bug =
-    Apps.Bug_model.make
-      (Apps.Bug_model.On_nth_of_kind (Event.K_packet_in, 2))
-      (Apps.Bug_model.Crash_partial 1.0)
-  in
-  let net, rt = fresh ~config [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Flooder)) ] in
-  T_util.checkb "no netlog instance under the buffer engine" true
-    (Runtime.netlog rt = None);
-  Runtime.dispatch_event rt (packet_in_event ~sid:1 1 2);
-  T_util.checki "healthy event committed at flush" 1
-    (Flow_table.size (Net.switch net 1).Sw.table);
-  Runtime.dispatch_event rt (packet_in_event ~sid:2 2 1);
-  T_util.checki "partial emission discarded, never installed" 0
-    (Flow_table.size (Net.switch net 2).Sw.table);
-  T_util.checki "crash still recovered" 1 Metrics.(get (Runtime.metrics rt) crashes);
-  let box = Option.get (Runtime.sandbox rt "flooder") in
-  T_util.checkb "app alive" true (Sandbox.alive box)
-
-let test_byzantine_blocked_under_delay_buffer () =
-  (* The pre-commit invariant screen works on the buffer engine too (it is
-     hypothetical, not read-from-network). *)
-  let config =
-    {
-      (with_policy (Recovery_policy.uniform Recovery_policy.Absolute)) with
-      Runtime.engine = Runtime.Delay_buffer_engine;
-    }
-  in
-  let bug =
-    Apps.Bug_model.make
-      (Apps.Bug_model.On_kind Event.K_packet_in)
-      Apps.Bug_model.Byzantine_blackhole
-  in
-  let net, rt = fresh ~config [ Apps.Faulty.wrap ~bug (App_sig.app (module Apps.Learning_switch)) ] in
-  Runtime.dispatch_event rt (packet_in_event 1 2);
-  T_util.checki "blocked" 1 Metrics.(get (Runtime.metrics rt) byzantine);
-  T_util.checki "nothing installed" 0 (Flow_table.size (Net.switch net 1).Sw.table)
-
 (* Robustness: any event stream — valid, stale or nonsensical — must flow
    through the runtime without an exception escaping, whatever the app
    does with it. *)
@@ -447,6 +427,7 @@ let suite =
     Alcotest.test_case "fail-stop recovered, sibling unaffected" `Quick
       test_failstop_recovered_and_sibling_unaffected;
     Alcotest.test_case "partial crash rolled back" `Quick test_partial_crash_rolled_back;
+    Alcotest.test_case "ticket counts undos" `Quick test_ticket_counts_undos;
     Alcotest.test_case "byzantine loop blocked" `Quick test_byzantine_loop_blocked;
     Alcotest.test_case "byzantine black hole blocked" `Quick test_byzantine_blackhole_blocked;
     Alcotest.test_case "hang recovered" `Quick test_hang_recovered;
@@ -461,9 +442,5 @@ let suite =
     Alcotest.test_case "upgrade preserves app state" `Quick test_upgrade_preserves_app_state;
     Alcotest.test_case "stats replies routed" `Quick test_stats_replies_routed_to_requester;
     Alcotest.test_case "runtime never dies" `Quick test_runtime_never_dies;
-    Alcotest.test_case "delay-buffer engine end to end" `Quick
-      test_delay_buffer_engine_end_to_end;
-    Alcotest.test_case "byzantine blocked under delay buffer" `Quick
-      test_byzantine_blocked_under_delay_buffer;
     QCheck_alcotest.to_alcotest prop_runtime_total;
   ]

@@ -114,13 +114,18 @@ let test_multi_switch_transaction_rollback () =
 
 let test_commit_keeps_changes () =
   let _, net, nl = setup () in
+  let closed = ref [] in
+  Netlog.set_close_hook nl (fun e -> closed := e :: !closed);
+  let add = flow_cmd 2 (Message.flow_add Ofp_match.any [ Action.Output 1 ]) in
   let txn = Netlog.begin_txn nl ~app:"t" in
-  ignore
-    (Netlog.apply nl txn
-       (flow_cmd 2 (Message.flow_add Ofp_match.any [ Action.Output 1 ])));
+  ignore (Netlog.apply nl txn add);
+  ignore (Netlog.apply nl txn (Command.Log "b"));
   Netlog.commit nl txn;
   T_util.checki "rule survives commit" 1 (Flow_table.size (Net.switch net 2).Sw.table);
-  T_util.checki "committed count" 1 (Netlog.committed nl)
+  T_util.checki "committed count" 1 (Netlog.committed nl);
+  Alcotest.(check (list (list T_util.command_t)))
+    "the close hook gets the ops oldest first" [ [ add; Command.Log "b" ] ]
+    (List.map (fun e -> e.Netlog.je_ops) !closed)
 
 let test_closed_txn_rejected () =
   let _, _, nl = setup () in
@@ -232,15 +237,6 @@ let test_aggregate_stats_corrected () =
   | [ { Message.payload = Message.Stats_reply (Message.Aggregate_stats_reply agg); _ } ] ->
       T_util.checki "aggregate packets corrected" 1 agg.packets
   | _ -> Alcotest.fail "aggregate reply expected"
-
-let test_issued_order () =
-  let _, _, nl = setup () in
-  let txn = Netlog.begin_txn nl ~app:"t" in
-  ignore (Netlog.apply nl txn (Command.Log "a"));
-  ignore (Netlog.apply nl txn (Command.Log "b"));
-  Alcotest.(check (list T_util.command_t)) "oldest first"
-    [ Command.Log "a"; Command.Log "b" ]
-    (Netlog.issued txn)
 
 (* Property: for a random batch of flow-mods applied in one transaction,
    abort restores the exact structural network state. *)
@@ -357,7 +353,6 @@ let suite =
     Alcotest.test_case "expired rule stays dead" `Quick test_effectively_expired_rule_not_resurrected;
     Alcotest.test_case "counter cache corrects flow stats" `Quick test_counter_cache_corrects_stats;
     Alcotest.test_case "counter cache corrects aggregates" `Quick test_aggregate_stats_corrected;
-    Alcotest.test_case "issued order" `Quick test_issued_order;
     Alcotest.test_case "add consumes bank, abort re-credits" `Quick
       test_add_consumes_bank_and_abort_recredits;
     Alcotest.test_case "committed add drops bank" `Quick
