@@ -338,7 +338,7 @@ let steady_state_bytes make_ckpt =
   let c = make_ckpt () in
   let live = ref (App_sig.instantiate (App_sig.app (module Apps.Learning_switch))) in
   let feed src dst =
-    if Checkpoint.due c then Checkpoint.take c !live;
+    if Checkpoint.due c then Checkpoint.take c (App_sig.snapshot !live);
     let ev = packet_in_event ~sid:1 ~in_port:src src dst in
     let updated, _ = App_sig.handle !live App_sig.null_context ev in
     live := updated;
@@ -365,25 +365,19 @@ let bench_ckpt () =
         Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) ())
   in
   let inst = learning_switch_with_macs 1_000 in
-  (* A take of the instance a store's image came from keeps that image, so
-     the take rows alternate between two physically distinct, byte-equal
-     copies: every run serializes, as a take of a changed state does. *)
-  let copies = [| inst; App_sig.restore inst (App_sig.snapshot inst) |] in
-  let alternating c =
-    let i = ref 0 in
-    fun () ->
-      i := 1 - !i;
-      Checkpoint.take c copies.(!i)
-  in
+  let image = App_sig.snapshot inst in
+  (* Each run serializes the state and stores the fresh bytes, as a take
+     of a changed state does. *)
+  let take_fresh c () = Checkpoint.take c (App_sig.snapshot inst) in
   let full = Checkpoint.create ~every:1 () in
-  Checkpoint.take full inst;
+  Checkpoint.take full image;
   let delta = Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) () in
-  Checkpoint.take delta inst;
+  Checkpoint.take delta image;
   let unchanged = Checkpoint.create ~every:1 () in
-  Checkpoint.take unchanged inst;
+  Checkpoint.take unchanged image;
   let restore_test n =
     let c = Checkpoint.create_delta ~cadence:(Checkpoint.Every 100_000) () in
-    Checkpoint.take c inst;
+    Checkpoint.take c image;
     for i = 1 to n do
       Checkpoint.record_applied c
         (packet_in_event ~sid:1 ~in_port:(1 + (i mod 40)) ((i mod 97) + 1)
@@ -405,14 +399,14 @@ let bench_ckpt () =
                  journal))
   in
   ( [
-      Test.make ~name:"take-full-1000-macs" (Staged.stage (alternating full));
+      Test.make ~name:"take-full-1000-macs" (Staged.stage (take_fresh full));
       (* Steady state for the delta store: every chunk hits, so this
          measures the chunking + digest walk rather than storage. *)
       Test.make ~name:"take-delta-1000-macs"
-        (Staged.stage (alternating delta));
-      (* The same instance every run: the kept image's bookkeeping. *)
+        (Staged.stage (take_fresh delta));
+      (* The same bytes every run: the kept image's bookkeeping. *)
       Test.make ~name:"take-unchanged-1000-macs"
-        (Staged.stage (fun () -> Checkpoint.take unchanged inst));
+        (Staged.stage (fun () -> Checkpoint.take unchanged image));
     ]
     @ List.map restore_test [ 0; 16; 64; 256 ],
     [

@@ -9,50 +9,35 @@ let init () = 0
 
 let blocked_ports = [ 23; 445 ]
 
-let drops_installed st = st
-
 let acl_priority = Message.default_priority + 100
 
-let make ~blocks =
-  fun (_ctx : App_sig.context) (st : state) event ->
-    match event with
-    | Event.Switch_up (sid, _features) ->
-        let rules =
-          List.map
-            (fun tp_dst ->
-              Command.install ~priority:acl_priority sid
-                (Ofp_match.make ~dl_type:Packet.ethertype_ip
-                   ~nw_proto:Packet.proto_tcp ~tp_dst ())
-                [])
-            blocks
-        in
-        (st + List.length rules, rules)
-    | Event.Packet_in (sid, pi) ->
-        let pkt = pi.Message.pi_packet in
-        if
-          pkt.Packet.dl_type = Packet.ethertype_ip
-          && pkt.Packet.nw_proto = Packet.proto_tcp
-          && List.mem pkt.Packet.tp_dst blocks
-        then
-          (* Blocked traffic leaked to the controller (e.g. rules lost in a
-             switch reboot): drop it and re-pin the exact flow. *)
-          ( st + 1,
-            [
-              Command.install ~priority:acl_priority sid
-                (Ofp_match.exact ~in_port:pi.Message.pi_in_port pkt)
-                [];
-            ] )
-        else (st, [])
-    | _ -> (st, [])
-
-let handle = make ~blocks:blocked_ports
-
-let with_block_list blocks : (module App_sig.APP) =
-  (module struct
-    type nonrec state = state
-
-    let name = "firewall"
-    let subscriptions = subscriptions
-    let init = init
-    let handle ctx st ev = make ~blocks ctx st ev
-  end)
+let handle (_ctx : App_sig.context) (st : state) event =
+  match event with
+  | Event.Switch_up (sid, _features) ->
+      let rules =
+        List.map
+          (fun tp_dst ->
+            Command.install ~priority:acl_priority sid
+              (Ofp_match.make ~dl_type:Packet.ethertype_ip
+                 ~nw_proto:Packet.proto_tcp ~tp_dst ())
+              [])
+          blocked_ports
+      in
+      (st + List.length rules, rules)
+  | Event.Packet_in (sid, pi) ->
+      let pkt = pi.Message.pi_packet in
+      if
+        pkt.Packet.dl_type = Packet.ethertype_ip
+        && pkt.Packet.nw_proto = Packet.proto_tcp
+        && List.mem pkt.Packet.tp_dst blocked_ports
+      then
+        (* Blocked traffic leaked to the controller (e.g. rules lost in a
+           switch reboot): drop it and re-pin the exact flow. *)
+        ( st + 1,
+          [
+            Command.install ~priority:acl_priority sid
+              (Ofp_match.exact ~in_port:pi.Message.pi_in_port pkt)
+              [];
+          ] )
+      else (st, [])
+  | _ -> (st, [])

@@ -10,7 +10,3 @@ include Controller.App_sig.APP
 
 val blocked_ports : int list
 (** The default block list: telnet (23) and SMB (445). *)
-
-val with_block_list : int list -> (module Controller.App_sig.APP)
-
-val drops_installed : state -> int

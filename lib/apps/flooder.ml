@@ -6,7 +6,6 @@ type state = int  (* rules installed *)
 let name = "flooder"
 let subscriptions = [ Event.K_packet_in ]
 let init () = 0
-let rules_installed st = st
 
 let flow_idle_timeout = 60
 

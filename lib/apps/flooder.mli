@@ -4,5 +4,3 @@
     applications (§4.1). *)
 
 include Controller.App_sig.APP
-
-val rules_installed : state -> int

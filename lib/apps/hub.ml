@@ -6,7 +6,6 @@ type state = int  (* packets processed *)
 let name = "hub"
 let subscriptions = [ Event.K_packet_in ]
 let init () = 0
-let packets_seen st = st
 
 let handle _ctx st = function
   | Event.Packet_in (sid, pi) ->

@@ -4,5 +4,3 @@
     every packet visits the controller. *)
 
 include Controller.App_sig.APP
-
-val packets_seen : state -> int

@@ -15,8 +15,6 @@ let subscriptions = [ Event.K_packet_in; Event.K_switch_down ]
 
 let init () = Mac_table.empty
 
-let macs_learned st = Mac_table.cardinal st
-
 let lookup st sid mac = Mac_table.find_opt (sid, mac) st
 
 let make ~idle_timeout =

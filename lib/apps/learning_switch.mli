@@ -6,9 +6,6 @@
 
 include Controller.App_sig.APP
 
-val macs_learned : state -> int
-(** Total (switch, MAC) entries currently known. *)
-
 val lookup : state -> Openflow.Types.switch_id -> Openflow.Types.mac
   -> Openflow.Types.port_no option
 

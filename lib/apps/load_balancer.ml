@@ -18,8 +18,6 @@ let name = "load_balancer"
 let subscriptions = [ Event.K_packet_in ]
 let init () = { cursor = Sid_map.empty; assigned = Flow_key.empty }
 
-let flows_assigned st = Flow_key.cardinal st.assigned
-
 let lb_priority = Message.default_priority + 5
 let lb_idle_timeout = 120
 

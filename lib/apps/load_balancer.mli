@@ -7,5 +7,3 @@
     so crash recovery fidelity is observable. *)
 
 include Controller.App_sig.APP
-
-val flows_assigned : state -> int

@@ -15,7 +15,6 @@ let subscriptions = [ Event.K_tick; Event.K_stats_reply ]
 let init () = { totals = Sid_map.empty; n_polls = 0; n_regressions = 0 }
 
 let bytes_seen st sid = Option.value (Sid_map.find_opt sid st.totals) ~default:0
-let polls_sent st = st.n_polls
 let regressions st = st.n_regressions
 
 let handle (ctx : App_sig.context) st = function

@@ -8,10 +8,6 @@
 
 include Controller.App_sig.APP
 
-val bytes_seen : state -> Openflow.Types.switch_id -> int
-(** Latest per-switch byte total observed. *)
-
-val polls_sent : state -> int
 val regressions : state -> int
 (** Times a switch's byte total went backwards — should stay 0 when stats
     flow through NetLog's counter cache. *)

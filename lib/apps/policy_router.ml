@@ -24,8 +24,6 @@ let name = "policy_router"
 let subscriptions = [ Event.K_packet_in ]
 let init () = []
 
-let hosts_known st = List.length st
-
 let flood_out sid (pi : Message.packet_in) =
   Command.packet_out ?buffer_id:pi.Message.pi_buffer_id
     ~in_port:pi.Message.pi_in_port sid

@@ -6,6 +6,3 @@
     ({!Controller.App_sig.first_hop}). *)
 
 include Controller.App_sig.INTENT_APP
-
-val hosts_known : state -> int
-(** Distinct source MACs observed so far. *)

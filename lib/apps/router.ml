@@ -15,8 +15,6 @@ let subscriptions =
 
 let init () = []
 
-let routes_installed st = List.length st
-
 let route_priority = Message.default_priority + 10
 let route_idle_timeout = 300
 

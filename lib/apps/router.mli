@@ -9,9 +9,6 @@
 
 include Controller.App_sig.APP
 
-val routes_installed : state -> int
-(** Rules this app believes are currently installed. *)
-
 val variant : ?prefer_high_ports:bool -> string -> (module Controller.App_sig.APP)
 (** An independently-built "team" version for the diversity experiment
     (§3.4): same specification, different tie-breaking in path selection.

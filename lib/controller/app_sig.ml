@@ -84,5 +84,3 @@ let restore (Instance ((module A), _)) bytes =
   (* The state type is fixed by the module; a snapshot taken from the same
      module unmarshals to exactly that type. *)
   Instance ((module A), (Marshal.from_bytes bytes 0 : A.state))
-
-let state_size inst = Bytes.length (snapshot inst)

@@ -150,7 +150,7 @@ val handle : instance -> context -> Event.t -> instance * Command.t list
     Both uses rest on one purity contract: a state holds no mutable data,
     so no event can change a state in place. [Sandbox.revert_last]
     relies on it to go back to the previous instance, and
-    [Checkpoint.take] to keep the image of an instance it has
+    [Sandbox.snapshot_bytes] to keep the image of an instance it has
     already serialized. *)
 
 val policy_of : instance -> context -> Policy.t option
@@ -167,6 +167,3 @@ val snapshot : instance -> bytes
 val restore : instance -> bytes -> instance
 (** The instance with state replaced by a previously taken snapshot. The
     snapshot must come from the same application module. *)
-
-val state_size : instance -> int
-(** Byte size of a snapshot, the checkpoint-cost metric. *)

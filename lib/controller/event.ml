@@ -76,8 +76,6 @@ let switch_of = function
 
 let equal a b = a = b
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_name k)
-
 let pp fmt = function
   | Switch_up (sid, f) ->
       Format.fprintf fmt "switch_up(%a, %d ports)" Types.pp_switch sid

@@ -45,4 +45,3 @@ val switch_of : t -> Types.switch_id option
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_kind : Format.formatter -> kind -> unit

@@ -1,4 +1,3 @@
-module App_sig = Controller.App_sig
 module Event = Controller.Event
 
 module Chunk_store = struct
@@ -112,6 +111,11 @@ module Chunk_store = struct
       written_bytes = manifest_overhead n;
     }
 
+  let keep_or_store t ~kept blob =
+    match kept with
+    | Some (image, m) when image == blob -> (m, store_again t m)
+    | _ -> store t blob
+
   let release t m =
     Array.iter
       (fun key ->
@@ -148,23 +152,24 @@ type cadence =
 
 type notification =
   | Took of {
-      delta : bool;
-      logical : int;
       written : int;
       chunk_hits : int;
       chunk_misses : int;
       deduped : int;
     }
-  | Materialized of { bytes : int; journal : int }
+  | Materialized
 
-type stored = Blob of bytes | Chunked of Chunk_store.manifest
+(* The latest image: a full store holds the bytes it was handed, a delta
+   store those bytes' manifest beside them, so that a take of the very
+   same bytes keeps it. *)
+type storage =
+  | Full of bytes option
+  | Delta of Chunk_store.t * (bytes * Chunk_store.manifest) option
 
 type t = {
   when_due : cadence;
-  store : Chunk_store.t option;  (* None = full-blob storage *)
   observer : (notification -> unit) option;
-  mutable latest : stored option;
-  mutable source : App_sig.instance option;  (* what [latest] was taken of *)
+  mutable storage : storage;
   mutable journal : Event.t list;  (* newest first *)
   mutable journal_len : int;
   mutable taken : int;
@@ -182,14 +187,12 @@ let check_cadence = function
       if min_events > max_events then
         invalid_arg "Checkpoint: min_events > max_events"
 
-let make ?observer ~store when_due =
+let make ?observer storage when_due =
   check_cadence when_due;
   {
     when_due;
-    store;
     observer;
-    latest = None;
-    source = None;
+    storage;
     journal = [];
     journal_len = 0;
     taken = 0;
@@ -199,77 +202,51 @@ let make ?observer ~store when_due =
     est_write = 0.;
   }
 
-let create ?observer ~every () = make ?observer ~store:None (Every every)
+let create ?observer ~every () = make ?observer (Full None) (Every every)
 
 let create_delta ?chunk_size ?observer ~cadence () =
-  make ?observer ~store:(Some (Chunk_store.create ?chunk_size ())) cadence
+  make ?observer (Delta (Chunk_store.create ?chunk_size (), None)) cadence
 
-let cadence t = t.when_due
-
-let every t =
-  match t.when_due with Every k -> k | Adaptive { max_events; _ } -> max_events
-
-let is_delta t = Option.is_some t.store
+let is_delta t = match t.storage with Full _ -> false | Delta _ -> true
 
 let notify t n = match t.observer with None -> () | Some f -> f n
 
 let due t =
-  match t.latest with
-  | None -> true
-  | Some _ -> (
-      match t.when_due with
-      | Every k -> t.journal_len >= k
-      | Adaptive { replay_cost_per_event; min_events; max_events } ->
-          t.journal_len >= max_events
-          || t.journal_len >= min_events
-             && float_of_int (t.journal_len * replay_cost_per_event)
-                >= t.est_write)
+  t.taken = 0
+  ||
+  match t.when_due with
+  | Every k -> t.journal_len >= k
+  | Adaptive { replay_cost_per_event; min_events; max_events } ->
+      t.journal_len >= max_events
+      || t.journal_len >= min_events
+         && float_of_int (t.journal_len * replay_cost_per_event) >= t.est_write
 
-let full_write logical =
-  { Chunk_store.hits = 0; misses = 0; deduped_bytes = 0; written_bytes = logical }
-
-let serialize t inst =
-  let snap = App_sig.snapshot inst in
-  let logical = Bytes.length snap in
-  let stored, w =
-    match t.store with
-    | None -> (Blob snap, full_write logical)
-    | Some store ->
-        let manifest, w = Chunk_store.store store snap in
-        (* Store the new snapshot before releasing the old one: chunks the
-           two share must keep a reference across the swap, or the store
-           would evict and immediately re-write them. *)
-        (match t.latest with
-        | Some (Chunked m) -> Chunk_store.release store m
-        | Some (Blob _) | None -> ());
-        (Chunked manifest, w)
-  in
-  t.latest <- Some stored;
-  t.source <- Some inst;
-  (logical, w)
-
-(* States are immutable (App_sig's purity contract), so the instance the
-   stored image was taken of would serialize to that image again. *)
-let keep t stored =
-  match (stored, t.store) with
-  | Blob snap, _ ->
-      let logical = Bytes.length snap in
-      (logical, full_write logical)
-  | Chunked m, Some store -> (m.total, Chunk_store.store_again store m)
-  | Chunked _, None -> assert false
-
-let take t inst =
-  let logical, w =
-    match (t.latest, t.source) with
-    | Some stored, Some source when source == inst -> keep t stored
-    | _ -> serialize t inst
+let take t image =
+  let w =
+    match t.storage with
+    | Full _ ->
+        t.storage <- Full (Some image);
+        {
+          Chunk_store.hits = 0;
+          misses = 0;
+          deduped_bytes = 0;
+          written_bytes = Bytes.length image;
+        }
+    | Delta (store, kept) ->
+        let m, w = Chunk_store.keep_or_store store ~kept image in
+        (* Release the old manifest only after the new one holds its
+           references: chunks the two share must survive the swap, or the
+           store would evict and immediately re-write them. *)
+        (match kept with
+        | Some (_, old) when old != m -> Chunk_store.release store old
+        | _ -> ());
+        t.storage <- Delta (store, Some (image, m));
+        w
   in
   t.last_write <- w.Chunk_store.written_bytes;
   notify t
     (Took
        {
-         delta = is_delta t;
-         logical;
          written = w.Chunk_store.written_bytes;
          chunk_hits = w.Chunk_store.hits;
          chunk_misses = w.Chunk_store.misses;
@@ -278,7 +255,7 @@ let take t inst =
   t.journal <- [];
   t.journal_len <- 0;
   t.taken <- t.taken + 1;
-  t.last_bytes <- logical;
+  t.last_bytes <- Bytes.length image;
   t.total_bytes <- t.total_bytes + t.last_write;
   t.est_write <-
     (if t.taken = 1 then float_of_int t.last_write
@@ -289,17 +266,12 @@ let record_applied t ev =
   t.journal_len <- t.journal_len + 1
 
 let restore_point t =
-  match t.latest with
-  | None -> None
-  | Some (Blob snap) -> Some (snap, List.rev t.journal)
-  | Some (Chunked m) ->
-      let snap =
-        match t.store with
-        | Some store -> Chunk_store.materialize store m
-        | None -> assert false
-      in
-      notify t
-        (Materialized { bytes = Bytes.length snap; journal = t.journal_len });
+  match t.storage with
+  | Full None | Delta (_, None) -> None
+  | Full (Some image) -> Some (image, List.rev t.journal)
+  | Delta (store, Some (_, m)) ->
+      let snap = Chunk_store.materialize store m in
+      notify t Materialized;
       Some (snap, List.rev t.journal)
 
 let journal_length t = t.journal_len
@@ -308,11 +280,9 @@ let bytes_written t = t.total_bytes
 let last_snapshot_bytes t = t.last_bytes
 let last_write_bytes t = t.last_write
 
-let chunk_hits t =
-  match t.store with None -> 0 | Some s -> Chunk_store.hits s
+let chunk_stat stat t =
+  match t.storage with Full _ -> 0 | Delta (store, _) -> stat store
 
-let chunk_misses t =
-  match t.store with None -> 0 | Some s -> Chunk_store.misses s
-
-let chunk_bytes_deduped t =
-  match t.store with None -> 0 | Some s -> Chunk_store.bytes_deduped s
+let chunk_hits = chunk_stat Chunk_store.hits
+let chunk_misses = chunk_stat Chunk_store.misses
+let chunk_bytes_deduped = chunk_stat Chunk_store.bytes_deduped

@@ -3,7 +3,10 @@
     The proxy checkpoints an application before dispatching events to it.
     Checkpointing every event is the paper's §4.1 baseline; §5 proposes
     checkpointing every k events and replaying the journal on recovery —
-    both supported here via [every].
+    both supported here by the cadence [Every k].
+
+    A store sees only images: the bytes {!Sandbox} serialized an app
+    state into. It never serializes anything itself.
 
     Beyond the full-blob baseline, {!create_delta} switches a store to
     content-chunked delta snapshots: the snapshot bytes are split into
@@ -33,9 +36,9 @@ module Chunk_store : sig
   (** [chunk_size] defaults to 64 bytes. Raises [Invalid_argument] if
       [chunk_size < 1]. *)
 
-  (** Accounting for one {!store}. [written_bytes] is the cost model for a
-      delta write: bytes of chunks not already present, plus the manifest
-      overhead (16 bytes + 10 per chunk reference). *)
+  (** Accounting for one {!keep_or_store}. [written_bytes] is the cost
+      model for a delta write: bytes of chunks not already present, plus
+      the manifest overhead (16 bytes + 10 per chunk reference). *)
   type write = {
     hits : int;  (** Chunks already present — deduplicated. *)
     misses : int;  (** Chunks newly stored. *)
@@ -43,15 +46,24 @@ module Chunk_store : sig
     written_bytes : int;  (** New chunk bytes + manifest overhead. *)
   }
 
-  val store : t -> bytes -> manifest * write
+  val keep_or_store :
+    t -> kept:(bytes * manifest) option -> bytes -> manifest * write
+  (** [keep_or_store t ~kept b] stores [b] and returns its manifest,
+      holding one reference on each of its chunks — unless [kept] is
+      [Some (image, m)] with [b == image], the very bytes [m] was stored
+      from: then it returns [m] itself, stores nothing and takes no
+      reference.
 
-  val store_again : t -> manifest -> write
-  (** What {!store} of the bytes [m] holds would account while [m] is
-      still held: every chunk is present, so each one hits and only the
-      manifest overhead is written. Nothing is stored and no reference
-      taken: the caller keeps [m] in place of the manifest that store
-      would return, and does not release it. The lifetime statistics
-      rise as that store would raise them. *)
+      A kept manifest is accounted as the store would account it while
+      [m] is still held: every chunk is present, so each one hits,
+      [deduped_bytes] is the whole length and only the manifest overhead
+      is written; the lifetime statistics rise by as much. Byte-equal
+      but distinct bytes are stored afresh and, every chunk being
+      present, report the same numbers.
+
+      The caller releases the manifest it held only when a different one
+      is returned, and only after this call, so chunks the two share
+      survive the swap. *)
 
   val release : t -> manifest -> unit
   (** Drop the manifest's chunk references; unreferenced chunks are
@@ -89,16 +101,13 @@ type cadence =
 (** What just happened, for metrics/tracing observers. *)
 type notification =
   | Took of {
-      delta : bool;
-      logical : int;  (** Snapshot size before chunking. *)
-      written : int;  (** Bytes actually written (= logical when full). *)
+      written : int;
+          (** Bytes actually written (the image's length when full). *)
       chunk_hits : int;
       chunk_misses : int;
       deduped : int;
     }
-  | Materialized of { bytes : int; journal : int }
-      (** A restore point was produced: snapshot size and the number of
-          journal events the caller will replay. *)
+  | Materialized  (** A delta store reassembled its restore point. *)
 
 type t
 
@@ -116,35 +125,25 @@ val create_delta :
     [Invalid_argument] on a non-positive cadence parameter or
     [min_events > max_events]. *)
 
-val every : t -> int
-(** The fixed k for [Every k]; the [max_events] journal bound for
-    [Adaptive]. *)
-
-val cadence : t -> cadence
 val is_delta : t -> bool
 
 val due : t -> bool
 (** Is a snapshot due before the next event? O(1) — always true before
     the first snapshot. *)
 
-val take : t -> Controller.App_sig.instance -> unit
-(** Snapshot the instance's state now and clear the replay journal.
+val take : t -> bytes -> unit
+(** [take t image] stores [image], the serialized app state, as the new
+    restore point and clears the replay journal.
 
-    A take of the very instance ([==]) the stored image was taken of
-    keeps that image instead of serializing the state again, as CRIU's
-    incremental dumps skip pages no write touched. It is sound because
-    states are immutable ({!Controller.App_sig}'s purity contract): the
-    instance would serialize to the stored bytes, and
-    {!Controller.App_sig.handle} returns its input instance exactly when
-    the app hands back its state unchanged. A restored, rebooted or
-    shipped state is a new instance, so it is serialized in full.
+    A full store holds [image] itself and writes its whole length. A
+    delta store hands it to {!Chunk_store.keep_or_store} beside the
+    bytes and manifest it holds: the very bytes of the previous take
+    ([==]) keep their manifest, as CRIU's incremental dumps skip pages no
+    write touched; any other bytes are chunked and stored. Either way the
+    accounting is what storing [image] afresh reports, so no counter can
+    tell a kept image from a stored one.
 
-    The accounting is what a fresh serialization would report, so no
-    counter can tell the two apart: a full store writes [logical] bytes;
-    a delta store finds every chunk already stored, so it counts each as
-    a hit, [deduped = logical], and writes the manifest overhead. The
-    store's hit and dedup totals rise by as much, and no chunk's
-    refcount moves. *)
+    The store keeps [image]: the caller must not mutate it afterwards. *)
 
 val record_applied : t -> Controller.Event.t -> unit
 (** Note that the application successfully processed this event after the
@@ -153,7 +152,9 @@ val record_applied : t -> Controller.Event.t -> unit
 val restore_point : t -> (bytes * Controller.Event.t list) option
 (** The latest snapshot (materialized from chunks when delta) and the
     journal of events applied since (oldest first); [None] before any
-    snapshot was taken. *)
+    snapshot was taken. A full store returns the very bytes it was handed
+    by {!take}, which its caller may share (the sandbox's
+    {!Sandbox.snapshot_bytes}): callers must not mutate them. *)
 
 val journal_length : t -> int
 (** O(1). *)

@@ -1,21 +1,12 @@
 open Controller
 
 module Make (A : App_sig.APP) = struct
-  type state = {
-    primary : A.state;
-    clone : A.state;
-    n_switchovers : int;
-    n_resyncs : int;
-  }
+  type state = { primary : A.state; clone : A.state }
 
   let name = A.name ^ "+clone"
   let subscriptions = A.subscriptions
 
-  let init () =
-    { primary = A.init (); clone = A.init (); n_switchovers = 0; n_resyncs = 0 }
-
-  let switchovers st = st.n_switchovers
-  let clone_resyncs st = st.n_resyncs
+  let init () = { primary = A.init (); clone = A.init () }
 
   let handle ctx st ev =
     match A.handle ctx st.primary ev with
@@ -23,24 +14,18 @@ module Make (A : App_sig.APP) = struct
         (* Primary healthy: feed the clone too, but only the primary's
            output is used. A clone crash is silently absorbed by re-seeding
            it from the primary. *)
-        let clone', resyncs =
+        let clone' =
           match A.handle ctx st.clone ev with
-          | clone', _ignored_commands -> (clone', st.n_resyncs)
-          | exception _ -> (primary', st.n_resyncs + 1)
+          | clone', _ignored_commands -> clone'
+          | exception _ -> primary'
         in
-        ( { st with primary = primary'; clone = clone'; n_resyncs = resyncs },
-          commands )
+        ({ primary = primary'; clone = clone' }, commands)
     | exception _primary_failure -> (
         (* Switch over: the clone becomes primary and handles the event. If
            it fails too, the bug is not non-deterministic after all — let
            Crash-Pad have it. *)
         match A.handle ctx st.clone ev with
         | clone', commands ->
-            ( {
-                primary = clone';
-                clone = clone';
-                n_switchovers = st.n_switchovers + 1;
-                n_resyncs = st.n_resyncs + 1;
-              },
+            ( { primary = clone'; clone = clone' },
               commands @ [ Command.Log (name ^ ": switched over to clone") ] ))
 end

@@ -12,12 +12,4 @@
 
 open Controller
 
-module Make (A : App_sig.APP) : sig
-  include App_sig.APP
-
-  val switchovers : state -> int
-  (** How many times the clone took over. *)
-
-  val clone_resyncs : state -> int
-  (** How many times a crashed clone was re-seeded from the primary. *)
-end
+module Make (A : App_sig.APP) : App_sig.APP

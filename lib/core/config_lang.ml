@@ -57,7 +57,6 @@ type builder = {
   mutable dispatch : Runtime.dispatch_mode;
   mutable trace_cache_budget : int option;
   mutable workload : Runtime.workload_config option;
-  mutable intent : bool;
   mutable nversion : Voter.config option;
 }
 
@@ -76,7 +75,6 @@ let fresh_builder () =
     dispatch = Runtime.default_config.Runtime.dispatch;
     trace_cache_budget = Runtime.default_config.Runtime.trace_cache_budget;
     workload = Runtime.default_config.Runtime.workload;
-    intent = Crashpad.default_config.Crashpad.intent;
     nversion = Runtime.default_config.Runtime.nversion;
   }
 
@@ -126,15 +124,6 @@ let directive b lineno toks =
   | [ "trace-cache"; "unbounded" ] ->
       b.trace_cache_budget <- None;
       Ok ()
-  | [ "intent"; v ] -> (
-      match v with
-      | "on" ->
-          b.intent <- true;
-          Ok ()
-      | "off" ->
-          b.intent <- false;
-          Ok ()
-      | _ -> err (Printf.sprintf "bad intent directive %S (on|off)" v))
   | [ "workload"; "trace" ] ->
       b.workload <- Some Runtime.default_workload_config;
       Ok ()
@@ -342,7 +331,6 @@ let parse text =
                 Option.map
                   (fun threshold -> Quarantine.create ~threshold ())
                   b.quarantine_threshold;
-              intent = b.intent;
             };
         }
 
@@ -386,7 +374,6 @@ let print (config : Runtime.config) =
   line "replicas %d" cl.Runtime.replicas;
   line "election timeout %g %g" cl.Runtime.election_lo cl.Runtime.election_hi;
   let cp = config.Runtime.crashpad in
-  if not cp.Crashpad.intent then line "intent off";
   (match cp.Crashpad.quarantine with
   | Some q -> line "quarantine threshold %d" (Quarantine.threshold q)
   | None -> ());

@@ -19,7 +19,6 @@
     reliable on timeout 0.05 retries 8   # or bare: reliable on | reliable off
     replicas 3                           # odd controller-cluster size
     election timeout 0.15 0.3
-    intent on                            # or: intent off
     trace-cache budget 1048576           # bytes; or: trace-cache unbounded
     workload trace seed 7 rate 40 alpha 1.5 diurnal 0.5 period 60 churn 0.1
                                          # or bare: workload trace (defaults)

@@ -7,12 +7,6 @@ type config = {
   timing : Detector.timing;
   limits : Resources.limits;
   quarantine : Quarantine.t option;
-  intent : bool;
-      (* When on, apps that declare a policy get (a) their compiled tables
-         kept in sync with the network after healthy deliveries and (b) a
-         policy-derived candidate rule-set tried first under an Equivalence
-         compromise — installed only if it provably preserves the declared
-         forwarding relation and the configured invariants. *)
 }
 
 let default_config =
@@ -22,7 +16,6 @@ let default_config =
     timing = Detector.default_timing;
     limits = Resources.unlimited;
     quarantine = None;
-    intent = true;
   }
 
 type deps = {
@@ -190,15 +183,13 @@ let install_intent config deps record sandbox ctx ((pol, switches) as source) =
    the installed tables and diff to nothing. A rejection records no
    source, so it is re-derived and counted every time. *)
 let sync_intent config deps record sandbox =
-  if not config.intent then `No_intent
-  else
-    let ctx = deps.context () in
-    match Sandbox.declared_policy sandbox ctx with
-    | None -> `No_intent
-    | Some pol ->
-        let source = (pol, App_sig.switches ctx) in
-        if record.source = Some source then `Noop
-        else install_intent config deps record sandbox ctx source
+  let ctx = deps.context () in
+  match Sandbox.declared_policy sandbox ctx with
+  | None -> `No_intent
+  | Some pol ->
+      let source = (pol, App_sig.switches ctx) in
+      if record.source = Some source then `Noop
+      else install_intent config deps record sandbox ctx source
 
 (* After a healthy commit: if the delivery moved the app's declared intent,
    push the (verified) diff out so hardware tracks intent continuously. *)

@@ -24,17 +24,6 @@ type config = {
   quarantine : Quarantine.t option;
       (** When set, repeatedly-failing event signatures are blacklisted and
           filtered before delivery (§5 multi-transaction failures). *)
-  intent : bool;
-      (** Use declared policies ({!App_sig.INTENT_APP}). When on (the
-          default): after a healthy commit the app's recompiled policy is
-          diffed against the network and the diff installed (intent
-          reconciliation), and an Equivalence compromise first tries a
-          policy-derived candidate rule-set — recompile the intent from the
-          recovered state, verify the compiled tables against the policy's
-          own denotation and the configured invariants, and install the
-          flow-mod diff instead of replaying transformed events. A
-          candidate failing either check is counted as rejected and the
-          hand-coded event transformations are tried next. *)
 }
 
 val default_config : config
@@ -148,6 +137,16 @@ val quarantine_blocked : config -> deps -> Sandbox.t -> Event.t -> bool
     suppression when it is. *)
 
 val reconcile_intent : config -> deps -> intent_record -> Sandbox.t -> unit
-(** After a healthy commit: recompile the sandbox's declared policy and
-    install the verified diff against the app's record, so hardware tracks
-    intent continuously. *)
+(** After a healthy commit: recompile the sandbox's declared policy
+    ({!App_sig.INTENT_APP}) and install the verified diff against the
+    app's record, so hardware tracks intent continuously (intent
+    reconciliation).
+
+    Declared policies also drive the Equivalence compromise ({!resolve}):
+    it first tries a policy-derived candidate rule-set — recompile the
+    intent from the recovered state, verify the compiled tables against
+    the policy's own denotation and the configured invariants, and
+    install the flow-mod diff instead of replaying transformed events. A
+    candidate failing either check is counted as rejected and the
+    hand-coded event transformations are tried next. Apps that declare
+    no policy get neither. *)

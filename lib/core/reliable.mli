@@ -44,8 +44,6 @@ val barrier_xid_base : int
     their own range so they can never collide with NetLog's transaction
     xids; exposed so tests can forge barrier replies. *)
 
-type health = Healthy | Degraded
-
 type t
 
 val create :
@@ -108,7 +106,6 @@ val observe : t -> Netsim.Net.notification -> unit
     ingestion — the layer only reads). Barrier replies acknowledge pending
     messages; [Switch_connected] triggers resynchronization. *)
 
-val health : t -> Types.switch_id -> health
 val is_degraded : t -> Types.switch_id -> bool
 
 val pending_count : t -> int

@@ -164,13 +164,13 @@ let create ?(config = default_config) ?xid_base ?controller_id
       ?trace_cache_budget:config.trace_cache_budget network
   in
   let ckpt_observer = function
-    | Checkpoint.Took { written; chunk_hits; chunk_misses; deduped; _ } ->
+    | Checkpoint.Took { written; chunk_hits; chunk_misses; deduped } ->
         Metrics.bump metrics_store Metrics.checkpoints;
         Metrics.bump_by metrics_store Metrics.ckpt_bytes_written written;
         Metrics.bump_by metrics_store Metrics.ckpt_chunk_hits chunk_hits;
         Metrics.bump_by metrics_store Metrics.ckpt_chunk_misses chunk_misses;
         Metrics.bump_by metrics_store Metrics.ckpt_bytes_deduped deduped
-    | Checkpoint.Materialized _ ->
+    | Checkpoint.Materialized ->
         Metrics.bump metrics_store Metrics.ckpt_restores
   in
   let make_ckpt () =

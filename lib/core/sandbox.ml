@@ -9,7 +9,7 @@ type t = {
   mutable inst : App_sig.instance;
   mutable prev_inst : App_sig.instance option;  (* state before last deliver *)
   mutable serialized : (App_sig.instance * bytes) option;
-      (* the last [snapshot_bytes] and the instance it serialized *)
+      (* the image of the last state serialized, and that state *)
   ckpt : Checkpoint.t;
   mutable is_alive : bool;
   mutable n_events : int;
@@ -41,8 +41,21 @@ let enable t = t.is_alive <- true
 let events_handled t = t.n_events
 let crash_count t = t.n_crashes
 let rpc_bytes t = t.n_rpc_bytes
-let state_size t = App_sig.state_size t.inst
 let checkpoint_store t = t.ckpt
+
+(* The one place a state becomes an image. States are immutable
+   (App_sig's purity contract), so an instance serializes to the same
+   bytes every time it is asked. *)
+let snapshot_bytes t =
+  match t.serialized with
+  | Some (inst, bytes) when inst == t.inst -> bytes
+  | _ ->
+      let bytes = App_sig.snapshot t.inst in
+      t.serialized <- Some (t.inst, bytes);
+      bytes
+
+let state_size t = Bytes.length (snapshot_bytes t)
+let take t = Checkpoint.take t.ckpt (snapshot_bytes t)
 
 let prepare ?(tracer = Obs.Tracer.noop) t =
   if Checkpoint.due t.ckpt then
@@ -52,7 +65,7 @@ let prepare ?(tracer = Obs.Tracer.noop) t =
           ~attrs:[ ("app", name t) ]
           Obs.Span.Ckpt_take
       in
-      Checkpoint.take t.ckpt t.inst;
+      take t;
       Obs.Tracer.finish tracer
         ~attrs:
           [
@@ -61,7 +74,7 @@ let prepare ?(tracer = Obs.Tracer.noop) t =
           ]
         id
     end
-    else Checkpoint.take t.ckpt t.inst
+    else take t
 
 (* One hop of the proxy->stub RPC: bytes out, bytes back in. *)
 let ship_event t ev =
@@ -105,7 +118,7 @@ let revert_last t =
       t.prev_inst <- None
   | None -> ()
 
-let checkpoint_now t = Checkpoint.take t.ckpt t.inst
+let checkpoint_now t = take t
 
 type recovery = { replayed : int; dropped_in_replay : int }
 
@@ -131,7 +144,7 @@ let recover ?(tracer = Obs.Tracer.noop) t ctx =
             | exception _ -> incr dropped)
           journal;
         (* The restored state becomes the new baseline. *)
-        Checkpoint.take t.ckpt t.inst;
+        take t;
         { replayed = !replayed; dropped_in_replay = !dropped }
   in
   if Obs.Tracer.enabled tracer then begin
@@ -165,16 +178,6 @@ let declared_policy t ctx =
   | p -> p
   | exception _ -> None
 
-(* States are immutable, so an instance serializes to the same bytes
-   every time it is asked. *)
-let snapshot_bytes t =
-  match t.serialized with
-  | Some (inst, bytes) when inst == t.inst -> bytes
-  | _ ->
-      let bytes = App_sig.snapshot t.inst in
-      t.serialized <- Some (t.inst, bytes);
-      bytes
-
 let restore_bytes t snapshot =
   t.inst <- App_sig.restore t.inst snapshot;
-  Checkpoint.take t.ckpt t.inst
+  take t

@@ -51,7 +51,8 @@ val rpc_bytes : t -> int
     out), the §3.1 isolation-latency metric. *)
 
 val state_size : t -> int
-(** Current serialized application state size. *)
+(** Current serialized application state size: the length of
+    {!snapshot_bytes}. *)
 
 val checkpoint_store : t -> Checkpoint.t
 
@@ -101,10 +102,15 @@ val declared_policy : t -> App_sig.context -> Policy.t option
     or [None] if the app is legacy or its hook raised. *)
 
 val snapshot_bytes : t -> bytes
-(** A serialized snapshot of the current state (does not touch the
-    checkpoint store) — for shipping state elsewhere, e.g. to a cluster replica.
-    Until an event changes the state, every call returns the same bytes
-    ([==]) without serializing again, so a caller must not mutate them. *)
+(** The image of the current state: the one place an application state
+    is serialized. Every checkpoint take ({!prepare}, {!checkpoint_now},
+    {!recover}, {!restore_bytes}), every ship to a cluster replica and
+    {!state_size} read it. Until an event changes the state, every call
+    returns the same bytes ([==]) without serializing again, so the
+    checkpoint store and the shipping store can keep an unchanged
+    state's image by comparing bytes, and a caller must not mutate them.
+    It rests on {!App_sig.handle}'s purity contract. Reading it does not
+    touch the checkpoint store. *)
 
 val restore_bytes : t -> bytes -> unit
 (** Overwrite the application state with a snapshot taken earlier from the

@@ -19,7 +19,7 @@ type t = {
   store : Chunk_store.t;
   (* app -> the bytes of the latest ship and their manifest; kept so
      superseded manifests can be released only after their successors
-     hold the shared chunks, and so unchanged bytes keep their manifest. *)
+     hold the shared chunks, and so the same bytes keep their manifest. *)
   mutable shipped : (string * (bytes * Chunk_store.manifest)) list;
   mutable n_ships : int;
   mutable n_shipped_bytes : int;
@@ -35,13 +35,10 @@ let ship t ~commit_index rt =
       (fun box ->
         let name = Sandbox.name box in
         let snap = Sandbox.snapshot_bytes box in
-        (* [Sandbox.snapshot_bytes] returns the same bytes for a state no
-           event changed: ship the manifest they were stored under again. *)
         let manifest, w =
-          match List.assoc_opt name previous with
-          | Some (image, m) when image == snap ->
-              (m, Chunk_store.store_again t.store m)
-          | _ -> Chunk_store.store t.store snap
+          Chunk_store.keep_or_store t.store
+            ~kept:(List.assoc_opt name previous)
+            snap
         in
         t.n_shipped_bytes <- t.n_shipped_bytes + w.Chunk_store.written_bytes;
         (name, (snap, manifest)))

@@ -37,8 +37,11 @@ type t
 val create : unit -> t
 
 val ship : t -> commit_index:int -> Runtime.t -> snapshot
-(** Snapshot every sandbox of [rt] into the store (chunk-deduplicated
-    against the previous ship) and capture the wire-continuity state.
+(** Store every sandbox's image ({!Sandbox.snapshot_bytes}) through
+    {!Checkpoint.Chunk_store.keep_or_store}, beside the bytes and
+    manifest of that app's previous ship: the very same bytes keep their
+    manifest, other bytes are chunk-deduplicated against it. Then capture
+    the wire-continuity state.
     Must be called at a transaction boundary — between event dispatches —
     so [next_xid] names a clean resume point. *)
 

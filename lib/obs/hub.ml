@@ -35,13 +35,3 @@ let emit t ev =
   List.iter (fun (_, f) -> f ev) subs
 
 let subscriber_count t = List.length t.subs
-
-let pp_delivery fmt = function
-  | Sent { sw; xid } -> Format.fprintf fmt "sent sw=%d xid=%d" sw xid
-  | Queued { sw; xid } -> Format.fprintf fmt "queued sw=%d xid=%d" sw xid
-  | Retransmitted { sw; xid; attempt } ->
-      Format.fprintf fmt "retransmit sw=%d xid=%d attempt=%d" sw xid attempt
-  | Acked { sw; xid } -> Format.fprintf fmt "acked sw=%d xid=%d" sw xid
-  | Degraded { sw } -> Format.fprintf fmt "degraded sw=%d" sw
-  | Resynced { sw; rules } ->
-      Format.fprintf fmt "resynced sw=%d rules=%d" sw rules

@@ -39,5 +39,3 @@ val unsubscribe : t -> subscription -> unit
 
 val emit : t -> event -> unit
 val subscriber_count : t -> int
-
-val pp_delivery : Format.formatter -> delivery -> unit

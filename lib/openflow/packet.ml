@@ -16,7 +16,6 @@ let ethertype_ip = 0x0800
 let ethertype_arp = 0x0806
 let proto_tcp = 6
 let proto_udp = 17
-let proto_icmp = 1
 
 let make ?(dl_vlan = None) ?(dl_type = ethertype_ip) ?(nw_proto = proto_tcp)
     ?(nw_tos = 0) ?(tp_src = 1024) ?(tp_dst = 80) ?(payload_len = 64) ~dl_src

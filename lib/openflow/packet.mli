@@ -25,7 +25,6 @@ val ethertype_ip : int
 val ethertype_arp : int
 val proto_tcp : int
 val proto_udp : int
-val proto_icmp : int
 
 val make :
   ?dl_vlan:int option ->

@@ -9,12 +9,6 @@ let link_flap ~a ~b ~down_at ~up_at =
 let switch_outage sid ~down_at ~up_at =
   [ (down_at, Net.Switch_down sid); (up_at, Net.Switch_up sid) ]
 
-let channel_partition sid ~start ~stop =
-  [ (start, Net.Channel_partition sid); (stop, Net.Channel_heal sid) ]
-
-let loss_burst sid ~loss ~start ~stop =
-  [ (start, Net.Channel_loss (sid, loss)); (stop, Net.Channel_loss (sid, 0.)) ]
-
 let inter_switch_links topo =
   Topology.links topo
   |> List.filter (fun (l : Topology.link) ->

@@ -12,20 +12,6 @@ val link_flap :
 val switch_outage :
   Openflow.Types.switch_id -> down_at:float -> up_at:float -> timed_fault list
 
-val channel_partition :
-  Openflow.Types.switch_id -> start:float -> stop:float -> timed_fault list
-(** Cut one switch's control channel (data plane untouched) for
-    [stop - start] seconds, then heal it. *)
-
-val loss_burst :
-  Openflow.Types.switch_id ->
-  loss:float ->
-  start:float ->
-  stop:float ->
-  timed_fault list
-(** Raise one switch's control-channel loss probability to [loss] for the
-    window, then back to zero. *)
-
 val inter_switch_links : Netsim.Topology.t -> Netsim.Topology.link list
 (** The links whose both endpoints are switches — the ones worth flapping
     (host links kill connectivity trivially). Deterministic order. *)

@@ -5,6 +5,9 @@ module Event = Controller.Event
 
 let instance () = App_sig.instantiate (App_sig.app (module Apps.Learning_switch))
 
+(* A store sees only images: the bytes a state serializes to. *)
+let image () = App_sig.snapshot (instance ())
+
 let tick t = Event.Tick t
 
 let packet_in ?(sid = 1) ?(in_port = 100) src dst =
@@ -34,18 +37,18 @@ let warmed_instance () =
 let test_due_before_first_event () =
   let c = Checkpoint.create ~every:5 () in
   T_util.checkb "due initially" true (Checkpoint.due c);
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   T_util.checkb "not due right after" false (Checkpoint.due c)
 
 let test_every_one () =
   let c = Checkpoint.create ~every:1 () in
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   Checkpoint.record_applied c (tick 1.);
   T_util.checkb "due after each event with k=1" true (Checkpoint.due c)
 
 let test_every_k () =
   let c = Checkpoint.create ~every:3 () in
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   Checkpoint.record_applied c (tick 1.);
   T_util.checkb "not due after 1 of 3" false (Checkpoint.due c);
   Checkpoint.record_applied c (tick 2.);
@@ -55,7 +58,7 @@ let test_every_k () =
 let test_restore_point_carries_journal () =
   let c = Checkpoint.create ~every:10 () in
   T_util.checkb "no restore point yet" true (Checkpoint.restore_point c = None);
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   Checkpoint.record_applied c (tick 1.);
   Checkpoint.record_applied c (tick 2.);
   match Checkpoint.restore_point c with
@@ -66,19 +69,19 @@ let test_restore_point_carries_journal () =
 
 let test_take_clears_journal () =
   let c = Checkpoint.create ~every:2 () in
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   Checkpoint.record_applied c (tick 1.);
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   T_util.checki "journal cleared" 0 (Checkpoint.journal_length c);
   T_util.checki "two snapshots accounted" 2 (Checkpoint.snapshots_taken c)
 
 let test_bytes_accounting () =
   let c = Checkpoint.create ~every:1 () in
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   let first = Checkpoint.bytes_written c in
   T_util.checkb "bytes counted" true (first > 0);
   T_util.checki "last snapshot size" first (Checkpoint.last_snapshot_bytes c);
-  Checkpoint.take c (instance ());
+  Checkpoint.take c (image ());
   T_util.checki "bytes accumulate" (2 * first) (Checkpoint.bytes_written c)
 
 let test_invalid_k () =
@@ -92,10 +95,12 @@ let test_delta_vs_full_bytes () =
   let full = Checkpoint.create ~every:1 () in
   let delta = Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) () in
   let inst = warmed_instance () in
-  Checkpoint.take full inst;
-  Checkpoint.take delta inst;
-  Checkpoint.take full inst;
-  Checkpoint.take delta inst;
+  (* Each take stores a fresh serialization, as after a changed state. *)
+  let take c = Checkpoint.take c (App_sig.snapshot inst) in
+  take full;
+  take delta;
+  take full;
+  take delta;
   let logical = Checkpoint.last_snapshot_bytes full in
   T_util.checki "full pays the whole blob each time" (2 * logical)
     (Checkpoint.bytes_written full);
@@ -123,7 +128,7 @@ let test_adaptive_cadence () =
            { replay_cost_per_event = 1_000_000; min_events = 2; max_events = 8 })
       ()
   in
-  Checkpoint.take eager (warmed_instance ());
+  Checkpoint.take eager (App_sig.snapshot (warmed_instance ()));
   Checkpoint.record_applied eager (tick 1.);
   T_util.checkb "below min_events" false (Checkpoint.due eager);
   Checkpoint.record_applied eager (tick 2.);
@@ -137,7 +142,7 @@ let test_adaptive_cadence () =
            { replay_cost_per_event = 1; min_events = 1; max_events = 3 })
       ()
   in
-  Checkpoint.take lazy_c (warmed_instance ());
+  Checkpoint.take lazy_c (App_sig.snapshot (warmed_instance ()));
   Checkpoint.record_applied lazy_c (tick 1.);
   T_util.checkb "cheap replay defers" false (Checkpoint.due lazy_c);
   Checkpoint.record_applied lazy_c (tick 2.);
@@ -173,7 +178,7 @@ let prop_restore_equivalence =
             | `Tick t -> Event.Tick t
           in
           (* The sandbox protocol: checkpoint when due, deliver, journal. *)
-          if Checkpoint.due c then Checkpoint.take c !live;
+          if Checkpoint.due c then Checkpoint.take c (App_sig.snapshot !live);
           let updated, _ = App_sig.handle !live ctx ev in
           live := updated;
           Checkpoint.record_applied c ev)
@@ -196,6 +201,20 @@ let blob_of c =
   | Some (snap, _) -> snap
   | None -> Alcotest.fail "restore point expected"
 
+(* A per-instance memo of images, as [Sandbox.snapshot_bytes] keeps one:
+   the same bytes until the instance changes. *)
+let memo () =
+  let last = ref None in
+  fun inst ->
+    match !last with
+    | Some (seen, image) when seen == inst -> image
+    | _ ->
+        let image = App_sig.snapshot inst in
+        last := Some (inst, image);
+        image
+
+module Chunk_store = Checkpoint.Chunk_store
+
 let test_unchanged_state_keeps_image () =
   let inst = warmed_instance () in
   (* Source 1 was learned on port 100: seeing it there again changes
@@ -206,23 +225,67 @@ let test_unchanged_state_keeps_image () =
     App_sig.handle inst App_sig.null_context (packet_in ~in_port:7 1 2)
   in
   T_util.checkb "a changed state gets a new instance" false (moved == inst);
+  let image_of = memo () in
   let c = Checkpoint.create ~every:1 () in
-  Checkpoint.take c inst;
+  Checkpoint.take c (image_of inst);
   let image = blob_of c in
-  Checkpoint.take c same;
+  Checkpoint.take c (image_of same);
   T_util.checkb "the image is kept" true (blob_of c == image);
   T_util.checki "and accounted as a fresh take" (2 * Bytes.length image)
     (Checkpoint.bytes_written c);
-  Checkpoint.take c moved;
+  Checkpoint.take c (image_of moved);
   T_util.checkb "a changed state is serialized again" false
     (blob_of c == image);
   T_util.checkb "into its own bytes" true
-    (Bytes.equal (blob_of c) (App_sig.snapshot moved))
+    (Bytes.equal (blob_of c) (App_sig.snapshot moved));
+  (* A delta store keeps the manifest of the very bytes it holds and
+     stores a byte-equal copy afresh; both miss no chunk and write only
+     the manifest. *)
+  let d = Checkpoint.create_delta ~cadence:(Checkpoint.Every 1) () in
+  Checkpoint.take d image;
+  let counts () =
+    ( Checkpoint.chunk_misses d,
+      Checkpoint.chunk_hits d,
+      Checkpoint.chunk_bytes_deduped d )
+  in
+  let misses, hits, deduped = counts () in
+  (* Every chunk of the 64-byte default hits, and the whole image is
+     deduplicated. *)
+  let chunks = (Bytes.length image + 63) / 64 and len = Bytes.length image in
+  Checkpoint.take d image;
+  T_util.checkb "the same bytes miss no chunk" true
+    (counts () = (misses, hits + chunks, deduped + len));
+  let written = Checkpoint.last_write_bytes d in
+  T_util.checki "and write only the manifest" (16 + (10 * chunks)) written;
+  Checkpoint.take d (Bytes.copy image);
+  T_util.checkb "a byte-equal copy is accounted alike" true
+    (counts () = (misses, hits + (2 * chunks), deduped + (2 * len))
+    && Checkpoint.last_write_bytes d = written);
+  (* The chunk store's rule itself: a kept manifest moves no refcount, so
+     once both manifests are released no chunk is left. *)
+  let store = Chunk_store.create () in
+  let m, _ = Chunk_store.keep_or_store store ~kept:None image in
+  let kept, w = Chunk_store.keep_or_store store ~kept:(Some (image, m)) image in
+  T_util.checkb "the same bytes keep the manifest" true (kept == m);
+  T_util.checki "without a miss" 0 w.Chunk_store.misses;
+  let copy, w' =
+    Chunk_store.keep_or_store store ~kept:(Some (image, m)) (Bytes.copy image)
+  in
+  T_util.checkb "a byte-equal copy is stored afresh" false (copy == m);
+  T_util.checkb "with the same accounting" true (w' = w);
+  Chunk_store.release store m;
+  T_util.checkb "the copy holds its own references" true
+    (Bytes.equal (Chunk_store.materialize store copy) image);
+  Chunk_store.release store copy;
+  Alcotest.check_raises "no reference left"
+    (Invalid_argument "Chunk_store.materialize: released manifest") (fun () ->
+      ignore (Chunk_store.materialize store copy))
 
-(* A store that keeps its image for an unchanged instance must be
-   indistinguishable from one that serializes every take. Store [a] is fed
-   the live instance; its twin [b] a fresh byte-equal copy at each take,
-   which is never the instance its image came from. Few hosts, two ports
+(* A store that keeps its image for an unchanged state must be
+   indistinguishable from one that stores a fresh serialization at every
+   take. Store [a] is handed the bytes of a per-instance memo, as
+   [Sandbox] hands them; its twin [b] a fresh serialization at each take,
+   which is never the bytes its image came from. Few hosts, two ports
    and ticks make the learning switch's state stay put for long stretches;
    restores and reboots hand the store new instances of old states. *)
 type step =
@@ -274,8 +337,9 @@ let stores =
           () );
   ]
 
-(* Takes of the instance the previous take was of: the reuse path's
-   opportunities, across every case the property runs. *)
+(* Takes of the instance the previous take was of, and so of the same
+   bytes: the reuse path's opportunities, across every case the property
+   runs. *)
 let reused_takes = ref 0
 
 let reuse_matches_fresh (store, steps) =
@@ -286,14 +350,15 @@ let reuse_matches_fresh (store, steps) =
   let full = not (Checkpoint.is_delta a) in
   let ctx = App_sig.null_context in
   let live = ref (instance ()) in
+  let image_of = memo () in
   let last_taken = ref None in
   let take () =
     let unchanged =
       match !last_taken with Some i -> i == !live | None -> false
     in
     let before = if full && unchanged then Some (blob_of a) else None in
-    Checkpoint.take a !live;
-    Checkpoint.take b (App_sig.restore !live (App_sig.snapshot !live));
+    Checkpoint.take a (image_of !live);
+    Checkpoint.take b (App_sig.snapshot !live);
     last_taken := Some !live;
     if unchanged then incr reused_takes;
     match before with
@@ -366,8 +431,8 @@ let prop_reuse_matches_fresh =
     QCheck2.Gen.(pair (oneofl (List.map fst stores)) gen_steps)
     reuse_matches_fresh
 
-(* Runs after the property: unless some take met the instance its image
-   came from, the property compared two fresh serializations. *)
+(* Runs after the property: unless some take was handed the bytes its
+   image came from, the property compared two fresh serializations. *)
 let test_reuse_not_vacuous () =
   T_util.checkb
     (Printf.sprintf "%d takes of an unchanged instance" !reused_takes)

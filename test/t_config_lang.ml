@@ -98,47 +98,61 @@ let test_scale_directives () =
   T_util.checkb "default is unbounded" true
     ((Config_lang.parse_exn "").Runtime.trace_cache_budget = None)
 
+let contains ~fragment s =
+  let n = String.length fragment in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = fragment || at (i + 1))
+  in
+  at 0
+
+(* Each text is rejected on its last line, for the reason its fragment of
+   the message names. *)
 let test_errors_located () =
   let cases =
     [
-      ("checkpoint every 0", "cadence");
-      ("engine mystery", "directive");
-      ("quarantine threshold x", "threshold");
-      ("rpc timeout -1", "timeout");
-      ("invariant isolation 1,2", "groups");
-      ("invariant waypoint via x pairs 1:2", "switch");
-      ("app x event nope => absolute", "kind");
-      ("default => maybe", "compromise");
-      ("default => absolute\ndefault => absolute", "duplicate");
-      ("replicas 2", "even cluster size");
-      ("replicas x", "replica count");
-      ("election timeout 0.3 0.1", "inverted range");
-      ("election timeout 0 0.3", "non-positive lo");
-      ("trace-cache budget 0", "non-positive budget");
-      ("trace-cache budget x", "non-numeric budget");
+      ("checkpoint every 0", "bad checkpoint cadence");
+      ("engine mystery", "cannot parse directive");
+      ("quarantine threshold x", "bad quarantine threshold");
+      ("rpc timeout -1", "bad rpc timeout");
+      ("invariant isolation 1,2", "cannot parse host groups");
+      ("invariant waypoint via x pairs 1:2", "bad waypoint switch");
+      ("app x event nope => absolute", "unknown event kind");
+      ("default => maybe", "unknown compromise");
+      ("default => absolute\ndefault => absolute", "duplicate default");
+      ("replicas 2", "replicas must be odd");
+      ("replicas x", "bad replica count");
+      (* inverted range, then a non-positive lo *)
+      ("election timeout 0.3 0.1", "bad election timeout range");
+      ("election timeout 0 0.3", "bad election timeout range");
+      (* non-positive, then non-numeric *)
+      ("trace-cache budget 0", "bad trace-cache budget");
+      ("trace-cache budget x", "bad trace-cache budget");
+      (* zero rate, alpha not above 1, diurnal out of range *)
       ( "workload trace seed 1 rate 0 alpha 1.5 diurnal 0 period 60 churn 0",
-        "zero rate" );
+        "bad workload directive" );
       ( "workload trace seed 1 rate 10 alpha 1 diurnal 0 period 60 churn 0",
-        "alpha must exceed 1" );
+        "bad workload directive" );
       ( "workload trace seed 1 rate 10 alpha 1.5 diurnal 2 period 60 churn 0",
-        "diurnal out of range" );
+        "bad workload directive" );
+      (* The runtime has one transaction engine and always reconciles
+         declared intent, so no directive picks either. *)
+      ("engine netlog", "cannot parse directive");
+      ("engine delay-buffer", "cannot parse directive");
+      ("intent on", "cannot parse directive");
+      ("intent off", "cannot parse directive");
     ]
   in
   List.iter
-    (fun (text, what) ->
+    (fun (text, fragment) ->
+      let line = List.length (String.split_on_char '\n' text) in
       match Config_lang.parse text with
-      | Ok _ -> Alcotest.failf "%s should be rejected (%s)" text what
-      | Error e -> T_util.checkb "line recorded" true (e.Config_lang.line >= 1))
-    cases;
-  (* The runtime has one transaction engine, so no directive picks one. *)
-  List.iter
-    (fun text ->
-      match Config_lang.parse text with
-      | Error { Config_lang.line = 1; message } ->
-          T_util.checkb (text ^ " is no directive") true
-            (String.starts_with ~prefix:"cannot parse directive" message)
-      | Error _ | Ok _ -> Alcotest.failf "%s should be an unknown directive" text)
-    [ "engine netlog"; "engine delay-buffer" ]
+      | Ok _ -> Alcotest.failf "%S should be rejected (%s)" text fragment
+      | Error e ->
+          T_util.checki (text ^ ": line") line e.Config_lang.line;
+          if not (contains ~fragment e.Config_lang.message) then
+            Alcotest.failf "%S rejected for %S, not %S" text
+              e.Config_lang.message fragment)
+    cases
 
 (* Semantic equality for configs: quarantine compares by presence and
    threshold (the store is a fresh value each parse). *)
@@ -150,7 +164,6 @@ let config_equiv (a : Runtime.config) (b : Runtime.config) =
   && a.Runtime.crashpad.Crashpad.invariants
      = b.Runtime.crashpad.Crashpad.invariants
   && a.Runtime.crashpad.Crashpad.timing = b.Runtime.crashpad.Crashpad.timing
-  && a.Runtime.crashpad.Crashpad.intent = b.Runtime.crashpad.Crashpad.intent
   && a.Runtime.crashpad.Crashpad.limits = b.Runtime.crashpad.Crashpad.limits
   && a.Runtime.reliable = b.Runtime.reliable
   && a.Runtime.cluster = b.Runtime.cluster
@@ -239,7 +252,6 @@ let config_gen =
             };
         ]
     in
-    let* intent = bool in
     (* Exact-decimal workload parameters, for the same %g reason. *)
     let* workload =
       opt
@@ -280,7 +292,6 @@ let config_gen =
               };
             quarantine =
               Option.map (fun t -> Quarantine.create ~threshold:t ()) quarantine;
-            intent;
           };
       })
 

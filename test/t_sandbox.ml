@@ -150,6 +150,32 @@ let test_replay_drops_recrashing_events () =
   T_util.checki "journal replayed" 1 recovery.Sandbox.replayed;
   T_util.checki "no drops" 0 recovery.Sandbox.dropped_in_replay
 
+(* The sandbox is the one place a state becomes an image: a take stores
+   the very bytes [snapshot_bytes] returns, whichever is asked first. *)
+let test_serializes_once () =
+  let box = ls_sandbox () in
+  let image () =
+    match Checkpoint.restore_point (Sandbox.checkpoint_store box) with
+    | Some (snap, _) -> snap
+    | None -> Alcotest.fail "restore point expected"
+  in
+  let deliver ev =
+    match Sandbox.deliver box ctx ev with
+    | Sandbox.Done _ -> Sandbox.confirm box ev
+    | _ -> Alcotest.fail "healthy app"
+  in
+  deliver (packet_in 1 2);
+  Sandbox.checkpoint_now box;
+  T_util.checkb "a take's image is the sandbox's bytes" true
+    (image () == Sandbox.snapshot_bytes box);
+  deliver (packet_in 2 1);
+  let bytes = Sandbox.snapshot_bytes box in
+  Sandbox.checkpoint_now box;
+  T_util.checkb "a take stores the bytes read before it" true
+    (image () == bytes);
+  T_util.checki "the state's size is the image's" (Bytes.length bytes)
+    (Sandbox.state_size box)
+
 let suite =
   [
     Alcotest.test_case "done verdict" `Quick test_done_verdict_and_commands;
@@ -163,4 +189,6 @@ let suite =
     Alcotest.test_case "rpc bytes accounting" `Quick test_rpc_bytes_grow;
     Alcotest.test_case "disable/enable" `Quick test_disable_enable;
     Alcotest.test_case "replay survives re-crashes" `Quick test_replay_drops_recrashing_events;
+    Alcotest.test_case "a sandbox serializes a state once" `Quick
+      test_serializes_once;
   ]
