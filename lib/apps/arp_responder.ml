@@ -3,20 +3,12 @@ open Controller
 
 module Ip_map = Map.Make (Int)
 
-type state = {
-  table : Types.mac Ip_map.t;  (* ip -> mac *)
-  n_replies : int;
-  n_floods : int;
-}
+type state = Types.mac Ip_map.t  (* ip -> mac *)
 
 let name = "arp_responder"
 let subscriptions = [ Event.K_packet_in ]
 
-let init () = { table = Ip_map.empty; n_replies = 0; n_floods = 0 }
-
-let bindings st = Ip_map.cardinal st.table
-let replies_sent st = st.n_replies
-let floods st = st.n_floods
+let init () = Ip_map.empty
 
 let arp_request_op = 1
 let arp_reply_op = 2
@@ -26,13 +18,12 @@ let handle _ctx st = function
       let pkt = pi.Message.pi_packet in
       if pkt.Packet.dl_type <> Packet.ethertype_arp then (st, [])
       else begin
-        (* Gratuitous learning from any ARP packet's source fields. *)
-        let st =
-          { st with table = Ip_map.add pkt.Packet.nw_src pkt.Packet.dl_src st.table }
-        in
+        (* Gratuitous learning from any ARP packet's source fields. A
+           re-learned binding leaves the map, and so the state, as it was. *)
+        let st = Ip_map.add pkt.Packet.nw_src pkt.Packet.dl_src st in
         if pkt.Packet.nw_proto <> arp_request_op then (st, [])
         else
-          match Ip_map.find_opt pkt.Packet.nw_dst st.table with
+          match Ip_map.find_opt pkt.Packet.nw_dst st with
           | Some target_mac ->
               (* Answer on behalf of the target, straight back out of the
                  ingress port. *)
@@ -43,14 +34,14 @@ let handle _ctx st = function
                   ~nw_dst:pkt.Packet.nw_src ~tp_src:0 ~tp_dst:0
                   ~payload_len:28 ()
               in
-              ( { st with n_replies = st.n_replies + 1 },
+              ( st,
                 [
                   Command.packet_out sid
                     [ Action.Output pi.Message.pi_in_port ]
                     (Some reply);
                 ] )
           | None ->
-              ( { st with n_floods = st.n_floods + 1 },
+              ( st,
                 [
                   Command.packet_out ?buffer_id:pi.Message.pi_buffer_id
                     ~in_port:pi.Message.pi_in_port sid

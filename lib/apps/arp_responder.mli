@@ -4,12 +4,9 @@
     sees; known targets are answered directly with a synthesized ARP reply
     out of the ingress port (no flooding at all), unknown targets are
     flooded to be resolved the hard way. Keeps broadcast ARP traffic off
-    the fabric — a classic controller-app companion to a learning switch. *)
+    the fabric — a classic controller-app companion to a learning switch.
+
+    The state is the binding map and nothing else: answering or flooding
+    leaves it as it was, and so does re-learning a binding it holds. *)
 
 include Controller.App_sig.APP
-
-val bindings : state -> int
-(** IP→MAC bindings currently known. *)
-
-val replies_sent : state -> int
-val floods : state -> int

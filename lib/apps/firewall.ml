@@ -1,11 +1,11 @@
 open Openflow
 open Controller
 
-type state = int  (* drop rules installed *)
+type state = unit
 
 let name = "firewall"
 let subscriptions = [ Event.K_switch_up; Event.K_packet_in ]
-let init () = 0
+let init () = ()
 
 let blocked_ports = [ 23; 445 ]
 
@@ -23,7 +23,7 @@ let handle (_ctx : App_sig.context) (st : state) event =
               [])
           blocked_ports
       in
-      (st + List.length rules, rules)
+      (st, rules)
   | Event.Packet_in (sid, pi) ->
       let pkt = pi.Message.pi_packet in
       if
@@ -33,7 +33,7 @@ let handle (_ctx : App_sig.context) (st : state) event =
       then
         (* Blocked traffic leaked to the controller (e.g. rules lost in a
            switch reboot): drop it and re-pin the exact flow. *)
-        ( st + 1,
+        ( st,
           [
             Command.install ~priority:acl_priority sid
               (Ofp_match.exact ~in_port:pi.Message.pi_in_port pkt)

@@ -1,11 +1,11 @@
 open Openflow
 open Controller
 
-type state = int  (* rules installed *)
+type state = unit
 
 let name = "flooder"
 let subscriptions = [ Event.K_packet_in ]
-let init () = 0
+let init () = ()
 
 let flow_idle_timeout = 60
 
@@ -27,5 +27,5 @@ let handle _ctx st = function
           | Some _ -> None
           | None -> Some pi.Message.pi_packet)
       in
-      (st + 1, [ install; release ])
+      (st, [ install; release ])
   | _ -> (st, [])

@@ -1,11 +1,11 @@
 open Openflow
 open Controller
 
-type state = int  (* packets processed *)
+type state = unit
 
 let name = "hub"
 let subscriptions = [ Event.K_packet_in ]
-let init () = 0
+let init () = ()
 
 let handle _ctx st = function
   | Event.Packet_in (sid, pi) ->
@@ -17,5 +17,5 @@ let handle _ctx st = function
           | Some _ -> None
           | None -> Some pi.Message.pi_packet)
       in
-      (st + 1, [ out ])
+      (st, [ out ])
   | _ -> (st, [])

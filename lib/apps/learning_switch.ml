@@ -15,8 +15,6 @@ let subscriptions = [ Event.K_packet_in; Event.K_switch_down ]
 
 let init () = Mac_table.empty
 
-let lookup st sid mac = Mac_table.find_opt (sid, mac) st
-
 let make ~idle_timeout =
   let handle _ctx st event =
     match event with

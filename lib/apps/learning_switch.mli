@@ -6,9 +6,6 @@
 
 include Controller.App_sig.APP
 
-val lookup : state -> Openflow.Types.switch_id -> Openflow.Types.mac
-  -> Openflow.Types.port_no option
-
 val with_idle_timeout : int -> (module Controller.App_sig.APP)
 (** A variant whose installed flows use the given idle timeout (default
     60 s); useful for timeout-sensitive NetLog tests. *)

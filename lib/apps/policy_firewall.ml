@@ -6,13 +6,11 @@ open Controller
    the intent to flow tables and keeps them reconciled; Crash-Pad can
    re-derive the full table from [policy] alone after any failure. *)
 
-type state = int  (* events seen, so checkpoints have something to carry *)
+type state = unit
 
 let name = "policy_firewall"
 let subscriptions = [ Event.K_switch_up; Event.K_packet_in ]
-let init () = 0
-
-let blocked_ports = Firewall.blocked_ports
+let init () = ()
 
 let intent =
   let blocked =
@@ -21,10 +19,12 @@ let intent =
         Policy.Test (Policy.Dl_type Packet.ethertype_ip);
         Policy.Test (Policy.Nw_proto Packet.proto_tcp);
         Policy.disj
-          (List.map (fun p -> Policy.Test (Policy.Tp_dst p)) blocked_ports);
+          (List.map
+             (fun p -> Policy.Test (Policy.Tp_dst p))
+             Firewall.blocked_ports);
       ]
   in
   Policy.ite blocked Policy.drop Policy.flood
 
-let handle _ st _ = (st + 1, [])
+let handle _ st _ = (st, [])
 let policy _ _ = Some intent

@@ -7,5 +7,3 @@ include Controller.App_sig.INTENT_APP
 
 val intent : Policy.t
 (** The declared policy itself, for tests and benchmarks. *)
-
-val blocked_ports : int list

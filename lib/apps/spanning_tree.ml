@@ -21,8 +21,6 @@ let subscriptions =
 
 let init () = Port_set.empty
 
-let blocked_ports st = Port_set.elements st
-
 (* BFS tree over the live links, rooted at the lowest switch id; returns
    the set of unordered switch pairs forming tree edges. *)
 let tree_edges links =
@@ -83,15 +81,14 @@ let handle (ctx : App_sig.context) st event =
         |> List.map (fun (l : Event.link) -> (l.src_switch, l.src_port))
         |> Port_set.of_list
       in
-      let to_block = Port_set.diff desired st in
-      let to_unblock = Port_set.diff st desired in
-      let commands =
+      let mods no_flood ports =
         Port_set.fold
-          (fun (sid, port) acc -> Command.set_no_flood sid port true :: acc)
-          to_block []
-        @ Port_set.fold
-            (fun (sid, port) acc -> Command.set_no_flood sid port false :: acc)
-            to_unblock []
+          (fun (sid, port) acc -> Command.set_no_flood sid port no_flood :: acc)
+          ports []
       in
-      (desired, commands)
+      if Port_set.equal desired st then (st, [])
+      else
+        ( desired,
+          mods true (Port_set.diff desired st)
+          @ mods false (Port_set.diff st desired) )
   | _ -> (st, [])

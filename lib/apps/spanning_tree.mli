@@ -6,9 +6,7 @@
     every host exactly once even on cyclic topologies — the broadcast
     storms that flooding apps (hub, flooder, learning switch) otherwise
     cause on rings become impossible. Recomputes on every topology change
-    and emits only the port-mod deltas. *)
+    and emits only the port-mod deltas; a change that leaves the pruned
+    set as it was emits nothing and hands back the state it was given. *)
 
 include Controller.App_sig.APP
-
-val blocked_ports : state -> (Openflow.Types.switch_id * Openflow.Types.port_no) list
-(** Ports currently pruned (no_flood set), sorted. *)

@@ -83,7 +83,9 @@ module type APP = sig
 
   val handle : context -> state -> Event.t -> state * Command.t list
   (** Process one event. May raise — that is a fail-stop application crash,
-      and containing it is the whole point of LegoSDN. *)
+      and containing it is the whole point of LegoSDN. An event that
+      changes nothing hands back the state it was given (see the
+      instance-level {!val-handle}). *)
 end
 
 (** An application that additionally declares forwarding intent. *)
@@ -151,7 +153,17 @@ val handle : instance -> context -> Event.t -> instance * Command.t list
     so no event can change a state in place. [Sandbox.revert_last]
     relies on it to go back to the previous instance, and
     [Sandbox.snapshot_bytes] to keep the image of an instance it has
-    already serialized. *)
+    already serialized.
+
+    A second contract makes that keeping pay: an event that changes
+    nothing hands back the state it was given. A state holds only what
+    the app's behaviour reads, and a handler returns its input where an
+    update leaves it as it was ([Map.add] of a held binding, a set
+    [equal] to the held one). As a check: whenever the returned
+    instance's {!snapshot} equals the input's, the returned instance is
+    the input. t_apps checks that for every bundled app on random event
+    streams; nothing checks it at run time. Breaking it costs a
+    serialization per checkpoint take, not correctness. *)
 
 val policy_of : instance -> context -> Policy.t option
 (** The instance's declared intent for its current state ([None] for

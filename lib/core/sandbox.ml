@@ -54,6 +54,12 @@ let snapshot_bytes t =
       t.serialized <- Some (t.inst, bytes);
       bytes
 
+(* A Marshal round trip of an app state is byte-stable (a t_apps
+   property), so the bytes a state was restored from are its image. *)
+let restore_image t bytes =
+  t.inst <- App_sig.restore t.inst bytes;
+  t.serialized <- Some (t.inst, bytes)
+
 let state_size t = Bytes.length (snapshot_bytes t)
 let take t = Checkpoint.take t.ckpt (snapshot_bytes t)
 
@@ -129,7 +135,7 @@ let recover ?(tracer = Obs.Tracer.noop) t ctx =
         t.inst <- App_sig.reboot t.inst;
         { replayed = 0; dropped_in_replay = 0 }
     | Some (snapshot, journal) ->
-        t.inst <- App_sig.restore t.inst snapshot;
+        restore_image t snapshot;
         let replayed = ref 0 and dropped = ref 0 in
         List.iter
           (fun ev ->
@@ -179,5 +185,5 @@ let declared_policy t ctx =
   | exception _ -> None
 
 let restore_bytes t snapshot =
-  t.inst <- App_sig.restore t.inst snapshot;
+  restore_image t snapshot;
   take t

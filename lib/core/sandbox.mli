@@ -114,5 +114,8 @@ val snapshot_bytes : t -> bytes
 
 val restore_bytes : t -> bytes -> unit
 (** Overwrite the application state with a snapshot taken earlier from the
-    same module (cluster fail-over, external state shipping). The snapshot
-    becomes the new checkpoint baseline. *)
+    same module (cluster fail-over, external state shipping, a panel's
+    resync). The snapshot becomes the new checkpoint baseline, and the
+    bytes themselves become the state's image ({!snapshot_bytes}), so
+    the take that follows serializes nothing. The caller must not mutate
+    them afterwards. *)

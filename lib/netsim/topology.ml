@@ -15,10 +15,12 @@ type link = {
 
 (* Both indexes are filled by [connect] and never emptied: a topology is
    built once and never unwired, and link state lives in the link's [up]
-   field, so a lookup never goes stale. *)
+   field, so a lookup never goes stale. [ports_of] holds every declared
+   node, so it is also the set of nodes. *)
 type t = {
-  mutable switch_ids : Types.switch_id list;  (* sorted ascending *)
-  mutable host_ids : host list;  (* sorted ascending *)
+  mutable listed : (Types.switch_id list * host list) option;
+      (* the switch and host ids ascending, made on the first read after
+         a node is declared *)
   mutable link_list : link list;  (* reverse creation order *)
   mutable next_link_id : int;
   at_endpoint : (node * Types.port_no, link) Hashtbl.t;
@@ -28,8 +30,7 @@ type t = {
 
 let create () =
   {
-    switch_ids = [];
-    host_ids = [];
+    listed = None;
     link_list = [];
     next_link_id = 0;
     at_endpoint = Hashtbl.create 64;
@@ -43,19 +44,16 @@ let insert_sorted x l =
   in
   go l
 
-let add_switch t sid =
-  if List.mem sid t.switch_ids then
-    invalid_arg (Printf.sprintf "Topology.add_switch: duplicate switch %d" sid);
-  t.switch_ids <- insert_sorted sid t.switch_ids
+let node_exists t node = Hashtbl.mem t.ports_of node
 
-let add_host t hid =
-  if List.mem hid t.host_ids then
-    invalid_arg (Printf.sprintf "Topology.add_host: duplicate host %d" hid);
-  t.host_ids <- insert_sorted hid t.host_ids
+let declare t node kind id =
+  if node_exists t node then
+    invalid_arg (Printf.sprintf "Topology.add_%s: duplicate %s %d" kind kind id);
+  Hashtbl.replace t.ports_of node [];
+  t.listed <- None
 
-let node_exists t = function
-  | Switch sid -> List.mem sid t.switch_ids
-  | Host h -> List.mem h t.host_ids
+let add_switch t sid = declare t (Switch sid) "switch" sid
+let add_host t hid = declare t (Host hid) "host" hid
 
 let endpoint_eq e node port = e.node = node && e.port = port
 
@@ -99,8 +97,20 @@ let connect t ea eb =
 let attach_host t h sid port =
   connect t { node = Host h; port = 1 } { node = Switch sid; port }
 
-let switches t = t.switch_ids
-let hosts t = t.host_ids
+let listed t =
+  match t.listed with
+  | Some ids -> ids
+  | None ->
+      let add node _ (sw, hs) =
+        match node with Switch s -> (s :: sw, hs) | Host h -> (sw, h :: hs)
+      in
+      let sw, hs = Hashtbl.fold add t.ports_of ([], []) in
+      let ids = (List.sort compare sw, List.sort compare hs) in
+      t.listed <- Some ids;
+      ids
+
+let switches t = fst (listed t)
+let hosts t = snd (listed t)
 let links t = List.rev t.link_list
 
 let far_end l node port =
@@ -159,9 +169,9 @@ let set_link l ~up = l.up <- up
 let pp fmt t =
   Format.fprintf fmt "@[<v>switches: %a@,hosts: %a@,links:@,%a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_space Types.pp_switch)
-    t.switch_ids
+    (switches t)
     (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
-    t.host_ids
+    (hosts t)
     (Format.pp_print_list (fun f l ->
          Format.fprintf f "  %a:%d <-%s-> %a:%d" pp_node l.a.node l.a.port
            (if l.up then "" else "X")

@@ -33,14 +33,14 @@ type t
 val create : unit -> t
 
 val add_switch : t -> Types.switch_id -> unit
-(** Declare a switch. Raises [Invalid_argument] on duplicates. *)
+(** Declare a switch (one lookup). Raises [Invalid_argument] on duplicates. *)
 
 val add_host : t -> host -> unit
 
 val connect : t -> endpoint -> endpoint -> link
 (** Wire two endpoints together. Raises [Invalid_argument] if either
     (node, port) is already wired, an endpoint is wired to itself, or a
-    node is undeclared. Cost: one index lookup per endpoint plus a sorted
+    node is undeclared. Cost: two index lookups per endpoint plus a sorted
     insert into each node's port list. *)
 
 val attach_host : t -> host -> Types.switch_id -> Types.port_no -> link
@@ -48,7 +48,8 @@ val attach_host : t -> host -> Types.switch_id -> Types.port_no -> link
     port. *)
 
 val switches : t -> Types.switch_id list
-(** All switch ids, ascending. *)
+(** All switch ids, ascending: a stored list, which the first call of this
+    or {!hosts} after a node is declared sorts. *)
 
 val hosts : t -> host list
 

@@ -176,6 +176,33 @@ let test_serializes_once () =
   T_util.checki "the state's size is the image's" (Bytes.length bytes)
     (Sandbox.state_size box)
 
+(* A restore keeps the bytes it was handed as the state's image, so the
+   take after it, or a recovery with nothing to replay, serializes
+   nothing. *)
+let test_restore_keeps_bytes () =
+  let box = ls_sandbox () in
+  let deliver ev =
+    match Sandbox.deliver box ctx ev with
+    | Sandbox.Done _ -> Sandbox.confirm box ev
+    | _ -> Alcotest.fail "healthy app"
+  in
+  deliver (packet_in 1 2);
+  let shipped = Bytes.copy (Sandbox.snapshot_bytes box) in
+  Sandbox.restore_bytes box shipped;
+  T_util.checkb "a restored state's image is the bytes handed" true
+    (Sandbox.snapshot_bytes box == shipped);
+  deliver (packet_in 2 1);
+  Sandbox.checkpoint_now box;
+  let snap =
+    match Checkpoint.restore_point (Sandbox.checkpoint_store box) with
+    | Some (snap, []) -> snap
+    | _ -> Alcotest.fail "a restore point with an empty journal expected"
+  in
+  let recovery = Sandbox.recover box ctx in
+  T_util.checki "nothing replayed" 0 recovery.Sandbox.replayed;
+  T_util.checkb "a recovered state's image is the checkpoint's bytes" true
+    (Sandbox.snapshot_bytes box == snap)
+
 let suite =
   [
     Alcotest.test_case "done verdict" `Quick test_done_verdict_and_commands;
@@ -191,4 +218,6 @@ let suite =
     Alcotest.test_case "replay survives re-crashes" `Quick test_replay_drops_recrashing_events;
     Alcotest.test_case "a sandbox serializes a state once" `Quick
       test_serializes_once;
+    Alcotest.test_case "a restore keeps the bytes it was handed" `Quick
+      test_restore_keeps_bytes;
   ]
